@@ -27,5 +27,6 @@ for sid, tb in profiles.items():
     print(row)
 
 print("\npenalty solvers: geometry share is exactly zero by construction;")
-print("rgd/rcg: the projection inside the transport solves a least-squares")
-print("problem over the normal-space parameterization at every iteration.")
+print("rgd/rcg: the projection inside the transport is one p x p Lyapunov")
+print("solve per call, so the n x n Cayley solve of the retraction takes the")
+print("largest share here.")

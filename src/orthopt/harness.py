@@ -139,13 +139,18 @@ def _write_trace(path, report):
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def run(config):
-    """Execute the solver x tolerance grid of a config; returns sorted records."""
+def _penalty_bundle(config):
+    """Validate a config and build its problem's penalty at the configured or default beta."""
     config.validate()
     problem = PROBLEM_BUILDERS[config.problem["id"]](config.problem)
     beta = config.beta if config.beta is not None else problem.metadata.get("beta_default", 1.0)
-    pf = PenaltyFunction(problem.spec, problem, beta)
-    starts = {config.x0_seed + r: problem.spec.random_feasible(config.x0_seed + r)
+    return PenaltyFunction(problem.spec, problem, beta)
+
+
+def run(config):
+    """Execute the solver x tolerance grid of a config; returns sorted records."""
+    pf = _penalty_bundle(config)
+    starts = {config.x0_seed + r: pf.spec.random_feasible(config.x0_seed + r)
               for r in range(max(1, config.repetitions))}
     cells = [(s, t, xs) for s in config.solvers for t in config.tols for xs in starts]
     workers = int(os.environ.get("ORTHOPT_THREADS", "1"))
@@ -249,11 +254,8 @@ class TimingBreakdown:
 
 def timing_profile(config, iters=100):
     """Run every solver for a fixed iteration budget and split its wall time."""
-    config.validate()
-    problem = PROBLEM_BUILDERS[config.problem["id"]](config.problem)
-    beta = config.beta if config.beta is not None else problem.metadata.get("beta_default", 1.0)
-    pf = PenaltyFunction(problem.spec, problem, beta)
-    x0 = problem.spec.random_feasible(config.x0_seed)
+    pf = _penalty_bundle(config)
+    x0 = pf.spec.random_feasible(config.x0_seed)
     out = {}
     for solver_id in config.solvers:
         cfg = SolverConfig(grad_tol=0.0, max_iter=iters, time_limit=config.time_limit)

@@ -4,7 +4,11 @@ import numpy as np
 
 
 class NoUniqueSolutionError(np.linalg.LinAlgError):
-    """The vectorized Sylvester system is singular."""
+    """The Lyapunov system is singular; carries the minimum-norm solution."""
+
+    def __init__(self, message, solution):
+        super().__init__(message)
+        self.solution = solution
 
 
 def sym(M):
@@ -15,11 +19,20 @@ def skew(M):
     return 0.5 * (M - M.T)
 
 
-def lyapunov_solve(A, B, Q):
-    """Solve A S + S B = Q by dense Kronecker vectorization.
+def _eigh_symmetric(M):
+    if np.linalg.norm(M - M.T) > 1e-12 * np.linalg.norm(M):
+        raise ValueError("coefficient matrix must be symmetric")
+    return np.linalg.eigh(M)
 
-    Meant for modest p (the solve is O(p^6)); requires the spectra of A and
-    -B to be disjoint, otherwise NoUniqueSolutionError is raised.
+
+def lyapunov_solve(A, B, Q):
+    """Solve A S + S B = Q for symmetric A and B in their eigenbases.
+
+    With A = Va diag(a) Va^T and B = Vb diag(b) Vb^T the solution is
+    S = Va [(Va^T Q Vb) / (a_i + b_j)] Vb^T, at O(p^3).  Modes with
+    a_i + b_j at rounding level make the system singular: NoUniqueSolutionError
+    is raised carrying the minimum-norm least-squares solution, in which those
+    modes are zero.  Non-symmetric A or B raises ValueError.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -27,14 +40,13 @@ def lyapunov_solve(A, B, Q):
     p = A.shape[0]
     if A.shape != (p, p) or B.shape != (p, p) or Q.shape != (p, p):
         raise ValueError(f"incompatible shapes {A.shape}, {B.shape}, {Q.shape}")
-    K = np.kron(np.eye(p), A) + np.kron(B.T, np.eye(p))
-    try:
-        s = np.linalg.solve(K, Q.ravel(order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise NoUniqueSolutionError("spectra of A and -B intersect") from exc
-    S = s.reshape((p, p), order="F")
-    resid = np.linalg.norm(A @ S + S @ B - Q)
-    scale = (np.linalg.norm(A) + np.linalg.norm(B)) * max(np.linalg.norm(S), 1e-300)
-    if not np.isfinite(resid) or resid > 1e-10 * max(scale, np.linalg.norm(Q)):
-        raise NoUniqueSolutionError(f"ill-conditioned Sylvester system, residual {resid:.2e}")
+    wa, Va = _eigh_symmetric(A)
+    wb, Vb = (wa, Va) if B is A else _eigh_symmetric(B)
+    denom = wa[:, None] + wb[None, :]
+    singular = np.abs(denom) <= p * np.finfo(float).eps * (np.abs(wa).max() + np.abs(wb).max())
+    C = np.divide(Va.T @ Q @ Vb, denom, out=np.zeros((p, p)), where=~singular)
+    S = Va @ C @ Vb.T
+    if singular.any():
+        raise NoUniqueSolutionError(
+            f"{int(singular.sum())} of {p * p} modes have a_i + b_j = 0", solution=S)
     return S

@@ -2,14 +2,15 @@
 
 Each manifold is described by a linear, one-to-one, self-adjoint map phi on a
 subspace F of matrices, together with a companion map psi on the span G of
-cross-Gram matrices satisfying  phi(X T) = phi(X) psi(T).  Six concrete
-families are provided; everything downstream (projections, gradients,
-retractions, the dissolving penalty) is written against this interface.
+cross-Gram matrices satisfying  phi(X T) = phi(X) psi(T).  In all six concrete
+families psi(T) = q^T T q for one orthogonal p x p matrix q that is symmetric
+or skew; everything downstream (projections, gradients, retractions, the
+dissolving penalty) is written against this interface.
 """
 
 import numpy as np
 
-from .linalg import lyapunov_solve, skew, sym
+from .linalg import NoUniqueSolutionError, lyapunov_solve, skew, sym
 from .tensor import TransformMatrix, dct_transform, diag_fold, diag_unfold, mode3_product, qr_posdiag
 
 
@@ -26,7 +27,7 @@ class RetractError(RuntimeError):
 
 
 class ThetaDegenerateError(np.linalg.LinAlgError):
-    """Least-squares design lost rank; carries the minimum-norm solution."""
+    """Normal equations of the projection are singular; carries the minimum-norm solution."""
 
     def __init__(self, message, solution):
         super().__init__(message)
@@ -63,9 +64,15 @@ def _orthonormalize_rows(vecs, drop_tol=1e-10):
 
 
 class ManifoldSpec:
-    """Base class bundling (phi, psi), the subspace F, and a retraction."""
+    """Base class bundling (phi, psi), the subspace F, and a retraction.
+
+    ``q`` is the orthogonal p x p matrix of psi(T) = q^T T q; None stands
+    for the identity.  q is symmetric or skew, and S1 = {q^T W} with W of
+    the same symmetry.
+    """
 
     name = "generic"
+    q = None
 
     def __init__(self, n, p):
         self.n = int(n)
@@ -79,7 +86,8 @@ class ManifoldSpec:
         raise NotImplementedError
 
     def psi(self, T):
-        raise NotImplementedError
+        T = np.asarray(T, dtype=float)
+        return T if self.q is None else self.q.T @ T @ self.q
 
     def gen_sym(self, T):
         """Generalized symmetrization T^T + psi(T)."""
@@ -160,68 +168,46 @@ def tangent_test(spec, point, Z, tol=1e-8):
     return bool(resid <= tol), resid
 
 
-def _theta_generic(spec, phiX, D):
-    basis = spec.s1_basis()
-    k = basis.shape[0]
-    design = np.einsum("nj,kjm->knm", phiX, basis).reshape(k, -1).T
-    coef, _, rank, _ = np.linalg.lstsq(design, np.asarray(D, float).ravel(), rcond=None)
-    S = np.tensordot(coef, basis, axes=(0, 0))
-    if rank < k:
-        raise ThetaDegenerateError(
-            f"rank {rank} < {k} in the S1 least-squares design", solution=S)
-    return S
-
-
-def _theta_indefinite_lyap(spec, X, D):
-    AX = spec.A @ X
-    K = AX.T @ AX
-    rhs = AX.T @ D + D.T @ AX
-    return spec.J @ lyapunov_solve(K, K, rhs)
-
-
-def theta_lstsq(spec, point, D, method="auto"):
+def theta_lstsq(spec, point, D):
     """Coefficient matrix of the normal component of D.
 
-    Minimizes || phi(X) S - D || over S in S1.  The generic route expands S
-    in an orthonormal basis of S1 and solves a dense least-squares problem;
-    closed-form routes exist for the plain Stiefel family (symmetrization)
-    and the indefinite family (a Lyapunov solve).
+    Minimizes || phi(X) S - D || over S in S1 = {q^T W}.  Only the
+    F-component of D enters, since phi(X) S lies in F.  With U = phi(X) q^T,
+    K = U^T U and R = U^T D, the normal equations are the p x p Lyapunov
+    equation K W + W K = R + R^T (W symmetric, q symmetric or None) or
+    R - R^T (W skew, q skew), solved in the eigenbasis of K at
+    O(n p^2 + p^3).  A singular K raises ThetaDegenerateError carrying the
+    minimum-norm least-squares solution.
     """
-    is_fp = isinstance(point, FeasiblePoint)
-    X = point.X if is_fp else np.asarray(point, dtype=float)
-    phiX = point.phiX if is_fp else spec.phi(X)
-    D = np.asarray(D, dtype=float)
-    if method == "auto":
-        if spec.name == "stiefel" and is_fp:
-            method = "sym"
-        elif spec.name == "indefinite-stiefel":
-            method = "lyapunov"
-        else:
-            method = "generic"
-    if method == "sym":
-        return sym(X.T @ D)
-    if method == "lyapunov":
-        return _theta_indefinite_lyap(spec, X, D)
-    if method == "generic":
-        return _theta_generic(spec, phiX, D)
-    raise ValueError(f"unknown theta method {method!r}")
+    phiX = point.phiX if isinstance(point, FeasiblePoint) else spec.phi(np.asarray(point, float))
+    q = spec.q
+    U = phiX if q is None else phiX @ q.T
+    K = U.T @ U
+    R = U.T @ spec.project_subspace(D)
+    # q^T = +q or -q, and <q, q^T> carries that sign
+    rhs = R + R.T if q is None or np.vdot(q, q.T) > 0 else R - R.T
+    try:
+        W = lyapunov_solve(K, K, rhs)
+    except NoUniqueSolutionError as exc:
+        S = exc.solution if q is None else q.T @ exc.solution
+        raise ThetaDegenerateError(f"singular normal equations: {exc}", solution=S) from exc
+    return W if q is None else q.T @ W
 
 
-def project_tangent(spec, point, D, method="auto"):
+def project_tangent(spec, point, D):
     """Orthogonal projection of D onto the tangent space at the point."""
-    return np.asarray(D, float) - point.phiX @ theta_lstsq(spec, point, D, method=method)
+    return np.asarray(D, float) - point.phiX @ theta_lstsq(spec, point, D)
 
 
-def riemannian_gradient(spec, point, egrad, method="auto"):
+def riemannian_gradient(spec, point, egrad):
     """Project the Euclidean gradient onto the tangent space."""
-    return project_tangent(spec, point, egrad, method=method)
+    return project_tangent(spec, point, egrad)
 
 
-def riemannian_hessvec(spec, point, Z, egrad, ehessvec, method="auto"):
+def riemannian_hessvec(spec, point, Z, egrad, ehessvec):
     """Riemannian Hessian action on a tangent vector Z."""
-    theta = theta_lstsq(spec, point, egrad, method=method)
-    return project_tangent(spec, point, np.asarray(ehessvec, float) - spec.phi(Z) @ theta,
-                           method=method)
+    theta = theta_lstsq(spec, point, egrad)
+    return project_tangent(spec, point, np.asarray(ehessvec, float) - spec.phi(Z) @ theta)
 
 
 def retract(spec, point, Z):
@@ -229,9 +215,9 @@ def retract(spec, point, Z):
     return spec.retract(point, Z)
 
 
-def vector_transport(spec, point_new, Z, method="auto"):
+def vector_transport(spec, point_new, Z):
     """Carry Z into the tangent space at point_new (orthogonal projection)."""
-    return project_tangent(spec, point_new, Z, method=method)
+    return project_tangent(spec, point_new, Z)
 
 
 def random_feasible(spec, seed=0):
@@ -281,9 +267,6 @@ class Stiefel(ManifoldSpec):
 
     def phi(self, X):
         return np.asarray(X, dtype=float)
-
-    def psi(self, T):
-        return np.asarray(T, dtype=float)
 
     def _build_s1(self):
         return _sym_basis(self.p)
@@ -336,9 +319,6 @@ class GeneralizedStiefel(ManifoldSpec):
     def phi(self, X):
         return self.B @ X
 
-    def psi(self, T):
-        return np.asarray(T, dtype=float)
-
     def _build_s1(self):
         return _sym_basis(self.p)
 
@@ -378,12 +358,10 @@ class SymplecticStiefel(ManifoldSpec):
         super().__init__(n2, p2)
         self.Jn = symplectic_j(n2 // 2)
         self.Jp = symplectic_j(p2 // 2)
+        self.q = self.Jp
 
     def phi(self, X):
         return -self.Jn @ X @ self.Jp
-
-    def psi(self, T):
-        return self.Jp.T @ T @ self.Jp
 
     def retract(self, point, Z):
         if not np.any(Z):
@@ -425,6 +403,7 @@ class IndefiniteStiefel(ManifoldSpec):
             A = np.diag(np.concatenate([np.arange(1.0, k + 1.0), -np.arange(float(m), 0.0, -1.0)]))
         self.A = sym(np.asarray(A, dtype=float))
         self.J = np.diag(np.concatenate([np.ones(p_k), -np.ones(p_m)]))
+        self.q = self.J
         w, V = np.linalg.eigh(self.A)
         if np.abs(w).min() < 1e-12 * np.abs(w).max():
             raise ValueError("A must be nonsingular")
@@ -435,9 +414,6 @@ class IndefiniteStiefel(ManifoldSpec):
 
     def phi(self, X):
         return self.A @ X @ self.J
-
-    def psi(self, T):
-        return self.J @ T @ self.J
 
     def retract(self, point, Z):
         if not np.any(Z):
@@ -498,9 +474,6 @@ class Hyperbolic(ManifoldSpec):
     def phi(self, X):
         return self.H @ X
 
-    def psi(self, T):
-        return np.asarray(T, dtype=float)
-
     def _build_s1(self):
         return _sym_basis(self.p)
 
@@ -555,9 +528,6 @@ class TensorStiefel(ManifoldSpec):
 
     def phi(self, X):
         return np.asarray(X, dtype=float)
-
-    def psi(self, T):
-        return np.asarray(T, dtype=float)
 
     def project_subspace(self, Y):
         Y = np.asarray(Y, dtype=float)

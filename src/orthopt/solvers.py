@@ -21,6 +21,7 @@ STATUS_GRAD_TOL = "GradTol"
 STATUS_MAX_ITER = "MaxIter"
 STATUS_TIME_LIMIT = "TimeLimit"
 STATUS_LS_FAIL = "LineSearchFail"
+STATUS_RADIUS_COLLAPSE = "RadiusCollapse"
 
 ORACLE_PHASES = ("objective", "gradient", "hessvec", "retraction", "transport")
 ALL_PHASES = ORACLE_PHASES + ("linesearch",)
@@ -406,7 +407,7 @@ def trust_ncg(oracle, x0, config=None):
             status = STATUS_TIME_LIMIT
             break
         if radius < 1e-16:
-            status = STATUS_LS_FAIL
+            status = STATUS_RADIUS_COLLAPSE
             break
         p, hit_boundary = _steihaug(lambda v: hv(x, v), g, gn, radius)
         Hp = hv(x, p)
@@ -414,6 +415,8 @@ def trust_ncg(oracle, x0, config=None):
         with clock.phase("objective"):
             h_trial = oracle.value(x + p)
         rho = (h - h_trial) / pred if pred > 0 else -1.0
+        if not np.isfinite(rho):        # a non-finite trial value is a rejection
+            rho = -1.0
         if rho < 0.25:
             radius *= 0.25
         elif rho > 0.75 and hit_boundary:

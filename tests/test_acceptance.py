@@ -137,24 +137,18 @@ def test_criterion_06_stationarity_equivalence():
                    f"projected grad {rg:.2e}, feasibility {point.feas:.2e}")
 
 
-def test_criterion_07_theta_oracle_equivalence():
+def test_criterion_07_theta_oracle_equivalence(theta_oracle):
     rng = np.random.default_rng(107)
     worst = 0.0
-    spec = op.stiefel(20, 4)
-    pt = spec.random_feasible(107)
-    for _ in range(5):
-        D = rng.standard_normal((20, 4))
-        Sg = theta_lstsq(spec, pt, D, method="generic")
-        Sc = theta_lstsq(spec, pt, D, method="sym")
-        worst = max(worst, np.linalg.norm(Sg - Sc) / np.linalg.norm(Sc))
-    spec = op.indefinite_stiefel(20, 4, k=12, p_k=3)
-    pt = spec.random_feasible(107)
-    for _ in range(5):
-        D = rng.standard_normal((20, 4))
-        Sg = theta_lstsq(spec, pt, D, method="generic")
-        Sc = theta_lstsq(spec, pt, D, method="lyapunov")
-        worst = max(worst, np.linalg.norm(Sg - Sc) / np.linalg.norm(Sc))
-    _report(7, worst <= 1e-10, f"basis least squares vs closed forms, worst {worst:.2e}")
+    for spec in SPECS:
+        pt = spec.random_feasible(107)
+        for _ in range(5):
+            D = rng.standard_normal((spec.n, spec.p))
+            Sg, _ = theta_oracle(spec, pt.phiX, D)
+            Sc = theta_lstsq(spec, pt, D)
+            worst = max(worst, np.linalg.norm(Sg - Sc) / np.linalg.norm(Sg))
+    _report(7, worst <= 1e-10, f"basis least squares vs Lyapunov solve on "
+                               f"{len(SPECS)} families, worst {worst:.2e}")
 
 
 def test_criterion_08_gradient_work_accounting():

@@ -56,3 +56,11 @@ def test_lyapunov_singular_system_raises():
 def test_lyapunov_shape_mismatch():
     with pytest.raises(ValueError):
         lyapunov_solve(np.eye(2), np.eye(3), np.eye(2))
+
+
+def test_lyapunov_rejects_nonsymmetric_coefficients():
+    A = np.array([[1.0, 2.0], [0.0, 1.0]])
+    with pytest.raises(ValueError):
+        lyapunov_solve(A, np.eye(2), np.eye(2))
+    with pytest.raises(ValueError):
+        lyapunov_solve(np.eye(2), A, np.eye(2))

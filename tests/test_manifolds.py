@@ -130,27 +130,27 @@ def test_theta_exact_recovery(spec):
     basis = spec.s1_basis()
     S0 = np.tensordot(rng.standard_normal(basis.shape[0]), basis, axes=(0, 0))
     D = pt.phiX @ S0
-    S = theta_lstsq(spec, pt, D, method="generic")
+    S = theta_lstsq(spec, pt, D)
     np.testing.assert_allclose(S, S0, atol=1e-10 * max(1.0, np.linalg.norm(S0)))
 
 
-def test_theta_stiefel_closed_form_matches_generic():
+def test_theta_stiefel_closed_form_matches_generic(theta_oracle):
     spec = op.stiefel(20, 4)
     pt = spec.random_feasible(0)
     D = np.random.default_rng(6).standard_normal((20, 4))
-    S_generic = theta_lstsq(spec, pt, D, method="generic")
-    S_sym = theta_lstsq(spec, pt, D, method="sym")
-    np.testing.assert_allclose(S_sym, 0.5 * (pt.X.T @ D + D.T @ pt.X), atol=1e-14)
-    rel = np.linalg.norm(S_generic - S_sym) / np.linalg.norm(S_sym)
+    S_generic, _ = theta_oracle(spec, pt.phiX, D)
+    S = theta_lstsq(spec, pt, D)
+    np.testing.assert_allclose(S, 0.5 * (pt.X.T @ D + D.T @ pt.X), atol=1e-14)
+    rel = np.linalg.norm(S_generic - S) / np.linalg.norm(S)
     assert rel <= 1e-10
 
 
-def test_theta_indefinite_lyapunov_matches_generic():
+def test_theta_indefinite_lyapunov_matches_generic(theta_oracle):
     spec = op.indefinite_stiefel(20, 4, k=12, p_k=3)
     pt = spec.random_feasible(1)
     D = np.random.default_rng(7).standard_normal((20, 4))
-    S_generic = theta_lstsq(spec, pt, D, method="generic")
-    S_lyap = theta_lstsq(spec, pt, D, method="lyapunov")
+    S_generic, _ = theta_oracle(spec, pt.phiX, D)
+    S_lyap = theta_lstsq(spec, pt, D)
     rel = np.linalg.norm(S_generic - S_lyap) / np.linalg.norm(S_lyap)
     assert rel <= 1e-10
 
@@ -166,7 +166,7 @@ def test_theta_generic_matches_normal_equations_brute_force(spec):
     cols = np.stack([(pt.phiX @ B).ravel() for B in basis], axis=1)
     coef = np.linalg.solve(cols.T @ cols, cols.T @ D.ravel())
     S_brute = np.tensordot(coef, basis, axes=(0, 0))
-    S = theta_lstsq(spec, pt, D, method="generic")
+    S = theta_lstsq(spec, pt, D)
     rel = np.linalg.norm(S - S_brute) / max(np.linalg.norm(S_brute), 1e-30)
     assert rel <= 1e-10
 
@@ -180,15 +180,28 @@ def test_theta_normal_equations_residual(spec):
         assert abs(np.vdot(pt.phiX @ B, resid)) <= 1e-10 * max(1.0, np.linalg.norm(D))
 
 
-def test_theta_degenerate_design_carries_solution():
+def test_theta_degenerate_design_carries_solution(theta_oracle):
     spec = op.stiefel(6, 3)
     X = np.zeros((6, 3))
     X[:, 0] = X[:, 1] = np.eye(6)[:, 0]   # repeated column: phi(X) loses rank
     X[:, 2] = np.eye(6)[:, 1]
     D = np.random.default_rng(9).standard_normal((6, 3))
     with pytest.raises(ThetaDegenerateError) as err:
-        theta_lstsq(spec, X, D, method="generic")
-    assert err.value.solution.shape == (3, 3)
+        theta_lstsq(spec, X, D)
+    S_min, rank = theta_oracle(spec, spec.phi(X), D)
+    assert rank < spec.s1_basis().shape[0]
+    np.testing.assert_allclose(err.value.solution, S_min, atol=1e-12)
+
+
+def test_theta_tensor_ignores_mass_outside_subspace(theta_oracle):
+    spec = op.tensor_stiefel(4, 2, 3)
+    pt = spec.random_feasible(31)
+    D = np.random.default_rng(31).standard_normal((spec.n, spec.p))
+    assert spec.subspace_residual(D) > 1.0
+    S = theta_lstsq(spec, pt, D)
+    np.testing.assert_array_equal(S, theta_lstsq(spec, pt, spec.project_subspace(D)))
+    S_ref, _ = theta_oracle(spec, pt.phiX, D)
+    assert np.linalg.norm(S - S_ref) <= 1e-10 * np.linalg.norm(S_ref)
 
 
 # --------------------------------------------------------------- projection

@@ -5,6 +5,7 @@ import orthopt as op
 from orthopt.solvers import (
     STATUS_GRAD_TOL,
     STATUS_LS_FAIL,
+    STATUS_RADIUS_COLLAPSE,
     STATUS_TIME_LIMIT,
     FunctionOracle,
     PenaltyOracle,
@@ -256,6 +257,19 @@ def test_line_search_failure_is_a_status():
 
     r = gd_bb(FunctionOracle(f, g), np.zeros(1), SolverConfig(grad_tol=1e-10, max_iter=50))
     assert r.status == STATUS_LS_FAIL
+
+
+def test_trust_region_rejects_nan_trial_values():
+    # finite only at the start: every trial point is rejected until the radius collapses
+    x0 = np.ones(2)
+
+    def f(x):
+        return float(x @ x) if np.array_equal(x, x0) else float("nan")
+
+    orc = FunctionOracle(f, lambda x: 2.0 * x, lambda x, v: 2.0 * v)
+    r = trust_ncg(orc, x0, SolverConfig(grad_tol=1e-10, time_limit=5.0))
+    assert r.status == STATUS_RADIUS_COLLAPSE and r.iters == 0
+    assert r.total_time < 1.0
 
 
 def test_time_limit_status():
