@@ -347,6 +347,24 @@ def symplectic_j(m):
     return J
 
 
+def _j_left(Y):
+    """J_{2m} @ Y as a signed swap of the row halves (exact)."""
+    m = Y.shape[0] // 2
+    out = np.empty_like(Y)
+    out[:m] = Y[m:]
+    np.negative(Y[:m], out=out[m:])
+    return out
+
+
+def _j_right(Y):
+    """Y @ J_{2k} as a signed swap of the column halves (exact)."""
+    k = Y.shape[1] // 2
+    out = np.empty_like(Y)
+    np.negative(Y[:, k:], out=out[:, :k])
+    out[:, k:] = Y[:, :k]
+    return out
+
+
 class SymplecticStiefel(ManifoldSpec):
     """Symplectic frames: X^T J_{2n} X = J_{2p}; dimensions are the full even sizes."""
 
@@ -361,17 +379,26 @@ class SymplecticStiefel(ManifoldSpec):
         self.q = self.Jp
 
     def phi(self, X):
-        return -self.Jn @ X @ self.Jp
+        # -J_{2n} X J_{2p} as four signed block copies; equal bit for bit to
+        # the dense product, since each entry of that product has one term
+        X = np.asarray(X, dtype=float)
+        m, k = self.n // 2, self.p // 2
+        out = np.empty_like(X)
+        out[:m, :k] = X[m:, k:]
+        np.negative(X[m:, :k], out=out[:m, k:])
+        np.negative(X[:m, k:], out=out[m:, :k])
+        out[m:, k:] = X[:m, :k]
+        return out
 
     def retract(self, point, Z):
         if not np.any(Z):
             return point
         X = point.X
-        u = self.Jn @ X                      # u^T X = -J_{2p} at feasible X
-        Y = X @ self.Jp                      # so Y^T u = I
+        u = _j_left(X)                       # u^T X = -J_{2p} at feasible X
+        Y = _j_right(X)                      # so Y^T u = I
         Mt = sym(Z.T @ u)
         S = Z @ Y.T + Y @ Z.T - Y @ Mt @ Y.T
-        return _finish_retraction(self, _cayley_apply(S @ self.Jn, X))
+        return _finish_retraction(self, _cayley_apply(_j_right(S), X))
 
     def random_feasible(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -380,7 +407,7 @@ class SymplecticStiefel(ManifoldSpec):
         X0[:n, :p] = np.eye(n)[:, :p]
         X0[n:, p:] = np.eye(n)[:, :p]
         S = sym(rng.standard_normal((self.n, self.n)))
-        W = S @ self.Jn
+        W = _j_right(S)
         W *= 1.0 / max(1.0, np.linalg.norm(W))
         return FeasiblePoint(self, _cayley_apply(W, X0), tol=1e-10)
 

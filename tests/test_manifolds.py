@@ -9,6 +9,8 @@ from orthopt.manifolds import (
     RetractError,
     SubspaceError,
     ThetaDegenerateError,
+    _j_left,
+    _j_right,
     constraint,
     project_tangent,
     random_tangent,
@@ -41,6 +43,23 @@ def test_constraint_symplectic_feasible_is_zero():
     pt = spec.random_feasible(0)
     assert np.linalg.norm(pt.X.T @ spec.Jn @ pt.X - spec.Jp) < 1e-12
     np.testing.assert_allclose(constraint(spec, pt.X), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n2,p2", [(2, 2), (8, 2), (16, 8), (1000, 20)])
+def test_symplectic_phi_swap_equals_dense_product(n2, p2):
+    spec = op.symplectic_stiefel(n2, p2)
+    X = np.random.default_rng(n2 + p2).standard_normal((n2, p2))
+    assert np.array_equal(spec.phi(X), -spec.Jn @ X @ spec.Jp)
+
+
+def test_symplectic_swaps_equal_dense_j_products():
+    spec = op.symplectic_stiefel(12, 4)
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((12, 4))
+    S = rng.standard_normal((12, 12))
+    assert np.array_equal(_j_left(X), spec.Jn @ X)
+    assert np.array_equal(_j_right(X), X @ spec.Jp)
+    assert np.array_equal(_j_right(S), S @ spec.Jn)
 
 
 def test_constraint_scaled_column():

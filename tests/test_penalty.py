@@ -295,6 +295,19 @@ def test_penalty_hessvec_zero_objective_reduction(spec):
     np.testing.assert_allclose(pf.hessvec(X, V), expected, atol=1e-10)
 
 
+def test_penalty_hessvec_work_accounting(spec):
+    # with phi(X), the Gram matrix and grad f(A(X)) cached at X, one product
+    # costs the objective's Hessian oracle, 1 phi application and 11 products
+    prob = toy_problem(spec, 32)
+    pf = PenaltyFunction(spec, prob, 0.7)
+    X = _near_point(spec, 32)
+    cache = EvalCache()
+    penalty_gradient(pf, X, cache)
+    cache.reset_counts()
+    penalty_hessvec(pf, X, _unit(spec, 33), cache)
+    assert cache.counts == {"matmul": 11, "phi": 1, "grad_f": 0, "f": 0}
+
+
 def test_penalty_hessvec_requires_hessian_oracle(spec):
     prob = Problem(spec, lambda X: 0.0, lambda X: np.zeros_like(np.asarray(X)),
                    name="gradonly", check_gradient=False)

@@ -10,6 +10,7 @@ from orthopt.solvers import (
     FunctionOracle,
     PenaltyOracle,
     SolverConfig,
+    _steihaug,
     cg,
     gd_bb,
     lbfgs,
@@ -96,6 +97,43 @@ def test_trust_ncg_single_step_inside_radius():
     assert r.status == STATUS_GRAD_TOL and r.iters == 1
 
 
+def _steihaug_case(H, g, radius):
+    H = np.asarray(H, dtype=float)
+    curvatures = []
+
+    def hv(v):
+        Hv = H @ v
+        curvatures.append(float(v @ Hv))
+        return Hv
+
+    g = np.asarray(g, dtype=float)
+    p, Hp, hit = _steihaug(hv, g, np.linalg.norm(g), radius)
+    assert np.linalg.norm(Hp - H @ p) <= 1e-12 * np.linalg.norm(H @ p)
+    return p, hit, curvatures
+
+
+def test_steihaug_returns_hessian_product_interior():
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((8, 8))
+    p, hit, curv = _steihaug_case(M @ M.T + np.eye(8), rng.standard_normal(8), 1e6)
+    assert not hit and len(curv) > 1
+
+
+def test_steihaug_returns_hessian_product_at_boundary():
+    rng = np.random.default_rng(12)
+    M = rng.standard_normal((8, 8))
+    p, hit, curv = _steihaug_case(M @ M.T + np.eye(8), rng.standard_normal(8), 0.5)
+    assert hit and curv[-1] > 0.0
+    np.testing.assert_allclose(np.linalg.norm(p), 0.5, rtol=1e-12)
+
+
+def test_steihaug_returns_hessian_product_on_negative_curvature():
+    # the first direction has positive curvature, the second negative
+    p, hit, curv = _steihaug_case(np.diag([1.0, -2.0, 3.0]), [1.0, 0.1, 0.2], 10.0)
+    assert hit and len(curv) > 1 and curv[-1] <= 0.0
+    np.testing.assert_allclose(np.linalg.norm(p), 10.0, rtol=1e-12)
+
+
 def test_trust_ncg_rosenbrock_with_fd_fallback():
     r = trust_ncg(rosen_oracle(), np.array([-1.2, 1.0]),
                   SolverConfig(grad_tol=1e-7, max_iter=500))
@@ -113,6 +151,16 @@ def test_cdf_solvers_on_desk_instance(solver_id):
         assert r.iters <= 40   # outer iterations only
     point, _ = op.postprocess(prob.spec, r.X, eps_f=1e-12)
     assert point.feas <= 1e-10
+
+
+def test_cdf_tr_hessvec_budget_on_desk_instance():
+    # the truncated inner solve: 1029 Hessian-vector products with a near-exact
+    # inner stop, about 440 with the forcing rule
+    pf, prob = lsm_desk()
+    x0 = prob.spec.random_feasible(3)
+    r = run_solver("cdf-tr", pf, x0, SolverConfig(grad_tol=1e-5, max_iter=50000))
+    assert r.status == STATUS_GRAD_TOL
+    assert r.phase_counts["hessvec"] <= 600
 
 
 # -------------------------------------------------------- Riemannian solvers
