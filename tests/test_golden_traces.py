@@ -1,0 +1,57 @@
+"""Pinned outcomes of the six solvers on the three desk configs at tol 1e-5.
+
+Each solve starts from its config's ``x0_seed``.  Status and iteration count
+must match exactly and the final objective to 1e-12 relative, so a change
+that alters the iterates of any solver shows up here.
+"""
+
+import os
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+import orthopt as op
+from orthopt.harness import load_config
+from orthopt.problems import PROBLEM_BUILDERS
+from orthopt.solvers import SolverConfig, run_solver
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+GOLDEN = [
+    ("lsm_desk", "cdf-gd", "GradTol", 129, 0.017316990141399542),
+    ("lsm_desk", "cdf-cg", "GradTol", 71, 0.017316946469553608),
+    ("lsm_desk", "cdf-lbfgs", "GradTol", 72, 0.017316953702847315),
+    ("lsm_desk", "cdf-tr", "GradTol", 9, 0.017316912349638048),
+    ("lsm_desk", "rgd", "GradTol", 113, 0.017317037249952604),
+    ("lsm_desk", "rcg", "GradTol", 375, 0.017317059615098353),
+    ("extrinsic_desk", "cdf-gd", "GradTol", 526, 0.18708522835346694),
+    ("extrinsic_desk", "cdf-cg", "GradTol", 465, 0.1870852263123248),
+    ("extrinsic_desk", "cdf-lbfgs", "GradTol", 358, 0.18708522631958754),
+    ("extrinsic_desk", "cdf-tr", "GradTol", 50, 0.1870852262576721),
+    ("extrinsic_desk", "rgd", "GradTol", 107, 0.18708522630423066),
+    ("extrinsic_desk", "rcg", "GradTol", 105, 0.1870852269222141),
+    ("tensor_jfd_desk", "cdf-gd", "GradTol", 328, 4.025012625751423e-08),
+    ("tensor_jfd_desk", "cdf-cg", "GradTol", 217, 1.5585963368690505e-09),
+    ("tensor_jfd_desk", "cdf-lbfgs", "GradTol", 248, 2.401077553423563e-09),
+    ("tensor_jfd_desk", "cdf-tr", "GradTol", 24, 1.8185238640308006e-10),
+    ("tensor_jfd_desk", "rgd", "GradTol", 321, 1.055571471892879e-08),
+    ("tensor_jfd_desk", "rcg", "GradTol", 352, 2.9678077276038294e-08),
+]
+
+
+@lru_cache(maxsize=None)
+def desk_bundle(name):
+    cfg = load_config(os.path.join(CONFIG_DIR, name + ".cfg"))
+    prob = PROBLEM_BUILDERS[cfg.problem["id"]](cfg.problem)
+    pf = op.PenaltyFunction(prob.spec, prob, cfg.beta)
+    return pf, prob.spec.random_feasible(cfg.x0_seed)
+
+
+@pytest.mark.parametrize("config,solver_id,status,iters,fval", GOLDEN,
+                         ids=[f"{c}-{s}" for c, s, *_ in GOLDEN])
+def test_golden_desk_solve(config, solver_id, status, iters, fval):
+    pf, x0 = desk_bundle(config)
+    r = run_solver(solver_id, pf, x0, SolverConfig(grad_tol=1e-5, max_iter=100000))
+    assert (r.status, r.iters) == (status, iters)
+    np.testing.assert_allclose(r.fval, fval, rtol=1e-12, atol=0.0)
