@@ -2,7 +2,9 @@
 
 Each method runs a fixed 100-iteration budget on the same problem.  The
 Riemannian baselines spend most of their time in retractions and
-projection-based transports; the penalty solvers never call either.
+projection-based transports; the penalty solvers never call either.  The
+line search's own bookkeeping and the trust region's Hessian-vector
+products have columns of their own.
 """
 
 from orthopt.harness import ExperimentConfig, timing_profile
@@ -17,14 +19,10 @@ config = ExperimentConfig(
 
 profiles = timing_profile(config, iters=100)
 
-header = f"{'solver':<10} {'total[s]':>9}" + "".join(
-    f" {k:>11}" for k in ("gradient", "retraction", "transport", "objective", "other"))
-print(header)
+columns = ("gradient", "hessvec", "retraction", "transport", "objective", "linesearch", "other")
+print(f"{'solver':<10} {'total[s]':>9}" + "".join(f" {k:>11}" for k in columns))
 for sid, tb in profiles.items():
-    row = f"{sid:<10} {tb.total:9.3f}"
-    for key in ("gradient", "retraction", "transport", "objective", "other"):
-        row += f" {tb.percent[key]:10.1f}%"
-    print(row)
+    print(f"{sid:<10} {tb.total:9.3f}" + "".join(f" {tb.percent[k]:10.1f}%" for k in columns))
 
 print("\npenalty solvers: geometry share is exactly zero by construction;")
 print("rgd/rcg: the projection inside the transport is one p x p Lyapunov")

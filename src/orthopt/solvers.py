@@ -1,10 +1,15 @@
-"""First-order and trust-region solvers with per-phase instrumentation.
+"""One solver loop over a pluggable geometry and step rule.
 
-Four Euclidean methods (BB gradient descent, nonlinear CG, L-BFGS,
-Steihaug trust region) minimize a smooth function given by an oracle;
-two Riemannian baselines (RGD, RCG) minimize an objective restricted to a
-manifold using retractions and projection-based transports.  Every solve
-returns a SolveReport with an iterate trace and a wall-clock breakdown by
+Every solver is a pair (oracle, rule) driven by ``minimize``.  The oracle
+carries the geometry: ``FunctionOracle`` and ``PenaltyOracle`` are flat
+(a move is x + step, transport is the identity, the displacement is
+xn - x), while ``ManifoldOracle`` moves by retraction, transports by
+projection and reads feasibility off the point.  The rule proposes the next
+point: alternating Barzilai-Borwein steps (``cdf-gd``, ``rgd``), PR+ CG with
+a secant probe (``cdf-cg``), hybrid FR/DY CG (``rcg``), L-BFGS
+(``cdf-lbfgs``) or a Steihaug trust region (``cdf-tr``).  ``minimize`` owns
+the stop tests, the nonmonotone merit, the trace, the gradient at each
+accepted point and the SolveReport, whose wall-clock breakdown is split by
 phase {objective, gradient, hessvec, retraction, transport, linesearch}.
 """
 
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifolds import FeasiblePoint, RetractError, riemannian_gradient, vector_transport
-from .penalty import EvalCache, UnsupportedOperation, penalty_gradient, penalty_hessvec, penalty_value
+from .penalty import EvalCache, penalty_gradient, penalty_hessvec, penalty_value
 
 STATUS_GRAD_TOL = "GradTol"
 STATUS_MAX_ITER = "MaxIter"
@@ -26,29 +31,30 @@ STATUS_RADIUS_COLLAPSE = "RadiusCollapse"
 ORACLE_PHASES = ("objective", "gradient", "hessvec", "retraction", "transport")
 ALL_PHASES = ORACLE_PHASES + ("linesearch",)
 
+LS_C1 = 1e-4              # sufficient-decrease constant of the nonmonotone search
+LS_SHRINK = 0.5           # step factor per backtrack
+LS_ETA = 0.85             # averaging weight of the merit value
+LS_MAX_BACKTRACKS = 30
+BB_MIN = 1e-10            # safeguard interval of the spectral step
+BB_MAX = 1e10
+TR_INIT_RADIUS = 1.0
+TR_MAX_RADIUS = 1e3
+TR_ACCEPT = 0.15          # least rho that accepts a trust-region step
+LBFGS_MEMORY = 10         # (s, y) pairs kept by L-BFGS
+# truncated-CG forcing rule ||r|| <= ||g|| min(TCG_KAPPA, ||g||^TCG_THETA)
+TCG_KAPPA = 0.05
+TCG_THETA = 0.5
+
 
 @dataclass
 class SolverConfig:
     grad_tol: float = 1e-5
     max_iter: int = 100000
     time_limit: float = 1800.0
-    ls_c1: float = 1e-4
-    ls_shrink: float = 0.5
-    ls_eta: float = 0.85
-    ls_max_backtracks: int = 30
-    bb_min: float = 1e-10
-    bb_max: float = 1e10
-    tr_init_radius: float = 1.0
-    tr_max_radius: float = 1e3
-    tr_accept: float = 0.15
-    memory: int = 10
-    record_trace: bool = True
 
     def __post_init__(self):
         if self.grad_tol < 0 or self.max_iter <= 0 or self.time_limit <= 0:
             raise ValueError("tolerances and budgets must be positive")
-        if not self.bb_min < self.bb_max:
-            raise ValueError("BB safeguard bounds must be ordered")
 
 
 @dataclass
@@ -88,7 +94,42 @@ class PhaseClock:
         return tuple(self.seconds[k] for k in ALL_PHASES)
 
 
-class FunctionOracle:
+# --- oracles: the objective together with its geometry ---------------------
+
+class _FlatOracle:
+    """Euclidean geometry: x + step moves, identity transport, xn - x displacement."""
+
+    def start(self, x0, clock):
+        x = np.array(x0, dtype=float)
+        with clock.phase("gradient"):
+            h, g = self.value(x), self.grad(x)
+        return x, h, g
+
+    def move(self, x, step, clock):
+        return x + step
+
+    def transport(self, xn, v, clock):
+        return v
+
+    def displacement(self, x, xn, alpha, d, clock):
+        return xn - x
+
+    def hessvec(self, x, v):
+        """Central difference of gradients, for objectives without a Hessian oracle."""
+        nv = _norm(v)
+        if nv == 0.0:
+            return np.zeros_like(v)
+        t = 1e-5 / nv
+        return (self.grad(x + t * v) - self.grad(x - t * v)) / (2.0 * t)
+
+    def feas(self, x):
+        return 0.0
+
+    def unwrap(self, x):
+        return np.asarray(x), None
+
+
+class FunctionOracle(_FlatOracle):
     """Adapter exposing plain callables to the Euclidean solvers."""
 
     def __init__(self, f, grad, hessvec=None):
@@ -102,19 +143,11 @@ class FunctionOracle:
     def grad(self, x):
         return self._g(x)
 
-    def value_and_grad(self, x):
-        return float(self._f(x)), self._g(x)
-
     def hessvec(self, x, v):
-        if self._hv is None:
-            raise UnsupportedOperation("no Hessian oracle attached")
-        return self._hv(x, v)
-
-    def feas(self, x):
-        return 0.0
+        return super().hessvec(x, v) if self._hv is None else self._hv(x, v)
 
 
-class PenaltyOracle:
+class PenaltyOracle(_FlatOracle):
     """Penalty function with a shared evaluation cache and work counters."""
 
     def __init__(self, pf):
@@ -127,17 +160,62 @@ class PenaltyOracle:
     def grad(self, x):
         return penalty_gradient(self.pf, x, self.cache)
 
-    def value_and_grad(self, x):
-        return (penalty_value(self.pf, x, self.cache),
-                penalty_gradient(self.pf, x, self.cache))
-
     def hessvec(self, x, v):
+        if self.pf.problem.hessvec is None:
+            return super().hessvec(x, v)
         return penalty_hessvec(self.pf, x, v, self.cache)
 
     def feas(self, x):
         self.cache.ensure_base(self.pf.spec, x)
         return float(np.linalg.norm(self.cache.gram - np.eye(self.pf.spec.p)))
 
+
+class ManifoldOracle:
+    """Objective restricted to a manifold: retraction moves, projection transport.
+
+    Iterates are FeasiblePoints.  A step the retraction cannot take
+    (RetractError) is a rejected trial, reported as ``move`` returning None.
+    """
+
+    def __init__(self, problem, spec):
+        self.problem, self.spec = problem, spec
+
+    def start(self, x0, clock):
+        point = x0 if isinstance(x0, FeasiblePoint) else FeasiblePoint(self.spec, x0, tol=1e-8)
+        with clock.phase("objective"):
+            h = self.value(point)
+        with clock.phase("gradient"):
+            g = self.grad(point)
+        return point, h, g
+
+    def value(self, point):
+        return float(self.problem.f(point.X))
+
+    def grad(self, point):
+        return riemannian_gradient(self.spec, point, self.problem.grad(point.X))
+
+    def move(self, point, step, clock):
+        try:
+            with clock.phase("retraction"):
+                return self.spec.retract(point, step)
+        except RetractError:
+            return None
+
+    def transport(self, point, v, clock):
+        with clock.phase("transport"):
+            return vector_transport(self.spec, point, v)
+
+    def displacement(self, point, new, alpha, d, clock):
+        return self.transport(new, alpha * d, clock)
+
+    def feas(self, point):
+        return point.feas
+
+    def unwrap(self, point):
+        return point.X, point
+
+
+# --- the loop and its line search ------------------------------------------
 
 def _dot(a, b):
     return float(np.vdot(a, b))
@@ -150,206 +228,198 @@ def _norm(a):
 class _Merit:
     """Weighted-average reference value for nonmonotone line searches."""
 
-    def __init__(self, h0, eta):
+    def __init__(self, h0):
         self.C = h0
         self.Q = 1.0
-        self.eta = eta
 
     def update(self, h_new):
-        Qn = self.eta * self.Q + 1.0
-        self.C = (self.eta * self.Q * self.C + h_new) / Qn
+        Qn = LS_ETA * self.Q + 1.0
+        self.C = (LS_ETA * self.Q * self.C + h_new) / Qn
         self.Q = Qn
 
 
-def _backtrack(oracle, clock, cfg, x, d, gd, merit_c, alpha0):
+def _search(oracle, clock, x, d, gd, merit_c, alpha0):
     """Halve the step until the averaged sufficient-decrease test passes."""
     t0 = time.perf_counter()
     before = clock.oracle_seconds()
     alpha = alpha0
     out = None
-    for _ in range(cfg.ls_max_backtracks + 1):
-        xn = x + alpha * d
-        with clock.phase("objective"):
-            hn = oracle.value(xn)
-        if np.isfinite(hn) and hn <= merit_c + cfg.ls_c1 * alpha * gd:
-            out = (alpha, xn, hn)
-            break
-        alpha *= cfg.ls_shrink
+    for _ in range(LS_MAX_BACKTRACKS + 1):
+        xn = oracle.move(x, alpha * d, clock)
+        if xn is not None:
+            with clock.phase("objective"):
+                hn = oracle.value(xn)
+            if np.isfinite(hn) and hn <= merit_c + LS_C1 * alpha * gd:
+                out = (alpha, xn, hn)
+                break
+        alpha *= LS_SHRINK
     clock.seconds["linesearch"] += (time.perf_counter() - t0) - (clock.oracle_seconds() - before)
     clock.counts["linesearch"] += 1
     return out
 
 
-def _bb_step(k, s, y, cfg, fallback):
-    """Alternating spectral step: odd iterations long form, even short form."""
-    sy = _dot(s, y)
-    if not np.isfinite(sy) or sy <= 0.0:
-        return fallback
-    raw = _dot(s, s) / sy if k % 2 == 1 else sy / _dot(y, y)
-    if not np.isfinite(raw) or raw <= 0.0:
-        return fallback
-    return min(cfg.bb_max, max(cfg.bb_min, raw))
+def minimize(name, oracle, rule, x0, config=None):
+    """Run ``rule`` on ``oracle`` from ``x0`` until a stop test fires.
 
-
-def _trace_row(clock, k, h, gn, feas):
-    return (k, h, gn, feas) + clock.row()
-
-
-def _final_report(name, oracle, clock, t0, x, h, iters, status, trace, cfg, point=None):
-    with clock.phase("gradient"):
-        g = oracle.grad(x)
-    return SolveReport(
-        solver=name, X=np.asarray(x), fval=h, grad_norm=_norm(g),
-        feas_norm=oracle.feas(x), iters=iters, status=status,
-        total_time=time.perf_counter() - t0,
-        phase_seconds=dict(clock.seconds), phase_counts=dict(clock.counts),
-        trace=trace if cfg.record_trace else [], point=point)
-
-
-def gd_bb(oracle, x0, config=None):
-    """Gradient descent with alternating spectral steps and a nonmonotone search."""
+    Stops on ||g|| <= grad_tol, on the time limit, after max_iter accepted
+    steps, or with the status the rule returns when it finds no step.
+    """
     cfg = config or SolverConfig()
     clock = PhaseClock()
     t0 = time.perf_counter()
-    x = np.array(x0, dtype=float)
-    with clock.phase("gradient"):
-        h, g = oracle.value_and_grad(x)
+
+    def expired():
+        return time.perf_counter() - t0 > cfg.time_limit
+
+    x, h, g = oracle.start(x0, clock)
     gn = _norm(g)
-    merit = _Merit(h, cfg.ls_eta)
-    trace = [_trace_row(clock, 0, h, gn, oracle.feas(x))]
+    merit = _Merit(h)
+    trace = [(0, h, gn, oracle.feas(x)) + clock.row()]
     status = STATUS_MAX_ITER
     iters = 0
-    s = y = None
     for k in range(1, cfg.max_iter + 1):
         if gn <= cfg.grad_tol:
             status = STATUS_GRAD_TOL
             break
-        if time.perf_counter() - t0 > cfg.time_limit:
+        if expired():
             status = STATUS_TIME_LIMIT
             break
-        fallback = 1.0 / max(1.0, gn)
-        alpha0 = fallback if s is None else _bb_step(k, s, y, cfg, fallback)
-        hit = _backtrack(oracle, clock, cfg, x, -g, -gn * gn, merit.C, alpha0)
-        if hit is None:
-            status = STATUS_LS_FAIL
+        out = rule.step(oracle, clock, x, g, gn, h, merit.C, expired)
+        if isinstance(out, str):
+            status = out
             break
-        _, xn, hn = hit
+        xn, hn = out
         with clock.phase("gradient"):
             g_new = oracle.grad(xn)
-        s, y = xn - x, g_new - g
+        rule.update(oracle, clock, x, xn, g, g_new, gn)
         merit.update(hn)
         x, g, h = xn, g_new, hn
         gn = _norm(g)
         iters = k
-        trace.append(_trace_row(clock, k, h, gn, oracle.feas(x)))
-    return _final_report("cdf-gd", oracle, clock, t0, x, h, iters, status, trace, cfg)
+        trace.append((k, h, gn, oracle.feas(x)) + clock.row())
+    X, point = oracle.unwrap(x)
+    return SolveReport(
+        solver=name, X=X, fval=h, grad_norm=gn, feas_norm=oracle.feas(x),
+        iters=iters, status=status, total_time=time.perf_counter() - t0,
+        phase_seconds=dict(clock.seconds), phase_counts=dict(clock.counts),
+        trace=trace, point=point)
 
 
-def cg(oracle, x0, config=None):
+# --- step rules ------------------------------------------------------------
+
+def _descent(g, gn, d):
+    """d with its slope <g, d>, or steepest descent when d is not downhill."""
+    gd = _dot(g, d)
+    if gd >= 0.0:
+        return -g, -gn * gn
+    return d, gd
+
+
+class _LineSearchRule:
+    """A direction, an initial trial step and the nonmonotone search along it."""
+
+    alpha = None    # accepted step length of the previous iteration
+    d = None        # search direction of the current iteration
+
+    def step(self, oracle, clock, x, g, gn, h, merit_c, expired):
+        d, gd, alpha0 = self.direction(oracle, clock, x, g, gn)
+        hit = _search(oracle, clock, x, d, gd, merit_c, alpha0)
+        if hit is None:
+            return STATUS_LS_FAIL
+        self.alpha, xn, hn = hit
+        self.d, self.gd = d, gd
+        return xn, hn
+
+
+class Spectral(_LineSearchRule):
+    """Steepest descent with alternating spectral steps: odd iterations take
+    the long Barzilai-Borwein form, even iterations the short one."""
+
+    k = 0
+    s = y = None
+
+    def direction(self, oracle, clock, x, g, gn):
+        self.k += 1
+        fallback = 1.0 / max(1.0, gn)
+        return -g, -gn * gn, fallback if self.s is None else self._bb(fallback)
+
+    def _bb(self, fallback):
+        sy = _dot(self.s, self.y)
+        if not np.isfinite(sy) or sy <= 0.0:
+            return fallback
+        raw = _dot(self.s, self.s) / sy if self.k % 2 == 1 else sy / _dot(self.y, self.y)
+        if not np.isfinite(raw) or raw <= 0.0:
+            return fallback
+        return min(BB_MAX, max(BB_MIN, raw))
+
+    def update(self, oracle, clock, x, xn, g, g_new, gn):
+        self.s = oracle.displacement(x, xn, self.alpha, self.d, clock)
+        self.y = g_new - oracle.transport(xn, g, clock)
+
+
+class SecantCG(_LineSearchRule):
     """Nonlinear conjugate gradient (PR+ with restarts).
 
     The trial step is refined by a one-point secant fit of the directional
     derivative, which lands on the exact minimizer for quadratics, so the
     method terminates finitely on strictly convex quadratic models.
     """
-    cfg = config or SolverConfig()
-    clock = PhaseClock()
-    t0 = time.perf_counter()
-    x = np.array(x0, dtype=float)
-    with clock.phase("gradient"):
-        h, g = oracle.value_and_grad(x)
-    gn = _norm(g)
-    merit = _Merit(h, cfg.ls_eta)
-    trace = [_trace_row(clock, 0, h, gn, oracle.feas(x))]
-    status = STATUS_MAX_ITER
-    iters = 0
-    d = -g
-    alpha_prev = None
-    for k in range(1, cfg.max_iter + 1):
-        if gn <= cfg.grad_tol:
-            status = STATUS_GRAD_TOL
-            break
-        if time.perf_counter() - t0 > cfg.time_limit:
-            status = STATUS_TIME_LIMIT
-            break
-        gd = _dot(g, d)
-        if gd >= 0.0:
-            d = -g
-            gd = -gn * gn
-        alpha_t = alpha_prev if alpha_prev else 1.0 / max(1.0, gn)
+
+    def direction(self, oracle, clock, x, g, gn):
+        d, gd = _descent(g, gn, -g if self.d is None else self.d)
+        alpha_t = self.alpha if self.alpha else 1.0 / max(1.0, gn)
         with clock.phase("gradient"):
-            g_probe = oracle.grad(x + alpha_t * d)
+            g_probe = oracle.grad(oracle.move(x, alpha_t * d, clock))
         denom = _dot(g_probe - g, d)
         if denom > 1e-30:
             alpha0 = alpha_t * (-gd) / denom
             alpha0 = min(max(alpha0, 1e-4 * alpha_t), 1e4 * alpha_t)
         else:
             alpha0 = 4.0 * alpha_t
-        hit = _backtrack(oracle, clock, cfg, x, d, gd, merit.C, alpha0)
-        if hit is None:
-            status = STATUS_LS_FAIL
-            break
-        alpha, xn, hn = hit
-        with clock.phase("gradient"):
-            g_new = oracle.grad(xn)
-        beta = max(0.0, _dot(g_new, g_new - g) / (gn * gn))
-        d = -g_new + beta * d
-        merit.update(hn)
-        x, g, h = xn, g_new, hn
-        gn = _norm(g)
-        alpha_prev = alpha
-        iters = k
-        trace.append(_trace_row(clock, k, h, gn, oracle.feas(x)))
-    return _final_report("cdf-cg", oracle, clock, t0, x, h, iters, status, trace, cfg)
+        return d, gd, alpha0
+
+    def update(self, oracle, clock, x, xn, g, g_new, gn):
+        beta = max(0.0, _dot(g_new, g_new - oracle.transport(xn, g, clock)) / (gn * gn))
+        self.d = -g_new + beta * oracle.transport(xn, self.d, clock)
 
 
-def lbfgs(oracle, x0, config=None, memory=None):
+class HybridCG(_LineSearchRule):
+    """Conjugate gradient with the hybrid parameter max(0, min(FR, DY))."""
+
+    def direction(self, oracle, clock, x, g, gn):
+        d, gd = _descent(g, gn, -g if self.d is None else self.d)
+        return d, gd, self.alpha if self.alpha else 1.0 / max(1.0, gn)
+
+    def update(self, oracle, clock, x, xn, g, g_new, gn):
+        gn_new = _norm(g_new)
+        d_tr = oracle.transport(xn, self.d, clock)
+        fr = (gn_new * gn_new) / (gn * gn)
+        dy_den = _dot(g_new, d_tr) - self.gd
+        dy = (gn_new * gn_new) / dy_den if abs(dy_den) > 1e-30 else np.inf
+        beta = max(0.0, min(fr, dy))
+        self.d = -g_new + beta * d_tr
+        if _dot(self.d, g_new) >= 0.0:
+            self.d = -g_new
+
+
+class LBFGS(_LineSearchRule):
     """Limited-memory BFGS with the two-loop recursion."""
-    cfg = config or SolverConfig()
-    mem = cfg.memory if memory is None else memory
-    clock = PhaseClock()
-    t0 = time.perf_counter()
-    x = np.array(x0, dtype=float)
-    with clock.phase("gradient"):
-        h, g = oracle.value_and_grad(x)
-    gn = _norm(g)
-    merit = _Merit(h, cfg.ls_eta)
-    trace = [_trace_row(clock, 0, h, gn, oracle.feas(x))]
-    status = STATUS_MAX_ITER
-    iters = 0
-    pairs = []
-    for k in range(1, cfg.max_iter + 1):
-        if gn <= cfg.grad_tol:
-            status = STATUS_GRAD_TOL
-            break
-        if time.perf_counter() - t0 > cfg.time_limit:
-            status = STATUS_TIME_LIMIT
-            break
-        d = _two_loop(g, pairs)
-        gd = _dot(g, d)
-        if gd >= 0.0:
-            d = -g
-            gd = -gn * gn
-        alpha0 = 1.0 / max(1.0, gn) if not pairs else 1.0
-        hit = _backtrack(oracle, clock, cfg, x, d, gd, merit.C, alpha0)
-        if hit is None:
-            status = STATUS_LS_FAIL
-            break
-        _, xn, hn = hit
-        with clock.phase("gradient"):
-            g_new = oracle.grad(xn)
-        s, y = xn - x, g_new - g
+
+    def __init__(self):
+        self.pairs = []
+
+    def direction(self, oracle, clock, x, g, gn):
+        d, gd = _descent(g, gn, _two_loop(g, self.pairs))
+        return d, gd, 1.0 / max(1.0, gn) if not self.pairs else 1.0
+
+    def update(self, oracle, clock, x, xn, g, g_new, gn):
+        s = oracle.displacement(x, xn, self.alpha, self.d, clock)
+        y = g_new - oracle.transport(xn, g, clock)
         sy = _dot(s, y)
         if sy > 1e-12 * _norm(s) * _norm(y):
-            pairs.append((s, y, 1.0 / sy))
-            if len(pairs) > mem:
-                pairs.pop(0)
-        merit.update(hn)
-        x, g, h = xn, g_new, hn
-        gn = _norm(g)
-        iters = k
-        trace.append(_trace_row(clock, k, h, gn, oracle.feas(x)))
-    return _final_report("cdf-lbfgs", oracle, clock, t0, x, h, iters, status, trace, cfg)
+            self.pairs.append((s, y, 1.0 / sy))
+            if len(self.pairs) > LBFGS_MEMORY:
+                self.pairs.pop(0)
 
 
 def _two_loop(g, pairs):
@@ -369,8 +439,8 @@ def _two_loop(g, pairs):
     return q
 
 
-def trust_ncg(oracle, x0, config=None):
-    """Trust-region method with a Steihaug truncated conjugate-gradient subproblem.
+class TrustRegion:
+    """Trust region with a Steihaug truncated conjugate-gradient subproblem.
 
     The inner CG stops once its residual satisfies the forcing rule
     ||r|| <= ||g|| min(kappa, ||g||^theta) with kappa = 0.05 and theta = 0.5
@@ -381,77 +451,44 @@ def trust_ncg(oracle, x0, config=None):
     single step is lost.  The inner solve also returns H p, so the predicted
     reduction costs no extra Hessian-vector product.
     """
-    cfg = config or SolverConfig()
-    clock = PhaseClock()
-    t0 = time.perf_counter()
-    x = np.array(x0, dtype=float)
-    with clock.phase("gradient"):
-        h, g = oracle.value_and_grad(x)
-    gn = _norm(g)
-    trace = [_trace_row(clock, 0, h, gn, oracle.feas(x))]
-    status = STATUS_MAX_ITER
-    iters = 0
-    radius = cfg.tr_init_radius
 
-    use_fd = [False]
+    def __init__(self):
+        self.radius = TR_INIT_RADIUS
 
-    def hv(xx, v):
-        if not use_fd[0]:
-            try:
-                with clock.phase("hessvec"):
-                    return oracle.hessvec(xx, v)
-            except UnsupportedOperation:
-                use_fd[0] = True
-        with clock.phase("hessvec"):
-            nv = _norm(v)
-            if nv == 0.0:
-                return np.zeros_like(v)
-            t = 1e-5 / nv
-            return (oracle.grad(xx + t * v) - oracle.grad(xx - t * v)) / (2.0 * t)
+    def step(self, oracle, clock, x, g, gn, h, merit_c, expired):
+        """Solve trial subproblems until one is accepted, the radius collapses
+        below 1e-16 or the time runs out."""
+        def hv(v):
+            with clock.phase("hessvec"):
+                return oracle.hessvec(x, v)
 
-    while iters < cfg.max_iter:
-        if gn <= cfg.grad_tol:
-            status = STATUS_GRAD_TOL
-            break
-        if time.perf_counter() - t0 > cfg.time_limit:
-            status = STATUS_TIME_LIMIT
-            break
-        if radius < 1e-16:
-            status = STATUS_RADIUS_COLLAPSE
-            break
-        p, Hp, hit_boundary = _steihaug(lambda v: hv(x, v), g, gn, radius)
-        pred = -(_dot(g, p) + 0.5 * _dot(p, Hp))
-        with clock.phase("objective"):
-            h_trial = oracle.value(x + p)
-        rho = (h - h_trial) / pred if pred > 0 else -1.0
-        if not np.isfinite(rho):        # a non-finite trial value is a rejection
-            rho = -1.0
-        if rho < 0.25:
-            radius *= 0.25
-        elif rho > 0.75 and hit_boundary:
-            radius = min(2.0 * radius, cfg.tr_max_radius)
-        if rho >= cfg.tr_accept:
-            x = x + p
-            h = h_trial
-            with clock.phase("gradient"):
-                g = oracle.grad(x)
-            gn = _norm(g)
-            iters += 1
-            trace.append(_trace_row(clock, iters, h, gn, oracle.feas(x)))
-    return _final_report("cdf-tr", oracle, clock, t0, x, h, iters, status, trace, cfg)
+        while self.radius >= 1e-16:
+            p, Hp, hit_boundary = _steihaug(hv, g, gn, self.radius)
+            pred = -(_dot(g, p) + 0.5 * _dot(p, Hp))
+            xn = oracle.move(x, p, clock)
+            with clock.phase("objective"):
+                h_trial = oracle.value(xn)
+            rho = (h - h_trial) / pred if pred > 0 else -1.0
+            if not np.isfinite(rho):        # a non-finite trial value is a rejection
+                rho = -1.0
+            if rho < 0.25:
+                self.radius *= 0.25
+            elif rho > 0.75 and hit_boundary:
+                self.radius = min(2.0 * self.radius, TR_MAX_RADIUS)
+            if rho >= TR_ACCEPT:
+                return xn, h_trial
+            if expired():
+                return STATUS_TIME_LIMIT
+        return STATUS_RADIUS_COLLAPSE
+
+    def update(self, oracle, clock, x, xn, g, g_new, gn):
+        pass
 
 
 def _to_boundary(z, d, radius):
     # positive root tau of ||z + tau d|| = radius
-    dd = _dot(d, d)
-    zd = _dot(z, d)
-    zz = _dot(z, z)
+    dd, zd, zz = _dot(d, d), _dot(z, d), _dot(z, z)
     return (-zd + np.sqrt(max(zd * zd + dd * (radius * radius - zz), 0.0))) / dd
-
-
-# truncated-CG forcing rule ||r|| <= ||g|| min(TCG_KAPPA, ||g||^TCG_THETA)
-TCG_KAPPA = 0.05
-TCG_THETA = 0.5
 
 
 def _steihaug(hv, g, gn, radius, max_inner=250):
@@ -486,144 +523,37 @@ def _steihaug(hv, g, gn, radius, max_inner=250):
     return z, Hz, False
 
 
-# -------------------------------------------------------------------------
-# Riemannian baselines
-# -------------------------------------------------------------------------
+# --- the six solvers and their registry ------------------------------------
 
-def _riemannian_search(problem, spec, clock, cfg, point, d, gd, merit_c, alpha0):
-    t0 = time.perf_counter()
-    before = clock.oracle_seconds()
-    alpha = alpha0
-    out = None
-    for _ in range(cfg.ls_max_backtracks + 1):
-        try:
-            with clock.phase("retraction"):
-                cand = spec.retract(point, alpha * d)
-        except RetractError:
-            alpha *= cfg.ls_shrink
-            continue
-        with clock.phase("objective"):
-            hn = float(problem.f(cand.X))
-        if np.isfinite(hn) and hn <= merit_c + cfg.ls_c1 * alpha * gd:
-            out = (alpha, cand, hn)
-            break
-        alpha *= cfg.ls_shrink
-    clock.seconds["linesearch"] += (time.perf_counter() - t0) - (clock.oracle_seconds() - before)
-    clock.counts["linesearch"] += 1
-    return out
+def gd_bb(oracle, x0, config=None):
+    """Gradient descent with alternating spectral steps and a nonmonotone search."""
+    return minimize("cdf-gd", oracle, Spectral(), x0, config)
 
 
-def _riemannian_report(name, problem, spec, clock, t0, point, h, iters, status, trace, cfg):
-    with clock.phase("gradient"):
-        g = riemannian_gradient(spec, point, problem.grad(point.X))
-    return SolveReport(
-        solver=name, X=point.X, fval=h, grad_norm=_norm(g), feas_norm=point.feas,
-        iters=iters, status=status, total_time=time.perf_counter() - t0,
-        phase_seconds=dict(clock.seconds), phase_counts=dict(clock.counts),
-        trace=trace if cfg.record_trace else [], point=point)
+def cg(oracle, x0, config=None):
+    """Nonlinear conjugate gradient, PR+ with a secant trial step (see SecantCG)."""
+    return minimize("cdf-cg", oracle, SecantCG(), x0, config)
+
+
+def lbfgs(oracle, x0, config=None):
+    """Limited-memory BFGS with the two-loop recursion."""
+    return minimize("cdf-lbfgs", oracle, LBFGS(), x0, config)
+
+
+def trust_ncg(oracle, x0, config=None):
+    """Steihaug truncated-CG trust region (see TrustRegion)."""
+    return minimize("cdf-tr", oracle, TrustRegion(), x0, config)
 
 
 def rgd(problem, spec, x0, config=None):
     """Riemannian gradient descent with spectral steps and a nonmonotone search."""
-    cfg = config or SolverConfig()
-    clock = PhaseClock()
-    t0 = time.perf_counter()
-    point = x0 if isinstance(x0, FeasiblePoint) else FeasiblePoint(spec, x0, tol=1e-8)
-    with clock.phase("objective"):
-        h = float(problem.f(point.X))
-    with clock.phase("gradient"):
-        g = riemannian_gradient(spec, point, problem.grad(point.X))
-    gn = _norm(g)
-    merit = _Merit(h, cfg.ls_eta)
-    trace = [_trace_row(clock, 0, h, gn, point.feas)]
-    status = STATUS_MAX_ITER
-    iters = 0
-    s = y = None
-    for k in range(1, cfg.max_iter + 1):
-        if gn <= cfg.grad_tol:
-            status = STATUS_GRAD_TOL
-            break
-        if time.perf_counter() - t0 > cfg.time_limit:
-            status = STATUS_TIME_LIMIT
-            break
-        fallback = 1.0 / max(1.0, gn)
-        alpha0 = fallback if s is None else _bb_step(k, s, y, cfg, fallback)
-        hit = _riemannian_search(problem, spec, clock, cfg, point, -g, -gn * gn, merit.C, alpha0)
-        if hit is None:
-            status = STATUS_LS_FAIL
-            break
-        alpha, cand, hn = hit
-        with clock.phase("gradient"):
-            g_new = riemannian_gradient(spec, cand, problem.grad(cand.X))
-        with clock.phase("transport"):
-            s = vector_transport(spec, cand, alpha * (-g))
-        with clock.phase("transport"):
-            y = g_new - vector_transport(spec, cand, g)
-        merit.update(hn)
-        point, g, h = cand, g_new, hn
-        gn = _norm(g)
-        iters = k
-        trace.append(_trace_row(clock, k, h, gn, point.feas))
-    return _riemannian_report("rgd", problem, spec, clock, t0, point, h, iters, status, trace, cfg)
+    return minimize("rgd", ManifoldOracle(problem, spec), Spectral(), x0, config)
 
 
 def rcg(problem, spec, x0, config=None):
     """Riemannian conjugate gradient with a hybrid FR/DY parameter."""
-    cfg = config or SolverConfig()
-    clock = PhaseClock()
-    t0 = time.perf_counter()
-    point = x0 if isinstance(x0, FeasiblePoint) else FeasiblePoint(spec, x0, tol=1e-8)
-    with clock.phase("objective"):
-        h = float(problem.f(point.X))
-    with clock.phase("gradient"):
-        g = riemannian_gradient(spec, point, problem.grad(point.X))
-    gn = _norm(g)
-    merit = _Merit(h, cfg.ls_eta)
-    trace = [_trace_row(clock, 0, h, gn, point.feas)]
-    status = STATUS_MAX_ITER
-    iters = 0
-    d = -g
-    alpha_prev = None
-    for k in range(1, cfg.max_iter + 1):
-        if gn <= cfg.grad_tol:
-            status = STATUS_GRAD_TOL
-            break
-        if time.perf_counter() - t0 > cfg.time_limit:
-            status = STATUS_TIME_LIMIT
-            break
-        gd = _dot(g, d)
-        if gd >= 0.0:
-            d = -g
-            gd = -gn * gn
-        alpha0 = alpha_prev if alpha_prev else 1.0 / max(1.0, gn)
-        hit = _riemannian_search(problem, spec, clock, cfg, point, d, gd, merit.C, alpha0)
-        if hit is None:
-            status = STATUS_LS_FAIL
-            break
-        alpha, cand, hn = hit
-        with clock.phase("gradient"):
-            g_new = riemannian_gradient(spec, cand, problem.grad(cand.X))
-        gn_new = _norm(g_new)
-        with clock.phase("transport"):
-            d_tr = vector_transport(spec, cand, d)
-        fr = (gn_new * gn_new) / (gn * gn)
-        dy_den = _dot(g_new, d_tr) - gd
-        dy = (gn_new * gn_new) / dy_den if abs(dy_den) > 1e-30 else np.inf
-        beta = max(0.0, min(fr, dy))
-        d = -g_new + beta * d_tr
-        if _dot(d, g_new) >= 0.0:
-            d = -g_new
-        merit.update(hn)
-        point, g, h, gn = cand, g_new, hn, gn_new
-        alpha_prev = alpha
-        iters = k
-        trace.append(_trace_row(clock, k, h, gn, point.feas))
-    return _riemannian_report("rcg", problem, spec, clock, t0, point, h, iters, status, trace, cfg)
+    return minimize("rcg", ManifoldOracle(problem, spec), HybridCG(), x0, config)
 
-
-# -------------------------------------------------------------------------
-# registry
-# -------------------------------------------------------------------------
 
 SOLVERS = {
     "cdf-gd": ("cdf", gd_bb),

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import orthopt.harness as harness_mod
 from orthopt.cli import main as cli_main
 from orthopt.harness import (
     ConfigError,
@@ -16,6 +17,7 @@ from orthopt.harness import (
     run,
     timing_profile,
 )
+from orthopt.solvers import run_solver
 
 TINY_CFG = """
 [problem]
@@ -242,6 +244,27 @@ def test_timing_profile_phase_shares(tiny_config):
             assert tb.percent["transport"] == 0.0
         else:
             assert tb.percent["retraction"] + tb.percent["transport"] > 0.0
+
+
+def test_timing_profile_splits_hessvec_and_linesearch(monkeypatch):
+    reports = {}
+
+    def recording(solver_id, *args):
+        reports[solver_id] = run_solver(solver_id, *args)
+        return reports[solver_id]
+
+    monkeypatch.setattr(harness_mod, "run_solver", recording)
+    cfg = ExperimentConfig(problem={"id": "lsm", "n": 20, "p": 4, "seed": 0},
+                           solvers=["cdf-gd", "cdf-tr"], tols=[1e-5], beta=0.5, x0_seed=3)
+    profiles = timing_profile(cfg, iters=20)
+    for sid, tb in profiles.items():
+        ps = reports[sid].phase_seconds
+        assert tb.seconds["hessvec"] == ps["hessvec"]
+        assert tb.seconds["linesearch"] == ps["linesearch"]
+        assert tb.seconds["gradient"] == ps["gradient"]
+        assert abs(sum(tb.percent.values()) - 100.0) <= 0.1
+    assert profiles["cdf-tr"].seconds["hessvec"] > 0.0
+    assert profiles["cdf-gd"].seconds["linesearch"] > 0.0
 
 
 def test_timing_profile_geometry_dominates_rgd_on_lsm_desk():

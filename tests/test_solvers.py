@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import orthopt as op
+import orthopt.solvers as solvers_mod
 from orthopt.solvers import (
     STATUS_GRAD_TOL,
     STATUS_LS_FAIL,
@@ -161,6 +162,39 @@ def test_cdf_tr_hessvec_budget_on_desk_instance():
     r = run_solver("cdf-tr", pf, x0, SolverConfig(grad_tol=1e-5, max_iter=50000))
     assert r.status == STATUS_GRAD_TOL
     assert r.phase_counts["hessvec"] <= 600
+
+
+@pytest.mark.parametrize("solver_id,per_iter", [
+    ("cdf-gd", 1), ("cdf-cg", 2), ("cdf-lbfgs", 1), ("rgd", 1), ("rcg", 1)])
+def test_one_gradient_per_accepted_point(solver_id, per_iter):
+    # the start, each accepted point and (cdf-cg) each secant probe; the
+    # report reuses the last gradient of the loop
+    pf, prob = lsm_desk()
+    r = run_solver(solver_id, pf, prob.spec.random_feasible(3),
+                   SolverConfig(grad_tol=1e-5, max_iter=50000))
+    assert r.status == STATUS_GRAD_TOL
+    assert r.phase_counts["gradient"] == per_iter * r.iters + 1
+
+
+def test_solver_hooks_are_looked_up_at_call_time(monkeypatch):
+    # per-layer tracing replaces these module globals while a solve runs
+    hits = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            hits[name] = hits.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    hooks = ("penalty_value", "penalty_gradient", "penalty_hessvec",
+             "riemannian_gradient", "vector_transport")
+    for name in hooks:
+        monkeypatch.setattr(solvers_mod, name, counting(name, getattr(solvers_mod, name)))
+    pf, prob = lsm_desk()
+    x0 = prob.spec.random_feasible(3)
+    for sid in ("cdf-gd", "cdf-tr", "rgd"):
+        run_solver(sid, pf, x0, SolverConfig(grad_tol=1e-4, max_iter=5000))
+    assert sorted(hits) == sorted(hooks)
 
 
 # -------------------------------------------------------- Riemannian solvers
@@ -335,5 +369,3 @@ def test_unknown_solver_id_raises():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(bb_min=1.0, bb_max=0.5)
