@@ -120,15 +120,12 @@ class ManifoldSpec:
         return basis
 
     def s1_basis(self):
+        """Orthonormal basis of S1, the gen_sym image of G."""
         if self._s1 is None:
-            self._s1 = self._build_s1()
+            images = np.stack([self.gen_sym(T) for T in self.g_basis()])
+            flat = _orthonormalize_rows(images.reshape(images.shape[0], -1))
+            self._s1 = flat.reshape(-1, self.p, self.p)
         return self._s1
-
-    def _build_s1(self):
-        gb = self.g_basis()
-        images = np.stack([self.gen_sym(T) for T in gb])
-        flat = _orthonormalize_rows(images.reshape(images.shape[0], -1))
-        return flat.reshape(-1, self.p, self.p)
 
     # --- manifold-specific pieces ----------------------------------------
     def retract(self, point, Z):
@@ -268,9 +265,6 @@ class Stiefel(ManifoldSpec):
     def phi(self, X):
         return np.asarray(X, dtype=float)
 
-    def _build_s1(self):
-        return _sym_basis(self.p)
-
     def retract(self, point, Z):
         if not np.any(Z):
             return point
@@ -284,19 +278,6 @@ class Stiefel(ManifoldSpec):
 
     def record(self):
         return {"name": self.name, "n": self.n, "p": self.p}
-
-
-def _sym_basis(p):
-    out = []
-    for i in range(p):
-        E = np.zeros((p, p))
-        E[i, i] = 1.0
-        out.append(E)
-        for j in range(i + 1, p):
-            E = np.zeros((p, p))
-            E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
-            out.append(E)
-    return np.stack(out)
 
 
 class GeneralizedStiefel(ManifoldSpec):
@@ -318,9 +299,6 @@ class GeneralizedStiefel(ManifoldSpec):
 
     def phi(self, X):
         return self.B @ X
-
-    def _build_s1(self):
-        return _sym_basis(self.p)
 
     def retract(self, point, Z):
         if not np.any(Z):
@@ -426,6 +404,7 @@ class IndefiniteStiefel(ManifoldSpec):
         if not (0 <= p_k <= k and 0 <= p_m <= m):
             raise ValueError(f"infeasible block sizes k={k}, p_k={p_k} for (n, p)=({n}, {p})")
         self.k, self.p_k = int(k), int(p_k)
+        self._default_A = A is None
         if A is None:
             A = np.diag(np.concatenate([np.arange(1.0, k + 1.0), -np.arange(float(m), 0.0, -1.0)]))
         self.A = sym(np.asarray(A, dtype=float))
@@ -467,6 +446,8 @@ class IndefiniteStiefel(ManifoldSpec):
         return FeasiblePoint(self, _cayley_apply(W, X), tol=1e-10)
 
     def record(self):
+        if not self._default_A:
+            raise ValueError("cannot serialize an indefinite-stiefel spec with custom A")
         return {"name": self.name, "n": self.n, "p": self.p, "k": self.k, "p_k": self.p_k}
 
 
@@ -500,9 +481,6 @@ class Hyperbolic(ManifoldSpec):
 
     def phi(self, X):
         return self.H @ X
-
-    def _build_s1(self):
-        return _sym_basis(self.p)
 
     def retract(self, point, Z):
         if not np.any(Z):
@@ -590,20 +568,6 @@ class TensorStiefel(ManifoldSpec):
                 for j in range(self.tp):
                     E = np.zeros((self.p, self.p))
                     E[k * self.tp + i, k * self.tp + j] = 1.0
-                    basis.append(E)
-        return np.stack(basis)
-
-    def _build_s1(self):
-        basis = []
-        for k in range(self.l):
-            off = k * self.tp
-            for i in range(self.tp):
-                E = np.zeros((self.p, self.p))
-                E[off + i, off + i] = 1.0
-                basis.append(E)
-                for j in range(i + 1, self.tp):
-                    E = np.zeros((self.p, self.p))
-                    E[off + i, off + j] = E[off + j, off + i] = 1.0 / np.sqrt(2.0)
                     basis.append(E)
         return np.stack(basis)
 

@@ -167,7 +167,7 @@ class PenaltyOracle(_FlatOracle):
 
     def feas(self, x):
         self.cache.ensure_base(self.pf.spec, x)
-        return float(np.linalg.norm(self.cache.gram - np.eye(self.pf.spec.p)))
+        return float(np.linalg.norm(self.cache.C))
 
 
 class ManifoldOracle:

@@ -432,6 +432,15 @@ def test_spec_record_round_trip(spec):
     np.testing.assert_array_equal(clone.random_feasible(5).X, spec.random_feasible(5).X)
 
 
+def test_spec_record_rejects_custom_indefinite_A():
+    rng = np.random.default_rng(45)
+    Q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+    A = (Q * np.array([3.0, 2.0, 1.5, 1.0, 0.5, -1.0, -2.0, -3.0, -4.0])) @ Q.T
+    spec = op.indefinite_stiefel(9, 3, k=5, p_k=2, A=A)
+    with pytest.raises(ValueError):
+        spec.record()
+
+
 def test_spec_record_rejects_unknown_name():
     with pytest.raises(ValueError):
         spec_from_record({"name": "moebius", "n": 3, "p": 1})

@@ -239,6 +239,16 @@ def test_penalty_gradient_work_counters(spec):
     assert cache.counts["matmul"] == 14 and cache.counts["grad_f"] == 1
 
 
+def test_penalty_gradient_is_the_adjoint_sum(spec):
+    # grad h = dA(X)*[grad f(A(X))] + beta dC(X)*[C], through the public adjoints
+    prob = toy_problem(spec, 25)
+    pf = PenaltyFunction(spec, prob, 0.7)
+    X = _near_point(spec, 25)
+    C = X.T @ spec.phi(X) - np.eye(spec.p)
+    expected = dA_adjoint(spec, X, prob.grad(dissolve(spec, X))) + pf.beta * dC_adjoint(spec, X, C)
+    assert np.array_equal(penalty_gradient(pf, X), expected)
+
+
 def test_penalty_gradient_vanishes_iff_projected_gradient_does(spec):
     # drive the constrained problem to stationarity, then cross-check
     prob = toy_problem(spec, 24)
@@ -332,6 +342,17 @@ def test_postprocess_quadratic_rounds():
     point, rounds = postprocess(spec, X, eps_f=1e-12)
     assert rounds <= 3
     assert point.feas < 1e-12
+
+
+def test_postprocess_applies_phi_once_per_round(spec, monkeypatch):
+    # the residual and the next dissolve share one base point per round
+    X = spec.random_feasible(37).X + 1e-2 * _unit(spec, 38)
+    calls = []
+    phi = spec.phi
+    monkeypatch.setattr(spec, "phi", lambda Y: calls.append(1) or phi(Y))
+    point, rounds = postprocess(spec, X, eps_f=1e-12)
+    assert rounds >= 2 and point.feas < 1e-12
+    assert len(calls) == rounds + 2
 
 
 def test_postprocess_divergence_carries_trace(spec):
