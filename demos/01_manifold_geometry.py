@@ -2,7 +2,9 @@
 
 Every manifold here is the solution set of X^T phi(X) = I for some linear,
 self-adjoint phi.  The same projection / gradient / retraction code serves
-all of them; only phi, its companion psi, and the retraction differ.
+all of them; only phi, its companion psi, and the retraction differ.  Tensor
+frames are stacks of l faces of shape (l, n, p); every product and transpose
+acts face by face.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ specs = [
 print("=== feasible points and constraint residuals ===")
 for spec in specs:
     pt = spec.random_feasible(seed=1)
-    print(f"{spec.name:<22} ambient {pt.X.shape}, ||X^T phi(X) - I|| = {pt.feas:.2e}")
+    print(f"{spec.name:<22} point shape {pt.X.shape}, ||X^T phi(X) - I|| = {pt.feas:.2e}")
 
 print("\n=== tangent projection and the normal space ===")
 for spec in specs:

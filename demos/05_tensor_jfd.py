@@ -2,8 +2,9 @@
 
 Sample tensors are congruences of diagonal-slice cores by one shared
 orthogonal tensor (plus optional noise).  The variable lives on the tensor
-frame manifold under a cosine-transform product, handled through its
-block-unfolded matrix representation so the generic machinery applies.
+frame manifold under a cosine-transform product.  The product acts face by
+face in the transform domain, so a point is an (l, n, p) stack of orthonormal
+faces and the Stiefel machinery applies over the stack.
 """
 
 import numpy as np
@@ -42,8 +43,9 @@ for sid in ("cdf-lbfgs", "cdf-gd", "rgd"):
 print("\nat this size the stack still admits near-exact diagonalization, so")
 print("the objective drops to the tolerance floor even with noise present")
 
-# round-trip between the tensor and its block-unfolded representation
+# round-trip between the n x p x l tensor and its (l, n, p) stack of faces
 spec = prob.spec
 X3 = spec.extract_tensor(x0.X)
 back = spec.embed_tensor(X3)
-print(f"\ntensor <-> unfolded round trip error: {np.linalg.norm(back - x0.X):.2e}")
+print(f"\ntensor {X3.shape} <-> face stack {x0.X.shape} round trip error: "
+      f"{np.linalg.norm(back - x0.X):.2e}")

@@ -11,7 +11,6 @@ from .manifolds import (
     FeasibilityError,
     FeasiblePoint,
     RetractError,
-    SubspaceError,
     ThetaDegenerateError,
     constraint,
     gen_sym,

@@ -36,23 +36,26 @@ def check_assumptions(spec, trials=50, seed=0, tol=1e-12):
         T /= np.linalg.norm(T)
         sa = abs(np.vdot(spec.phi(X), Y) - np.vdot(X, spec.phi(Y)))
         compat = np.linalg.norm(spec.phi(X @ T) - spec.phi(X) @ spec.psi(T))
-        closure = np.linalg.norm(spec.psi(spec.phi(X).T @ X) - X.T @ spec.phi(X))
-        inF = spec.subspace_residual(X @ T)
-        worst = max(worst, sa, compat, closure, inF)
+        closure = np.linalg.norm(spec.psi(spec.phi(X).mT @ X) - X.mT @ spec.phi(X))
+        worst = max(worst, sa, compat, closure)
     return worst <= tol, worst
 
 
 def check_constraint_in_s1(spec, trials=20, seed=1, tol=1e-12):
-    """The constraint residual always lies in the span of the S1 basis."""
+    """The constraint residual always lies in S1 = {q^T W}.
+
+    C is in S1 iff W = q C (C itself when q is None) has the symmetry of q:
+    W = W^T for q symmetric or None, W = -W^T for q skew.
+    """
     rng = np.random.default_rng(seed)
-    basis = spec.s1_basis()
+    q = spec.q
+    sign = 1.0 if q is None or np.vdot(q, q.mT) > 0 else -1.0
     worst = 0.0
     for _ in range(trials):
         X = _unit(rng, spec)
-        C = X.T @ spec.phi(X) - np.eye(spec.p)
-        coords = np.tensordot(basis, C, axes=([1, 2], [0, 1]))
-        recon = np.tensordot(coords, basis, axes=(0, 0))
-        worst = max(worst, np.linalg.norm(recon - C) / max(np.linalg.norm(C), 1e-30))
+        C = X.mT @ spec.phi(X) - np.eye(spec.p)
+        W = C if q is None else q @ C
+        worst = max(worst, np.linalg.norm(W - sign * W.mT) / max(np.linalg.norm(C), 1e-30))
     return worst <= tol, worst
 
 
@@ -108,8 +111,8 @@ def check_contraction_slope(spec, seed=5, lo=1.8, hi=2.2):
     xs, ys = [], []
     for t in (1e-1, 1e-2, 1e-3):
         Y = X + t * Z
-        c0 = np.linalg.norm(Y.T @ spec.phi(Y) - np.eye(spec.p))
-        c1 = np.linalg.norm(dissolve(spec, Y).T @ spec.phi(dissolve(spec, Y)) - np.eye(spec.p))
+        c0 = np.linalg.norm(Y.mT @ spec.phi(Y) - np.eye(spec.p))
+        c1 = np.linalg.norm(dissolve(spec, Y).mT @ spec.phi(dissolve(spec, Y)) - np.eye(spec.p))
         xs.append(np.log(c0))
         ys.append(np.log(c1))
     slope = np.polyfit(xs, ys, 1)[0]

@@ -111,20 +111,13 @@ def _problem_size(problem):
 def _run_cell(pf, x0, x0_seed, solver_id, tol, config, eps_f):
     cfg = SolverConfig(grad_tol=tol, max_iter=config.max_iter, time_limit=config.time_limit)
     report = run_solver(solver_id, pf, x0, cfg)
-    kind = SOLVERS[solver_id][0]
-    if kind == "cdf":
-        point, _ = postprocess(pf.spec, report.X, eps_f=eps_f)
-        fval = float(pf.problem.f(point.X))
-        grad = float(np.linalg.norm(
-            riemannian_gradient(pf.spec, point, pf.problem.grad(point.X))))
-        feas = point.feas
-    else:
-        fval = report.fval
-        grad = report.grad_norm
-        feas = report.feas_norm
+    # every row is read at the post-processed point; pre_feas keeps the raw residual
+    point, _ = postprocess(pf.spec, report.X, eps_f=eps_f)
+    grad = np.linalg.norm(riemannian_gradient(pf.spec, point, pf.problem.grad(point.X)))
     rec = ExperimentRecord(
         problem=pf.problem.name, size=_problem_size(pf.problem), solver=solver_id,
-        tol=tol, fval=fval, iters=report.iters, grad=grad, feas=feas,
+        tol=tol, fval=float(pf.problem.f(point.X)), iters=report.iters,
+        grad=float(grad), feas=point.feas,
         cpu=report.total_time, status=report.status,
         seed=int(pf.problem.metadata.get("seed", 0)), beta=pf.beta,
         pre_feas=report.feas_norm, x0_seed=x0_seed)

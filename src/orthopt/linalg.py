@@ -12,15 +12,15 @@ class NoUniqueSolutionError(np.linalg.LinAlgError):
 
 
 def sym(M):
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.mT)
 
 
 def skew(M):
-    return 0.5 * (M - M.T)
+    return 0.5 * (M - M.mT)
 
 
 def _eigh_symmetric(M):
-    if np.linalg.norm(M - M.T) > 1e-12 * np.linalg.norm(M):
+    if np.linalg.norm(M - M.mT) > 1e-12 * np.linalg.norm(M):
         raise ValueError("coefficient matrix must be symmetric")
     return np.linalg.eigh(M)
 
@@ -29,24 +29,27 @@ def lyapunov_solve(A, B, Q):
     """Solve A S + S B = Q for symmetric A and B in their eigenbases.
 
     With A = Va diag(a) Va^T and B = Vb diag(b) Vb^T the solution is
-    S = Va [(Va^T Q Vb) / (a_i + b_j)] Vb^T, at O(p^3).  Modes with
-    a_i + b_j at rounding level make the system singular: NoUniqueSolutionError
-    is raised carrying the minimum-norm least-squares solution, in which those
-    modes are zero.  Non-symmetric A or B raises ValueError.
+    S = Va [(Va^T Q Vb) / (a_i + b_j)] Vb^T, at O(p^3).  Stacks of p x p
+    systems of one shape are solved face by face.  Modes with a_i + b_j at
+    the rounding level of their face make the system singular:
+    NoUniqueSolutionError is raised carrying the minimum-norm least-squares
+    solution, in which those modes are zero.  Non-symmetric A or B raises
+    ValueError.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    p = A.shape[0]
-    if A.shape != (p, p) or B.shape != (p, p) or Q.shape != (p, p):
+    p = A.shape[-1]
+    if A.ndim < 2 or A.shape[-2] != p or B.shape != A.shape or Q.shape != A.shape:
         raise ValueError(f"incompatible shapes {A.shape}, {B.shape}, {Q.shape}")
     wa, Va = _eigh_symmetric(A)
     wb, Vb = (wa, Va) if B is A else _eigh_symmetric(B)
-    denom = wa[:, None] + wb[None, :]
-    singular = np.abs(denom) <= p * np.finfo(float).eps * (np.abs(wa).max() + np.abs(wb).max())
-    C = np.divide(Va.T @ Q @ Vb, denom, out=np.zeros((p, p)), where=~singular)
-    S = Va @ C @ Vb.T
+    denom = wa[..., :, None] + wb[..., None, :]
+    scale = np.abs(wa).max(axis=-1) + np.abs(wb).max(axis=-1)
+    singular = np.abs(denom) <= p * np.finfo(float).eps * scale[..., None, None]
+    C = np.divide(Va.mT @ Q @ Vb, denom, out=np.zeros(denom.shape), where=~singular)
+    S = Va @ C @ Vb.mT
     if singular.any():
         raise NoUniqueSolutionError(
-            f"{int(singular.sum())} of {p * p} modes have a_i + b_j = 0", solution=S)
+            f"{int(singular.sum())} of {singular.size} modes have a_i + b_j = 0", solution=S)
     return S

@@ -1,25 +1,26 @@
-"""Manifolds of the form  M = { X in F : X^T phi(X) = I }  and their geometry.
+"""Manifolds of the form  M = { X : X^T phi(X) = I }  and their geometry.
 
-Each manifold is described by a linear, one-to-one, self-adjoint map phi on a
-subspace F of matrices, together with a companion map psi on the span G of
-cross-Gram matrices satisfying  phi(X T) = phi(X) psi(T).  In all six concrete
-families psi(T) = q^T T q for one orthogonal p x p matrix q that is symmetric
-or skew; everything downstream (projections, gradients, retractions, the
-dissolving penalty) is written against this interface.
+Each manifold is described by a linear, one-to-one, self-adjoint map phi on
+n x p matrices, together with a companion map psi on the span G of cross-Gram
+matrices satisfying  phi(X T) = phi(X) psi(T).  In all six concrete families
+psi(T) = q^T T q for one orthogonal p x p matrix q that is symmetric or skew;
+everything downstream (projections, gradients, retractions, the dissolving
+penalty) is written against this interface.
+
+A point is an array of shape ``spec.batch + (n, p)``: one matrix for the five
+matrix families, and a stack of l faces for tensor frames.  Products broadcast
+over the batch axis and every transpose is ``.mT``, so one code path serves
+both.
 """
 
 import numpy as np
 
 from .linalg import NoUniqueSolutionError, lyapunov_solve, skew, sym
-from .tensor import TransformMatrix, dct_transform, diag_fold, diag_unfold, mode3_product, qr_posdiag
+from .tensor import TransformMatrix, dct_transform, mode3_product, qr_posdiag
 
 
 class FeasibilityError(ValueError):
     """Point violates X^T phi(X) = I beyond the requested tolerance."""
-
-
-class SubspaceError(ValueError):
-    """Matrix has mass outside the structural subspace F."""
 
 
 class RetractError(RuntimeError):
@@ -44,7 +45,7 @@ class FeasiblePoint:
         self.spec = spec
         self.X = X
         self.phiX = spec.phi(X)
-        self.gram = X.T @ self.phiX
+        self.gram = X.mT @ self.phiX
         self.feas = np.linalg.norm(self.gram - np.eye(spec.p))
         self.tol = tol
         if not np.isfinite(self.feas) or self.feas > tol:
@@ -64,15 +65,17 @@ def _orthonormalize_rows(vecs, drop_tol=1e-10):
 
 
 class ManifoldSpec:
-    """Base class bundling (phi, psi), the subspace F, and a retraction.
+    """Base class bundling (phi, psi) and a retraction.
 
     ``q`` is the orthogonal p x p matrix of psi(T) = q^T T q; None stands
     for the identity.  q is symmetric or skew, and S1 = {q^T W} with W of
-    the same symmetry.
+    the same symmetry.  ``batch`` is the shape of the leading axes of a
+    point: () for a matrix, (l,) for a stack of l faces.
     """
 
     name = "generic"
     q = None
+    batch = ()
 
     def __init__(self, n, p):
         self.n = int(n)
@@ -87,44 +90,32 @@ class ManifoldSpec:
 
     def psi(self, T):
         T = np.asarray(T, dtype=float)
-        return T if self.q is None else self.q.T @ T @ self.q
+        return T if self.q is None else self.q.mT @ T @ self.q
 
     def gen_sym(self, T):
         """Generalized symmetrization T^T + psi(T)."""
-        return T.T + self.psi(T)
-
-    # --- the structural subspace F (all of R^{n x p} unless overridden) --
-    def project_subspace(self, Y):
-        return np.asarray(Y, dtype=float)
-
-    def subspace_residual(self, Y):
-        return 0.0
+        return T.mT + self.psi(T)
 
     def random_ambient(self, rng):
-        return rng.standard_normal((self.n, self.p))
+        return rng.standard_normal(self.batch + (self.n, self.p))
 
     def random_gram(self, rng):
-        """Random element of G = span{X1^T X2 : X1, X2 in F}."""
-        return rng.standard_normal((self.p, self.p))
+        """Random element of G = span{X1^T X2}."""
+        return rng.standard_normal(self.batch + (self.p, self.p))
 
     # --- span of cross-Grams G and the range S1 of gen_sym ---------------
     def g_basis(self):
-        """Orthonormal basis of G = span{X1^T X2}; canonical unless overridden."""
-        q = self.p
-        basis = np.zeros((q * q, q, q))
-        idx = 0
-        for i in range(q):
-            for j in range(q):
-                basis[idx, i, j] = 1.0
-                idx += 1
-        return basis
+        """Canonical orthonormal basis of G, one unit entry per element."""
+        shape = self.batch + (self.p, self.p)
+        k = int(np.prod(shape))
+        return np.eye(k).reshape((k,) + shape)
 
     def s1_basis(self):
         """Orthonormal basis of S1, the gen_sym image of G."""
         if self._s1 is None:
             images = np.stack([self.gen_sym(T) for T in self.g_basis()])
             flat = _orthonormalize_rows(images.reshape(images.shape[0], -1))
-            self._s1 = flat.reshape(-1, self.p, self.p)
+            self._s1 = flat.reshape((-1,) + self.batch + (self.p, self.p))
         return self._s1
 
     # --- manifold-specific pieces ----------------------------------------
@@ -146,11 +137,9 @@ class ManifoldSpec:
 # -------------------------------------------------------------------------
 
 def constraint(spec, X):
-    """Residual X^T phi(X) - I; X must lie in the subspace F."""
+    """Residual X^T phi(X) - I."""
     X = np.asarray(X, dtype=float)
-    if spec.subspace_residual(X) > 1e-10 * (1.0 + np.linalg.norm(X)):
-        raise SubspaceError(f"input leaves the structural subspace of {spec.name}")
-    return X.T @ spec.phi(X) - np.eye(spec.p)
+    return X.mT @ spec.phi(X) - np.eye(spec.p)
 
 
 def gen_sym(spec, T):
@@ -161,34 +150,33 @@ def tangent_test(spec, point, Z, tol=1e-8):
     """Check X^T phi(Z) + Z^T phi(X) = 0; returns (ok, residual)."""
     X = point.X if isinstance(point, FeasiblePoint) else np.asarray(point, float)
     phiX = point.phiX if isinstance(point, FeasiblePoint) else spec.phi(X)
-    resid = np.linalg.norm(X.T @ spec.phi(Z) + Z.T @ phiX)
+    resid = np.linalg.norm(X.mT @ spec.phi(Z) + Z.mT @ phiX)
     return bool(resid <= tol), resid
 
 
 def theta_lstsq(spec, point, D):
     """Coefficient matrix of the normal component of D.
 
-    Minimizes || phi(X) S - D || over S in S1 = {q^T W}.  Only the
-    F-component of D enters, since phi(X) S lies in F.  With U = phi(X) q^T,
-    K = U^T U and R = U^T D, the normal equations are the p x p Lyapunov
-    equation K W + W K = R + R^T (W symmetric, q symmetric or None) or
-    R - R^T (W skew, q skew), solved in the eigenbasis of K at
-    O(n p^2 + p^3).  A singular K raises ThetaDegenerateError carrying the
-    minimum-norm least-squares solution.
+    Minimizes || phi(X) S - D || over S in S1 = {q^T W}.  With
+    U = phi(X) q^T, K = U^T U and R = U^T D, the normal equations are the
+    p x p Lyapunov equation K W + W K = R + R^T (W symmetric, q symmetric or
+    None) or R - R^T (W skew, q skew), solved in the eigenbasis of K at
+    O(n p^2 + p^3) per face.  A singular K raises ThetaDegenerateError
+    carrying the minimum-norm least-squares solution.
     """
     phiX = point.phiX if isinstance(point, FeasiblePoint) else spec.phi(np.asarray(point, float))
     q = spec.q
-    U = phiX if q is None else phiX @ q.T
-    K = U.T @ U
-    R = U.T @ spec.project_subspace(D)
+    U = phiX if q is None else phiX @ q.mT
+    K = U.mT @ U
+    R = U.mT @ np.asarray(D, dtype=float)
     # q^T = +q or -q, and <q, q^T> carries that sign
-    rhs = R + R.T if q is None or np.vdot(q, q.T) > 0 else R - R.T
+    rhs = R + R.mT if q is None or np.vdot(q, q.mT) > 0 else R - R.mT
     try:
         W = lyapunov_solve(K, K, rhs)
     except NoUniqueSolutionError as exc:
-        S = exc.solution if q is None else q.T @ exc.solution
+        S = exc.solution if q is None else q.mT @ exc.solution
         raise ThetaDegenerateError(f"singular normal equations: {exc}", solution=S) from exc
-    return W if q is None else q.T @ W
+    return W if q is None else q.mT @ W
 
 
 def project_tangent(spec, point, D):
@@ -243,7 +231,7 @@ def _inv_sqrt_correction(Y, K):
     w, V = np.linalg.eigh(sym(K))
     if w.min() <= 1e-14 * max(w.max(), 1.0):
         raise RetractError("local Gram matrix lost definiteness; halve the step")
-    return (Y @ V) * (1.0 / np.sqrt(w)) @ V.T
+    return (Y @ V) * (1.0 / np.sqrt(w)) @ V.mT
 
 
 def _finish_retraction(spec, Xn):
@@ -273,7 +261,7 @@ class Stiefel(ManifoldSpec):
 
     def random_feasible(self, seed=0):
         rng = np.random.default_rng(seed)
-        Q, _ = qr_posdiag(rng.standard_normal((self.n, self.p)))
+        Q, _ = qr_posdiag(rng.standard_normal(self.batch + (self.n, self.p)))
         return FeasiblePoint(self, Q, tol=1e-10)
 
     def record(self):
@@ -304,13 +292,13 @@ class GeneralizedStiefel(ManifoldSpec):
         if not np.any(Z):
             return point
         Y = point.X + Z
-        return _finish_retraction(self, _inv_sqrt_correction(Y, Y.T @ (self.B @ Y)))
+        return _finish_retraction(self, _inv_sqrt_correction(Y, Y.mT @ (self.B @ Y)))
 
     def random_feasible(self, seed=0):
         rng = np.random.default_rng(seed)
         G = rng.standard_normal((self.n, self.p))
-        L = np.linalg.cholesky(G.T @ self.B @ G)
-        return FeasiblePoint(self, np.linalg.solve(L, G.T).T, tol=1e-10)
+        L = np.linalg.cholesky(G.mT @ self.B @ G)
+        return FeasiblePoint(self, np.linalg.solve(L, G.mT).mT, tol=1e-10)
 
     def record(self):
         if self.seed is None:
@@ -352,9 +340,7 @@ class SymplecticStiefel(ManifoldSpec):
         if n2 % 2 or p2 % 2:
             raise ValueError(f"symplectic dimensions must be even, got ({n2}, {p2})")
         super().__init__(n2, p2)
-        self.Jn = symplectic_j(n2 // 2)
-        self.Jp = symplectic_j(p2 // 2)
-        self.q = self.Jp
+        self.q = symplectic_j(p2 // 2)
 
     def phi(self, X):
         # -J_{2n} X J_{2p} as four signed block copies; equal bit for bit to
@@ -374,8 +360,8 @@ class SymplecticStiefel(ManifoldSpec):
         X = point.X
         u = _j_left(X)                       # u^T X = -J_{2p} at feasible X
         Y = _j_right(X)                      # so Y^T u = I
-        Mt = sym(Z.T @ u)
-        S = Z @ Y.T + Y @ Z.T - Y @ Mt @ Y.T
+        Mt = sym(Z.mT @ u)
+        S = Z @ Y.mT + Y @ Z.mT - Y @ Mt @ Y.mT
         return _finish_retraction(self, _cayley_apply(_j_right(S), X))
 
     def random_feasible(self, seed=0):
@@ -427,8 +413,8 @@ class IndefiniteStiefel(ManifoldSpec):
         X = point.X
         u = self.A @ X                       # u^T X = J at feasible X
         Y = X @ self.J                       # so Y^T u = I
-        Mt = skew(Z.T @ u)
-        S = Z @ Y.T - Y @ Z.T + Y @ Mt @ Y.T
+        Mt = skew(Z.mT @ u)
+        S = Z @ Y.mT - Y @ Z.mT + Y @ Mt @ Y.mT
         return _finish_retraction(self, _cayley_apply(S @ self.A, X))
 
     def random_feasible(self, seed=0):
@@ -486,7 +472,7 @@ class Hyperbolic(ManifoldSpec):
         if not np.any(Z):
             return point
         Y = point.X + Z
-        return _finish_retraction(self, _inv_sqrt_correction(Y, Y.T @ (self.H @ Y)))
+        return _finish_retraction(self, _inv_sqrt_correction(Y, Y.mT @ (self.H @ Y)))
 
     def random_feasible(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -504,103 +490,40 @@ class Hyperbolic(ManifoldSpec):
         return {"name": self.name, "n": self.n, "p": self.p, "neg": self.neg, "seed": self.seed}
 
 
-class TensorStiefel(ManifoldSpec):
-    """Third-order tensor frames under an l-product, stored block-unfolded.
+class TensorStiefel(Stiefel):
+    """Third-order tensor frames under an l-product, stored as transform-domain faces.
 
-    Points are the block-diagonal matrices Diag(tensor x3 M) of size ln x lp,
-    so phi is the identity and the structural subspace F is the set of
-    block-diagonal matrices with l diagonal blocks of size n x p.
+    Under an invertible transform the l-product acts face by face, so a
+    tensor frame is l orthonormal n x p faces.  Points are (l, n, p) arrays
+    and everything else is Stiefel geometry over the batch axis: phi is the
+    identity and the retraction is a QR of each face.
     """
 
     name = "tensor-stiefel"
 
     def __init__(self, n, p, l, transform=None):
-        self.tn, self.tp, self.l = int(n), int(p), int(l)
-        if self.tn < self.tp:
-            raise ValueError(f"need n >= p, got ({n}, {p})")
-        if self.l < 1:
+        if int(l) < 1:
             raise ValueError("need l >= 1")
-        super().__init__(self.l * self.tn, self.l * self.tp)
+        super().__init__(n, p)
+        self.l = int(l)
+        self.batch = (self.l,)
         self.transform = dct_transform(self.l) if transform is None else transform
         if not isinstance(self.transform, TransformMatrix):
             self.transform = TransformMatrix(self.transform)
         self._default_transform = transform is None
 
-    # block helpers on unfolded matrices
-    def _blocks(self, Y, rows, cols):
-        for k in range(self.l):
-            yield k, Y[k * rows:(k + 1) * rows, k * cols:(k + 1) * cols]
-
-    def phi(self, X):
-        return np.asarray(X, dtype=float)
-
-    def project_subspace(self, Y):
-        Y = np.asarray(Y, dtype=float)
-        out = np.zeros_like(Y)
-        rows = Y.shape[0] // self.l
-        cols = Y.shape[1] // self.l
-        for k in range(self.l):
-            sl = np.s_[k * rows:(k + 1) * rows, k * cols:(k + 1) * cols]
-            out[sl] = Y[sl]
-        return out
-
-    def subspace_residual(self, Y):
-        return np.linalg.norm(np.asarray(Y, float) - self.project_subspace(Y))
-
-    def random_ambient(self, rng):
-        out = np.zeros((self.n, self.p))
-        for k in range(self.l):
-            out[k * self.tn:(k + 1) * self.tn, k * self.tp:(k + 1) * self.tp] = \
-                rng.standard_normal((self.tn, self.tp))
-        return out
-
-    def random_gram(self, rng):
-        out = np.zeros((self.p, self.p))
-        for k in range(self.l):
-            out[k * self.tp:(k + 1) * self.tp, k * self.tp:(k + 1) * self.tp] = \
-                rng.standard_normal((self.tp, self.tp))
-        return out
-
-    def g_basis(self):
-        basis = []
-        for k in range(self.l):
-            for i in range(self.tp):
-                for j in range(self.tp):
-                    E = np.zeros((self.p, self.p))
-                    E[k * self.tp + i, k * self.tp + j] = 1.0
-                    basis.append(E)
-        return np.stack(basis)
-
     def embed_tensor(self, X3):
-        """Unfold an n x p x l tensor into its transform-domain point."""
-        return diag_unfold(mode3_product(X3, self.transform.M))
+        """Carry an n x p x l tensor to its (l, n, p) stack of transform-domain faces."""
+        return np.moveaxis(mode3_product(X3, self.transform.M), 2, 0)
 
     def extract_tensor(self, Y):
         """Inverse of embed_tensor."""
-        return mode3_product(diag_fold(Y, self.tn, self.tp, self.l), self.transform.Minv)
-
-    def retract(self, point, Z):
-        if not np.any(Z):
-            return point
-        Y = point.X + Z
-        out = np.zeros_like(Y)
-        for k, blk in self._blocks(Y, self.tn, self.tp):
-            Q, _ = qr_posdiag(blk)
-            out[k * self.tn:(k + 1) * self.tn, k * self.tp:(k + 1) * self.tp] = Q
-        return _finish_retraction(self, out)
-
-    def random_feasible(self, seed=0):
-        rng = np.random.default_rng(seed)
-        out = np.zeros((self.n, self.p))
-        for k in range(self.l):
-            Q, _ = qr_posdiag(rng.standard_normal((self.tn, self.tp)))
-            out[k * self.tn:(k + 1) * self.tn, k * self.tp:(k + 1) * self.tp] = Q
-        return FeasiblePoint(self, out, tol=1e-10)
+        return mode3_product(np.moveaxis(np.asarray(Y, dtype=float), 0, 2), self.transform.Minv)
 
     def record(self):
         if not self._default_transform:
             raise ValueError("cannot serialize a tensor-stiefel spec with a custom transform")
-        return {"name": self.name, "n": self.tn, "p": self.tp, "l": self.l}
+        return {"name": self.name, "n": self.n, "p": self.p, "l": self.l}
 
 
 # -------------------------------------------------------------------------

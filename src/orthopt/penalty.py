@@ -40,7 +40,7 @@ def dissolve(spec, X):
 
 def dC(spec, X, Z):
     """Differential of the constraint map at X in direction Z."""
-    return X.T @ spec.phi(Z) + Z.T @ spec.phi(X)
+    return X.mT @ spec.phi(Z) + Z.mT @ spec.phi(X)
 
 
 def dC_adjoint(spec, X, T):
@@ -128,9 +128,9 @@ class EvalCache:
             return
         self.X = X = X.copy()
         self.phiX = self._phi(spec, X)
-        self.gram = self._mm(X.T, self.phiX)
+        self.gram = self._mm(X.mT, self.phiX)
         self.C = self.gram - np.eye(spec.p)
-        self.AX = 1.5 * X - 0.5 * self._mm(X, self.gram.T)
+        self.AX = 1.5 * X - 0.5 * self._mm(X, self.gram.mT)
         self.gradfA = None
 
     def ensure_grad(self, problem, spec, X):
@@ -147,20 +147,20 @@ def _dA(cache, spec, Z):
     cross-Grams P = phi(Z)^T X, Q = phi(X)^T Z it forms; 4 products, 1 phi."""
     mm, X = cache._mm, cache.X
     phiZ = cache._phi(spec, Z)
-    P = mm(phiZ.T, X)
-    Q = mm(cache.phiX.T, Z)
-    return 1.5 * Z - 0.5 * (mm(Z, cache.gram.T) + mm(X, P + Q)), phiZ, P, Q
+    P = mm(phiZ.mT, X)
+    Q = mm(cache.phiX.mT, Z)
+    return 1.5 * Z - 0.5 * (mm(Z, cache.gram.mT) + mm(X, P + Q)), phiZ, P, Q
 
 
 def _dC_adjoint(cache, spec, T):
     """dC(X)*[T] = phi(X) T^T + phi(X T); 2 products, 1 phi."""
-    return cache._mm(cache.phiX, T.T) + cache._phi(spec, cache._mm(cache.X, T))
+    return cache._mm(cache.phiX, T.mT) + cache._phi(spec, cache._mm(cache.X, T))
 
 
 def _dA_adjoint(cache, spec, V):
     """dA(X)*[V] = V (1.5 I - 0.5 G) - 0.5 dC(X)*[V^T X]; 4 products, 1 phi."""
     lead = cache._mm(V, 1.5 * np.eye(spec.p) - 0.5 * cache.gram)
-    return lead - 0.5 * _dC_adjoint(cache, spec, cache._mm(V.T, cache.X))
+    return lead - 0.5 * _dC_adjoint(cache, spec, cache._mm(V.mT, cache.X))
 
 
 def penalty_value(pf, X, cache=None):
@@ -196,11 +196,11 @@ def penalty_hessvec(pf, X, dX, cache=None):
     mm = cache._mm
     DAdX, phiD, P, Q = _dA(cache, spec, dX)
     Hf = pf.problem.hessvec(cache.AX, DAdX)
-    R = mm(X.T, Hf)
+    R = mm(X.mT, Hf)
     lead = mm(Hf, 1.5 * np.eye(spec.p) - 0.5 * G)
-    on_phiX = (-0.5 * (spec.gen_sym(R.T) + spec.gen_sym(mm(Gf.T, dX)))
-               + pf.beta * (spec.gen_sym(Q.T) + spec.gen_sym(P.T)))
-    on_phiD = pf.beta * spec.gen_sym(cache.C) - 0.5 * spec.gen_sym(mm(Gf.T, X))
+    on_phiX = (-0.5 * (spec.gen_sym(R.mT) + spec.gen_sym(mm(Gf.mT, dX)))
+               + pf.beta * (spec.gen_sym(Q.mT) + spec.gen_sym(P.mT)))
+    on_phiD = pf.beta * spec.gen_sym(cache.C) - 0.5 * spec.gen_sym(mm(Gf.mT, X))
     return (lead - 0.5 * mm(Gf, spec.gen_sym(P))
             + mm(phiX, on_phiX) + mm(phiD, on_phiD))
 

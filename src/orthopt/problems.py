@@ -17,9 +17,8 @@ from .tensor import qr_posdiag
 class Problem:
     """Smooth objective attached to a manifold.
 
-    f maps an ambient matrix to a scalar, grad returns the Euclidean
-    gradient restricted to the structural subspace, hessvec (optional) the
-    Euclidean Hessian action.
+    f maps a point of shape ``spec.batch + (n, p)`` to a scalar, grad returns
+    the Euclidean gradient, hessvec (optional) the Euclidean Hessian action.
     """
 
     def __init__(self, spec, f, grad, hessvec=None, name="problem",
@@ -140,17 +139,14 @@ def build_extrinsic_mean(n, p, k, p_k, n_samples=1000, seed=0):
     return prob
 
 
-def _offdiag(M):
-    return M - np.diag(np.diag(M))
-
-
 def build_tensor_jfd(n, p, l, n_samples=10, gamma=0.5, seed=0, transform=None):
     """Joint diagonalization of tensor stacks under a cosine-transform product.
 
     Sample tensors are congruences of diagonal-slice cores by a shared
     orthogonal tensor, plus unit-norm noise scaled by gamma.  Everything is
-    evaluated on the block-unfolded transform-domain matrices, where the
-    objective is the squared off-diagonal mass of X^T D_i X.
+    evaluated face by face in the transform domain: ``sample_mats`` has shape
+    (samples, l, n, n), a point is an (l, n, p) stack, and the objective is
+    the squared off-diagonal mass of the faces of X^T D_i X.
     """
     if gamma < 0:
         raise ValueError("noise level must be nonnegative")
@@ -159,44 +155,30 @@ def build_tensor_jfd(n, p, l, n_samples=10, gamma=0.5, seed=0, transform=None):
     seed_u, seed_d = ss.spawn(2)
     U = spec.random_feasible(seed_u)
     rng = np.random.default_rng(seed_d)
-    ln = spec.n
-    mats = np.zeros((n_samples, ln, ln))
+    mats = np.empty((n_samples, l, n, n))
     for i in range(n_samples):
-        for kk in range(l):
-            Uk = U.X[kk * n:(kk + 1) * n, kk * p:(kk + 1) * p]
-            core = rng.standard_normal(p)
-            mats[i, kk * n:(kk + 1) * n, kk * n:(kk + 1) * n] = (Uk * core) @ Uk.T
-        noise = np.zeros((ln, ln))
-        for kk in range(l):
-            noise[kk * n:(kk + 1) * n, kk * n:(kk + 1) * n] = rng.standard_normal((n, n))
+        core = rng.standard_normal((l, 1, p))
+        mats[i] = (U.X * core) @ U.X.mT
+        noise = rng.standard_normal((l, n, n))
         if gamma > 0:
             mats[i] += gamma * noise / np.linalg.norm(noise)
+    offdiag = 1.0 - np.eye(p)
 
     def f(X):
-        total = 0.0
-        for D in mats:
-            O = _offdiag(X.T @ (D @ X))
-            total += float(np.vdot(O, O))
-        return total
+        O = (X.mT @ (mats @ X)) * offdiag
+        return float(np.vdot(O, O))
 
     def grad(X):
-        out = np.zeros_like(X)
-        for D in mats:
-            DX = D @ X
-            DtX = D.T @ X
-            O = _offdiag(X.T @ DX)
-            out += 2.0 * (DtX @ O + DX @ O.T)
-        return out
+        DX = mats @ X
+        O = (X.mT @ DX) * offdiag
+        return 2.0 * (mats.mT @ X @ O + DX @ O.mT).sum(axis=0)
 
     def hessvec(X, V):
-        out = np.zeros_like(np.asarray(V, dtype=float))
-        for D in mats:
-            DX, DV = D @ X, D @ V
-            DtX, DtV = D.T @ X, D.T @ V
-            O = _offdiag(X.T @ DX)
-            Od = _offdiag(V.T @ DX + X.T @ DV)
-            out += 2.0 * (DtV @ O + DtX @ Od + DV @ O.T + DX @ Od.T)
-        return out
+        V = np.asarray(V, dtype=float)
+        DX, DV = mats @ X, mats @ V
+        O = (X.mT @ DX) * offdiag
+        Od = (V.mT @ DX + X.mT @ DV) * offdiag
+        return 2.0 * (mats.mT @ V @ O + mats.mT @ X @ Od + DV @ O.mT + DX @ Od.mT).sum(axis=0)
 
     meta = {"problem": "tensor-jfd", "n": n, "p": p, "l": l, "samples": n_samples,
             "gamma": gamma, "seed": seed, "beta_default": 0.8, "rng": "pcg64",

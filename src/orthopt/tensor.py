@@ -126,11 +126,11 @@ def diag_fold(Y, n, p, l):
 
 
 def qr_posdiag(A):
-    """Reduced QR with the sign convention diag(R) > 0."""
+    """Reduced QR with the sign convention diag(R) > 0; A may be a stack."""
     Q, R = np.linalg.qr(A)
-    d = np.sign(np.diag(R))
+    d = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
-    return Q * d, d[:, None] * R
+    return Q * d[..., None, :], d[..., :, None] * R
 
 
 def tqr(X, transform):

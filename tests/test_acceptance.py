@@ -42,7 +42,7 @@ def test_criterion_01_companion_identities():
             T /= np.linalg.norm(T)
             worst = max(worst, abs(np.vdot(spec.phi(X), Y) - np.vdot(X, spec.phi(Y))))
             worst = max(worst, np.linalg.norm(spec.phi(X @ T) - spec.phi(X) @ spec.psi(T)))
-            worst = max(worst, np.linalg.norm(spec.psi(spec.phi(X).T @ X) - X.T @ spec.phi(X)))
+            worst = max(worst, np.linalg.norm(spec.psi(spec.phi(X).mT @ X) - X.mT @ spec.phi(X)))
     elapsed = time.perf_counter() - t0
     _report(1, worst <= 1e-12 and elapsed < 5.0,
             f"companion identities, worst residual {worst:.2e} in {elapsed:.2f}s")
@@ -84,23 +84,17 @@ def test_criterion_04_quadratic_contraction():
         for t in (1e-1, 1e-2, 1e-3):
             Y = X + t * Z
             AY = dissolve(spec, Y)
-            xs.append(np.log(np.linalg.norm(Y.T @ spec.phi(Y) - np.eye(spec.p))))
-            ys.append(np.log(np.linalg.norm(AY.T @ spec.phi(AY) - np.eye(spec.p))))
+            xs.append(np.log(np.linalg.norm(Y.mT @ spec.phi(Y) - np.eye(spec.p))))
+            ys.append(np.log(np.linalg.norm(AY.mT @ spec.phi(AY) - np.eye(spec.p))))
         slopes.append(np.polyfit(xs, ys, 1)[0])
     ok = all(1.8 <= s <= 2.2 for s in slopes)
     _report(4, ok, "contraction slopes " + ", ".join(f"{s:.2f}" for s in slopes))
 
 
-def _subspace_basis(spec):
-    basis = []
-    for i in range(spec.n):
-        for j in range(spec.p):
-            E = np.zeros((spec.n, spec.p))
-            E[i, j] = 1.0
-            P = spec.project_subspace(E)
-            if np.linalg.norm(P) > 0.5:
-                basis.append(P)
-    return basis
+def _ambient_basis(spec):
+    shape = spec.batch + (spec.n, spec.p)
+    k = int(np.prod(shape))
+    return np.eye(k).reshape((k,) + shape)
 
 
 def test_criterion_05_derivative_exactness():
@@ -113,7 +107,7 @@ def test_criterion_05_derivative_exactness():
         X /= np.linalg.norm(X) / np.sqrt(spec.p)
         g = pf.gradient(X)
         fd = np.zeros_like(g)
-        for E in _subspace_basis(spec):
+        for E in _ambient_basis(spec):
             fd += E * ((pf.value(X + t * E) - pf.value(X - t * E)) / (2 * t))
         worst_g = max(worst_g, np.linalg.norm(fd - g) / np.linalg.norm(g))
         for s in range(3):
@@ -143,7 +137,7 @@ def test_criterion_07_theta_oracle_equivalence(theta_oracle):
     for spec in SPECS:
         pt = spec.random_feasible(107)
         for _ in range(5):
-            D = rng.standard_normal((spec.n, spec.p))
+            D = rng.standard_normal(spec.batch + (spec.n, spec.p))
             Sg, _ = theta_oracle(spec, pt.phiX, D)
             Sc = theta_lstsq(spec, pt, D)
             worst = max(worst, np.linalg.norm(Sg - Sc) / np.linalg.norm(Sg))

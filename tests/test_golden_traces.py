@@ -31,12 +31,12 @@ GOLDEN = [
     ("extrinsic_desk", "cdf-tr", "GradTol", 50, 0.1870852262576721),
     ("extrinsic_desk", "rgd", "GradTol", 107, 0.18708522630423066),
     ("extrinsic_desk", "rcg", "GradTol", 105, 0.1870852269222141),
-    ("tensor_jfd_desk", "cdf-gd", "GradTol", 328, 4.025012625751423e-08),
-    ("tensor_jfd_desk", "cdf-cg", "GradTol", 217, 1.5585963368690505e-09),
-    ("tensor_jfd_desk", "cdf-lbfgs", "GradTol", 248, 2.401077553423563e-09),
-    ("tensor_jfd_desk", "cdf-tr", "GradTol", 24, 1.8185238640308006e-10),
-    ("tensor_jfd_desk", "rgd", "GradTol", 321, 1.055571471892879e-08),
-    ("tensor_jfd_desk", "rcg", "GradTol", 352, 2.9678077276038294e-08),
+    ("tensor_jfd_desk", "cdf-gd", "GradTol", 342, 4.533763195672327e-08),
+    ("tensor_jfd_desk", "cdf-cg", "GradTol", 217, 1.5585963370128748e-09),
+    ("tensor_jfd_desk", "cdf-lbfgs", "GradTol", 246, 3.3655468895894544e-09),
+    ("tensor_jfd_desk", "cdf-tr", "GradTol", 24, 1.8310944252945086e-10),
+    ("tensor_jfd_desk", "rgd", "GradTol", 283, 3.329192101707516e-08),
+    ("tensor_jfd_desk", "rcg", "GradTol", 352, 2.967807727582532e-08),
 ]
 
 

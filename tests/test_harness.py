@@ -17,6 +17,7 @@ from orthopt.harness import (
     run,
     timing_profile,
 )
+from orthopt.manifolds import FeasiblePoint
 from orthopt.solvers import run_solver
 
 TINY_CFG = """
@@ -134,6 +135,20 @@ def test_cdf_records_use_postprocessed_feasibility(tiny_config):
     cdf = [r for r in records if r.solver == "cdf-lbfgs"][0]
     assert cdf.feas < 1e-12
     assert cdf.pre_feas >= cdf.feas
+
+
+def test_riemannian_records_use_postprocessed_feasibility():
+    # rgd stops at once on a zero objective; the row is read after post-processing
+    cfg = ExperimentConfig(problem={"id": "zero", "name": "stiefel", "n": 8, "p": 3},
+                           solvers=["rgd"], tols=[1e-5])
+    pf = harness_mod._penalty_bundle(cfg)
+    Q = pf.spec.random_feasible(0).X
+    x0 = FeasiblePoint(pf.spec, (1.0 + 1.45e-9) * Q, tol=1e-8)
+    assert 4e-9 < x0.feas < 6e-9
+    rec, report = harness_mod._run_cell(pf, x0, 0, "rgd", 1e-5, cfg, cfg.eps_f)
+    assert report.iters == 0 and rec.status == "GradTol"
+    assert rec.pre_feas == x0.feas
+    assert rec.feas <= 1e-12
 
 
 def test_zero_objective_grid_converges_immediately():

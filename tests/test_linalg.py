@@ -64,3 +64,20 @@ def test_lyapunov_rejects_nonsymmetric_coefficients():
         lyapunov_solve(A, np.eye(2), np.eye(2))
     with pytest.raises(ValueError):
         lyapunov_solve(np.eye(2), A, np.eye(2))
+
+
+def test_lyapunov_stack_solves_each_face():
+    rng = np.random.default_rng(4)
+    A = sym(rng.standard_normal((3, 4, 4))) + 5 * np.eye(4)
+    B = sym(rng.standard_normal((3, 4, 4))) + 5 * np.eye(4)
+    Q = rng.standard_normal((3, 4, 4))
+    S = lyapunov_solve(A, B, Q)
+    for k in range(3):
+        np.testing.assert_allclose(S[k], lyapunov_solve(A[k], B[k], Q[k]), atol=1e-14)
+
+
+def test_lyapunov_stack_flags_singular_modes_per_face():
+    # a face at a scale far below the others still has a unique solution
+    A = np.stack([np.eye(2), 1e-20 * np.eye(2)])
+    S = lyapunov_solve(A, A, np.stack([np.eye(2), 1e-20 * np.eye(2)]))
+    np.testing.assert_allclose(S, 0.5 * np.stack([np.eye(2), np.eye(2)]), rtol=1e-14)

@@ -71,9 +71,9 @@ def test_dissolve_contraction_slope(spec):
     logs = []
     for t in (1e-1, 1e-2, 1e-3):
         Y = X + t * Z
-        c0 = np.linalg.norm(Y.T @ spec.phi(Y) - np.eye(spec.p))
+        c0 = np.linalg.norm(Y.mT @ spec.phi(Y) - np.eye(spec.p))
         AY = dissolve(spec, Y)
-        c1 = np.linalg.norm(AY.T @ spec.phi(AY) - np.eye(spec.p))
+        c1 = np.linalg.norm(AY.mT @ spec.phi(AY) - np.eye(spec.p))
         logs.append((np.log(c0), np.log(c1)))
     slope = np.polyfit([a for a, _ in logs], [b for _, b in logs], 1)[0]
     assert 1.8 <= slope <= 2.2
@@ -90,7 +90,7 @@ def test_dC_matches_central_differences(spec):
     X = _near_point(spec, 4)
     Z = _unit(spec, 5)
     t = 1e-5
-    fd = ((X + t * Z).T @ spec.phi(X + t * Z) - (X - t * Z).T @ spec.phi(X - t * Z)) / (2 * t)
+    fd = ((X + t * Z).mT @ spec.phi(X + t * Z) - (X - t * Z).mT @ spec.phi(X - t * Z)) / (2 * t)
     an = dC(spec, X, Z)
     assert np.linalg.norm(fd - an) <= 1e-6 * max(1.0, np.linalg.norm(an))
 
@@ -164,7 +164,7 @@ def test_dCA_matches_central_differences_off_manifold(spec):
 
     def CA(Y):
         AY = dissolve(spec, Y)
-        return AY.T @ spec.phi(AY) - np.eye(spec.p)
+        return AY.mT @ spec.phi(AY) - np.eye(spec.p)
 
     fd = (CA(X + t * Z) - CA(X - t * Z)) / (2 * t)
     an = dCA(spec, X, Z)
@@ -185,7 +185,7 @@ def test_penalty_value_pure_feasibility_term(spec):
                    name="zero", check_gradient=False)
     pf = PenaltyFunction(spec, zero, 2.5)
     X = _near_point(spec, 18)
-    C = X.T @ spec.phi(X) - np.eye(spec.p)
+    C = X.mT @ spec.phi(X) - np.eye(spec.p)
     np.testing.assert_allclose(pf.value(X), 1.25 * np.vdot(C, C), rtol=1e-12)
 
 
@@ -244,7 +244,7 @@ def test_penalty_gradient_is_the_adjoint_sum(spec):
     prob = toy_problem(spec, 25)
     pf = PenaltyFunction(spec, prob, 0.7)
     X = _near_point(spec, 25)
-    C = X.T @ spec.phi(X) - np.eye(spec.p)
+    C = X.mT @ spec.phi(X) - np.eye(spec.p)
     expected = dA_adjoint(spec, X, prob.grad(dissolve(spec, X))) + pf.beta * dC_adjoint(spec, X, C)
     assert np.array_equal(penalty_gradient(pf, X), expected)
 
@@ -301,7 +301,7 @@ def test_penalty_hessvec_zero_objective_reduction(spec):
     X = spec.random_feasible(29).X
     V = _unit(spec, 30)
     phiX, phiV = spec.phi(X), spec.phi(V)
-    expected = beta * (phiX @ spec.gen_sym(V.T @ phiX) + phiX @ spec.gen_sym(X.T @ phiV))
+    expected = beta * (phiX @ spec.gen_sym(V.mT @ phiX) + phiX @ spec.gen_sym(X.mT @ phiV))
     np.testing.assert_allclose(pf.hessvec(X, V), expected, atol=1e-10)
 
 
@@ -372,7 +372,7 @@ def test_stationarity_report_fields(spec):
     assert rep["feas_post"] < 1e-12
     assert rep["grad_h"] >= 0 and rep["grad_f_post"] >= 0
     np.testing.assert_allclose(
-        rep["feas"], np.linalg.norm(X.T @ spec.phi(X) - np.eye(spec.p)), rtol=1e-12)
+        rep["feas"], np.linalg.norm(X.mT @ spec.phi(X) - np.eye(spec.p)), rtol=1e-12)
 
 
 def test_stationarity_lower_bound_inequality(spec):
@@ -383,7 +383,7 @@ def test_stationarity_lower_bound_inequality(spec):
     rng = np.random.default_rng(36)
     for s in range(20):
         Y = spec.random_feasible(s).X + 1e-3 * _unit(spec, 1000 + s)
-        C = Y.T @ spec.phi(Y) - np.eye(spec.p)
+        C = Y.mT @ spec.phi(Y) - np.eye(spec.p)
         gh = penalty_gradient(pf, Y)
         gg = gh - beta * dC_adjoint(spec, Y, C)
         assert np.vdot(gh, gh) >= np.vdot(gg, gg) + (beta / 9.0) * np.linalg.norm(C)
