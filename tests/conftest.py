@@ -1,3 +1,9 @@
+import os
+
+# Pin BLAS to one thread before NumPy loads, as bench/run.py does: the golden
+# objective values depend on the summation order of threaded BLAS kernels.
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+
 import numpy as np
 import pytest
 
