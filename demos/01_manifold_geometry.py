@@ -2,9 +2,11 @@
 
 Every manifold here is the solution set of X^T phi(X) = I for some linear,
 self-adjoint phi.  The same projection / gradient / retraction code serves
-all of them; only phi, its companion psi, and the retraction differ.  Tensor
-frames are stacks of l faces of shape (l, n, p); every product and transpose
-acts face by face.
+all of them; a family declares only phi and the p x p matrix q of its
+companion psi(T) = q^T T q.  The retraction is one Cayley step for the
+families with q set, one polar step for the others, and a QR step for
+orthonormal and tensor frames.  Tensor frames are stacks of l faces of shape
+(l, n, p); every product and transpose acts face by face.
 """
 
 import numpy as np

@@ -42,12 +42,19 @@ class FeasiblePoint:
 
     def __init__(self, spec, X, tol=1e-8):
         X = np.asarray(X, dtype=float)
-        self.spec = spec
-        self.X = X
-        self.phiX = spec.phi(X)
-        self.gram = X.mT @ self.phiX
-        self.feas = np.linalg.norm(self.gram - np.eye(spec.p))
-        self.tol = tol
+        phiX = spec.phi(X)
+        self._fill(spec, X, phiX, X.mT @ phiX, tol)
+
+    @classmethod
+    def from_parts(cls, spec, X, phiX, gram, tol=1e-8):
+        """The point X whose phi(X) and Gram matrix X^T phi(X) are already formed."""
+        point = cls.__new__(cls)
+        point._fill(spec, X, phiX, gram, tol)
+        return point
+
+    def _fill(self, spec, X, phiX, gram, tol):
+        self.spec, self.X, self.phiX, self.gram, self.tol = spec, X, phiX, gram, tol
+        self.feas = np.linalg.norm(gram - np.eye(spec.p))
         if not np.isfinite(self.feas) or self.feas > tol:
             raise FeasibilityError(
                 f"constraint residual {self.feas:.3e} exceeds tolerance {tol:.1e} on {spec.name}")
@@ -118,9 +125,42 @@ class ManifoldSpec:
             self._s1 = flat.reshape((-1,) + self.batch + (self.p, self.p))
         return self._s1
 
-    # --- manifold-specific pieces ----------------------------------------
+    # --- retraction, written once against phi and q ----------------------
     def retract(self, point, Z):
-        raise NotImplementedError
+        """Step from a feasible point along a tangent Z to a feasible point.
+
+        q None (generalized-stiefel, hyperbolic): the polar step Y K^{-1/2},
+        Y = X + Z, K = Y^T phi(Y).  q set (symplectic, indefinite): the Cayley
+        step (I - W/2)^{-1} (I + W/2) X, whose generator W = U V^T has rank
+        <= 2p (U = [Z, X q]), taken as X + U (I - V^T U / 2)^{-1} V^T X.
+        Each costs one phi, O(n p^2) products and a p x p or 2p x 2p solve,
+        plus the phi that caches the new point.  Stiefel and tensor frames
+        override this with a QR step.
+        """
+        if not np.any(Z):
+            return point
+        X, q = point.X, self.q
+        if q is None:
+            Y = X + Z
+            return _finish_retraction(self, _inv_sqrt_correction(Y, Y.mT @ self.phi(Y)))
+        # W = S M with M V = phi(V) q (J_2n or A), M^T = s M for q^T = s q, and
+        # S = U C U^T, C = [[0, I], [-s I, s Mt]]; so V^T = s C (M U)^T
+        s, p = _q_sign(q), self.p
+        with np.errstate(over="ignore", invalid="ignore"):   # non-finite steps fail below
+            u = point.phiX @ q                                # M X
+            ZtU = Z.mT @ u
+            Mt = 0.5 * (ZtU - s * ZtU.mT)
+            U = np.concatenate([Z, X @ q], axis=-1)
+            MU = np.concatenate([self.phi(Z) @ q, u @ q], axis=-1)
+            K = MU.mT @ np.concatenate([U, X], axis=-1)       # (M U)^T [U, X]
+            VtUX = np.concatenate([s * K[..., p:, :], Mt @ K[..., p:, :] - K[..., :p, :]], axis=-2)
+            try:
+                T = np.linalg.solve(np.eye(2 * p) - 0.5 * VtUX[..., :2 * p], VtUX[..., 2 * p:])
+            except np.linalg.LinAlgError as exc:
+                raise RetractError("singular local system; halve the step") from exc
+            return _finish_retraction(self, X + U @ T)
+
+    # --- manifold-specific pieces ----------------------------------------
 
     def random_feasible(self, seed=0):
         raise NotImplementedError
@@ -169,14 +209,18 @@ def theta_lstsq(spec, point, D):
     U = phiX if q is None else phiX @ q.mT
     K = U.mT @ U
     R = U.mT @ np.asarray(D, dtype=float)
-    # q^T = +q or -q, and <q, q^T> carries that sign
-    rhs = R + R.mT if q is None or np.vdot(q, q.mT) > 0 else R - R.mT
+    rhs = R + _q_sign(q) * R.mT
     try:
         W = lyapunov_solve(K, K, rhs)
     except NoUniqueSolutionError as exc:
         S = exc.solution if q is None else q.mT @ exc.solution
         raise ThetaDegenerateError(f"singular normal equations: {exc}", solution=S) from exc
     return W if q is None else q.mT @ W
+
+
+def _q_sign(q):
+    # the sign s with q^T = s q (+1 for None, the identity), read off <q, q^T>
+    return 1.0 if q is None or np.vdot(q, q.mT) > 0 else -1.0
 
 
 def project_tangent(spec, point, D):
@@ -215,15 +259,9 @@ def random_tangent(spec, point, seed=0):
 
 
 def _cayley_apply(W, X):
-    n = W.shape[0]
-    A = np.eye(n) - 0.5 * W
-    try:
-        out = np.linalg.solve(A, X + 0.5 * (W @ X))
-    except np.linalg.LinAlgError as exc:
-        raise RetractError("singular local system; halve the step") from exc
-    if not np.all(np.isfinite(out)):
-        raise RetractError("non-finite retraction output; halve the step")
-    return out
+    # dense (I - W/2)^{-1} (I + W/2) X for random_feasible, whose ||W||_F <= 1
+    # keeps I - W/2 invertible
+    return np.linalg.solve(np.eye(W.shape[0]) - 0.5 * W, X + 0.5 * (W @ X))
 
 
 def _inv_sqrt_correction(Y, K):
@@ -288,12 +326,6 @@ class GeneralizedStiefel(ManifoldSpec):
     def phi(self, X):
         return self.B @ X
 
-    def retract(self, point, Z):
-        if not np.any(Z):
-            return point
-        Y = point.X + Z
-        return _finish_retraction(self, _inv_sqrt_correction(Y, Y.mT @ (self.B @ Y)))
-
     def random_feasible(self, seed=0):
         rng = np.random.default_rng(seed)
         G = rng.standard_normal((self.n, self.p))
@@ -311,15 +343,6 @@ def symplectic_j(m):
     J[:m, m:] = np.eye(m)
     J[m:, :m] = -np.eye(m)
     return J
-
-
-def _j_left(Y):
-    """J_{2m} @ Y as a signed swap of the row halves (exact)."""
-    m = Y.shape[0] // 2
-    out = np.empty_like(Y)
-    out[:m] = Y[m:]
-    np.negative(Y[:m], out=out[m:])
-    return out
 
 
 def _j_right(Y):
@@ -353,16 +376,6 @@ class SymplecticStiefel(ManifoldSpec):
         np.negative(X[:m, k:], out=out[m:, :k])
         out[m:, k:] = X[:m, :k]
         return out
-
-    def retract(self, point, Z):
-        if not np.any(Z):
-            return point
-        X = point.X
-        u = _j_left(X)                       # u^T X = -J_{2p} at feasible X
-        Y = _j_right(X)                      # so Y^T u = I
-        Mt = sym(Z.mT @ u)
-        S = Z @ Y.mT + Y @ Z.mT - Y @ Mt @ Y.mT
-        return _finish_retraction(self, _cayley_apply(_j_right(S), X))
 
     def random_feasible(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -406,16 +419,6 @@ class IndefiniteStiefel(ManifoldSpec):
 
     def phi(self, X):
         return self.A @ X @ self.J
-
-    def retract(self, point, Z):
-        if not np.any(Z):
-            return point
-        X = point.X
-        u = self.A @ X                       # u^T X = J at feasible X
-        Y = X @ self.J                       # so Y^T u = I
-        Mt = skew(Z.mT @ u)
-        S = Z @ Y.mT - Y @ Z.mT + Y @ Mt @ Y.mT
-        return _finish_retraction(self, _cayley_apply(S @ self.A, X))
 
     def random_feasible(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -467,12 +470,6 @@ class Hyperbolic(ManifoldSpec):
 
     def phi(self, X):
         return self.H @ X
-
-    def retract(self, point, Z):
-        if not np.any(Z):
-            return point
-        Y = point.X + Z
-        return _finish_retraction(self, _inv_sqrt_correction(Y, Y.mT @ (self.H @ Y)))
 
     def random_feasible(self, seed=0):
         rng = np.random.default_rng(seed)

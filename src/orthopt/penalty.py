@@ -209,10 +209,11 @@ def postprocess(spec, X, eps_f=1e-12, max_rounds=50):
     """Drive the constraint residual under eps_f by repeated dissolving.
 
     Each round is one base point: its residual C and its A(X), the next
-    iterate, share one phi(X) and one Gram matrix.  Returns
-    (FeasiblePoint, rounds).  Raises PostprocessDivergence (with the
-    residual trace attached) when the iterate sits outside the contraction
-    basin or the target cannot be met within max_rounds.
+    iterate, share one phi(X) and one Gram matrix, and the returned point
+    reuses those of the last base.  Returns (FeasiblePoint, rounds).
+    Raises PostprocessDivergence (with the residual trace attached) when the
+    iterate sits outside the contraction basin or the target cannot be met
+    within max_rounds.
     """
     base = EvalCache.at(spec, X)
     c = np.linalg.norm(base.C)
@@ -229,7 +230,7 @@ def postprocess(spec, X, eps_f=1e-12, max_rounds=50):
         c = np.linalg.norm(base.C)
         rounds += 1
         trace.append(c)
-    return FeasiblePoint(spec, base.X, tol=max(eps_f, 1e-12)), rounds
+    return FeasiblePoint.from_parts(spec, base.X, base.phiX, base.gram, tol=max(eps_f, 1e-12)), rounds
 
 
 def stationarity_report(pf, X, eps_f=1e-12, max_rounds=50):

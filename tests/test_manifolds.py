@@ -3,16 +3,18 @@ import pytest
 
 import orthopt as op
 from orthopt.diagnostics import desk_specs
+from orthopt.linalg import skew, sym
 from orthopt.manifolds import (
     FeasibilityError,
     FeasiblePoint,
     RetractError,
     ThetaDegenerateError,
-    _j_left,
+    _cayley_apply,
     _j_right,
     constraint,
     project_tangent,
     random_tangent,
+    retract,
     riemannian_gradient,
     riemannian_hessvec,
     spec_from_record,
@@ -59,7 +61,6 @@ def test_symplectic_swaps_equal_dense_j_products():
     X = rng.standard_normal((12, 4))
     S = rng.standard_normal((12, 12))
     Jn = symplectic_j(6)
-    assert np.array_equal(_j_left(X), Jn @ X)
     assert np.array_equal(_j_right(X), X @ spec.q)
     assert np.array_equal(_j_right(S), S @ Jn)
 
@@ -348,6 +349,48 @@ def test_retract_first_order_slope(spec):
     errs = [np.linalg.norm(spec.retract(pt, t * Z).X - (pt.X + t * Z)) for t in ts]
     slope = np.polyfit(np.log(ts), np.log(errs), 1)[0]
     assert slope >= 1.9
+
+
+def _dense_cayley_generator(spec, X, Z):
+    # the n x n Cayley generator W = S J_2n (symplectic) or S A (indefinite)
+    if spec.name == "symplectic-stiefel":
+        Jn = symplectic_j(spec.n // 2)
+        u, Y = Jn @ X, X @ spec.q            # u^T X = -J_2p, Y^T u = I
+        S = Z @ Y.T + Y @ Z.T - Y @ sym(Z.T @ u) @ Y.T
+        return S @ Jn
+    u, Y = spec.A @ X, X @ spec.J            # u^T X = J, Y^T u = I
+    S = Z @ Y.T - Y @ Z.T + Y @ skew(Z.T @ u) @ Y.T
+    return S @ spec.A
+
+
+CAYLEY_SPECS = [
+    (op.symplectic_stiefel, (8, 4)),
+    (op.symplectic_stiefel, (1000, 20)),
+    (op.indefinite_stiefel, (9, 3, 5, 2)),
+    (op.indefinite_stiefel, (120, 24, 60, 12)),
+]
+
+
+@pytest.mark.parametrize("make,args", CAYLEY_SPECS, ids=[f"{m.__name__}{a}" for m, a in CAYLEY_SPECS])
+def test_low_rank_cayley_matches_dense_reference(make, args):
+    spec = make(*args)
+    pt = spec.random_feasible(31)
+    Z = random_tangent(spec, pt, 32)
+    Z *= 0.5 / np.linalg.norm(Z)
+    ref = _cayley_apply(_dense_cayley_generator(spec, pt.X, Z), pt.X)
+    new = retract(spec, pt, Z).X
+    assert np.linalg.norm(new - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("make,args", CAYLEY_SPECS[::2], ids=[m.__name__ for m, _ in CAYLEY_SPECS[::2]])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_retract_non_finite_step_raises(make, args, bad):
+    spec = make(*args)
+    pt = spec.random_feasible(33)
+    Z = random_tangent(spec, pt, 34)
+    Z[0, 0] = bad
+    with pytest.raises(RetractError):
+        spec.retract(pt, Z)
 
 
 def test_retract_step_too_large_raises():
