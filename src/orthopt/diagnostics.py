@@ -21,6 +21,18 @@ def desk_specs(seed=0):
     ]
 
 
+def battery_specs(seed=0):
+    """The specs the invariant battery runs over, by label: the desk specs
+    under their family names, and an indefinite-stiefel spec whose A is a
+    rotated diagonal, so that its phi takes the dense route."""
+    specs = {spec.name: spec for spec in desk_specs(seed)}
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+    A = (Q * np.array([3.0, 2.0, 1.5, 1.0, 0.5, -1.0, -2.0, -3.0, -4.0])) @ Q.T
+    specs["indefinite-stiefel-dense"] = mf.indefinite_stiefel(9, 3, k=5, p_k=2, A=A)
+    return specs
+
+
 def _unit(rng, spec):
     V = spec.random_ambient(rng)
     return V / np.linalg.norm(V)
@@ -147,16 +159,17 @@ CHECKS = [
 
 
 def run_selftest(stream=None, seed=0):
-    """Run the battery over every desk-scale family; returns overall success."""
+    """Run the battery over every desk-scale family and the dense-A
+    indefinite frames; returns overall success."""
     def emit(line):
         if stream is not None:
             stream.write(line + "\n")
     ok_all = True
     t0 = time.perf_counter()
     for name, fn in CHECKS:
-        for spec in desk_specs(seed):
+        for label, spec in battery_specs(seed).items():
             ok, value = fn(spec)
             ok_all &= ok
-            emit(f"[{'PASS' if ok else 'FAIL'}] {name:<26} {spec.name:<20} ({value:.3e})")
+            emit(f"[{'PASS' if ok else 'FAIL'}] {name:<26} {label:<26} ({value:.3e})")
     emit(f"selftest {'passed' if ok_all else 'FAILED'} in {time.perf_counter() - t0:.2f}s")
     return ok_all

@@ -393,7 +393,15 @@ class SymplecticStiefel(ManifoldSpec):
 
 
 class IndefiniteStiefel(ManifoldSpec):
-    """Frames with X^T A X = J for symmetric nonsingular A and a signature J."""
+    """Frames with X^T A X = J for symmetric nonsingular A and a signature J.
+
+    phi(X) = A X J.  A diagonal A (the default) is held as its diagonal
+    ``a``, and phi is the elementwise scaling X * w with the n x p weight
+    w = a diag(J)^T, at O(n p) and equal bit for bit to the dense product,
+    since each entry of A X J has one nonzero term.  A custom non-diagonal
+    A is kept dense and phi is (A X) * diag(J)^T.  ``spec.A`` builds the
+    dense matrix on demand.
+    """
 
     name = "indefinite-stiefel"
 
@@ -404,21 +412,38 @@ class IndefiniteStiefel(ManifoldSpec):
             raise ValueError(f"infeasible block sizes k={k}, p_k={p_k} for (n, p)=({n}, {p})")
         self.k, self.p_k = int(k), int(p_k)
         self._default_A = A is None
-        if A is None:
-            A = np.diag(np.concatenate([np.arange(1.0, k + 1.0), -np.arange(float(m), 0.0, -1.0)]))
-        self.A = sym(np.asarray(A, dtype=float))
-        self.J = np.diag(np.concatenate([np.ones(p_k), -np.ones(p_m)]))
-        self.q = self.J
-        w, V = np.linalg.eigh(self.A)
+        self._j = np.concatenate([np.ones(p_k), -np.ones(p_m)])
+        self.J = self.q = np.diag(self._j)
+        if A is not None:
+            A = sym(np.asarray(A, dtype=float))
+        if A is None or np.count_nonzero(A) == np.count_nonzero(np.diagonal(A)):
+            # the eigenpairs of a diagonal A are its entries and the unit
+            # vectors, so its sorted eigenvector matrix is the permutation _order
+            if A is None:
+                self.a = np.concatenate([np.arange(1.0, k + 1.0), -np.arange(float(m), 0.0, -1.0)])
+            else:
+                self.a = np.diagonal(A).copy()
+            self._A, self._w, w = None, self.a[:, None] * self._j, self.a
+        else:
+            self.a, self._A = None, A
+            w, V = np.linalg.eigh(A)
         if np.abs(w).min() < 1e-12 * np.abs(w).max():
             raise ValueError("A must be nonsingular")
-        order = np.argsort(-w)               # positive eigenvalues first
-        self._eigw, self._eigv = w[order], V[:, order]
+        self._order = np.argsort(-w)         # positive eigenvalues first
+        self._eigw = w[self._order]
+        self._eigv = None if self._A is None else V[:, self._order]
         if (self._eigw > 0).sum() < p_k or (self._eigw < 0).sum() < p - p_k:
             raise ValueError("signature of A cannot carry the requested (p_k, p_m)")
 
+    @property
+    def A(self):
+        """A as a dense n x n matrix (built on demand when A is diagonal)."""
+        return np.diag(self.a) if self._A is None else self._A
+
     def phi(self, X):
-        return self.A @ X @ self.J
+        if self._A is None:
+            return X * self._w
+        return (self._A @ X) * self._j
 
     def random_feasible(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -429,8 +454,17 @@ class IndefiniteStiefel(ManifoldSpec):
             Yt[:npos, :self.p_k] = qr_posdiag(rng.standard_normal((npos, self.p_k)))[0]
         if p_m:
             Yt[npos:, self.p_k:] = qr_posdiag(rng.standard_normal((self.n - npos, p_m)))[0]
-        X = (self._eigv / np.sqrt(np.abs(self._eigw))) @ Yt
-        W = skew(rng.standard_normal((self.n, self.n))) @ self.A
+        root = np.sqrt(np.abs(self._eigw))
+        S = skew(rng.standard_normal((self.n, self.n)))
+        if self._A is None:
+            # (V / root) Yt and S A for a permutation V and a diagonal A: row
+            # and column scalings, equal bit for bit to the dense products
+            X = np.empty_like(Yt)
+            X[self._order] = (1.0 / root)[:, None] * Yt
+            W = S * self.a
+        else:
+            X = (self._eigv / root) @ Yt
+            W = S @ self._A
         W *= 1.0 / max(1.0, np.linalg.norm(W))
         return FeasiblePoint(self, _cayley_apply(W, X), tol=1e-10)
 

@@ -16,6 +16,8 @@ dA, dA* and dC* are each written once as a kernel over it, which the solvers
 and the public derivatives share.  ``postprocess`` costs one phi per round.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .manifolds import FeasiblePoint, riemannian_gradient
@@ -86,20 +88,33 @@ class PenaltyFunction:
         return penalty_hessvec(self, X, dX, cache)
 
 
+@lru_cache(maxsize=16)
+def _eye(p):
+    # one read-only p x p identity per size, shared by every base point
+    eye = np.eye(p)
+    eye.flags.writeable = False
+    return eye
+
+
 class EvalCache:
     """The base point of the penalty algebra: X, phi(X), the Gram matrix
-    G = X^T phi(X), the constraint residual C = G - I, A(X), and grad f(A(X)).
+    G = X^T phi(X), the constraint residual C = G - I, the factor
+    lead = 1.5 I - 0.5 G of dA*, A(X), and grad f(A(X)).  ``src`` is the
+    array object the base was last asked for.
 
     Also meters the work done through it: dense products of n x p / p x p
-    shape, phi applications, and objective/gradient oracle calls.
+    shape, phi applications, and objective/gradient oracle calls.  Caches
+    built with the same ``counts`` dict share one meter.
     """
 
-    def __init__(self):
-        self.counts = {"matmul": 0, "phi": 0, "grad_f": 0, "f": 0}
+    def __init__(self, counts=None):
+        self.counts = counts if counts is not None else {"matmul": 0, "phi": 0, "grad_f": 0, "f": 0}
+        self.src = None
         self.X = None
         self.phiX = None
         self.gram = None
         self.C = None
+        self.lead = None
         self.AX = None
         self.gradfA = None
 
@@ -123,13 +138,16 @@ class EvalCache:
         return spec.phi(Y)
 
     def ensure_base(self, spec, X):
+        self.src = X
         X = np.asarray(X, dtype=float)
         if self.X is not None and self.X.shape == X.shape and np.array_equal(self.X, X):
             return
         self.X = X = X.copy()
         self.phiX = self._phi(spec, X)
         self.gram = self._mm(X.mT, self.phiX)
-        self.C = self.gram - np.eye(spec.p)
+        eye = _eye(spec.p)
+        self.C = self.gram - eye
+        self.lead = 1.5 * eye - 0.5 * self.gram
         self.AX = 1.5 * X - 0.5 * self._mm(X, self.gram.mT)
         self.gradfA = None
 
@@ -159,7 +177,7 @@ def _dC_adjoint(cache, spec, T):
 
 def _dA_adjoint(cache, spec, V):
     """dA(X)*[V] = V (1.5 I - 0.5 G) - 0.5 dC(X)*[V^T X]; 4 products, 1 phi."""
-    lead = cache._mm(V, 1.5 * np.eye(spec.p) - 0.5 * cache.gram)
+    lead = cache._mm(V, cache.lead)
     return lead - 0.5 * _dC_adjoint(cache, spec, cache._mm(V.mT, cache.X))
 
 
@@ -192,12 +210,12 @@ def penalty_hessvec(pf, X, dX, cache=None):
     cache = cache if cache is not None else EvalCache()
     dX = np.asarray(dX, dtype=float)
     cache.ensure_grad(pf.problem, spec, X)
-    X, phiX, G, Gf = cache.X, cache.phiX, cache.gram, cache.gradfA
+    X, phiX, Gf = cache.X, cache.phiX, cache.gradfA
     mm = cache._mm
     DAdX, phiD, P, Q = _dA(cache, spec, dX)
     Hf = pf.problem.hessvec(cache.AX, DAdX)
     R = mm(X.mT, Hf)
-    lead = mm(Hf, 1.5 * np.eye(spec.p) - 0.5 * G)
+    lead = mm(Hf, cache.lead)
     on_phiX = (-0.5 * (spec.gen_sym(R.mT) + spec.gen_sym(mm(Gf.mT, dX)))
                + pf.beta * (spec.gen_sym(Q.mT) + spec.gen_sym(P.mT)))
     on_phiD = pf.beta * spec.gen_sym(cache.C) - 0.5 * spec.gen_sym(mm(Gf.mT, X))

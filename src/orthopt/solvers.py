@@ -148,25 +148,41 @@ class FunctionOracle(_FlatOracle):
 
 
 class PenaltyOracle(_FlatOracle):
-    """Penalty function with a shared evaluation cache and work counters."""
+    """Penalty function over two evaluation caches that share one meter.
+
+    ``cache`` is the base that gradients and Hessian-vector products are
+    taken at; values go to ``trial``, so a rejected line-search or
+    trust-region trial does not evict the base.  A gradient asked for at
+    the point the last value was taken at adopts that trial base.  Points
+    are matched first by identity, which the loop can rely on because it
+    never changes an evaluated point in place: ``feas`` at the point of
+    the last gradient reads the residual that gradient formed.
+    """
 
     def __init__(self, pf):
         self.pf = pf
         self.cache = EvalCache()
+        self.trial = EvalCache(counts=self.cache.counts)
 
     def value(self, x):
-        return penalty_value(self.pf, x, self.cache)
+        return penalty_value(self.pf, x, self.trial)
+
+    def _base(self, x):
+        if x is self.trial.src and x is not self.cache.src:
+            self.cache, self.trial = self.trial, self.cache
+        return self.cache
 
     def grad(self, x):
-        return penalty_gradient(self.pf, x, self.cache)
+        return penalty_gradient(self.pf, x, self._base(x))
 
     def hessvec(self, x, v):
         if self.pf.problem.hessvec is None:
             return super().hessvec(x, v)
-        return penalty_hessvec(self.pf, x, v, self.cache)
+        return penalty_hessvec(self.pf, x, v, self._base(x))
 
     def feas(self, x):
-        self.cache.ensure_base(self.pf.spec, x)
+        if x is not self.cache.src:
+            self._base(x).ensure_base(self.pf.spec, x)
         return float(np.linalg.norm(self.cache.C))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import orthopt as op
-from orthopt.diagnostics import desk_specs
+from orthopt.diagnostics import battery_specs, check_assumptions, check_constraint_in_s1
 from orthopt.linalg import skew, sym
 from orthopt.manifolds import (
     FeasibilityError,
@@ -23,11 +23,13 @@ from orthopt.manifolds import (
     theta_lstsq,
     vector_transport,
 )
+from orthopt.tensor import qr_posdiag
 
-SPECS = desk_specs()
+# the six desk families and indefinite frames with a rotated A (dense phi)
+SPECS = battery_specs()
 
 
-@pytest.fixture(params=SPECS, ids=[s.name for s in SPECS])
+@pytest.fixture(params=list(SPECS.values()), ids=list(SPECS))
 def spec(request):
     return request.param
 
@@ -65,6 +67,51 @@ def test_symplectic_swaps_equal_dense_j_products():
     assert np.array_equal(_j_right(S), S @ Jn)
 
 
+@pytest.mark.parametrize("args", [(9, 3, 5, 2), (120, 24, 60, 12)])
+def test_indefinite_phi_scaling_equals_dense_product(args):
+    spec = op.indefinite_stiefel(*args)
+    X = np.random.default_rng(args[0]).standard_normal(args[:2])
+    np.testing.assert_array_equal(spec.phi(X), np.diag(spec.a) @ X @ spec.J)
+
+
+def test_indefinite_default_spec_holds_no_n_by_n_array():
+    spec = op.indefinite_stiefel(1000, 24, 500, 12)
+    shapes = [v.shape for v in vars(spec).values() if isinstance(v, np.ndarray)]
+    assert (1000, 1000) not in shapes
+    assert spec.A.shape == (1000, 1000)
+
+
+def _dense_eigh_random_feasible(spec, seed):
+    # the dense construction: eigh of A, X = V |w|^{-1/2} Yt, W = skew(.) A
+    w, V = np.linalg.eigh(spec.A)
+    order = np.argsort(-w)
+    w, V = w[order], V[:, order]
+    rng = np.random.default_rng(seed)
+    npos, p_m = int((w > 0).sum()), spec.p - spec.p_k
+    Yt = np.zeros((spec.n, spec.p))
+    Yt[:npos, :spec.p_k] = qr_posdiag(rng.standard_normal((npos, spec.p_k)))[0]
+    Yt[npos:, spec.p_k:] = qr_posdiag(rng.standard_normal((spec.n - npos, p_m)))[0]
+    X = (V / np.sqrt(np.abs(w))) @ Yt
+    W = skew(rng.standard_normal((spec.n, spec.n))) @ spec.A
+    W *= 1.0 / max(1.0, np.linalg.norm(W))
+    return _cayley_apply(W, X)
+
+
+@pytest.mark.parametrize("args", [(9, 3, 5, 2), (120, 24, 60, 12)])
+def test_indefinite_random_feasible_matches_dense_eigh(args):
+    spec = op.indefinite_stiefel(*args)
+    for seed in range(3):
+        np.testing.assert_array_equal(spec.random_feasible(seed).X,
+                                      _dense_eigh_random_feasible(spec, seed))
+
+
+def test_indefinite_rotated_A_phi_equals_dense_product():
+    spec = SPECS["indefinite-stiefel-dense"]
+    assert spec.a is None and not np.allclose(spec.A, np.diag(np.diagonal(spec.A)))
+    X = np.random.default_rng(46).standard_normal((9, 3))
+    np.testing.assert_array_equal(spec.phi(X), spec.A @ X @ spec.J)
+
+
 def test_constraint_scaled_column():
     spec = op.stiefel(2, 1)
     np.testing.assert_allclose(constraint(spec, np.array([[2.0], [0.0]])), [[3.0]])
@@ -88,6 +135,14 @@ def test_gen_sym_doubles_symmetric_on_identity_psi():
 def test_gen_sym_signature_matrix_doubles():
     spec = op.indefinite_stiefel(9, 3, k=5, p_k=2)
     np.testing.assert_allclose(op.gen_sym(spec, spec.J), 2.0 * spec.J)
+
+
+def test_assumption_identities(spec):
+    # phi self-adjoint, phi(X T) = phi(X) psi(T), psi(phi(X)^T X) = X^T phi(X)
+    ok, worst = check_assumptions(spec)
+    assert ok, worst
+    ok, worst = check_constraint_in_s1(spec)
+    assert ok, worst
 
 
 def test_gen_sym_lands_in_s1_span(spec):
@@ -373,7 +428,14 @@ CAYLEY_SPECS = [
 
 @pytest.mark.parametrize("make,args", CAYLEY_SPECS, ids=[f"{m.__name__}{a}" for m, a in CAYLEY_SPECS])
 def test_low_rank_cayley_matches_dense_reference(make, args):
-    spec = make(*args)
+    _check_low_rank_cayley(make(*args))
+
+
+def test_low_rank_cayley_matches_dense_reference_rotated_A():
+    _check_low_rank_cayley(SPECS["indefinite-stiefel-dense"])
+
+
+def _check_low_rank_cayley(spec):
     pt = spec.random_feasible(31)
     Z = random_tangent(spec, pt, 32)
     Z *= 0.5 / np.linalg.norm(Z)
@@ -446,6 +508,10 @@ def test_constraint_jacobian_rank_matches_s1_dimension(spec):
 def test_spec_record_round_trip(spec):
     if spec.name == "generalized-stiefel" and spec.seed is None:
         pytest.skip("custom matrix not serializable")
+    if spec.name == "indefinite-stiefel" and spec.a is None:   # rotated custom A
+        with pytest.raises(ValueError):
+            spec.record()
+        return
     rec = spec.record()
     clone = spec_from_record({k: str(v) for k, v in rec.items()})
     X = spec.random_feasible(1).X

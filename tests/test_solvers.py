@@ -164,6 +164,38 @@ def test_cdf_tr_hessvec_budget_on_desk_instance():
     assert r.phase_counts["hessvec"] <= 600
 
 
+def test_cdf_tr_rejected_trials_keep_the_base():
+    # trial values go to a second cache, so after a rejected trial the next
+    # Hessian-vector product at x reuses grad f(A(X)); with one shared cache
+    # this solve took 46 grad f calls for its 38 gradients
+    pf, prob = lsm_desk()
+    oracle = PenaltyOracle(pf)
+    r = trust_ncg(oracle, prob.spec.random_feasible(3).X, SolverConfig(grad_tol=1e-5, max_iter=50000))
+    assert (r.status, r.iters) == (STATUS_GRAD_TOL, 37)
+    assert r.phase_counts["objective"] > r.iters                  # some trials were rejected
+    assert oracle.cache.counts["grad_f"] == r.phase_counts["gradient"] == 38
+
+
+def test_penalty_oracle_feas_reads_the_base_at_any_point():
+    pf, prob = lsm_desk()
+    spec = prob.spec
+    rng = np.random.default_rng(4)
+    x, y = (spec.random_feasible(s).X + 0.01 * rng.standard_normal((spec.n, spec.p)) for s in (4, 5))
+
+    def residual(z):
+        return float(np.linalg.norm(z.T @ spec.phi(z) - np.eye(spec.p)))
+
+    oracle = PenaltyOracle(pf)
+    oracle.grad(x)
+    phi = oracle.cache.counts["phi"]
+    assert oracle.feas(x) == residual(x)
+    assert oracle.cache.counts["phi"] == phi                      # read off the gradient's base
+    oracle.value(y)
+    assert oracle.feas(x) == residual(x)                          # a trial value leaves it
+    assert oracle.feas(y) == residual(y)                          # the trial point's own base
+    assert oracle.feas(x.copy()) == residual(x)                   # an equal copy
+
+
 @pytest.mark.parametrize("solver_id,per_iter", [
     ("cdf-gd", 1), ("cdf-cg", 2), ("cdf-lbfgs", 1), ("rgd", 1), ("rcg", 1)])
 def test_one_gradient_per_accepted_point(solver_id, per_iter):
