@@ -99,7 +99,8 @@ def _eye(p):
 class EvalCache:
     """The base point of the penalty algebra: X, phi(X), the Gram matrix
     G = X^T phi(X), the constraint residual C = G - I, the factor
-    lead = 1.5 I - 0.5 G of dA*, A(X), and grad f(A(X)).  ``src`` is the
+    lead = 1.5 I - 0.5 G of dA*, A(X), and grad f(A(X)), which a value
+    taken through the problem's ``value_grad`` fills too.  ``src`` is the
     array object the base was last asked for.
 
     Also meters the work done through it: dense products of n x p / p x p
@@ -182,10 +183,17 @@ def _dA_adjoint(cache, spec, V):
 
 
 def penalty_value(pf, X, cache=None):
+    """h(X).  With the problem's fused ``value_grad``, grad f(A(X)) comes
+    along and is kept in the base, so a gradient there costs no oracle call."""
     cache = cache if cache is not None else EvalCache()
     cache.ensure_base(pf.spec, X)
     cache.counts["f"] += 1
-    return float(pf.problem.f(cache.AX)) + 0.5 * pf.beta * float(np.vdot(cache.C, cache.C))
+    if pf.problem.value_grad is not None and cache.gradfA is None:
+        cache.counts["grad_f"] += 1
+        fA, cache.gradfA = pf.problem.value_grad(cache.AX)
+    else:
+        fA = pf.problem.f(cache.AX)
+    return float(fA) + 0.5 * pf.beta * float(np.vdot(cache.C, cache.C))
 
 
 def penalty_gradient(pf, X, cache=None):

@@ -19,14 +19,20 @@ class Problem:
 
     f maps a point of shape ``spec.batch + (n, p)`` to a scalar, grad returns
     the Euclidean gradient, hessvec (optional) the Euclidean Hessian action.
+    value_grad (optional) returns the pair (f(X), grad(X)) from one pass; a
+    problem supplies it only when the gradient costs little beyond the value
+    (they share the dominant product), because the solvers then take the
+    gradient along with every value, including values at trial points that
+    the line search or trust region rejects.
     """
 
     def __init__(self, spec, f, grad, hessvec=None, name="problem",
-                 metadata=None, check_gradient=True, check_seed=1234):
+                 metadata=None, check_gradient=True, check_seed=1234, value_grad=None):
         self.spec = spec
         self.f = f
         self.grad = grad
         self.hessvec = hessvec
+        self.value_grad = value_grad
         self.name = name
         self.metadata = dict(metadata or {})
         self.gradient_checked = False
@@ -34,7 +40,12 @@ class Problem:
             self._check_gradient(check_seed)
             self.gradient_checked = True
 
-    def _check_gradient(self, seed, points=5, step=1e-5, tol=1e-6):
+    def _check_gradient(self, seed, points=5, step=1e-5, tol=1e-6, agree=1e-10):
+        """grad against central differences of f at ``points`` random
+        points, and value_grad (if any) against f and grad to ``agree``
+        relative at the last of them.  Agreement is an identity, not an
+        estimate, so one generic point shows a wrong fused formula; each
+        further point would cost two more objective evaluations in set-up."""
         rng = np.random.default_rng(seed)
         for _ in range(points):
             X = self.spec.random_ambient(rng)
@@ -42,10 +53,22 @@ class Problem:
             V = self.spec.random_ambient(rng)
             V /= np.linalg.norm(V)
             fd = (self.f(X + step * V) - self.f(X - step * V)) / (2.0 * step)
-            an = float(np.vdot(self.grad(X), V))
+            g = self.grad(X)
+            an = float(np.vdot(g, V))
             if abs(fd - an) > tol * max(1.0, abs(fd)):
                 raise ValueError(
                     f"{self.name}: gradient check failed ({an:.9e} vs fd {fd:.9e})")
+        if self.value_grad is not None:
+            self._check_value_grad(X, g, agree)
+
+    def _check_value_grad(self, X, g, agree):
+        fx = float(self.f(X))
+        v, vg = self.value_grad(X)
+        if not abs(float(v) - fx) <= agree * max(1.0, abs(fx)):
+            raise ValueError(f"{self.name}: value_grad value {float(v):.9e} differs from f {fx:.9e}")
+        err = float(np.linalg.norm(np.asarray(vg) - g))
+        if not err <= agree * max(1.0, float(np.linalg.norm(g))):
+            raise ValueError(f"{self.name}: value_grad gradient differs from grad by {err:.3e}")
 
     def __repr__(self):
         return f"Problem({self.name}, spec={self.spec!r})"
@@ -78,12 +101,17 @@ def build_lsm(n2, p2, seed=0, a=None, b=None):
     def grad(X):
         return 2.0 * (A @ X) * mu
 
+    def value_grad(X):
+        # one product A X for both; doubling is exact, so each half equals f and grad bit for bit
+        G = A @ X * mu
+        return float(np.vdot(X, G)), 2.0 * G
+
     def hessvec(X, V):
         return 2.0 * (A @ V) * mu
 
     meta = {"problem": "lsm", "n": n2, "p": p2, "seed": seed, "a": a, "b": b,
             "beta_default": 0.012, "rng": "pcg64"}
-    prob = Problem(spec, f, grad, hessvec, name="lsm", metadata=meta)
+    prob = Problem(spec, f, grad, hessvec, name="lsm", metadata=meta, value_grad=value_grad)
     prob.A = A
     prob.N_diag = mu
     return prob

@@ -40,6 +40,7 @@ BB_MAX = 1e10
 TR_INIT_RADIUS = 1.0
 TR_MAX_RADIUS = 1e3
 TR_ACCEPT = 0.15          # least rho that accepts a trust-region step
+TR_RHO_REG = 1e3 * np.finfo(float).eps   # rho regularization per unit of max(1, |h|)
 LBFGS_MEMORY = 10         # (s, y) pairs kept by L-BFGS
 # truncated-CG forcing rule ||r|| <= ||g|| min(TCG_KAPPA, ||g||^TCG_THETA)
 TCG_KAPPA = 0.05
@@ -153,7 +154,9 @@ class PenaltyOracle(_FlatOracle):
     ``cache`` is the base that gradients and Hessian-vector products are
     taken at; values go to ``trial``, so a rejected line-search or
     trust-region trial does not evict the base.  A gradient asked for at
-    the point the last value was taken at adopts that trial base.  Points
+    the point the last value was taken at adopts that trial base, which
+    already holds grad f(A(X)) when the problem has a fused ``value_grad``
+    (see ``penalty_value``).  Points
     are matched first by identity, which the loop can rely on because it
     never changes an evaluated point in place: ``feas`` at the point of
     the last gradient reads the residual that gradient formed.
@@ -191,10 +194,14 @@ class ManifoldOracle:
 
     Iterates are FeasiblePoints.  A step the retraction cannot take
     (RetractError) is a rejected trial, reported as ``move`` returning None.
+    A problem with a fused ``value_grad`` leaves the Euclidean gradient of
+    the last valued point in a one-entry cache keyed by identity, which a
+    gradient at that same point reads.
     """
 
     def __init__(self, problem, spec):
         self.problem, self.spec = problem, spec
+        self._valued = self._egrad = None
 
     def start(self, x0, clock):
         point = x0 if isinstance(x0, FeasiblePoint) else FeasiblePoint(self.spec, x0, tol=1e-8)
@@ -205,10 +212,15 @@ class ManifoldOracle:
         return point, h, g
 
     def value(self, point):
-        return float(self.problem.f(point.X))
+        if self.problem.value_grad is None:
+            return float(self.problem.f(point.X))
+        fx, self._egrad = self.problem.value_grad(point.X)
+        self._valued = point
+        return float(fx)
 
     def grad(self, point):
-        return riemannian_gradient(self.spec, point, self.problem.grad(point.X))
+        egrad = self._egrad if point is self._valued else self.problem.grad(point.X)
+        return riemannian_gradient(self.spec, point, egrad)
 
     def move(self, point, step, clock):
         try:
@@ -465,7 +477,10 @@ class TrustRegion:
     below 0.084: a larger one stops CG after two of three steps on a 3 x 3
     diagonal quadratic whose minimizer fits in the radius, and the exact
     single step is lost.  The inner solve also returns H p, so the predicted
-    reduction costs no extra Hessian-vector product.
+    reduction costs no extra Hessian-vector product.  The ratio rho adds
+    delta = 1e3 eps max(1, |h|) to both reductions (Absil, Baker & Gallivan
+    2007), so trials near the solution, where h - h_trial is mostly
+    rounding, do not shrink the radius at random.
     """
 
     def __init__(self):
@@ -484,7 +499,8 @@ class TrustRegion:
             xn = oracle.move(x, p, clock)
             with clock.phase("objective"):
                 h_trial = oracle.value(xn)
-            rho = (h - h_trial) / pred if pred > 0 else -1.0
+            delta = TR_RHO_REG * max(1.0, abs(h))
+            rho = (h - h_trial + delta) / (pred + delta) if pred > 0 else -1.0
             if not np.isfinite(rho):        # a non-finite trial value is a rejection
                 rho = -1.0
             if rho < 0.25:

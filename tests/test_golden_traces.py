@@ -1,4 +1,5 @@
-"""Pinned outcomes of the six solvers on the three desk configs at tol 1e-5.
+"""Pinned outcomes of the six solvers on the three desk configs at tol 1e-5,
+and a work budget for ``cdf-tr`` at tol 1e-9.
 
 Each solve starts from its config's ``x0_seed``.  Status and iteration count
 must match exactly and the final objective to 1e-12 relative, so a change
@@ -55,3 +56,13 @@ def test_golden_desk_solve(config, solver_id, status, iters, fval):
     r = run_solver(solver_id, pf, x0, SolverConfig(grad_tol=1e-5, max_iter=100000))
     assert (r.status, r.iters) == (status, iters)
     np.testing.assert_allclose(r.fval, fval, rtol=1e-12, atol=0.0)
+
+
+def test_cdf_tr_tol_1e9_hessvec_budget_on_lsm_desk():
+    # the regularized trust-region ratio keeps rho near 1 where h - h_trial
+    # is mostly rounding; with the plain ratio this solve took 835
+    # iterations and 157,929 Hessian-vector products, with it 202 and 29,710
+    pf, x0 = desk_bundle("lsm_desk")
+    r = run_solver("cdf-tr", pf, x0, SolverConfig(grad_tol=1e-9, max_iter=100000))
+    assert r.status == "GradTol"
+    assert r.phase_counts["hessvec"] <= 40000

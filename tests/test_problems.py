@@ -18,6 +18,22 @@ def test_problem_gradient_selftest_catches_bad_gradient():
                 lambda X: 3.0 * np.asarray(X), name="broken")
 
 
+def test_problem_selftest_catches_disagreeing_value_grad():
+    spec = op.stiefel(6, 2)
+
+    def f(X):
+        return float(np.vdot(X, X))
+
+    def grad(X):
+        return 2.0 * np.asarray(X)
+
+    Problem(spec, f, grad, value_grad=lambda X: (f(X), grad(X)), name="fused")
+    with pytest.raises(ValueError, match="value_grad value"):
+        Problem(spec, f, grad, value_grad=lambda X: (1.01 * f(X), grad(X)), name="bad value")
+    with pytest.raises(ValueError, match="value_grad gradient"):
+        Problem(spec, f, grad, value_grad=lambda X: (f(X), 3.0 * np.asarray(X)), name="bad grad")
+
+
 def test_problem_selftest_flag():
     prob = toy_problem(op.stiefel(5, 2), seed=0)
     assert prob.gradient_checked
@@ -48,6 +64,14 @@ def test_lsm_gradient_and_hessvec():
     hv = prob.hessvec(X, V)
     fd_h = (prob.grad(X + 1e-5 * V) - prob.grad(X - 1e-5 * V)) / 2e-5
     np.testing.assert_allclose(hv, fd_h, atol=1e-7)
+
+
+def test_lsm_value_grad_is_f_and_grad_bit_for_bit():
+    prob = build_lsm(10, 4, seed=1)
+    X = prob.spec.random_ambient(np.random.default_rng(3))
+    v, g = prob.value_grad(X)
+    assert v == prob.f(X)
+    np.testing.assert_array_equal(g, prob.grad(X))
 
 
 def test_lsm_explicit_spectrum_override():

@@ -43,8 +43,11 @@ def rosen_oracle():
     return FunctionOracle(f, g)
 
 
-def lsm_desk(beta=0.5, seed=0):
+def lsm_desk(beta=0.5, seed=0, fused=True):
     prob = op.build_lsm(20, 4, seed=seed)
+    if not fused:   # the same problem with its separate f and grad oracles only
+        prob = op.Problem(prob.spec, prob.f, prob.grad, prob.hessvec, name=prob.name,
+                          metadata=prob.metadata, check_gradient=False)
     return op.PenaltyFunction(prob.spec, prob, beta), prob
 
 
@@ -167,8 +170,9 @@ def test_cdf_tr_hessvec_budget_on_desk_instance():
 def test_cdf_tr_rejected_trials_keep_the_base():
     # trial values go to a second cache, so after a rejected trial the next
     # Hessian-vector product at x reuses grad f(A(X)); with one shared cache
-    # this solve took 46 grad f calls for its 38 gradients
-    pf, prob = lsm_desk()
+    # this solve took 46 grad f calls for its 38 gradients.  Without the
+    # fused oracle, so that values at trial points form no gradient.
+    pf, prob = lsm_desk(fused=False)
     oracle = PenaltyOracle(pf)
     r = trust_ncg(oracle, prob.spec.random_feasible(3).X, SolverConfig(grad_tol=1e-5, max_iter=50000))
     assert (r.status, r.iters) == (STATUS_GRAD_TOL, 37)
@@ -194,6 +198,38 @@ def test_penalty_oracle_feas_reads_the_base_at_any_point():
     assert oracle.feas(x) == residual(x)                          # a trial value leaves it
     assert oracle.feas(y) == residual(y)                          # the trial point's own base
     assert oracle.feas(x.copy()) == residual(x)                   # an equal copy
+
+
+@pytest.mark.parametrize("solver_id", ["cdf-gd", "cdf-cg", "cdf-lbfgs", "cdf-tr", "rgd", "rcg"])
+def test_fused_value_grad_takes_the_same_iterates(solver_id):
+    x0 = lsm_desk()[1].spec.random_feasible(3)
+    cfg = SolverConfig(grad_tol=1e-5, max_iter=50000)
+    r_fused, r_bare = (run_solver(solver_id, lsm_desk(fused=fused)[0], x0, cfg) for fused in (True, False))
+    assert (r_fused.status, r_fused.iters, repr(r_fused.fval)) == \
+        (r_bare.status, r_bare.iters, repr(r_bare.fval))
+    np.testing.assert_array_equal(r_fused.X, r_bare.X)
+
+
+@pytest.mark.parametrize("solver_id", ["cdf-gd", "cdf-cg", "rgd"])
+def test_separate_grad_oracle_only_where_no_value_was_taken(solver_id):
+    # the fused oracle hands each valued point its gradient; only the secant
+    # probes of cdf-cg, which are never valued, call grad on their own
+    pf, prob = lsm_desk()
+    calls = {"grad": 0, "value_grad": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    prob.grad = counting("grad", prob.grad)
+    prob.value_grad = counting("value_grad", prob.value_grad)
+    r = run_solver(solver_id, pf, prob.spec.random_feasible(3),
+                   SolverConfig(grad_tol=1e-5, max_iter=50000))
+    assert r.status == STATUS_GRAD_TOL
+    assert calls["grad"] == (r.iters if solver_id == "cdf-cg" else 0)
+    assert calls["value_grad"] >= r.iters + 1
 
 
 @pytest.mark.parametrize("solver_id,per_iter", [
