@@ -188,7 +188,7 @@ def penalty_value(pf, X, cache=None):
     cache = cache if cache is not None else EvalCache()
     cache.ensure_base(pf.spec, X)
     cache.counts["f"] += 1
-    if pf.problem.value_grad is not None and cache.gradfA is None:
+    if pf.problem.value_grad is not None:
         cache.counts["grad_f"] += 1
         fA, cache.gradfA = pf.problem.value_grad(cache.AX)
     else:

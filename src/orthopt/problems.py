@@ -13,6 +13,8 @@ import numpy as np
 from .manifolds import IndefiniteStiefel, SymplecticStiefel, TensorStiefel, spec_from_record
 from .tensor import qr_posdiag
 
+VALUE_GRAD_AGREE = 1e-10   # relative gap allowed between value_grad and (f, grad)
+
 
 class Problem:
     """Smooth objective attached to a manifold.
@@ -40,12 +42,13 @@ class Problem:
             self._check_gradient(check_seed)
             self.gradient_checked = True
 
-    def _check_gradient(self, seed, points=5, step=1e-5, tol=1e-6, agree=1e-10):
+    def _check_gradient(self, seed, points=5, step=1e-5, tol=1e-6):
         """grad against central differences of f at ``points`` random
-        points, and value_grad (if any) against f and grad to ``agree``
-        relative at the last of them.  Agreement is an identity, not an
-        estimate, so one generic point shows a wrong fused formula; each
-        further point would cost two more objective evaluations in set-up."""
+        points, and value_grad (if any) against f and grad to
+        VALUE_GRAD_AGREE relative at the last of them.  Agreement is an
+        identity, not an estimate, so one generic point shows a wrong fused
+        formula; each further point would cost two more objective
+        evaluations in set-up."""
         rng = np.random.default_rng(seed)
         for _ in range(points):
             X = self.spec.random_ambient(rng)
@@ -58,16 +61,14 @@ class Problem:
             if abs(fd - an) > tol * max(1.0, abs(fd)):
                 raise ValueError(
                     f"{self.name}: gradient check failed ({an:.9e} vs fd {fd:.9e})")
-        if self.value_grad is not None:
-            self._check_value_grad(X, g, agree)
-
-    def _check_value_grad(self, X, g, agree):
+        if self.value_grad is None:
+            return
         fx = float(self.f(X))
         v, vg = self.value_grad(X)
-        if not abs(float(v) - fx) <= agree * max(1.0, abs(fx)):
+        if not abs(float(v) - fx) <= VALUE_GRAD_AGREE * max(1.0, abs(fx)):
             raise ValueError(f"{self.name}: value_grad value {float(v):.9e} differs from f {fx:.9e}")
         err = float(np.linalg.norm(np.asarray(vg) - g))
-        if not err <= agree * max(1.0, float(np.linalg.norm(g))):
+        if not err <= VALUE_GRAD_AGREE * max(1.0, float(np.linalg.norm(g))):
             raise ValueError(f"{self.name}: value_grad gradient differs from grad by {err:.3e}")
 
     def __repr__(self):
@@ -95,16 +96,16 @@ def build_lsm(n2, p2, seed=0, a=None, b=None):
     A = 0.5 * (A + A.T)
     mu = 0.1 * np.exp(-np.arange(1.0, p2 + 1.0) / (p2 / 2.0))
 
-    def f(X):
-        return float(np.vdot(X, A @ X * mu))
-
-    def grad(X):
-        return 2.0 * (A @ X) * mu
-
     def value_grad(X):
-        # one product A X for both; doubling is exact, so each half equals f and grad bit for bit
+        # one product A X for the value and the gradient
         G = A @ X * mu
         return float(np.vdot(X, G)), 2.0 * G
+
+    def f(X):
+        return value_grad(X)[0]
+
+    def grad(X):
+        return value_grad(X)[1]
 
     def hessvec(X, V):
         return 2.0 * (A @ V) * mu

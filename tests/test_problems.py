@@ -66,12 +66,13 @@ def test_lsm_gradient_and_hessvec():
     np.testing.assert_allclose(hv, fd_h, atol=1e-7)
 
 
-def test_lsm_value_grad_is_f_and_grad_bit_for_bit():
+def test_lsm_value_grad_is_the_closed_form_bit_for_bit():
+    # tr(X^T A X N) and 2 A X N as separate products; doubling is exact
     prob = build_lsm(10, 4, seed=1)
     X = prob.spec.random_ambient(np.random.default_rng(3))
     v, g = prob.value_grad(X)
-    assert v == prob.f(X)
-    np.testing.assert_array_equal(g, prob.grad(X))
+    assert v == float(np.vdot(X, prob.A @ X * prob.N_diag))
+    np.testing.assert_array_equal(g, 2.0 * (prob.A @ X) * prob.N_diag)
 
 
 def test_lsm_explicit_spectrum_override():
