@@ -20,11 +20,11 @@ from orthopt.solvers import SolverConfig, run_solver
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 GOLDEN = [
-    ("lsm_desk", "cdf-gd", "GradTol", 129, 0.0173169901574503),
+    ("lsm_desk", "cdf-gd", "GradTol", 129, 0.017316990156694884),
     ("lsm_desk", "cdf-cg", "GradTol", 71, 0.017316946469553608),
     ("lsm_desk", "cdf-lbfgs", "GradTol", 72, 0.017316953702847315),
-    ("lsm_desk", "cdf-tr", "GradTol", 9, 0.01731691234856864),
-    ("lsm_desk", "rgd", "GradTol", 113, 0.017317037214265297),
+    ("lsm_desk", "cdf-tr", "GradTol", 9, 0.017316912349056777),
+    ("lsm_desk", "rgd", "GradTol", 113, 0.017317037207374528),
     ("lsm_desk", "rcg", "GradTol", 375, 0.017317059615098353),
     ("extrinsic_desk", "cdf-gd", "GradTol", 526, 0.18708522835346694),
     ("extrinsic_desk", "cdf-cg", "GradTol", 465, 0.1870852263123248),

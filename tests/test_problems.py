@@ -75,6 +75,22 @@ def test_lsm_value_grad_is_the_closed_form_bit_for_bit():
     np.testing.assert_array_equal(g, 2.0 * (prob.A @ X) * prob.N_diag)
 
 
+def test_lsm_oracles_agree_with_the_A_X_forms_at_scale():
+    # the oracles form A X as (X^T A)^T; at this size BLAS sums the two
+    # orientations in different orders, so they agree to rounding only
+    prob = build_lsm(1000, 20, seed=5, a=200.0, b=0.05)
+    rng = np.random.default_rng(5)
+    X, V = prob.spec.random_ambient(rng), prob.spec.random_ambient(rng)
+    mu = prob.N_diag
+    v, g = prob.value_grad(X)
+    AXN = prob.A @ X * mu
+    ref_v = float(np.vdot(X, AXN))
+    assert abs(v - ref_v) <= 1e-13 * abs(ref_v)
+    assert np.linalg.norm(g - 2.0 * AXN) <= 1e-13 * np.linalg.norm(2.0 * AXN)
+    ref_hv = 2.0 * (prob.A @ V) * mu
+    assert np.linalg.norm(prob.hessvec(X, V) - ref_hv) <= 1e-13 * np.linalg.norm(ref_hv)
+
+
 def test_lsm_explicit_spectrum_override():
     prob = build_lsm(10, 4, seed=0, a=50.0, b=0.1)
     assert prob.metadata["a"] == 50.0 and prob.metadata["b"] == 0.1
