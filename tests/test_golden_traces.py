@@ -20,22 +20,22 @@ from orthopt.solvers import SolverConfig, run_solver
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 GOLDEN = [
-    ("lsm_desk", "cdf-gd", "GradTol", 129, 0.017316990156694884),
+    ("lsm_desk", "cdf-gd", "GradTol", 129, 0.017316990154029713),
     ("lsm_desk", "cdf-cg", "GradTol", 71, 0.017316946469553608),
     ("lsm_desk", "cdf-lbfgs", "GradTol", 72, 0.017316953702847315),
-    ("lsm_desk", "cdf-tr", "GradTol", 9, 0.017316912349056777),
+    ("lsm_desk", "cdf-tr", "GradTol", 9, 0.01731691241642685),
     ("lsm_desk", "rgd", "GradTol", 113, 0.017317037207374528),
     ("lsm_desk", "rcg", "GradTol", 375, 0.017317059615098353),
-    ("extrinsic_desk", "cdf-gd", "GradTol", 526, 0.18708522835346694),
-    ("extrinsic_desk", "cdf-cg", "GradTol", 465, 0.1870852263123248),
-    ("extrinsic_desk", "cdf-lbfgs", "GradTol", 358, 0.18708522631958754),
+    ("extrinsic_desk", "cdf-gd", "GradTol", 512, 0.18708522747755144),
+    ("extrinsic_desk", "cdf-cg", "GradTol", 481, 0.1870852263642911),
+    ("extrinsic_desk", "cdf-lbfgs", "GradTol", 351, 0.18708522637620797),
     ("extrinsic_desk", "cdf-tr", "GradTol", 50, 0.1870852262576721),
     ("extrinsic_desk", "rgd", "GradTol", 107, 0.18708522630423066),
     ("extrinsic_desk", "rcg", "GradTol", 105, 0.1870852269222141),
-    ("tensor_jfd_desk", "cdf-gd", "GradTol", 342, 4.533763195672327e-08),
-    ("tensor_jfd_desk", "cdf-cg", "GradTol", 217, 1.5585963370128748e-09),
-    ("tensor_jfd_desk", "cdf-lbfgs", "GradTol", 246, 3.3655468895894544e-09),
-    ("tensor_jfd_desk", "cdf-tr", "GradTol", 24, 1.8310944252945086e-10),
+    ("tensor_jfd_desk", "cdf-gd", "GradTol", 321, 4.7391213391274445e-08),
+    ("tensor_jfd_desk", "cdf-cg", "GradTol", 217, 1.5585963370757395e-09),
+    ("tensor_jfd_desk", "cdf-lbfgs", "GradTol", 250, 2.333339886821612e-09),
+    ("tensor_jfd_desk", "cdf-tr", "GradTol", 24, 1.7865878835702098e-10),
     ("tensor_jfd_desk", "rgd", "GradTol", 283, 3.329192101707516e-08),
     ("tensor_jfd_desk", "rcg", "GradTol", 352, 2.967807727582532e-08),
 ]

@@ -230,13 +230,14 @@ def test_penalty_gradient_work_counters(spec):
     X = _near_point(spec, 23)
     cache.reset_counts()
     penalty_gradient(pf, X, cache)
-    assert cache.counts == {"matmul": 8, "phi": 3, "grad_f": 1, "f": 0}
+    assert cache.counts == {"matmul": 6, "phi": 1, "grad_f": 1, "f": 0}
     # value at the same point reuses everything but the objective call
     penalty_value(pf, X, cache)
-    assert cache.counts == {"matmul": 8, "phi": 3, "grad_f": 1, "f": 1}
-    # a repeat reuses the cached base and oracle calls; only assembly reruns
+    assert cache.counts == {"matmul": 6, "phi": 1, "grad_f": 1, "f": 1}
+    # a repeat reuses the cached base, oracle calls and p x p pair; only
+    # the three products of the assembly rerun
     penalty_gradient(pf, X, cache)
-    assert cache.counts["matmul"] == 14 and cache.counts["grad_f"] == 1
+    assert cache.counts["matmul"] == 9 and cache.counts["grad_f"] == 1
 
 
 def test_penalty_gradient_is_the_adjoint_sum(spec):
@@ -306,8 +307,9 @@ def test_penalty_hessvec_zero_objective_reduction(spec):
 
 
 def test_penalty_hessvec_work_accounting(spec):
-    # with phi(X), the Gram matrix and grad f(A(X)) cached at X, one product
-    # costs the objective's Hessian oracle, 1 phi application and 11 products
+    # with phi(X), the Gram matrix, grad f(A(X)) and the gradient's p x p
+    # pair cached at X, one product costs the objective's Hessian oracle,
+    # 1 phi application and 10 products
     prob = toy_problem(spec, 32)
     pf = PenaltyFunction(spec, prob, 0.7)
     X = _near_point(spec, 32)
@@ -315,7 +317,18 @@ def test_penalty_hessvec_work_accounting(spec):
     penalty_gradient(pf, X, cache)
     cache.reset_counts()
     penalty_hessvec(pf, X, _unit(spec, 33), cache)
-    assert cache.counts == {"matmul": 11, "phi": 1, "grad_f": 0, "f": 0}
+    assert cache.counts == {"matmul": 10, "phi": 1, "grad_f": 0, "f": 0}
+
+
+def test_penalty_hessvec_same_bits_with_or_without_a_prior_gradient(spec):
+    # the p x p pair a gradient leaves in the base is the one a Hessian-vector
+    # product forms itself at a base without it
+    prob = toy_problem(spec, 34)
+    pf = PenaltyFunction(spec, prob, 0.7)
+    X, V = _near_point(spec, 34), _unit(spec, 35)
+    cache = EvalCache()
+    penalty_gradient(pf, X, cache)
+    assert np.array_equal(penalty_hessvec(pf, X, V, cache), penalty_hessvec(pf, X, V))
 
 
 def test_penalty_hessvec_requires_hessian_oracle(spec):
