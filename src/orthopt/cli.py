@@ -66,6 +66,9 @@ def main(argv=None):
             shares = ", ".join(f"{k} {v:5.1f}%" for k, v in tb.percent.items())
             print(f"{solver_id:<10} total {tb.total:8.3f}s  {shares}")
         return 0
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:                                        # noqa: BLE001
         print(f"internal error: {exc}", file=sys.stderr)
         return 2

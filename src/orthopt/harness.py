@@ -140,13 +140,25 @@ def _penalty_bundle(config):
     return PenaltyFunction(problem.spec, problem, beta)
 
 
+def _grid_workers():
+    """Worker threads of a grid from ORTHOPT_THREADS, 1 when unset."""
+    raw = os.environ.get("ORTHOPT_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"ORTHOPT_THREADS must be a positive integer, got {raw!r}")
+    return workers
+
+
 def run(config):
     """Execute the solver x tolerance grid of a config; returns sorted records."""
+    workers = _grid_workers()
     pf = _penalty_bundle(config)
     starts = {config.x0_seed + r: pf.spec.random_feasible(config.x0_seed + r)
               for r in range(max(1, config.repetitions))}
     cells = [(s, t, xs) for s in config.solvers for t in config.tols for xs in starts]
-    workers = int(os.environ.get("ORTHOPT_THREADS", "1"))
     results = {}
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

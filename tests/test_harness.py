@@ -312,6 +312,16 @@ def test_cli_run_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_cli_run_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch, value):
+    path = tmp_path / "exp.cfg"
+    path.write_text(TINY_CFG)
+    monkeypatch.setenv("ORTHOPT_THREADS", value)
+    code = cli_main(["run", "--config", str(path)])
+    assert code == 1
+    assert "config error: ORTHOPT_THREADS" in capsys.readouterr().err
+
+
 def test_cli_missing_config_file(capsys):
     code = cli_main(["run", "--config", "/no/such/file.cfg"])
     assert code == 1
