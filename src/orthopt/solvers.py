@@ -72,6 +72,9 @@ class SolveReport:
     phase_counts: dict
     trace: list
     point: object = None
+    # work metered over the solve, {matmul, phi, f, grad_f} of the penalty
+    # route's EvalCache; None for solvers whose oracle has no meter
+    work: dict = None
 
 
 class PhaseClock:
@@ -99,6 +102,8 @@ class PhaseClock:
 
 class _FlatOracle:
     """Euclidean geometry: x + step moves, identity transport, xn - x displacement."""
+
+    meter = None    # dict of work counts the oracle keeps, if any
 
     def start(self, x0, clock):
         x = np.array(x0, dtype=float)
@@ -166,6 +171,7 @@ class PenaltyOracle(_FlatOracle):
         self.pf = pf
         self.cache = EvalCache()
         self.trial = EvalCache(counts=self.cache.counts)
+        self.meter = self.cache.counts
 
     def value(self, x):
         return penalty_value(self.pf, x, self.trial)
@@ -198,6 +204,8 @@ class ManifoldOracle:
     the last valued point in a one-entry cache keyed by identity, which a
     gradient at that same point reads.
     """
+
+    meter = None
 
     def __init__(self, problem, spec):
         self.problem, self.spec = problem, spec
@@ -294,6 +302,7 @@ def minimize(name, oracle, rule, x0, config=None):
     """
     cfg = config or SolverConfig()
     clock = PhaseClock()
+    work0 = None if oracle.meter is None else dict(oracle.meter)
     t0 = time.perf_counter()
 
     def expired():
@@ -326,11 +335,12 @@ def minimize(name, oracle, rule, x0, config=None):
         iters = k
         trace.append((k, h, gn, oracle.feas(x)) + clock.row())
     X, point = oracle.unwrap(x)
+    work = None if work0 is None else {k: v - work0[k] for k, v in oracle.meter.items()}
     return SolveReport(
         solver=name, X=X, fval=h, grad_norm=gn, feas_norm=oracle.feas(x),
         iters=iters, status=status, total_time=time.perf_counter() - t0,
         phase_seconds=dict(clock.seconds), phase_counts=dict(clock.counts),
-        trace=trace, point=point)
+        trace=trace, point=point, work=work)
 
 
 # --- step rules ------------------------------------------------------------

@@ -66,3 +66,13 @@ def test_cdf_tr_tol_1e9_hessvec_budget_on_lsm_desk():
     r = run_solver("cdf-tr", pf, x0, SolverConfig(grad_tol=1e-9, max_iter=100000))
     assert r.status == "GradTol"
     assert r.phase_counts["hessvec"] <= 40000
+
+
+def test_solve_reports_its_metered_work():
+    # 130 gradients (start and 129 accepted points) at 6 products and 1 phi
+    # each, and 6 rejected trials whose bases cost 2 products and 1 phi
+    pf, x0 = desk_bundle("lsm_desk")
+    cfg = SolverConfig(grad_tol=1e-5, max_iter=100000)
+    r = run_solver("cdf-gd", pf, x0, cfg)
+    assert r.work == {"matmul": 792, "phi": 136, "grad_f": 136, "f": 136}
+    assert run_solver("rgd", pf, x0, cfg).work is None
