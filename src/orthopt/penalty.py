@@ -164,14 +164,11 @@ class EvalCache:
         self.syms = None
 
     def ensure_grad(self, problem, spec, X):
+        """The base with grad f(A(X)) and its pair ``syms``; 1 product when new."""
         self.ensure_base(spec, X)
         if self.gradfA is None:
             self.counts["grad_f"] += 1
             self.gradfA = problem.grad(self.AX)
-
-    def ensure_syms(self, problem, spec, X):
-        """The base with grad f(A(X)) and its pair ``syms``; 1 product when new."""
-        self.ensure_grad(problem, spec, X)
         if self.syms is None:
             self.syms = (spec.gen_sym(self._mm(self.gradfA.mT, self.X)), spec.gen_sym(self.C))
 
@@ -223,7 +220,7 @@ def penalty_gradient(pf, X, cache=None):
     The two adjoints stay separate sums, so the result is bit for bit the
     public ``dA_adjoint`` plus ``beta dC_adjoint``."""
     cache = cache if cache is not None else EvalCache()
-    cache.ensure_syms(pf.problem, pf.spec, X)
+    cache.ensure_grad(pf.problem, pf.spec, X)
     SV, SC = cache.syms
     return (_dA_adjoint(cache, pf.spec, cache.gradfA, SV)
             + pf.beta * cache._mm(cache.phiX, SC))
@@ -242,7 +239,7 @@ def penalty_hessvec(pf, X, dX, cache=None):
     spec = pf.spec
     cache = cache if cache is not None else EvalCache()
     dX = np.asarray(dX, dtype=float)
-    cache.ensure_syms(pf.problem, spec, X)
+    cache.ensure_grad(pf.problem, spec, X)
     X, phiX, Gf = cache.X, cache.phiX, cache.gradfA
     SV, SC = cache.syms
     mm = cache._mm
