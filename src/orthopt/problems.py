@@ -98,8 +98,8 @@ def build_lsm(n2, p2, seed=0, a=None, b=None):
 
     # A is symmetric, so A X is formed as (X^T A)^T: the same product in
     # exact arithmetic, but with the n x n operand in the packed panel that
-    # the BLAS micro-kernel streams along, 1.3-1.8x faster at n = 1000-4000
-    # on one OpenBLAS thread.
+    # the BLAS micro-kernel streams along; 1.35x faster at n = 1000, p = 20
+    # and 1.7x at n = 4000, p = 20 (one OpenBLAS thread on a Xeon core).
     def value_grad(X):
         # one product A X for the value and the gradient
         G = (X.mT @ A).mT * mu
