@@ -76,8 +76,8 @@ def test_lsm_value_grad_is_the_closed_form_bit_for_bit():
 
 
 def test_lsm_oracles_agree_with_the_A_X_forms_at_scale():
-    # the oracles form A X as (X^T A)^T; at this size BLAS sums the two
-    # orientations in different orders, so they agree to rounding only
+    # the oracles form A X as (X^T A)^T; BLAS may sum the two orientations
+    # in different orders, so they need agree to rounding only
     prob = build_lsm(1000, 20, seed=5, a=200.0, b=0.05)
     rng = np.random.default_rng(5)
     X, V = prob.spec.random_ambient(rng), prob.spec.random_ambient(rng)
