@@ -4,7 +4,6 @@ import configparser
 import csv
 import io
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -14,7 +13,6 @@ from .penalty import PenaltyFunction, postprocess
 from .problems import PROBLEM_BUILDERS
 from .solvers import ALL_PHASES, SOLVERS, SolverConfig, run_solver
 
-SOLVER_ORDER = ["cdf-gd", "cdf-cg", "cdf-lbfgs", "cdf-tr", "rgd", "rcg"]
 TRACE_HEADER = ["iter", "value", "grad_norm", "feas"] + [f"t_{p}" for p in ALL_PHASES]
 
 
@@ -90,7 +88,7 @@ def load_config(path):
     if "solvers" in run_sec:
         kwargs["solvers"] = [s.strip() for s in run_sec["solvers"].split(",") if s.strip()]
     else:
-        kwargs["solvers"] = list(SOLVER_ORDER)
+        kwargs["solvers"] = list(SOLVERS)
     if "tols" in run_sec:
         kwargs["tols"] = [float(t) for t in run_sec["tols"].split(",") if t.strip()]
     else:
@@ -140,46 +138,26 @@ def _penalty_bundle(config):
     return PenaltyFunction(problem.spec, problem, beta)
 
 
-def _grid_workers():
-    """Worker threads of a grid from ORTHOPT_THREADS, 1 when unset."""
-    raw = os.environ.get("ORTHOPT_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"ORTHOPT_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
 def run(config):
-    """Execute the solver x tolerance grid of a config; returns sorted records."""
-    workers = _grid_workers()
+    """Run a config's grid one cell at a time; returns its records in output order.
+
+    Cells go in SOLVERS order, then by ascending tolerance, then by start
+    seed; a solver or tolerance listed twice runs once.
+    """
     pf = _penalty_bundle(config)
     starts = {config.x0_seed + r: pf.spec.random_feasible(config.x0_seed + r)
               for r in range(max(1, config.repetitions))}
-    cells = [(s, t, xs) for s in config.solvers for t in config.tols for xs in starts]
-    results = {}
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {cell: pool.submit(_run_cell, pf, starts[cell[2]], cell[2],
-                                      cell[0], cell[1], config, config.eps_f)
-                    for cell in cells}
-            for cell, fut in futs.items():
-                results[cell] = fut.result()
-    else:
-        for cell in cells:
-            results[cell] = _run_cell(pf, starts[cell[2]], cell[2],
-                                      cell[0], cell[1], config, config.eps_f)
-    order = {s: i for i, s in enumerate(SOLVER_ORDER)}
+    if config.out:
+        os.makedirs(config.out, exist_ok=True)
     records = []
-    for cell in sorted(results, key=lambda c: (order.get(c[0], 99), c[1], c[2])):
-        rec, report = results[cell]
-        records.append(rec)
-        if config.out:
-            os.makedirs(config.out, exist_ok=True)
-            name = f"trace_{rec.problem}_{rec.solver}_{rec.tol:g}_x{rec.x0_seed}.csv"
-            _write_trace(os.path.join(config.out, name), report)
+    for solver_id in [s for s in SOLVERS if s in config.solvers]:
+        for tol in sorted(set(config.tols)):
+            for x0_seed, x0 in starts.items():
+                rec, report = _run_cell(pf, x0, x0_seed, solver_id, tol, config, config.eps_f)
+                records.append(rec)
+                if config.out:
+                    name = f"trace_{rec.problem}_{rec.solver}_{rec.tol:g}_x{rec.x0_seed}.csv"
+                    _write_trace(os.path.join(config.out, name), report)
     if config.out:
         emit_table(records, "csv", os.path.join(config.out, "records.csv"))
         emit_table(records, "text", os.path.join(config.out, "records.txt"))

@@ -172,14 +172,23 @@ def test_repetitions_run_multiple_starts(tiny_config):
     assert "cdf-lbfgs#x3" in table and "cdf-lbfgs#x5" in table
 
 
-def test_parallel_execution_matches_serial(tiny_config, monkeypatch):
+def test_run_grid_order_and_one_record_per_cell(tiny_config, monkeypatch):
+    # solvers out of SOLVERS order, one solver and one tolerance listed twice
+    solved = []
+
+    def recording(solver_id, pf, x0, cfg):
+        solved.append(solver_id)
+        return run_solver(solver_id, pf, x0, cfg)
+
+    monkeypatch.setattr(harness_mod, "run_solver", recording)
     cfg = load_config(tiny_config)
-    serial = run(cfg)
-    monkeypatch.setenv("ORTHOPT_THREADS", "2")
-    parallel = run(cfg)
-    for a, b in zip(serial, parallel):
-        a.cpu = b.cpu = 0.0
-    assert emit_table(serial, "csv") == emit_table(parallel, "csv")
+    cfg.solvers = ["rgd", "cdf-lbfgs", "rgd"]
+    cfg.tols = [1e-4, 1e-3, 1e-4]
+    cfg.repetitions = 2
+    records = run(cfg)
+    cells = [(s, t, x) for s in ["cdf-lbfgs", "rgd"] for t in [1e-4, 1e-3] for x in [3, 4]]
+    assert [(r.solver, r.tol, r.x0_seed) for r in records] == cells
+    assert len(solved) == len(cells)
 
 
 # ---------------------------------------------------------------- emit_table
@@ -310,16 +319,6 @@ def test_cli_run_config_error(tmp_path, capsys):
     code = cli_main(["run", "--config", str(path)])
     assert code == 1
     assert "config error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_cli_run_bad_thread_count_is_a_config_error(tmp_path, capsys, monkeypatch, value):
-    path = tmp_path / "exp.cfg"
-    path.write_text(TINY_CFG)
-    monkeypatch.setenv("ORTHOPT_THREADS", value)
-    code = cli_main(["run", "--config", str(path)])
-    assert code == 1
-    assert "config error: ORTHOPT_THREADS" in capsys.readouterr().err
 
 
 def test_cli_missing_config_file(capsys):
