@@ -8,9 +8,10 @@ projection and reads feasibility off the point.  The rule proposes the next
 point: alternating Barzilai-Borwein steps (``cdf-gd``, ``rgd``), PR+ CG with
 a secant probe (``cdf-cg``), hybrid FR/DY CG (``rcg``), L-BFGS
 (``cdf-lbfgs``) or a Steihaug trust region (``cdf-tr``).  ``minimize`` owns
-the stop tests, the nonmonotone merit, the trace, the gradient at each
-accepted point and the SolveReport, whose wall-clock breakdown is split by
-phase {objective, gradient, hessvec, retraction, transport, linesearch}.
+the stop tests, the nonmonotone merit, the trace, the value and gradient at
+the start, the gradient at each accepted point and the SolveReport, whose
+wall-clock breakdown is split by phase {objective, gradient, hessvec,
+retraction, transport, linesearch}.
 """
 
 import time
@@ -105,11 +106,9 @@ class _FlatOracle:
 
     meter = None    # dict of work counts the oracle keeps, if any
 
-    def start(self, x0, clock):
-        x = np.array(x0, dtype=float)
-        with clock.phase("gradient"):
-            h, g = self.value(x), self.grad(x)
-        return x, h, g
+    def iterate(self, x0):
+        """The start as an iterate: a float copy of x0."""
+        return np.array(x0, dtype=float)
 
     def move(self, x, step, clock):
         return x + step
@@ -211,13 +210,9 @@ class ManifoldOracle:
         self.problem, self.spec = problem, spec
         self._valued = self._egrad = None
 
-    def start(self, x0, clock):
-        point = x0 if isinstance(x0, FeasiblePoint) else FeasiblePoint(self.spec, x0, tol=1e-8)
-        with clock.phase("objective"):
-            h = self.value(point)
-        with clock.phase("gradient"):
-            g = self.grad(point)
-        return point, h, g
+    def iterate(self, x0):
+        """The start as an iterate: a FeasiblePoint, checked to 1e-8."""
+        return x0 if isinstance(x0, FeasiblePoint) else FeasiblePoint(self.spec, x0, tol=1e-8)
 
     def value(self, point):
         if self.problem.value_grad is None:
@@ -308,7 +303,11 @@ def minimize(name, oracle, rule, x0, config=None):
     def expired():
         return time.perf_counter() - t0 > cfg.time_limit
 
-    x, h, g = oracle.start(x0, clock)
+    x = oracle.iterate(x0)
+    with clock.phase("objective"):
+        h = oracle.value(x)
+    with clock.phase("gradient"):
+        g = oracle.grad(x)
     gn = _norm(g)
     merit = _Merit(h)
     trace = [(0, h, gn, oracle.feas(x)) + clock.row()]
