@@ -67,8 +67,6 @@ from .tensor import (
     TransformMatrix,
     dct_matrix,
     dct_transform,
-    diag_fold,
-    diag_unfold,
     facewise_product,
     lproduct,
     lproduct_identity,

@@ -99,32 +99,6 @@ def lproduct_transpose(X, transform):
     return mode3_product(Xh.transpose(1, 0, 2), transform.Minv)
 
 
-def diag_unfold(X):
-    """Stack the frontal slices of X into an ln x lp block-diagonal matrix."""
-    X = _check_tensor(X)
-    n, p, l = X.shape
-    out = np.zeros((l * n, l * p))
-    for k in range(l):
-        out[k * n:(k + 1) * n, k * p:(k + 1) * p] = X[:, :, k]
-    return out
-
-
-def diag_fold(Y, n, p, l):
-    """Invert diag_unfold; reject matrices with mass off the diagonal blocks."""
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape != (l * n, l * p):
-        raise ValueError(f"expected shape {(l * n, l * p)}, got {Y.shape}")
-    X = np.empty((n, p, l))
-    mask = np.ones_like(Y, dtype=bool)
-    for k in range(l):
-        X[:, :, k] = Y[k * n:(k + 1) * n, k * p:(k + 1) * p]
-        mask[k * n:(k + 1) * n, k * p:(k + 1) * p] = False
-    off = np.linalg.norm(Y[mask])
-    if off > 1e-12 * (1.0 + np.linalg.norm(Y)):
-        raise ValueError(f"off-diagonal block mass {off:.2e} is not negligible")
-    return X
-
-
 def qr_posdiag(A):
     """Reduced QR with the sign convention diag(R) > 0; A may be a stack."""
     Q, R = np.linalg.qr(A)

@@ -6,8 +6,6 @@ from orthopt.tensor import (
     TransformMatrix,
     dct_matrix,
     dct_transform,
-    diag_fold,
-    diag_unfold,
     facewise_product,
     lproduct,
     lproduct_identity,
@@ -118,37 +116,15 @@ def test_lproduct_degenerates_to_matmul():
 
 
 def test_diag_unfold_is_lproduct_homomorphism():
+    # in the transform domain the l-product is the face-wise product, so the
+    # block-diagonal unfolding of the transformed tensors carries it to matmul
     rng = np.random.default_rng(7)
     T = dct_transform(4)
     X = rng.standard_normal((3, 2, 4))
     Y = rng.standard_normal((2, 5, 4))
-    lhs = diag_unfold(mode3_product(lproduct(X, Y, T), T.M))
-    rhs = diag_unfold(mode3_product(X, T.M)) @ diag_unfold(mode3_product(Y, T.M))
+    lhs = mode3_product(lproduct(X, Y, T), T.M)
+    rhs = facewise_product(mode3_product(X, T.M), mode3_product(Y, T.M))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_diag_unfold_single_slice():
-    X = np.random.default_rng(8).standard_normal((3, 2, 1))
-    np.testing.assert_array_equal(diag_unfold(X), X[:, :, 0])
-
-
-def test_diag_unfold_scalar_slices():
-    X = np.zeros((1, 1, 2))
-    X[0, 0, :] = [3.0, -4.0]
-    np.testing.assert_array_equal(diag_unfold(X), np.diag([3.0, -4.0]))
-
-
-def test_diag_fold_round_trip():
-    rng = np.random.default_rng(9)
-    X = rng.standard_normal((4, 3, 5))
-    np.testing.assert_array_equal(diag_fold(diag_unfold(X), 4, 3, 5), X)
-
-
-def test_diag_fold_rejects_off_block_mass():
-    Y = diag_unfold(np.ones((2, 2, 2)))
-    Y[0, 3] = 1e-6
-    with pytest.raises(ValueError):
-        diag_fold(Y, 2, 2, 2)
 
 
 def test_tqr_reconstructs():

@@ -13,7 +13,6 @@ import orthopt as op
 from orthopt.manifolds import theta_lstsq
 from orthopt.penalty import penalty_gradient, penalty_hessvec, penalty_value
 from orthopt.problems import Problem
-from orthopt.tensor import diag_fold, diag_unfold
 
 N, P, L = 20, 3, 8
 RTOL = 1e-13
@@ -21,12 +20,19 @@ RTOL = 1e-13
 
 def unfold(S):
     """(l, r, c) face stack -> lr x lc block-diagonal matrix."""
-    return diag_unfold(np.moveaxis(S, 0, 2))
+    l, r, c = S.shape
+    Y = np.zeros((l * r, l * c))
+    for k in range(l):
+        Y[k * r:(k + 1) * r, k * c:(k + 1) * c] = S[k]
+    return Y
 
 
 def fold(Y, rows, cols):
-    """Inverse of unfold."""
-    return np.moveaxis(diag_fold(Y, rows, cols, L), 2, 0)
+    """Inverse of unfold; fails on a matrix with mass off the diagonal blocks."""
+    S = np.stack([Y[k * rows:(k + 1) * rows, k * cols:(k + 1) * cols] for k in range(L)])
+    off = np.linalg.norm(Y - unfold(S))
+    assert off <= 1e-12 * (1.0 + np.linalg.norm(Y)), f"off-diagonal block mass {off:.2e}"
+    return S
 
 
 def assert_rel(a, b):
