@@ -67,28 +67,30 @@ def test_lsm_gradient_and_hessvec():
 
 
 def test_lsm_value_grad_is_the_closed_form_bit_for_bit():
-    # tr(X^T A X N) and 2 A X N as separate products; doubling is exact
+    # the value and the gradient share one product A X N and doubling is
+    # exact, so the value is <X, g / 2> to the last bit
     prob = build_lsm(10, 4, seed=1)
     X = prob.spec.random_ambient(np.random.default_rng(3))
     v, g = prob.value_grad(X)
-    assert v == float(np.vdot(X, prob.A @ X * prob.N_diag))
-    np.testing.assert_array_equal(g, 2.0 * (prob.A @ X) * prob.N_diag)
+    assert v == float(np.vdot(X, g / 2.0))
 
 
 def test_lsm_oracles_agree_with_the_A_X_forms_at_scale():
     # the oracles form A X as (X^T A)^T; BLAS may sum the two orientations
     # in different orders, so they need agree to rounding only
-    prob = build_lsm(1000, 20, seed=5, a=200.0, b=0.05)
-    rng = np.random.default_rng(5)
-    X, V = prob.spec.random_ambient(rng), prob.spec.random_ambient(rng)
-    mu = prob.N_diag
-    v, g = prob.value_grad(X)
-    AXN = prob.A @ X * mu
-    ref_v = float(np.vdot(X, AXN))
-    assert abs(v - ref_v) <= 1e-13 * abs(ref_v)
-    assert np.linalg.norm(g - 2.0 * AXN) <= 1e-13 * np.linalg.norm(2.0 * AXN)
-    ref_hv = 2.0 * (prob.A @ V) * mu
-    assert np.linalg.norm(prob.hessvec(X, V) - ref_hv) <= 1e-13 * np.linalg.norm(ref_hv)
+    for (n, p, kw), rng_seed in [((1000, 20, dict(seed=5, a=200.0, b=0.05)), 5),
+                                 ((10, 4, dict(seed=1)), 3)]:
+        prob = build_lsm(n, p, **kw)
+        rng = np.random.default_rng(rng_seed)
+        X, V = prob.spec.random_ambient(rng), prob.spec.random_ambient(rng)
+        mu = prob.N_diag
+        v, g = prob.value_grad(X)
+        AXN = prob.A @ X * mu
+        ref_v = float(np.vdot(X, AXN))
+        assert abs(v - ref_v) <= 1e-13 * abs(ref_v)
+        assert np.linalg.norm(g - 2.0 * AXN) <= 1e-13 * np.linalg.norm(2.0 * AXN)
+        ref_hv = 2.0 * (prob.A @ V) * mu
+        assert np.linalg.norm(prob.hessvec(X, V) - ref_hv) <= 1e-13 * np.linalg.norm(ref_hv)
 
 
 def test_lsm_explicit_spectrum_override():
