@@ -1,6 +1,7 @@
 """Command-line front end: run experiment grids, profile solvers, selftest."""
 
 import argparse
+import configparser
 import sys
 
 from .harness import ConfigError, emit_table, load_config, run, timing_profile
@@ -44,6 +45,8 @@ def main(argv=None):
         config = load_config(args.config)
         if args.solver:
             config.solvers = args.solver
+        if args.command == "profile" and args.iters < 1:
+            raise ConfigError(f"--iters must be >= 1, got {args.iters}")
         if args.command == "run":
             if args.tol is not None:
                 config.tols = [args.tol]
@@ -52,7 +55,7 @@ def main(argv=None):
             if args.out is not None:
                 config.out = args.out
         config.validate()
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, TypeError, KeyError, OSError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

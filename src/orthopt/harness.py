@@ -59,6 +59,17 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown solver {s!r}; choose from {sorted(SOLVERS)}")
         if not self.tols:
             raise ConfigError("at least one gradient tolerance is required")
+        # each comparison is written so that NaN fails it
+        for ok, message in [
+            (all(0.0 <= t < np.inf for t in self.tols), "tols must be finite and >= 0"),
+            (self.max_iter >= 1, "max_iter must be >= 1"),
+            (self.time_limit > 0, "time_limit must be > 0"),
+            (0.0 < self.eps_f < np.inf, "eps_f must be finite and > 0"),
+            (self.beta is None or self.beta > 0, "beta must be > 0"),
+            (self.repetitions >= 1, "repetitions must be >= 1"),
+        ]:
+            if not ok:
+                raise ConfigError(message)
         return self
 
 
@@ -146,7 +157,7 @@ def run(config):
     """
     pf = _penalty_bundle(config)
     starts = {config.x0_seed + r: pf.spec.random_feasible(config.x0_seed + r)
-              for r in range(max(1, config.repetitions))}
+              for r in range(config.repetitions)}
     if config.out:
         os.makedirs(config.out, exist_ok=True)
     records = []

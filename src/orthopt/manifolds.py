@@ -3,9 +3,10 @@
 Each manifold is described by a linear, one-to-one, self-adjoint map phi on
 n x p matrices, together with a companion map psi on the span G of cross-Gram
 matrices satisfying  phi(X T) = phi(X) psi(T).  In all six concrete families
-psi(T) = q^T T q for one orthogonal p x p matrix q that is symmetric or skew;
-everything downstream (projections, gradients, retractions, the dissolving
-penalty) is written against this interface.
+psi(T) = q^T T q for one orthogonal p x p matrix q that is symmetric or skew
+(q None: the identity); everything downstream (projections, gradients,
+retractions, the dissolving penalty) is written against this interface.
+Generalized Stiefel and hyperbolic frames are indefinite frames with J = I.
 
 A point is an array of shape ``spec.batch + (n, p)``: one matrix for the five
 matrix families, and a stack of l faces for tensor frames.  Products broadcast
@@ -38,7 +39,7 @@ class ThetaDegenerateError(np.linalg.LinAlgError):
 class FeasiblePoint:
     """A manifold point with its phi image and Gram matrix cached."""
 
-    __slots__ = ("spec", "X", "phiX", "gram", "feas", "tol")
+    __slots__ = ("spec", "X", "phiX", "gram", "feas")
 
     def __init__(self, spec, X, tol=1e-8):
         X = np.asarray(X, dtype=float)
@@ -53,7 +54,7 @@ class FeasiblePoint:
         return point
 
     def _fill(self, spec, X, phiX, gram, tol):
-        self.spec, self.X, self.phiX, self.gram, self.tol = spec, X, phiX, gram, tol
+        self.spec, self.X, self.phiX, self.gram = spec, X, phiX, gram
         self.feas = np.linalg.norm(gram - np.eye(spec.p))
         if not np.isfinite(self.feas) or self.feas > tol:
             raise FeasibilityError(
@@ -129,7 +130,7 @@ class ManifoldSpec:
     def retract(self, point, Z):
         """Step from a feasible point along a tangent Z to a feasible point.
 
-        q None (generalized-stiefel, hyperbolic): the polar step Y K^{-1/2},
+        q None (indefinite frames with J = I): the polar step Y K^{-1/2},
         Y = X + Z, K = Y^T phi(Y).  q set (symplectic, indefinite): the Cayley
         step (I - W/2)^{-1} (I + W/2) X, whose generator W = U V^T has rank
         <= 2p (U = [Z, X q]), taken as X + U (I - V^T U / 2)^{-1} V^T X.
@@ -163,9 +164,6 @@ class ManifoldSpec:
     # --- manifold-specific pieces ----------------------------------------
 
     def random_feasible(self, seed=0):
-        raise NotImplementedError
-
-    def record(self):
         raise NotImplementedError
 
     def __repr__(self):
@@ -302,41 +300,6 @@ class Stiefel(ManifoldSpec):
         Q, _ = qr_posdiag(rng.standard_normal(self.batch + (self.n, self.p)))
         return FeasiblePoint(self, Q, tol=1e-10)
 
-    def record(self):
-        return {"name": self.name, "n": self.n, "p": self.p}
-
-
-class GeneralizedStiefel(ManifoldSpec):
-    """B-orthonormal frames: X^T B X = I with B symmetric positive definite."""
-
-    name = "generalized-stiefel"
-
-    def __init__(self, n, p, B=None, seed=0):
-        super().__init__(n, p)
-        self.seed = None if B is not None else int(seed)
-        if B is None:
-            rng = np.random.default_rng(seed)
-            Q, _ = qr_posdiag(rng.standard_normal((n, n)))
-            B = (Q * rng.uniform(0.5, 2.0, size=n)) @ Q.T
-        self.B = sym(np.asarray(B, dtype=float))
-        w = np.linalg.eigvalsh(self.B)
-        if w.min() <= 0:
-            raise ValueError("B must be positive definite")
-
-    def phi(self, X):
-        return self.B @ X
-
-    def random_feasible(self, seed=0):
-        rng = np.random.default_rng(seed)
-        G = rng.standard_normal((self.n, self.p))
-        L = np.linalg.cholesky(G.mT @ self.B @ G)
-        return FeasiblePoint(self, np.linalg.solve(L, G.mT).mT, tol=1e-10)
-
-    def record(self):
-        if self.seed is None:
-            raise ValueError("cannot serialize a generalized-stiefel spec with custom B")
-        return {"name": self.name, "n": self.n, "p": self.p, "seed": self.seed}
-
 
 def symplectic_j(m):
     J = np.zeros((2 * m, 2 * m))
@@ -388,19 +351,18 @@ class SymplecticStiefel(ManifoldSpec):
         W *= 1.0 / max(1.0, np.linalg.norm(W))
         return FeasiblePoint(self, _cayley_apply(W, X0), tol=1e-10)
 
-    def record(self):
-        return {"name": self.name, "n": self.n, "p": self.p}
-
 
 class IndefiniteStiefel(ManifoldSpec):
     """Frames with X^T A X = J for symmetric nonsingular A and a signature J.
 
-    phi(X) = A X J.  A diagonal A (the default) is held as its diagonal
-    ``a``, and phi is the elementwise scaling X * w with the n x p weight
-    w = a diag(J)^T, at O(n p) and equal bit for bit to the dense product,
-    since each entry of A X J has one nonzero term.  A custom non-diagonal
-    A is kept dense and phi is (A X) * diag(J)^T.  ``spec.A`` builds the
-    dense matrix on demand.
+    phi(X) = A X J, J = diag(I_{p_k}, -I_{p - p_k}).  With p_k = p, J = I and
+    q is None (polar retraction); ``generalized_stiefel`` (A positive
+    definite) and ``hyperbolic`` (eig A = +/-1) build such frames.  A
+    diagonal A (the default) is held as its diagonal ``a``, and phi is the
+    elementwise scaling X * w with the n x p weight w = a diag(J)^T, at
+    O(n p) and equal bit for bit to the dense product, since each entry of
+    A X J has one nonzero term.  A custom non-diagonal A is kept dense and
+    phi is (A X) * diag(J)^T.  ``spec.A`` builds the dense matrix on demand.
     """
 
     name = "indefinite-stiefel"
@@ -411,9 +373,9 @@ class IndefiniteStiefel(ManifoldSpec):
         if not (0 <= p_k <= k and 0 <= p_m <= m):
             raise ValueError(f"infeasible block sizes k={k}, p_k={p_k} for (n, p)=({n}, {p})")
         self.k, self.p_k = int(k), int(p_k)
-        self._default_A = A is None
         self._j = np.concatenate([np.ones(p_k), -np.ones(p_m)])
-        self.J = self.q = np.diag(self._j)
+        self.J = np.diag(self._j)
+        self.q = self.J if p_m else None
         if A is not None:
             A = sym(np.asarray(A, dtype=float))
         if A is None or np.count_nonzero(A) == np.count_nonzero(np.diagonal(A)):
@@ -468,58 +430,6 @@ class IndefiniteStiefel(ManifoldSpec):
         W *= 1.0 / max(1.0, np.linalg.norm(W))
         return FeasiblePoint(self, _cayley_apply(W, X), tol=1e-10)
 
-    def record(self):
-        if not self._default_A:
-            raise ValueError("cannot serialize an indefinite-stiefel spec with custom A")
-        return {"name": self.name, "n": self.n, "p": self.p, "k": self.k, "p_k": self.p_k}
-
-
-class Hyperbolic(ManifoldSpec):
-    """H-orthonormal frames: X^T H X = I with H symmetric, eigenvalues +/-1."""
-
-    name = "hyperbolic"
-
-    def __init__(self, n, p, neg=None, H=None, seed=0):
-        super().__init__(n, p)
-        self.seed = None if H is not None else int(seed)
-        if H is None:
-            neg = n // 3 if neg is None else int(neg)
-            rng = np.random.default_rng(seed)
-            Q, _ = qr_posdiag(rng.standard_normal((n, n)))
-            d = np.concatenate([np.ones(n - neg), -np.ones(neg)])
-            H = (Q * d) @ Q.T
-            self._eigv, self._eigd = Q, d
-        else:
-            H = sym(np.asarray(H, dtype=float))
-            w, V = np.linalg.eigh(H)
-            if np.abs(np.abs(w) - 1.0).max() > 1e-10:
-                raise ValueError("H must have eigenvalues +/- 1")
-            order = np.argsort(-w)
-            self._eigv, self._eigd = V[:, order], np.sign(w[order])
-            neg = int((w < 0).sum())
-        self.neg = neg
-        if p > n - neg:
-            raise ValueError(f"need p <= {n - neg} positive directions, got p={p}")
-        self.H = sym(np.asarray(H, dtype=float))
-
-    def phi(self, X):
-        return self.H @ X
-
-    def random_feasible(self, seed=0):
-        rng = np.random.default_rng(seed)
-        npos = self.n - self.neg
-        Yt = np.zeros((self.n, self.p))
-        Yt[:npos, :] = qr_posdiag(rng.standard_normal((npos, self.p)))[0]
-        X = self._eigv @ Yt
-        W = skew(rng.standard_normal((self.n, self.n))) @ self.H
-        W *= 1.0 / max(1.0, np.linalg.norm(W))
-        return FeasiblePoint(self, _cayley_apply(W, X), tol=1e-10)
-
-    def record(self):
-        if self.seed is None:
-            raise ValueError("cannot serialize a hyperbolic spec with custom H")
-        return {"name": self.name, "n": self.n, "p": self.p, "neg": self.neg, "seed": self.seed}
-
 
 class TensorStiefel(Stiefel):
     """Third-order tensor frames under an l-product, stored as transform-domain faces.
@@ -541,7 +451,6 @@ class TensorStiefel(Stiefel):
         self.transform = dct_transform(self.l) if transform is None else transform
         if not isinstance(self.transform, TransformMatrix):
             self.transform = TransformMatrix(self.transform)
-        self._default_transform = transform is None
 
     def embed_tensor(self, X3):
         """Carry an n x p x l tensor to its (l, n, p) stack of transform-domain faces."""
@@ -550,11 +459,6 @@ class TensorStiefel(Stiefel):
     def extract_tensor(self, Y):
         """Inverse of embed_tensor."""
         return mode3_product(np.moveaxis(np.asarray(Y, dtype=float), 0, 2), self.transform.Minv)
-
-    def record(self):
-        if not self._default_transform:
-            raise ValueError("cannot serialize a tensor-stiefel spec with a custom transform")
-        return {"name": self.name, "n": self.n, "p": self.p, "l": self.l}
 
 
 # -------------------------------------------------------------------------
@@ -566,7 +470,16 @@ def stiefel(n, p):
 
 
 def generalized_stiefel(n, p, B=None, seed=0):
-    return GeneralizedStiefel(n, p, B=B, seed=seed)
+    """X^T B X = I for B positive definite: indefinite frames with A = B, J = I."""
+    if B is None:
+        rng = np.random.default_rng(seed)
+        Q, _ = qr_posdiag(rng.standard_normal((n, n)))
+        B = (Q * rng.uniform(0.5, 2.0, size=n)) @ Q.T
+    spec = IndefiniteStiefel(n, p, n, p, A=B)
+    if spec._eigw[-1] <= 0:
+        raise ValueError("B must be positive definite")
+    spec.name = "generalized-stiefel"
+    return spec
 
 
 def symplectic_stiefel(n2, p2):
@@ -578,7 +491,17 @@ def indefinite_stiefel(n, p, k, p_k, A=None):
 
 
 def hyperbolic(n, p, neg=None, H=None, seed=0):
-    return Hyperbolic(n, p, neg=neg, H=H, seed=seed)
+    """X^T H X = I for eig H = +/-1: indefinite frames with A = H, J = I."""
+    if H is None:
+        neg = n // 3 if neg is None else int(neg)
+        Q, _ = qr_posdiag(np.random.default_rng(seed).standard_normal((n, n)))
+        H = (Q * np.concatenate([np.ones(n - neg), -np.ones(neg)])) @ Q.T
+    # with k = n only the signature check asks for p positive eigenvalues
+    spec = IndefiniteStiefel(n, p, n, p, A=H)
+    if np.abs(np.abs(spec._eigw) - 1.0).max() > 1e-10:
+        raise ValueError("H must have eigenvalues +/- 1")
+    spec.k, spec.name = int((spec._eigw > 0).sum()), "hyperbolic"
+    return spec
 
 
 def tensor_stiefel(n, p, l, transform=None):
@@ -592,12 +515,12 @@ def spec_from_record(rec):
     ints = {k: int(v) for k, v in rec.items()}
     makers = {
         "stiefel": lambda: Stiefel(ints["n"], ints["p"]),
-        "generalized-stiefel": lambda: GeneralizedStiefel(
+        "generalized-stiefel": lambda: generalized_stiefel(
             ints["n"], ints["p"], seed=ints.get("seed", 0)),
         "symplectic-stiefel": lambda: SymplecticStiefel(ints["n"], ints["p"]),
         "indefinite-stiefel": lambda: IndefiniteStiefel(
             ints["n"], ints["p"], ints["k"], ints["p_k"]),
-        "hyperbolic": lambda: Hyperbolic(
+        "hyperbolic": lambda: hyperbolic(
             ints["n"], ints["p"], neg=ints.get("neg"), seed=ints.get("seed", 0)),
         "tensor-stiefel": lambda: TensorStiefel(ints["n"], ints["p"], ints["l"]),
     }

@@ -264,6 +264,8 @@ def postprocess(spec, X, eps_f=1e-12, max_rounds=50):
     iterate sits outside the contraction basin or the target cannot be met
     within max_rounds.
     """
+    if not eps_f > 0:
+        raise ValueError(f"eps_f must be positive, got {eps_f}")
     base = EvalCache.at(spec, X)
     c = np.linalg.norm(base.C)
     trace = [c]

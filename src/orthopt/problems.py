@@ -29,7 +29,7 @@ class Problem:
     """
 
     def __init__(self, spec, f, grad, hessvec=None, name="problem",
-                 metadata=None, check_gradient=True, check_seed=1234, value_grad=None):
+                 metadata=None, check_gradient=True, value_grad=None):
         self.spec = spec
         self.f = f
         self.grad = grad
@@ -39,17 +39,17 @@ class Problem:
         self.metadata = dict(metadata or {})
         self.gradient_checked = False
         if check_gradient:
-            self._check_gradient(check_seed)
+            self._check_gradient()
             self.gradient_checked = True
 
-    def _check_gradient(self, seed, points=5, step=1e-5, tol=1e-6):
+    def _check_gradient(self, points=5, step=1e-5, tol=1e-6):
         """grad against central differences of f at ``points`` random
         points, and value_grad (if any) against f and grad to
         VALUE_GRAD_AGREE relative at the last of them.  Agreement is an
         identity, not an estimate, so one generic point shows a wrong fused
         formula; each further point would cost two more objective
         evaluations in set-up."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(1234)
         for _ in range(points):
             X = self.spec.random_ambient(rng)
             X /= np.linalg.norm(X)
@@ -167,7 +167,6 @@ def build_extrinsic_mean(n, p, k, p_k, n_samples=1000, seed=0):
             "samples": n_samples, "seed": seed, "beta_default": 0.5, "rng": "pcg64"}
     prob = Problem(spec, f, grad, hessvec, name="extrinsic-mean", metadata=meta)
     prob.samples = samples
-    prob.anchor = Y0
     prob.mean = A
     return prob
 

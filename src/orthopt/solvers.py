@@ -55,7 +55,8 @@ class SolverConfig:
     time_limit: float = 1800.0
 
     def __post_init__(self):
-        if self.grad_tol < 0 or self.max_iter <= 0 or self.time_limit <= 0:
+        # written so that NaN fails it
+        if not (self.grad_tol >= 0 and self.max_iter > 0 and self.time_limit > 0):
             raise ValueError("tolerances and budgets must be positive")
 
 

@@ -98,6 +98,18 @@ def test_config_rejects_unknown_problem():
         cfg.validate()
 
 
+@pytest.mark.parametrize("setting", [
+    {"tols": [-1.0]}, {"tols": [1e-5, float("nan")]}, {"tols": [float("inf")]},
+    {"max_iter": 0}, {"time_limit": 0.0}, {"time_limit": float("nan")},
+    {"eps_f": 0.0}, {"eps_f": float("nan")}, {"eps_f": float("inf")},
+    {"beta": -1.0}, {"beta": float("nan")}, {"repetitions": 0},
+], ids=repr)
+def test_config_rejects_bad_numeric_settings(setting):
+    kwargs = {"problem": {"id": "lsm", "n": 10, "p": 4}, "solvers": ["cdf-gd"], "tols": [1e-5]}
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{**kwargs, **setting}).validate()
+
+
 # ----------------------------------------------------------------------- run
 
 def test_run_grid_produces_records_and_traces(tiny_config, tmp_path):
@@ -317,6 +329,26 @@ def test_cli_run_config_error(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("[problem]\nid = warp-drive\n")
     code = cli_main(["run", "--config", str(path)])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def _lsm_cfg_with(line):
+    key = line.split("=")[0].strip()
+    kept = [ln for ln in LSM_CFG.splitlines() if ln.split("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
+@pytest.mark.parametrize("line,args", [
+    ("max_iter = 0", ["run"]), ("beta = -1", ["run"]), ("eps_f = nan", ["run"]),
+    ("max_iter = abc", ["run"]), ("max_iter 5", ["run"]),   # not key = value
+    ("tols = 1e-4", ["run", "--tol", "-1"]), ("tols = 1e-4", ["run", "--tol", "nan"]),
+    ("tols = 1e-4", ["profile", "--iters", "0"]),
+])
+def test_cli_bad_run_settings_are_config_errors(tmp_path, capsys, line, args):
+    path = tmp_path / "exp.cfg"
+    path.write_text(_lsm_cfg_with(line))
+    code = cli_main(args[:1] + ["--config", str(path)] + args[1:])
     assert code == 1
     assert "config error" in capsys.readouterr().err
 

@@ -503,29 +503,69 @@ def test_constraint_jacobian_rank_matches_s1_dimension(spec):
     assert rank == spec.s1_basis().shape[0]
 
 
-# ------------------------------------------------------------- serialization
+# ------------------------------------------- frames with J = I, and records
 
-def test_spec_record_round_trip(spec):
-    if spec.name == "generalized-stiefel" and spec.seed is None:
-        pytest.skip("custom matrix not serializable")
-    if spec.name == "indefinite-stiefel" and spec.a is None:   # rotated custom A
-        with pytest.raises(ValueError):
-            spec.record()
-        return
-    rec = spec.record()
-    clone = spec_from_record({k: str(v) for k, v in rec.items()})
-    X = spec.random_feasible(1).X
-    np.testing.assert_allclose(clone.phi(X), spec.phi(X), atol=1e-14)
-    np.testing.assert_array_equal(clone.random_feasible(5).X, spec.random_feasible(5).X)
+def _rotated(diag, seed):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(diag), len(diag))))
+    return (Q * np.asarray(diag, dtype=float)) @ Q.T
 
 
-def test_spec_record_rejects_custom_indefinite_A():
-    rng = np.random.default_rng(45)
-    Q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
-    A = (Q * np.array([3.0, 2.0, 1.5, 1.0, 0.5, -1.0, -2.0, -3.0, -4.0])) @ Q.T
-    spec = op.indefinite_stiefel(9, 3, k=5, p_k=2, A=A)
+def test_generalized_and_hyperbolic_are_indefinite_frames_with_identity_J():
+    # the default B and H, drawn from the seed as the factories draw them
+    rng = np.random.default_rng(2)
+    Q, _ = qr_posdiag(rng.standard_normal((8, 8)))
+    B0 = sym((Q * rng.uniform(0.5, 2.0, size=8)) @ Q.T)
+    Q, _ = qr_posdiag(np.random.default_rng(2).standard_normal((8, 8)))
+    H0 = sym((Q * np.array([1.0] * 5 + [-1.0] * 3)) @ Q.T)
+    B = sym(_rotated([0.5, 0.8, 1.0, 1.3, 1.7, 2.0, 2.5, 3.0], 47))
+    H = sym(_rotated([1.0] * 5 + [-1.0] * 3, 48))
+    X = np.random.default_rng(49).standard_normal((8, 3))
+    for spec, M in [(op.generalized_stiefel(8, 3, seed=2), B0),
+                    (op.generalized_stiefel(8, 3, B=B), B),
+                    (op.hyperbolic(8, 3, neg=3, seed=2), H0),
+                    (op.hyperbolic(8, 3, H=H), H)]:
+        assert spec.q is None and spec.k == (8 if spec.name == "generalized-stiefel" else 5)
+        np.testing.assert_array_equal(spec.phi(X), M @ X)
     with pytest.raises(ValueError):
-        spec.record()
+        op.generalized_stiefel(8, 3, B=sym(_rotated([1.0] * 7 + [-1.0], 50)))   # not PD
+    with pytest.raises(ValueError):
+        op.hyperbolic(8, 3, H=sym(_rotated([2.0] * 5 + [-1.0] * 3, 51)))      # eig not +/-1
+    with pytest.raises(ValueError):
+        op.hyperbolic(8, 6, neg=3)                                             # p > n - neg
+    with pytest.raises(ValueError):
+        op.hyperbolic(8, 6, H=H)
+
+
+def test_indefinite_with_full_positive_block_takes_the_polar_step():
+    spec = op.indefinite_stiefel(9, 3, k=5, p_k=3)
+    assert spec.q is None
+    pt = spec.random_feasible(0)
+    Z = random_tangent(spec, pt, 1)
+    new = spec.retract(pt, 0.5 * Z / np.linalg.norm(Z))
+    assert np.linalg.norm(constraint(spec, new.X)) <= 1e-9
+
+
+RECORDS = {
+    "stiefel": ({"n": "8", "p": "3"}, lambda: op.stiefel(8, 3)),
+    "generalized-stiefel": ({"n": "8", "p": "3", "seed": "2"},
+                            lambda: op.generalized_stiefel(8, 3, seed=2)),
+    "symplectic-stiefel": ({"n": "8", "p": "4"}, lambda: op.symplectic_stiefel(8, 4)),
+    "indefinite-stiefel": ({"n": "9", "p": "3", "k": "5", "p_k": "2"},
+                           lambda: op.indefinite_stiefel(9, 3, 5, 2)),
+    "hyperbolic": ({"n": "8", "p": "3", "neg": "3", "seed": "1"},
+                   lambda: op.hyperbolic(8, 3, neg=3, seed=1)),
+    "tensor-stiefel": ({"n": "4", "p": "2", "l": "3"}, lambda: op.tensor_stiefel(4, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_spec_from_record_matches_the_factory(name):
+    rec, make = RECORDS[name]
+    clone, spec = spec_from_record({"name": name, **rec}), make()
+    assert clone.name == spec.name == name
+    X = spec.random_ambient(np.random.default_rng(3))
+    np.testing.assert_array_equal(clone.phi(X), spec.phi(X))
+    np.testing.assert_array_equal(clone.random_feasible(5).X, spec.random_feasible(5).X)
 
 
 def test_spec_record_rejects_unknown_name():

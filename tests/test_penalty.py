@@ -368,6 +368,13 @@ def test_postprocess_applies_phi_once_per_round(spec, monkeypatch):
     assert len(calls) == rounds + 1
 
 
+@pytest.mark.parametrize("eps_f", [float("nan"), 0.0, -1e-12])
+def test_postprocess_rejects_bad_eps_f(eps_f):
+    spec = op.stiefel(6, 2)
+    with pytest.raises(ValueError):
+        postprocess(spec, spec.random_feasible(0).X, eps_f=eps_f)
+
+
 def test_postprocess_divergence_carries_trace(spec):
     X = 3.0 * spec.random_feasible(33).X
     with pytest.raises(PostprocessDivergence) as err:

@@ -53,6 +53,12 @@ def lsm_desk(beta=0.5, seed=0, fused=True):
 
 # ------------------------------------------------------------- basic trios
 
+@pytest.mark.parametrize("field", ["grad_tol", "max_iter", "time_limit"])
+def test_solver_config_rejects_nan(field):
+    with pytest.raises(ValueError):
+        SolverConfig(**{field: float("nan")})
+
+
 def test_gd_bb_unit_quadratic_fast():
     r = gd_bb(quad_oracle(np.eye(4)), np.full(4, 2.0), SolverConfig(grad_tol=1e-8))
     assert r.status == STATUS_GRAD_TOL and r.iters <= 5
