@@ -2,6 +2,7 @@
 
 import argparse
 import configparser
+import json
 import sys
 
 from .harness import ConfigError, emit_table, load_config, run, timing_profile
@@ -25,6 +26,8 @@ def _build_parser():
     p_prof.add_argument("--config", required=True)
     p_prof.add_argument("--iters", type=int, default=100)
     p_prof.add_argument("--solver", action="append", default=None)
+    p_prof.add_argument("--json", action="store_true",
+                        help="print one JSON object keyed by solver instead of the text lines")
 
     sub.add_parser("selftest", help="run the manifold/penalty invariant battery")
     return parser
@@ -65,6 +68,9 @@ def main(argv=None):
             sys.stdout.write(emit_table(records, "text"))
             return 0
         profiles = timing_profile(config, iters=args.iters)
+        if args.json:
+            print(json.dumps({solver_id: tb.to_dict() for solver_id, tb in profiles.items()}))
+            return 0
         for solver_id, tb in profiles.items():
             shares = ", ".join(f"{k} {v:5.1f}%" for k, v in tb.percent.items())
             print(f"{solver_id:<10} total {tb.total:8.3f}s  {shares}")

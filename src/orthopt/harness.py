@@ -238,12 +238,20 @@ class TimingBreakdown:
     total: float
     seconds: dict
     percent: dict
+    iters: int
 
     def validate(self):
         s = sum(self.percent.values())
         if abs(s - 100.0) > 0.1:
             raise ValueError(f"percentages sum to {s:.3f}")
         return self
+
+    def to_dict(self):
+        """Plain-JSON form: total seconds, iterations, microseconds per
+        iteration (None when the solve took no step) and the phase split."""
+        return {"total_s": self.total, "iters": self.iters,
+                "us_per_iter": 1e6 * self.total / self.iters if self.iters else None,
+                "seconds": self.seconds, "percent": self.percent}
 
 
 def timing_profile(config, iters=100):
@@ -264,5 +272,5 @@ def timing_profile(config, iters=100):
         percent = {k: 100.0 * v / total for k, v in seconds.items()}
         out[solver_id] = TimingBreakdown(
             solver=solver_id, total=report.total_time,
-            seconds=seconds, percent=percent).validate()
+            seconds=seconds, percent=percent, iters=report.iters).validate()
     return out

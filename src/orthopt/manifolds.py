@@ -3,9 +3,10 @@
 Each manifold is described by a linear, one-to-one, self-adjoint map phi on
 n x p matrices, together with a companion map psi on the span G of cross-Gram
 matrices satisfying  phi(X T) = phi(X) psi(T).  In all six concrete families
-psi(T) = q^T T q for one orthogonal p x p matrix q that is symmetric or skew
-(q None: the identity); everything downstream (projections, gradients,
-retractions, the dissolving penalty) is written against this interface.
+psi(T) = q^T T q for one p x p signed permutation q that is symmetric or
+skew (q None: the identity), applied by moving entries rather than by
+products; everything downstream (projections, gradients, retractions, the
+dissolving penalty) is written against this interface.
 Generalized Stiefel and hyperbolic frames are indefinite frames with J = I.
 
 A point is an array of shape ``spec.batch + (n, p)``: one matrix for the five
@@ -72,17 +73,74 @@ def _orthonormalize_rows(vecs, drop_tol=1e-10):
     return Vt[keep]
 
 
+class SignedPermutation:
+    """A symmetric or skew p x p matrix q with one entry +/-1 in each row and
+    column, applied by moving and negating entries, never by a product.
+
+    Column j of q holds ``sign[j]`` in row ``perm[j]``, and q^T = ``sym`` q.
+    Each entry of T q, T q^T, q^T T or q^T T q has one nonzero term, so on
+    finite input each method equals the dense product bit for bit.  The
+    columns are gathered as the runs of consecutive entries of perm: one
+    run for a diagonal J, two for the block swap J_2p.
+    """
+
+    def __init__(self, q):
+        q = np.array(q, dtype=float)
+        p = q.shape[0]
+        perm = np.argmax(np.abs(q), axis=0)
+        sign = q[perm, np.arange(p)]
+        if (q.shape != (p, p) or np.count_nonzero(q) != p or np.any(np.abs(sign) != 1.0)
+                or np.unique(perm).size != p):
+            raise ValueError("q must be a signed permutation matrix")
+        self.sym = 1.0 if np.array_equal(q.T, q) else -1.0
+        if not np.array_equal(q.T, self.sym * q):
+            raise ValueError("q must be symmetric or skew")
+        q.flags.writeable = False
+        self.matrix, self.sign = q, sign
+        self._sign_t = self.sym * sign
+        cuts = [0] + [j for j in range(1, p) if perm[j] != perm[j - 1] + 1] + [p]
+        self._runs = [(perm[a], perm[a] + b - a) for a, b in zip(cuts, cuts[1:])]
+        self._identity = self._runs == [(0, p)]
+        self._mask = np.outer(sign, sign)
+        self._flat = perm[:, None] * p + perm
+
+    def _cols(self, T):
+        if self._identity:
+            return T
+        return np.concatenate([T[..., a:b] for a, b in self._runs], axis=-1)
+
+    def right(self, T):
+        """T q."""
+        return self._cols(T) * self.sign
+
+    def right_t(self, T):
+        """T q^T."""
+        return self._cols(T) * self._sign_t
+
+    def left_t(self, T):
+        """q^T T."""
+        if not self._identity:
+            T = np.concatenate([T[..., a:b, :] for a, b in self._runs], axis=-2)
+        return T * self.sign[:, None]
+
+    def psi(self, T):
+        """q^T T q."""
+        if not self._identity:
+            T = np.take(T.reshape(T.shape[:-2] + (-1,)), self._flat, axis=-1)
+        return T * self._mask
+
+
 class ManifoldSpec:
     """Base class bundling (phi, psi) and a retraction.
 
-    ``q`` is the orthogonal p x p matrix of psi(T) = q^T T q; None stands
+    ``qperm`` is the SignedPermutation q of psi(T) = q^T T q; None stands
     for the identity.  q is symmetric or skew, and S1 = {q^T W} with W of
     the same symmetry.  ``batch`` is the shape of the leading axes of a
     point: () for a matrix, (l,) for a stack of l faces.
     """
 
     name = "generic"
-    q = None
+    qperm = None
     batch = ()
 
     def __init__(self, n, p):
@@ -92,13 +150,18 @@ class ManifoldSpec:
             raise ValueError(f"bad ambient dimensions ({n}, {p})")
         self._s1 = None
 
+    @property
+    def q(self):
+        """q as a read-only dense p x p matrix, or None for the identity."""
+        return None if self.qperm is None else self.qperm.matrix
+
     # --- maps defining the manifold -------------------------------------
     def phi(self, X):
         raise NotImplementedError
 
     def psi(self, T):
         T = np.asarray(T, dtype=float)
-        return T if self.q is None else self.q.mT @ T @ self.q
+        return T if self.qperm is None else self.qperm.psi(T)
 
     def gen_sym(self, T):
         """Generalized symmetrization T^T + psi(T)."""
@@ -140,19 +203,20 @@ class ManifoldSpec:
         """
         if not np.any(Z):
             return point
-        X, q = point.X, self.q
+        X, q = point.X, self.qperm
         if q is None:
             Y = X + Z
             return _finish_retraction(self, _inv_sqrt_correction(Y, Y.mT @ self.phi(Y)))
         # W = S M with M V = phi(V) q (J_2n or A), M^T = s M for q^T = s q, and
-        # S = U C U^T, C = [[0, I], [-s I, s Mt]]; so V^T = s C (M U)^T
-        s, p = _q_sign(q), self.p
+        # S = U C U^T, C = [[0, I], [-s I, s Mt]]; so V^T = s C (M U)^T.
+        # M X q = phi(X) q q = s phi(X), as q q = s q^T q = s I
+        s, p = q.sym, self.p
         with np.errstate(over="ignore", invalid="ignore"):   # non-finite steps fail below
-            u = point.phiX @ q                                # M X
+            u = q.right(point.phiX)                           # M X
             ZtU = Z.mT @ u
             Mt = 0.5 * (ZtU - s * ZtU.mT)
-            U = np.concatenate([Z, X @ q], axis=-1)
-            MU = np.concatenate([self.phi(Z) @ q, u @ q], axis=-1)
+            U = np.concatenate([Z, q.right(X)], axis=-1)
+            MU = np.concatenate([q.right(self.phi(Z)), s * point.phiX], axis=-1)
             K = MU.mT @ np.concatenate([U, X], axis=-1)       # (M U)^T [U, X]
             VtUX = np.concatenate([s * K[..., p:, :], Mt @ K[..., p:, :] - K[..., :p, :]], axis=-2)
             try:
@@ -203,22 +267,17 @@ def theta_lstsq(spec, point, D):
     carrying the minimum-norm least-squares solution.
     """
     phiX = point.phiX if isinstance(point, FeasiblePoint) else spec.phi(np.asarray(point, float))
-    q = spec.q
-    U = phiX if q is None else phiX @ q.mT
+    q = spec.qperm
+    U = phiX if q is None else q.right_t(phiX)
     K = U.mT @ U
     R = U.mT @ np.asarray(D, dtype=float)
-    rhs = R + _q_sign(q) * R.mT
+    rhs = R + (1.0 if q is None else q.sym) * R.mT
     try:
         W = lyapunov_solve(K, K, rhs)
     except NoUniqueSolutionError as exc:
-        S = exc.solution if q is None else q.mT @ exc.solution
+        S = exc.solution if q is None else q.left_t(exc.solution)
         raise ThetaDegenerateError(f"singular normal equations: {exc}", solution=S) from exc
-    return W if q is None else q.mT @ W
-
-
-def _q_sign(q):
-    # the sign s with q^T = s q (+1 for None, the identity), read off <q, q^T>
-    return 1.0 if q is None or np.vdot(q, q.mT) > 0 else -1.0
+    return W if q is None else q.left_t(W)
 
 
 def project_tangent(spec, point, D):
@@ -326,7 +385,7 @@ class SymplecticStiefel(ManifoldSpec):
         if n2 % 2 or p2 % 2:
             raise ValueError(f"symplectic dimensions must be even, got ({n2}, {p2})")
         super().__init__(n2, p2)
-        self.q = symplectic_j(p2 // 2)
+        self.qperm = SignedPermutation(symplectic_j(p2 // 2))
 
     def phi(self, X):
         # -J_{2n} X J_{2p} as four signed block copies; equal bit for bit to
@@ -363,6 +422,8 @@ class IndefiniteStiefel(ManifoldSpec):
     O(n p) and equal bit for bit to the dense product, since each entry of
     A X J has one nonzero term.  A custom non-diagonal A is kept dense and
     phi is (A X) * diag(J)^T.  ``spec.A`` builds the dense matrix on demand.
+    k is the number of positive eigenvalues of A: it sizes the blocks of
+    the default A, and a custom A with another count is rejected.
     """
 
     name = "indefinite-stiefel"
@@ -375,7 +436,7 @@ class IndefiniteStiefel(ManifoldSpec):
         self.k, self.p_k = int(k), int(p_k)
         self._j = np.concatenate([np.ones(p_k), -np.ones(p_m)])
         self.J = np.diag(self._j)
-        self.q = self.J if p_m else None
+        self.qperm = SignedPermutation(self.J) if p_m else None
         if A is not None:
             A = sym(np.asarray(A, dtype=float))
         if A is None or np.count_nonzero(A) == np.count_nonzero(np.diagonal(A)):
@@ -391,6 +452,8 @@ class IndefiniteStiefel(ManifoldSpec):
             w, V = np.linalg.eigh(A)
         if np.abs(w).min() < 1e-12 * np.abs(w).max():
             raise ValueError("A must be nonsingular")
+        if A is not None and (w > 0).sum() != k:
+            raise ValueError(f"A has {(w > 0).sum()} positive eigenvalues, not k={k}")
         self._order = np.argsort(-w)         # positive eigenvalues first
         self._eigw = w[self._order]
         self._eigv = None if self._A is None else V[:, self._order]
@@ -475,9 +538,8 @@ def generalized_stiefel(n, p, B=None, seed=0):
         rng = np.random.default_rng(seed)
         Q, _ = qr_posdiag(rng.standard_normal((n, n)))
         B = (Q * rng.uniform(0.5, 2.0, size=n)) @ Q.T
+    # k = n: a B that is not positive definite fails the count of positive eigenvalues
     spec = IndefiniteStiefel(n, p, n, p, A=B)
-    if spec._eigw[-1] <= 0:
-        raise ValueError("B must be positive definite")
     spec.name = "generalized-stiefel"
     return spec
 
@@ -496,11 +558,15 @@ def hyperbolic(n, p, neg=None, H=None, seed=0):
         neg = n // 3 if neg is None else int(neg)
         Q, _ = qr_posdiag(np.random.default_rng(seed).standard_normal((n, n)))
         H = (Q * np.concatenate([np.ones(n - neg), -np.ones(neg)])) @ Q.T
-    # with k = n only the signature check asks for p positive eigenvalues
-    spec = IndefiniteStiefel(n, p, n, p, A=H)
+    # eig H = +/-1 has trace H = k - (n - k), which gives k without an eigh
+    half = 0.5 * (n + np.trace(H))
+    k = int(round(half))
+    if abs(half - k) > 1e-8 * n:
+        raise ValueError("H must have eigenvalues +/- 1")
+    spec = IndefiniteStiefel(n, p, k, p, A=H)
     if np.abs(np.abs(spec._eigw) - 1.0).max() > 1e-10:
         raise ValueError("H must have eigenvalues +/- 1")
-    spec.k, spec.name = int((spec._eigw > 0).sum()), "hyperbolic"
+    spec.name = "hyperbolic"
     return spec
 
 

@@ -103,6 +103,12 @@ def _eye(p):
     return eye
 
 
+def _frozen(X):
+    # a float array nothing can write through without first flipping its flag
+    return (type(X) is np.ndarray and X.dtype == np.float64
+            and not X.flags.writeable and X.flags.owndata)
+
+
 class EvalCache:
     """The base point of the penalty algebra: X, phi(X), the Gram matrix
     G = X^T phi(X), the constraint residual C = G - I, the factor
@@ -111,6 +117,13 @@ class EvalCache:
     ``syms``, the pair (gen_sym(grad f(A(X))^T X), gen_sym(C)) that the
     gradient forms and the Hessian-vector product reads.  ``src`` is the
     array object the base was last asked for.
+
+    A base is matched in one of two ways.  A read-only array that owns its
+    data is taken as it is and matched by identity: asked for again as the
+    same object it is the same base, and any other such array is a new
+    base, with no contents compared and no copy made.  Whoever freezes an
+    array so promises not to change it.  Any other array is matched by
+    contents against the base and copied when it differs.
 
     Also meters the work done through it: dense products of n x p / p x p
     shape, phi applications, and objective/gradient oracle calls.  Caches
@@ -149,11 +162,16 @@ class EvalCache:
         return spec.phi(Y)
 
     def ensure_base(self, spec, X):
-        self.src = X
-        X = np.asarray(X, dtype=float)
-        if self.X is not None and self.X.shape == X.shape and np.array_equal(self.X, X):
+        frozen = _frozen(X)
+        if frozen and X is self.src:
             return
-        self.X = X = X.copy()
+        self.src = X
+        if not frozen:
+            X = np.asarray(X, dtype=float)
+            if self.X is not None and self.X.shape == X.shape and np.array_equal(self.X, X):
+                return
+            X = X.copy()
+        self.X = X
         self.phiX = self._phi(spec, X)
         self.gram = self._mm(X.mT, self.phiX)
         eye = _eye(spec.p)

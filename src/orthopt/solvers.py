@@ -14,8 +14,8 @@ wall-clock breakdown is split by phase {objective, gradient, hessvec,
 retraction, transport, linesearch}.
 """
 
+import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,20 +84,29 @@ class PhaseClock:
         self.seconds = {k: 0.0 for k in ALL_PHASES}
         self.counts = {k: 0 for k in ALL_PHASES}
 
-    @contextmanager
     def phase(self, name):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.seconds[name] += time.perf_counter() - t0
-            self.counts[name] += 1
+        """A context manager that books the time spent in its block to ``name``."""
+        return _Phase(self, name)
 
     def oracle_seconds(self):
         return sum(self.seconds[k] for k in ORACLE_PHASES)
 
     def row(self):
         return tuple(self.seconds[k] for k in ALL_PHASES)
+
+
+class _Phase:
+    __slots__ = ("clock", "name", "t0")
+
+    def __init__(self, clock, name):
+        self.clock, self.name = clock, name
+
+    def __enter__(self):
+        self.t0 = time.perf_counter()
+
+    def __exit__(self, *exc):
+        self.clock.seconds[self.name] += time.perf_counter() - self.t0
+        self.clock.counts[self.name] += 1
 
 
 # --- oracles: the objective together with its geometry ---------------------
@@ -164,7 +173,11 @@ class PenaltyOracle(_FlatOracle):
     (see ``penalty_value``).  Points
     are matched first by identity, which the loop can rely on because it
     never changes an evaluated point in place: ``feas`` at the point of
-    the last gradient reads the residual that gradient formed.
+    the last gradient reads the residual that gradient formed.  The start
+    copy and every ``x + step`` are made read-only, so the caches take
+    them without a copy and match them by identity alone, with no
+    comparison of contents (see ``EvalCache``); ``unwrap`` hands back a
+    writable copy.
     """
 
     def __init__(self, pf):
@@ -172,6 +185,15 @@ class PenaltyOracle(_FlatOracle):
         self.cache = EvalCache()
         self.trial = EvalCache(counts=self.cache.counts)
         self.meter = self.cache.counts
+
+    def iterate(self, x0):
+        return _freeze(super().iterate(x0))
+
+    def move(self, x, step, clock):
+        return _freeze(x + step)
+
+    def unwrap(self, x):
+        return np.array(x), None
 
     def value(self, x):
         return penalty_value(self.pf, x, self.trial)
@@ -192,7 +214,7 @@ class PenaltyOracle(_FlatOracle):
     def feas(self, x):
         if x is not self.cache.src:
             self._base(x).ensure_base(self.pf.spec, x)
-        return float(np.linalg.norm(self.cache.C))
+        return _norm(self.cache.C)
 
 
 class ManifoldOracle:
@@ -249,12 +271,20 @@ class ManifoldOracle:
 
 # --- the loop and its line search ------------------------------------------
 
+def _freeze(a):
+    a.flags.writeable = False
+    return a
+
+
 def _dot(a, b):
-    return float(np.vdot(a, b))
+    # np.vdot's own sum on real arrays: both flattened in C order, one BLAS dot
+    return float(a.ravel().dot(b.ravel()))
 
 
 def _norm(a):
-    return float(np.linalg.norm(a))
+    # np.linalg.norm's own sum for the Frobenius norm of a real array
+    a = a.ravel(order="K")
+    return math.sqrt(a.dot(a))
 
 
 class _Merit:

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import os
 
 import numpy as np
@@ -18,7 +19,7 @@ from orthopt.harness import (
     timing_profile,
 )
 from orthopt.manifolds import FeasiblePoint
-from orthopt.solvers import run_solver
+from orthopt.solvers import ALL_PHASES, run_solver
 
 TINY_CFG = """
 [problem]
@@ -364,6 +365,21 @@ def test_cli_profile(tmp_path, capsys):
     code = cli_main(["profile", "--config", str(path), "--iters", "10"])
     assert code == 0
     assert "cdf-gd" in capsys.readouterr().out
+
+
+def test_cli_profile_json(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text(LSM_CFG)
+    code = cli_main(["profile", "--config", str(path), "--iters", "10", "--json",
+                     "--solver", "cdf-gd", "--solver", "rgd"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["cdf-gd", "rgd"]
+    for row in out.values():
+        assert row["iters"] == 10
+        assert row["us_per_iter"] == pytest.approx(1e5 * row["total_s"])
+        assert set(row["seconds"]) == set(row["percent"]) == set(ALL_PHASES) | {"other"}
+        assert sum(row["percent"].values()) == pytest.approx(100.0, abs=0.1)
 
 
 def test_cli_selftest(capsys):

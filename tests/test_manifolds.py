@@ -3,11 +3,12 @@ import pytest
 
 import orthopt as op
 from orthopt.diagnostics import battery_specs, check_assumptions, check_constraint_in_s1
-from orthopt.linalg import skew, sym
+from orthopt.linalg import lyapunov_solve, skew, sym
 from orthopt.manifolds import (
     FeasibilityError,
     FeasiblePoint,
     RetractError,
+    SignedPermutation,
     ThetaDegenerateError,
     _cayley_apply,
     _j_right,
@@ -536,6 +537,16 @@ def test_generalized_and_hyperbolic_are_indefinite_frames_with_identity_J():
         op.hyperbolic(8, 6, H=H)
 
 
+def test_custom_A_must_have_k_positive_eigenvalues():
+    A = np.diag([1.0, 2, 3, 4, 5, -1, -2, -3, -4])
+    with pytest.raises(ValueError, match="5 positive eigenvalues"):
+        op.indefinite_stiefel(9, 3, k=8, p_k=2, A=A)
+    with pytest.raises(ValueError, match="5 positive eigenvalues"):
+        op.indefinite_stiefel(9, 3, k=4, p_k=2, A=_rotated(np.diagonal(A), 52))
+    assert op.indefinite_stiefel(9, 3, k=5, p_k=2, A=A).k == 5
+    assert SPECS["indefinite-stiefel-dense"].k == 5
+
+
 def test_indefinite_with_full_positive_block_takes_the_polar_step():
     spec = op.indefinite_stiefel(9, 3, k=5, p_k=3)
     assert spec.q is None
@@ -588,3 +599,100 @@ def test_tensor_embed_extract_round_trip():
     from orthopt.manifolds import FeasiblePoint
     pt = FeasiblePoint(spec, spec.embed_tensor(Q), tol=1e-10)
     assert pt.feas <= 1e-10
+
+
+# ------------------------------------------------ q as a signed permutation
+
+Q_SPECS = [spec for spec in SPECS.values() if spec.q is not None] + [
+    op.symplectic_stiefel(40, 8), op.indefinite_stiefel(120, 24, 60, 20)]
+Q_IDS = [f"{spec.name}-{spec.n}x{spec.p}" for spec in Q_SPECS]
+
+
+def _q_sign(q):
+    return 1.0 if np.array_equal(q.T, q) else -1.0
+
+
+def _dense_theta(spec, point, D):
+    # theta_lstsq with the q products taken as dense products
+    q = spec.q
+    U = point.phiX @ q.T
+    K = U.T @ U
+    R = U.T @ D
+    return q.T @ lyapunov_solve(K, K, R + _q_sign(q) * R.T)
+
+
+def _dense_retract(spec, point, Z):
+    # the low-rank Cayley step with every q product taken as a dense product
+    X, q, p = point.X, spec.q, spec.p
+    s = _q_sign(q)
+    u = point.phiX @ q
+    ZtU = Z.T @ u
+    Mt = 0.5 * (ZtU - s * ZtU.T)
+    U = np.concatenate([Z, X @ q], axis=-1)
+    MU = np.concatenate([spec.phi(Z) @ q, u @ q], axis=-1)
+    K = MU.T @ np.concatenate([U, X], axis=-1)
+    VtUX = np.concatenate([s * K[p:], Mt @ K[p:] - K[:p]], axis=-2)
+    T = np.linalg.solve(np.eye(2 * p) - 0.5 * VtUX[:, :2 * p], VtUX[:, 2 * p:])
+    return X + U @ T
+
+
+@pytest.mark.parametrize("spec", Q_SPECS, ids=Q_IDS)
+def test_signed_permutation_equals_dense_products(spec):
+    qp, q = spec.qperm, spec.q
+    rng = np.random.default_rng(spec.n + spec.p)
+    for _ in range(3):
+        T = rng.standard_normal((spec.p, spec.p))
+        Y = rng.standard_normal((spec.n, spec.p))
+        for A in (T, T.T, Y):
+            assert np.array_equal(qp.right(A), A @ q)
+            assert np.array_equal(qp.right_t(A), A @ q.T)
+        assert np.array_equal(qp.left_t(T), q.T @ T)
+        for A in (T, T.T):
+            assert np.array_equal(spec.psi(A), q.T @ A @ q)
+            assert np.array_equal(spec.gen_sym(A), A.T + q.T @ A @ q)
+
+
+@pytest.mark.parametrize("spec", Q_SPECS, ids=Q_IDS)
+def test_theta_and_retract_equal_their_dense_q_forms(spec):
+    for seed in range(3):
+        pt = spec.random_feasible(60 + seed)
+        rng = np.random.default_rng(seed)
+        D = rng.standard_normal((spec.n, spec.p))
+        assert np.array_equal(theta_lstsq(spec, pt, D), _dense_theta(spec, pt, D))
+        Z = random_tangent(spec, pt, 70 + seed)
+        Z *= 0.3 / np.linalg.norm(Z)
+        assert np.array_equal(retract(spec, pt, Z).X, _dense_retract(spec, pt, Z))
+
+
+@pytest.mark.parametrize("q", [
+    np.array([[0.0, 2.0], [1.0, 0.0]]),                       # an entry other than +/-1
+    np.array([[0.6, -0.8], [0.8, 0.6]]),                      # orthogonal, not a permutation
+    np.eye(3)[[1, 2, 0]],                                     # neither symmetric nor skew
+], ids=["scaled", "rotation", "three-cycle"])
+def test_signed_permutation_rejects_other_matrices(q):
+    with pytest.raises(ValueError):
+        SignedPermutation(q)
+
+
+def _dense_q(monkeypatch):
+    # put the dense q products back in place of the signed permutation
+    monkeypatch.setattr(SignedPermutation, "right", lambda self, T: T @ self.matrix)
+    monkeypatch.setattr(SignedPermutation, "right_t", lambda self, T: T @ self.matrix.T)
+    monkeypatch.setattr(SignedPermutation, "left_t", lambda self, T: self.matrix.T @ T)
+    monkeypatch.setattr(SignedPermutation, "psi", lambda self, T: self.matrix.T @ T @ self.matrix)
+
+
+def test_solves_take_the_same_iterates_with_dense_q(monkeypatch):
+    prob = op.build_extrinsic_mean(20, 4, 12, 3, n_samples=20, seed=1)
+    pf = op.PenaltyFunction(prob.spec, prob, 0.5)
+    x0 = prob.spec.random_feasible(2)
+    cfg = op.SolverConfig(grad_tol=1e-6, max_iter=5000)
+
+    def outcomes():
+        return [(r.status, r.iters, repr(r.fval))
+                for r in (op.run_solver(sid, pf, x0, cfg) for sid in ("cdf-gd", "cdf-tr", "rgd"))]
+
+    structured = outcomes()
+    _dense_q(monkeypatch)
+    assert outcomes() == structured
+    assert all(status == "GradTol" and iters > 10 for status, iters, _ in structured)

@@ -1,8 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 
 import orthopt as op
+import orthopt.penalty as penalty_mod
 import orthopt.solvers as solvers_mod
+from orthopt.harness import load_config
+from orthopt.penalty import EvalCache
+from orthopt.problems import PROBLEM_BUILDERS
 from orthopt.solvers import (
     STATUS_GRAD_TOL,
     STATUS_LS_FAIL,
@@ -204,6 +210,60 @@ def test_penalty_oracle_feas_reads_the_base_at_any_point():
     assert oracle.feas(x) == residual(x)                          # a trial value leaves it
     assert oracle.feas(y) == residual(y)                          # the trial point's own base
     assert oracle.feas(x.copy()) == residual(x)                   # an equal copy
+
+
+def test_evalcache_re_evaluates_a_writable_array_changed_in_place():
+    pf, prob = lsm_desk()
+    X = prob.spec.random_feasible(4).X.copy()
+    cache = EvalCache()
+    h0 = pf.value(X, cache)
+    X[0, 0] += 0.1
+    h1 = pf.value(X, cache)
+    assert h1 != h0 and h1 == pf.value(X.copy())
+    assert cache.counts["phi"] == 2
+
+
+def _count_array_equal(monkeypatch):
+    compared = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(penalty_mod.np, "array_equal",
+                        lambda *a, **k: compared.append(1) or array_equal(*a, **k))
+    return compared
+
+
+def test_evalcache_matches_frozen_arrays_by_identity(monkeypatch):
+    pf, prob = lsm_desk()
+    spec = prob.spec
+    X = prob.spec.random_feasible(4).X.copy()
+    X.flags.writeable = False
+    compared = _count_array_equal(monkeypatch)
+    cache = EvalCache()
+    cache.ensure_base(spec, X)
+    cache.ensure_base(spec, X)
+    assert cache.X is X and cache.counts["phi"] == 1       # no copy, no second base
+    Y = X.copy()
+    Y.flags.writeable = False
+    cache.ensure_base(spec, Y)
+    assert cache.X is Y and cache.counts["phi"] == 2       # another frozen array: a new base
+    assert compared == []
+    view = X[:]                                           # read-only, but not the owner
+    cache.ensure_base(spec, view)
+    assert compared == [1] and cache.counts["phi"] == 2   # matched by contents
+
+
+def test_cdf_solve_compares_no_contents_and_reports_a_writable_X(monkeypatch):
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                   "extrinsic_desk.cfg"))
+    prob = PROBLEM_BUILDERS[cfg.problem["id"]](cfg.problem)
+    pf = op.PenaltyFunction(prob.spec, prob, cfg.beta)
+    x0 = prob.spec.random_feasible(cfg.x0_seed)
+    compared = _count_array_equal(monkeypatch)
+    r = run_solver("cdf-gd", pf, x0, SolverConfig(grad_tol=1e-5))
+    assert (r.status, r.iters) == (STATUS_GRAD_TOL, 512)
+    assert compared == []
+    assert r.X.flags.writeable
+    r.X[0, 0] += 1.0                                       # the report owns its copy
+    assert pf.value(r.X) != r.fval
 
 
 @pytest.mark.parametrize("solver_id", ["cdf-gd", "cdf-cg", "cdf-lbfgs", "cdf-tr", "rgd", "rcg"])
