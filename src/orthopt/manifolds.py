@@ -75,13 +75,14 @@ def _orthonormalize_rows(vecs, drop_tol=1e-10):
 
 class SignedPermutation:
     """A symmetric or skew p x p matrix q with one entry +/-1 in each row and
-    column, applied by moving and negating entries, never by a product.
+    column, applied by moving and negating entries.
 
     Column j of q holds ``sign[j]`` in row ``perm[j]``, and q^T = ``sym`` q.
     Each entry of T q, T q^T, q^T T or q^T T q has one nonzero term, so on
-    finite input each method equals the dense product bit for bit.  The
-    columns are gathered as the runs of consecutive entries of perm: one
-    run for a diagonal J, two for the block swap J_2p.
+    finite input each method equals the dense product bit for bit.  A
+    diagonal q (J) is a sign mask or a column or row sign flip.  For a q
+    that moves columns (J_2p), T q copies signed column blocks into one
+    output, q^T T gathers rows and psi gathers entries.
     """
 
     def __init__(self, q):
@@ -90,43 +91,51 @@ class SignedPermutation:
         perm = np.argmax(np.abs(q), axis=0)
         sign = q[perm, np.arange(p)]
         if (q.shape != (p, p) or np.count_nonzero(q) != p or np.any(np.abs(sign) != 1.0)
-                or np.unique(perm).size != p):
+                or sorted(perm.tolist()) != list(range(p))):
             raise ValueError("q must be a signed permutation matrix")
         self.sym = 1.0 if np.array_equal(q.T, q) else -1.0
         if not np.array_equal(q.T, self.sym * q):
             raise ValueError("q must be symmetric or skew")
         q.flags.writeable = False
-        self.matrix, self.sign = q, sign
-        self._sign_t = self.sym * sign
-        cuts = [0] + [j for j in range(1, p) if perm[j] != perm[j - 1] + 1] + [p]
-        self._runs = [(perm[a], perm[a] + b - a) for a, b in zip(cuts, cuts[1:])]
-        self._identity = self._runs == [(0, p)]
+        self.matrix, self.perm, self.sign = q, perm, sign
+        self._diagonal = np.array_equal(perm, np.arange(p))
+        # column j of T q is sign[j] T[:, perm[j]]: cut perm into runs of
+        # consecutive sources with one sign, each one slice copy
+        cuts = [0] + [j for j in range(1, p)
+                      if perm[j] != perm[j - 1] + 1 or sign[j] != sign[j - 1]] + [p]
+        self._runs = [(c, d, perm[c], perm[c] + d - c, sign[c]) for c, d in zip(cuts, cuts[1:])]
         self._mask = np.outer(sign, sign)
         self._flat = perm[:, None] * p + perm
 
-    def _cols(self, T):
-        if self._identity:
-            return T
-        return np.concatenate([T[..., a:b] for a, b in self._runs], axis=-1)
+    def _cols(self, T, flip):
+        if self._diagonal:
+            return T * self.sign
+        out = np.empty(T.shape)
+        for c, d, a, b, s in self._runs:
+            if s * flip > 0:
+                out[..., c:d] = T[..., a:b]
+            else:
+                np.negative(T[..., a:b], out=out[..., c:d])
+        return out
 
     def right(self, T):
         """T q."""
-        return self._cols(T) * self.sign
+        return self._cols(T, 1.0)
 
     def right_t(self, T):
-        """T q^T."""
-        return self._cols(T) * self._sign_t
+        """T q^T = sym T q."""
+        return self._cols(T, self.sym)
 
     def left_t(self, T):
         """q^T T."""
-        if not self._identity:
-            T = np.concatenate([T[..., a:b, :] for a, b in self._runs], axis=-2)
+        if not self._diagonal:
+            T = T.take(self.perm, axis=-2)
         return T * self.sign[:, None]
 
     def psi(self, T):
         """q^T T q."""
-        if not self._identity:
-            T = np.take(T.reshape(T.shape[:-2] + (-1,)), self._flat, axis=-1)
+        if not self._diagonal:
+            T = T.reshape(T.shape[:-2] + (-1,)).take(self._flat, axis=-1)
         return T * self._mask
 
 
