@@ -87,10 +87,12 @@ class SignedPermutation:
 
     def __init__(self, q):
         q = np.array(q, dtype=float)
-        p = q.shape[0]
+        p = len(q)
+        if q.shape != (p, p):
+            raise ValueError("q must be a square matrix")
         perm = np.argmax(np.abs(q), axis=0)
         sign = q[perm, np.arange(p)]
-        if (q.shape != (p, p) or np.count_nonzero(q) != p or np.any(np.abs(sign) != 1.0)
+        if (np.count_nonzero(q) != p or np.any(np.abs(sign) != 1.0)
                 or sorted(perm.tolist()) != list(range(p))):
             raise ValueError("q must be a signed permutation matrix")
         self.sym = 1.0 if np.array_equal(q.T, q) else -1.0

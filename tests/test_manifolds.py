@@ -668,7 +668,8 @@ def test_theta_and_retract_equal_their_dense_q_forms(spec):
     np.array([[0.0, 2.0], [1.0, 0.0]]),                       # an entry other than +/-1
     np.array([[0.6, -0.8], [0.8, 0.6]]),                      # orthogonal, not a permutation
     np.eye(3)[[1, 2, 0]],                                     # neither symmetric nor skew
-], ids=["scaled", "rotation", "three-cycle"])
+    np.eye(3)[:, :2],                                         # not square
+], ids=["scaled", "rotation", "three-cycle", "not-square"])
 def test_signed_permutation_rejects_other_matrices(q):
     with pytest.raises(ValueError):
         SignedPermutation(q)
