@@ -17,7 +17,8 @@ both.
 
 import numpy as np
 
-from .linalg import NoUniqueSolutionError, lyapunov_solve, skew, sym
+from .linalg import NoUniqueSolutionError, lyapunov_apply, lyapunov_factor, skew, sym
+from .linalg import lyapunov_solve  # noqa: F401  (a module attribute bench/tracing.py wraps)
 from .tensor import TransformMatrix, dct_transform, mode3_product, qr_posdiag
 
 
@@ -38,9 +39,14 @@ class ThetaDegenerateError(np.linalg.LinAlgError):
 
 
 class FeasiblePoint:
-    """A manifold point with its phi image and Gram matrix cached."""
+    """A manifold point with its phi image and Gram matrix cached.
 
-    __slots__ = ("spec", "X", "phiX", "gram", "feas")
+    ``normal`` holds the factorization of the normal equations at the
+    point, (U, factor of K = U^T U) with U = phi(X) q^T; the first
+    ``theta_lstsq`` at the point builds it and later ones reuse it.
+    """
+
+    __slots__ = ("spec", "X", "phiX", "gram", "feas", "normal")
 
     def __init__(self, spec, X, tol=1e-8):
         X = np.asarray(X, dtype=float)
@@ -56,6 +62,7 @@ class FeasiblePoint:
 
     def _fill(self, spec, X, phiX, gram, tol):
         self.spec, self.X, self.phiX, self.gram = spec, X, phiX, gram
+        self.normal = None
         self.feas = np.linalg.norm(gram - np.eye(spec.p))
         if not np.isfinite(self.feas) or self.feas > tol:
             raise FeasibilityError(
@@ -267,24 +274,39 @@ def tangent_test(spec, point, Z, tol=1e-8):
     return bool(resid <= tol), resid
 
 
+def _normal_factor(spec, point):
+    # (U, factor of K = U^T U); a FeasiblePoint of spec builds it once and keeps it
+    cached = isinstance(point, FeasiblePoint) and point.spec is spec
+    if cached and point.normal is not None:
+        return point.normal
+    phiX = point.phiX if isinstance(point, FeasiblePoint) else spec.phi(np.asarray(point, float))
+    U = phiX if spec.qperm is None else spec.qperm.right_t(phiX)
+    K = U.mT @ U
+    normal = U, lyapunov_factor(K, K)
+    if cached:
+        point.normal = normal
+    return normal
+
+
 def theta_lstsq(spec, point, D):
     """Coefficient matrix of the normal component of D.
 
     Minimizes || phi(X) S - D || over S in S1 = {q^T W}.  With
     U = phi(X) q^T, K = U^T U and R = U^T D, the normal equations are the
     p x p Lyapunov equation K W + W K = R + R^T (W symmetric, q symmetric or
-    None) or R - R^T (W skew, q skew), solved in the eigenbasis of K at
-    O(n p^2 + p^3) per face.  A singular K raises ThetaDegenerateError
-    carrying the minimum-norm least-squares solution.
+    None) or R - R^T (W skew, q skew), solved in the eigenbasis of K.  A
+    FeasiblePoint keeps U and the eigendecomposition of K from its first
+    solve, so each later solve at the point costs O(n p^2 + p^3) with no
+    decomposition; a raw array is factored on every call.  A singular K
+    raises ThetaDegenerateError carrying the minimum-norm least-squares
+    solution.
     """
-    phiX = point.phiX if isinstance(point, FeasiblePoint) else spec.phi(np.asarray(point, float))
     q = spec.qperm
-    U = phiX if q is None else q.right_t(phiX)
-    K = U.mT @ U
+    U, factor = _normal_factor(spec, point)
     R = U.mT @ np.asarray(D, dtype=float)
     rhs = R + (1.0 if q is None else q.sym) * R.mT
     try:
-        W = lyapunov_solve(K, K, rhs)
+        W = lyapunov_apply(factor, rhs)
     except NoUniqueSolutionError as exc:
         S = exc.solution if q is None else q.left_t(exc.solution)
         raise ThetaDegenerateError(f"singular normal equations: {exc}", solution=S) from exc

@@ -62,6 +62,14 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
+    """Outcome of one solve.
+
+    ``phase_seconds`` and ``phase_counts`` are the time and the number of
+    calls booked to each phase.  ``phase_counts["hessvec"]`` counts the
+    Hessian-vector products formed; a trust-region re-solve that replays the
+    products of its base does not count them again.
+    """
+
     solver: str
     X: np.ndarray
     fval: float
@@ -521,6 +529,14 @@ class TrustRegion:
     delta = 1e3 eps max(1, |h|) to both reductions (Absil, Baker & Gallivan
     2007), so trials near the solution, where h - h_trial is mostly
     rounding, do not shrink the radius at random.
+
+    The CG directions at one base do not depend on the radius until CG
+    stops, and a rejected trial only shrinks the radius, so the re-solve
+    after it asks for a prefix of the same products.  The step keeps the
+    products H d of its base in order, replays them and forms new ones
+    only past the stored ones; the list is dropped when the step returns.
+    ``phase_counts["hessvec"]`` counts the products formed, not the
+    replayed ones.
     """
 
     def __init__(self):
@@ -533,8 +549,9 @@ class TrustRegion:
             with clock.phase("hessvec"):
                 return oracle.hessvec(x, v)
 
+        products = []
         while self.radius >= 1e-16:
-            p, Hp, hit_boundary = _steihaug(hv, g, gn, self.radius)
+            p, Hp, hit_boundary = _steihaug(hv, g, gn, self.radius, products)
             pred = -(_dot(g, p) + 0.5 * _dot(p, Hp))
             xn = oracle.move(x, p, clock)
             with clock.phase("objective"):
@@ -563,19 +580,25 @@ def _to_boundary(z, d, radius):
     return (-zd + np.sqrt(max(zd * zd + dd * (radius * radius - zz), 0.0))) / dd
 
 
-def _steihaug(hv, g, gn, radius, max_inner=250):
+def _steihaug(hv, g, gn, radius, products=None, max_inner=250):
     # Returns (p, H p, hit_boundary).  The forcing rule gives outer order
     # 1 + TCG_THETA; TCG_KAPPA < 0.084 keeps exact steps on the small
     # quadratics whose minimizer fits in the radius.  H p is carried along
     # the CG recurrence, so the caller needs no product of its own.
+    # ``products`` holds the H d of earlier runs at the same base: the
+    # directions do not depend on the radius until CG stops, so those are
+    # read in order and only later ones are formed and appended.
+    products = [] if products is None else products
     z = np.zeros_like(g)
     Hz = np.zeros_like(g)
     r = np.array(g, dtype=float)
     d = -r
     rr = _dot(r, r)
     tol = gn * min(TCG_KAPPA, gn ** TCG_THETA)
-    for _ in range(max_inner):
-        Hd = hv(d)
+    for k in range(max_inner):
+        if k == len(products):
+            products.append(hv(d))
+        Hd = products[k]
         dHd = _dot(d, Hd)
         if dHd <= 0.0:
             tau = _to_boundary(z, d, radius)

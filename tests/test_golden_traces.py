@@ -1,5 +1,6 @@
 """Pinned outcomes of the six solvers on the three desk configs at tol 1e-5,
-and a work budget for ``cdf-tr`` at tol 1e-9.
+the Hessian-vector products of their ``cdf-tr`` cells, and a work budget for
+``cdf-tr`` at tol 1e-9.
 
 Each solve starts from its config's ``x0_seed``.  Status and iteration count
 must match exactly and the final objective to 1e-12 relative, so a change
@@ -56,6 +57,19 @@ def test_golden_desk_solve(config, solver_id, status, iters, fval):
     r = run_solver(solver_id, pf, x0, SolverConfig(grad_tol=1e-5, max_iter=100000))
     assert (r.status, r.iters) == (status, iters)
     np.testing.assert_allclose(r.fval, fval, rtol=1e-12, atol=0.0)
+
+
+# Hessian-vector products formed by the cdf-tr cells above.  A re-solve after
+# a rejected trial replays the products of its base, so only new ones count;
+# formed afresh per re-solve these were 414, 571 and 593.
+CDF_TR_HESSVEC = [("lsm_desk", 248), ("extrinsic_desk", 511), ("tensor_jfd_desk", 451)]
+
+
+@pytest.mark.parametrize("config,hessvec", CDF_TR_HESSVEC, ids=[c for c, _ in CDF_TR_HESSVEC])
+def test_golden_cdf_tr_hessvec_count(config, hessvec):
+    pf, x0 = desk_bundle(config)
+    r = run_solver("cdf-tr", pf, x0, SolverConfig(grad_tol=1e-5, max_iter=100000))
+    assert r.phase_counts["hessvec"] == hessvec
 
 
 def test_cdf_tr_tol_1e9_hessvec_budget_on_lsm_desk():

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from orthopt.linalg import NoUniqueSolutionError, lyapunov_solve, skew, sym
+from orthopt.linalg import (
+    NoUniqueSolutionError,
+    lyapunov_apply,
+    lyapunov_factor,
+    lyapunov_solve,
+    skew,
+    sym,
+)
 
 
 def test_sym_skew_split():
@@ -81,3 +88,26 @@ def test_lyapunov_stack_flags_singular_modes_per_face():
     A = np.stack([np.eye(2), 1e-20 * np.eye(2)])
     S = lyapunov_solve(A, A, np.stack([np.eye(2), 1e-20 * np.eye(2)]))
     np.testing.assert_allclose(S, 0.5 * np.stack([np.eye(2), np.eye(2)]), rtol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (3, 4, 4)], ids=["matrix", "stack"])
+def test_lyapunov_factor_then_apply_is_the_eigenbasis_formula_bit_for_bit(shape):
+    # one factor serves many right-hand sides, each to the bits of a fresh solve
+    rng = np.random.default_rng(5)
+    A = sym(rng.standard_normal(shape)) + 6 * np.eye(shape[-1])
+    B = sym(rng.standard_normal(shape)) + 6 * np.eye(shape[-1])
+    for first, second in ((A, B), (A, A)):
+        factor = lyapunov_factor(first, second)
+        wa, Va = np.linalg.eigh(first)
+        wb, Vb = np.linalg.eigh(second)
+        for Q in rng.standard_normal((3,) + shape):
+            expected = Va @ ((Va.mT @ Q @ Vb) / (wa[..., :, None] + wb[..., None, :])) @ Vb.mT
+            assert np.array_equal(lyapunov_solve(first, second, Q), expected)
+            assert np.array_equal(lyapunov_apply(factor, Q), expected)
+
+
+def test_lyapunov_apply_raises_on_each_singular_solve():
+    factor = lyapunov_factor(np.array([[1.0]]), np.array([[-1.0]]))
+    for _ in range(2):
+        with pytest.raises(NoUniqueSolutionError):
+            lyapunov_apply(factor, np.array([[1.0]]))

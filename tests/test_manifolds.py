@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import orthopt as op
+import orthopt.linalg as linalg_mod
 from orthopt.diagnostics import battery_specs, check_assumptions, check_constraint_in_s1
 from orthopt.linalg import lyapunov_solve, skew, sym
 from orthopt.manifolds import (
@@ -657,8 +658,8 @@ def test_theta_and_retract_equal_their_dense_q_forms(spec):
     for seed in range(3):
         pt = spec.random_feasible(60 + seed)
         rng = np.random.default_rng(seed)
-        D = rng.standard_normal((spec.n, spec.p))
-        assert np.array_equal(theta_lstsq(spec, pt, D), _dense_theta(spec, pt, D))
+        for D in rng.standard_normal((2, spec.n, spec.p)):    # the second reuses the factorization
+            assert np.array_equal(theta_lstsq(spec, pt, D), _dense_theta(spec, pt, D))
         Z = random_tangent(spec, pt, 70 + seed)
         Z *= 0.3 / np.linalg.norm(Z)
         assert np.array_equal(retract(spec, pt, Z).X, _dense_retract(spec, pt, Z))
@@ -697,3 +698,45 @@ def test_solves_take_the_same_iterates_with_dense_q(monkeypatch):
     _dense_q(monkeypatch)
     assert outcomes() == structured
     assert all(status == "GradTol" and iters > 10 for status, iters, _ in structured)
+
+
+# ------------------------------------- one normal-space factorization per point
+
+def _uncached_theta(spec, point, D):
+    # theta_lstsq through lyapunov_solve, which factors K on every call
+    q = spec.qperm
+    U = point.phiX if q is None else q.right_t(point.phiX)
+    K = U.mT @ U
+    R = U.mT @ D
+    W = lyapunov_solve(K, K, R + (1.0 if q is None else q.sym) * R.mT)
+    return W if q is None else q.left_t(W)
+
+
+FACTOR_SPECS = list(SPECS.values()) + [op.tensor_stiefel(20, 3, 8)]
+FACTOR_IDS = list(SPECS) + ["tensor-stiefel-20x3x8"]
+
+
+@pytest.mark.parametrize("spec", FACTOR_SPECS, ids=FACTOR_IDS)
+def test_theta_factors_each_point_once(spec, monkeypatch):
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(linalg_mod.np.linalg, "eigh", lambda M: calls.append(M) or eigh(M))
+    pt = spec.random_feasible(21)
+    D1, D2 = (spec.random_ambient(np.random.default_rng(s)) for s in (22, 23))
+    Z = random_tangent(spec, spec.random_feasible(21), 24)     # at an equal point of its own
+    calls.clear()
+    thetas = [theta_lstsq(spec, pt, D) for D in (D1, D2, D1)]
+    assert len(calls) == 1
+    project_tangent(spec, pt, D2)
+    vector_transport(spec, pt, D1)
+    riemannian_hessvec(spec, pt, Z, D1, D2)
+    assert len(calls) == 1
+    for D, theta in zip((D1, D2, D1), thetas):
+        assert np.array_equal(theta, _uncached_theta(spec, pt, D))
+    if spec.q is not None:                  # the kept factor serves the point's own spec only
+        twin = op.stiefel(spec.n, spec.p)
+        assert np.array_equal(theta_lstsq(twin, pt, D1), _uncached_theta(twin, pt, D1))
+    # a raw array is factored on every call, to the same bits
+    calls.clear()
+    for D, theta in zip((D1, D2, D1), thetas):
+        assert np.array_equal(theta_lstsq(spec, pt.X, D), theta)
+    assert len(calls) == 3

@@ -14,9 +14,12 @@ from orthopt.solvers import (
     STATUS_LS_FAIL,
     STATUS_RADIUS_COLLAPSE,
     STATUS_TIME_LIMIT,
+    TR_INIT_RADIUS,
     FunctionOracle,
     PenaltyOracle,
+    PhaseClock,
     SolverConfig,
+    TrustRegion,
     _steihaug,
     cg,
     gd_bb,
@@ -128,6 +131,37 @@ def _steihaug_case(H, g, radius):
     return p, hit, curvatures
 
 
+def test_trust_region_re_solve_replays_the_products_of_its_base():
+    # the first trial lands where the objective is infinite and is rejected;
+    # the re-solve at a quarter of the radius reads a prefix of the first
+    # solve's products and forms none of its own
+    H = np.diag(np.geomspace(1.0, 100.0, 8))
+    x = 0.3 * np.random.default_rng(9).standard_normal(8)
+    g = H @ x
+    gn = np.linalg.norm(g)
+    formed = []
+
+    def f(y):
+        return 0.5 * float(y @ H @ y) if np.linalg.norm(y - x) <= 0.5 else np.inf
+
+    def solve_afresh(radius):
+        asked = []
+        p, _, hit = _steihaug(lambda v: asked.append(v) or H @ v, g, gn, radius)
+        return p, hit, asked
+
+    oracle = FunctionOracle(f, lambda y: H @ y, lambda y, v: formed.append(v) or H @ v)
+    clock = PhaseClock()
+    xn, hn = TrustRegion().step(oracle, clock, x, g, gn, f(x), f(x), lambda: False)
+    p1, hit1, first = solve_afresh(TR_INIT_RADIUS)
+    p2, hit2, second = solve_afresh(0.25 * TR_INIT_RADIUS)
+    assert not hit1 and np.linalg.norm(p1) > 0.5               # the rejected trial
+    assert hit2 and 2 <= len(second) < len(first)
+    assert clock.counts["objective"] == 2
+    assert np.array_equal(xn, x + p2) and hn == f(x + p2)
+    assert len(formed) == clock.counts["hessvec"] == len(first)
+    assert all(np.array_equal(a, b) for a, b in zip(formed, first))
+
+
 def test_steihaug_returns_hessian_product_interior():
     rng = np.random.default_rng(11)
     M = rng.standard_normal((8, 8))
@@ -184,12 +218,18 @@ def test_cdf_tr_rejected_trials_keep_the_base():
     # Hessian-vector product at x reuses grad f(A(X)); with one shared cache
     # this solve took 46 grad f calls for its 38 gradients.  Without the
     # fused oracle, so that values at trial points form no gradient.
+    # Re-solves after a rejection replay their products, so every product
+    # the oracle forms is counted once in phase_counts: 415, where forming
+    # each re-solve's products afresh took 465.
     pf, prob = lsm_desk(fused=False)
     oracle = PenaltyOracle(pf)
+    hessvec, products = oracle.hessvec, []
+    oracle.hessvec = lambda x, v: products.append(v) or hessvec(x, v)
     r = trust_ncg(oracle, prob.spec.random_feasible(3).X, SolverConfig(grad_tol=1e-5, max_iter=50000))
     assert (r.status, r.iters) == (STATUS_GRAD_TOL, 37)
     assert r.phase_counts["objective"] > r.iters                  # some trials were rejected
     assert oracle.cache.counts["grad_f"] == r.phase_counts["gradient"] == 38
+    assert len(products) == r.phase_counts["hessvec"] == 415
 
 
 def test_penalty_oracle_feas_reads_the_base_at_any_point():
