@@ -21,6 +21,8 @@ def _build_parser():
     p_run.add_argument("--tol", type=float, default=None, help="single gradient tolerance")
     p_run.add_argument("--seed", type=int, default=None, help="override the problem seed")
     p_run.add_argument("--out", default=None, help="output directory for tables and traces")
+    p_run.add_argument("--json", action="store_true",
+                       help="print the records as one JSON list instead of the text table")
 
     p_prof = sub.add_parser("profile", help="fixed-iteration timing decomposition")
     p_prof.add_argument("--config", required=True)
@@ -65,7 +67,7 @@ def main(argv=None):
     try:
         if args.command == "run":
             records = run(config)
-            sys.stdout.write(emit_table(records, "text"))
+            sys.stdout.write(emit_table(records, "json" if args.json else "text"))
             return 0
         profiles = timing_profile(config, iters=args.iters)
         if args.json:

@@ -3,8 +3,9 @@
 import configparser
 import csv
 import io
+import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -126,10 +127,10 @@ def _run_cell(pf, x0, x0_seed, solver_id, tol, config, eps_f):
     rec = ExperimentRecord(
         problem=pf.problem.name, size=_problem_size(pf.problem), solver=solver_id,
         tol=tol, fval=float(pf.problem.f(point.X)), iters=report.iters,
-        grad=float(grad), feas=point.feas,
+        grad=float(grad), feas=float(point.feas),
         cpu=report.total_time, status=report.status,
         seed=int(pf.problem.metadata.get("seed", 0)), beta=pf.beta,
-        pre_feas=report.feas_norm, x0_seed=x0_seed)
+        pre_feas=float(report.feas_norm), x0_seed=x0_seed)
     return rec, report
 
 
@@ -176,10 +177,13 @@ def run(config):
 
 
 def emit_table(records, fmt="text", path=None):
-    """Render records as CSV (long form, exact floats) or an aligned table."""
+    """Render records as CSV (long form, exact floats), a JSON list of
+    objects with the CSV columns as fields, or an aligned table."""
     if not records:
         raise ValueError("no records to emit")
-    if fmt == "csv":
+    if fmt == "json":
+        text = json.dumps([asdict(rec) for rec in records]) + "\n"
+    elif fmt == "csv":
         buf = io.StringIO()
         names = [f.name for f in fields(ExperimentRecord)]
         writer = csv.writer(buf)

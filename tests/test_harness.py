@@ -326,6 +326,28 @@ def test_cli_run_ok(tmp_path, capsys):
     assert (out / "records.csv").exists()
 
 
+def test_cli_run_json(tmp_path, capsys):
+    # one JSON list whose objects carry the CSV columns, values to the bit
+    path = tmp_path / "exp.cfg"
+    path.write_text(TINY_CFG)
+    out = tmp_path / "results"
+    code = cli_main(["run", "--config", str(path), "--json", "--out", str(out)])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)
+    with open(out / "records.csv", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert [row["solver"] for row in rows] == ["cdf-lbfgs", "rgd"]
+    for row, line in zip(rows, table, strict=True):
+        assert list(row) == list(line)
+        assert all(str(v) == line[k] if isinstance(v, str) else v == float(line[k])
+                   for k, v in row.items())
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[problem]\nid = warp-drive\n")
+    assert cli_main(["run", "--config", str(bad), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and captured.out == ""
+
+
 def test_cli_run_config_error(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("[problem]\nid = warp-drive\n")
