@@ -42,8 +42,9 @@ class FeasiblePoint:
     """A manifold point with its phi image and Gram matrix cached.
 
     ``normal`` holds the factorization of the normal equations at the
-    point, (U, factor of K = U^T U) with U = phi(X) q^T; the first
-    ``theta_lstsq`` at the point builds it and later ones reuse it.
+    point, (U, factor of K = U^T U) with U = phi(X) q^T (``normal_factor``).
+    The first ``theta_lstsq`` at the point builds it and later ones reuse it;
+    the Riemannian solvers build it with each point they retract to.
     """
 
     __slots__ = ("spec", "X", "phiX", "gram", "feas", "normal")
@@ -274,8 +275,10 @@ def tangent_test(spec, point, Z, tol=1e-8):
     return bool(resid <= tol), resid
 
 
-def _normal_factor(spec, point):
-    # (U, factor of K = U^T U); a FeasiblePoint of spec builds it once and keeps it
+def normal_factor(spec, point):
+    """(U, LyapunovFactor of K = U^T U) with U = phi(X) q^T: the part of the
+    normal equations that the point alone determines.  A FeasiblePoint of
+    ``spec`` builds it once and keeps it as ``point.normal``."""
     cached = isinstance(point, FeasiblePoint) and point.spec is spec
     if cached and point.normal is not None:
         return point.normal
@@ -295,14 +298,14 @@ def theta_lstsq(spec, point, D):
     U = phi(X) q^T, K = U^T U and R = U^T D, the normal equations are the
     p x p Lyapunov equation K W + W K = R + R^T (W symmetric, q symmetric or
     None) or R - R^T (W skew, q skew), solved in the eigenbasis of K.  A
-    FeasiblePoint keeps U and the eigendecomposition of K from its first
-    solve, so each later solve at the point costs O(n p^2 + p^3) with no
-    decomposition; a raw array is factored on every call.  A singular K
+    FeasiblePoint keeps U and the eigendecomposition of K (see
+    ``FeasiblePoint``), so each solve at it costs O(n p^2 + p^3) with no
+    new decomposition; a raw array is factored on every call.  A singular K
     raises ThetaDegenerateError carrying the minimum-norm least-squares
     solution.
     """
     q = spec.qperm
-    U, factor = _normal_factor(spec, point)
+    U, factor = normal_factor(spec, point)
     R = U.mT @ np.asarray(D, dtype=float)
     rhs = R + (1.0 if q is None else q.sym) * R.mT
     try:

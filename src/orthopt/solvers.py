@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import FeasiblePoint, RetractError, riemannian_gradient, vector_transport
+from .manifolds import (
+    FeasiblePoint,
+    RetractError,
+    normal_factor,
+    riemannian_gradient,
+    vector_transport,
+)
 from .penalty import EvalCache, penalty_gradient, penalty_hessvec, penalty_value
 
 STATUS_GRAD_TOL = "GradTol"
@@ -257,9 +263,14 @@ class ManifoldOracle:
         return riemannian_gradient(self.spec, point, egrad)
 
     def move(self, point, step, clock):
+        # the new point comes with the normal-space factorization that every
+        # projection at it reads, so its decomposition is booked to the
+        # geometry step that made the point
         try:
             with clock.phase("retraction"):
-                return self.spec.retract(point, step)
+                new = self.spec.retract(point, step)
+                normal_factor(self.spec, new)
+                return new
         except RetractError:
             return None
 

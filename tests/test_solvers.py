@@ -381,6 +381,24 @@ def test_rgd_constant_objective_stops_immediately():
     assert r.status == STATUS_GRAD_TOL and r.iters == 0
 
 
+def test_manifold_oracle_moves_to_a_point_with_its_normal_factorization(monkeypatch):
+    # the decomposition the projections at the new point read is booked to
+    # the retraction phase, so the transports and the gradient there form none
+    spec = op.symplectic_stiefel(12, 4)
+    prob = op.Problem(spec, lambda X: float(np.vdot(X, X)), lambda X: 2.0 * X, name="norm")
+    oracle = solvers_mod.ManifoldOracle(prob, spec)
+    x = spec.random_feasible(1)
+    step = op.random_tangent(spec, x, 2)
+    clock = PhaseClock()
+    xn = oracle.move(x, (0.1 / np.linalg.norm(step)) * step, clock)
+    assert clock.counts["retraction"] == 1 and xn.normal is not None
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M) or eigh(M))
+    oracle.grad(xn)
+    oracle.transport(xn, step, clock)
+    assert calls == []
+
+
 def test_rgd_rayleigh_quotient_reaches_smallest_eigenvalues():
     rng = np.random.default_rng(2)
     spec = op.stiefel(8, 2)
