@@ -60,18 +60,26 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown solver {s!r}; choose from {sorted(SOLVERS)}")
         if not self.tols:
             raise ConfigError("at least one gradient tolerance is required")
+        seed = self.problem.get("seed", 0)
         # each comparison is written so that NaN fails it
         for ok, message in [
             (all(0.0 <= t < np.inf for t in self.tols), "tols must be finite and >= 0"),
-            (self.max_iter >= 1, "max_iter must be >= 1"),
+            (_is_int(self.max_iter) and self.max_iter >= 1, "max_iter must be an integer >= 1"),
             (self.time_limit > 0, "time_limit must be > 0"),
             (0.0 < self.eps_f < np.inf, "eps_f must be finite and > 0"),
             (self.beta is None or self.beta > 0, "beta must be > 0"),
-            (self.repetitions >= 1, "repetitions must be >= 1"),
+            (_is_int(self.repetitions) and self.repetitions >= 1,
+             "repetitions must be an integer >= 1"),
+            (_is_int(self.x0_seed) and self.x0_seed >= 0, "x0_seed must be an integer >= 0"),
+            (_is_int(seed) and seed >= 0, "the problem seed must be an integer >= 0"),
         ]:
             if not ok:
                 raise ConfigError(message)
         return self
+
+
+def _is_int(value):
+    return isinstance(value, (int, np.integer))
 
 
 def _coerce(value):

@@ -103,37 +103,29 @@ def _eye(p):
     return eye
 
 
-def _frozen(X):
-    # a float array nothing can write through without first flipping its flag
-    return (type(X) is np.ndarray and X.dtype == np.float64
-            and not X.flags.writeable and X.flags.owndata)
-
-
 class EvalCache:
     """The base point of the penalty algebra: X, phi(X), the Gram matrix
     G = X^T phi(X), the constraint residual C = G - I, the factor
     lead = 1.5 I - 0.5 G of dA*, A(X) = X lead^T, grad f(A(X)), which a
     value taken through the problem's ``value_grad`` fills too, and
     ``syms``, the pair (gen_sym(grad f(A(X))^T X), gen_sym(C)) that the
-    gradient forms and the Hessian-vector product reads.  ``src`` is the
-    array object the base was last asked for.
+    gradient forms and the Hessian-vector product reads.
 
-    A base is matched in one of two ways.  A read-only array that owns its
-    data is taken as it is and matched by identity: asked for again as the
-    same object it is the same base, and any other such array is a new
-    base, with no contents compared and no copy made.  Whoever freezes an
-    array so promises not to change it.  Any other array is matched by
-    contents against the base and copied when it differs.
+    A cache may be built around its own X, which it takes without a copy;
+    the rest is formed the first time it is asked for.  Its own X is matched
+    by identity, so whoever hands it over promises not to change it.  Any
+    other array is matched by contents against the base and copied when it
+    differs.  The penalty solvers make each iterate a cache of its own, as
+    a Riemannian iterate is a ``FeasiblePoint``.
 
     Also meters the work done through it: dense products of n x p / p x p
     shape, phi applications, and objective/gradient oracle calls.  Caches
     built with the same ``counts`` dict share one meter.
     """
 
-    def __init__(self, counts=None):
+    def __init__(self, counts=None, X=None):
         self.counts = counts if counts is not None else {"matmul": 0, "phi": 0, "grad_f": 0, "f": 0}
-        self.src = None
-        self.X = None
+        self.X = X
         self.phiX = None
         self.gram = None
         self.C = None
@@ -162,16 +154,14 @@ class EvalCache:
         return spec.phi(Y)
 
     def ensure_base(self, spec, X):
-        frozen = _frozen(X)
-        if frozen and X is self.src:
-            return
-        self.src = X
-        if not frozen:
+        if X is not self.X:
             X = np.asarray(X, dtype=float)
-            if self.X is not None and self.X.shape == X.shape and np.array_equal(self.X, X):
+            if self.phiX is not None and self.X.shape == X.shape and np.array_equal(self.X, X):
                 return
-            X = X.copy()
-        self.X = X
+            self.X = X.copy()
+        elif self.phiX is not None:
+            return
+        X = self.X
         self.phiX = self._phi(spec, X)
         self.gram = self._mm(X.mT, self.phiX)
         eye = _eye(spec.p)
@@ -276,8 +266,10 @@ def postprocess(spec, X, eps_f=1e-12, max_rounds=50):
     """Drive the constraint residual under eps_f by repeated dissolving.
 
     Each round is one base point: its residual C and its A(X), the next
-    iterate, share one phi(X) and one Gram matrix, and the returned point
-    reuses those of the last base.  Returns (FeasiblePoint, rounds).
+    iterate, share one phi(X) and one Gram matrix.  The next round's cache
+    is built around that A(X), with no copy, and the returned point reuses
+    the phi(X) and Gram matrix of the last base.  Returns (FeasiblePoint,
+    rounds).
     Raises PostprocessDivergence (with the residual trace attached) when the
     iterate sits outside the contraction basin or the target cannot be met
     within max_rounds.
@@ -295,7 +287,8 @@ def postprocess(spec, X, eps_f=1e-12, max_rounds=50):
         if not np.isfinite(c) or c > 10.0 * trace[0] + 1.0:
             raise PostprocessDivergence(
                 f"residual diverged to {c:.3e} after {rounds} rounds", trace)
-        base = EvalCache.at(spec, base.AX)
+        base = EvalCache(X=base.AX)
+        base.ensure_base(spec, base.X)
         c = np.linalg.norm(base.C)
         rounds += 1
         trace.append(c)

@@ -14,6 +14,9 @@ from .manifolds import IndefiniteStiefel, SymplecticStiefel, TensorStiefel, spec
 from .tensor import qr_posdiag
 
 VALUE_GRAD_AGREE = 1e-10   # relative gap allowed between value_grad and (f, grad)
+GRAD_CHECK_POINTS = 5      # random points of the central-difference gradient check
+GRAD_CHECK_STEP = 1e-5     # its difference step along a unit direction
+GRAD_CHECK_TOL = 1e-6      # its relative gap allowed between grad and the difference
 
 
 class Problem:
@@ -42,15 +45,16 @@ class Problem:
             self._check_gradient()
             self.gradient_checked = True
 
-    def _check_gradient(self, points=5, step=1e-5, tol=1e-6):
-        """grad against central differences of f at ``points`` random
+    def _check_gradient(self):
+        """grad against central differences of f at GRAD_CHECK_POINTS random
         points, and value_grad (if any) against f and grad to
         VALUE_GRAD_AGREE relative at the last of them.  Agreement is an
         identity, not an estimate, so one generic point shows a wrong fused
         formula; each further point would cost two more objective
         evaluations in set-up."""
         rng = np.random.default_rng(1234)
-        for _ in range(points):
+        step = GRAD_CHECK_STEP
+        for _ in range(GRAD_CHECK_POINTS):
             X = self.spec.random_ambient(rng)
             X /= np.linalg.norm(X)
             V = self.spec.random_ambient(rng)
@@ -58,7 +62,7 @@ class Problem:
             fd = (self.f(X + step * V) - self.f(X - step * V)) / (2.0 * step)
             g = self.grad(X)
             an = float(np.vdot(g, V))
-            if abs(fd - an) > tol * max(1.0, abs(fd)):
+            if abs(fd - an) > GRAD_CHECK_TOL * max(1.0, abs(fd)):
                 raise ValueError(
                     f"{self.name}: gradient check failed ({an:.9e} vs fd {fd:.9e})")
         if self.value_grad is None:

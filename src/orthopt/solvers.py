@@ -52,6 +52,7 @@ LBFGS_MEMORY = 10         # (s, y) pairs kept by L-BFGS
 # truncated-CG forcing rule ||r|| <= ||g|| min(TCG_KAPPA, ||g||^TCG_THETA)
 TCG_KAPPA = 0.05
 TCG_THETA = 0.5
+TCG_MAX_INNER = 250       # inner CG iterations per subproblem
 
 
 @dataclass
@@ -149,7 +150,8 @@ class _FlatOracle:
         if nv == 0.0:
             return np.zeros_like(v)
         t = 1e-5 / nv
-        return (self.grad(x + t * v) - self.grad(x - t * v)) / (2.0 * t)
+        up, down = self.move(x, t * v, None), self.move(x, -t * v, None)
+        return (self.grad(up) - self.grad(down)) / (2.0 * t)
 
     def feas(self, x):
         return 0.0
@@ -177,58 +179,48 @@ class FunctionOracle(_FlatOracle):
 
 
 class PenaltyOracle(_FlatOracle):
-    """Penalty function over two evaluation caches that share one meter.
+    """Penalty function whose iterates are evaluation caches.
 
-    ``cache`` is the base that gradients and Hessian-vector products are
-    taken at; values go to ``trial``, so a rejected line-search or
-    trust-region trial does not evict the base.  A gradient asked for at
-    the point the last value was taken at adopts that trial base, which
-    already holds grad f(A(X)) when the problem has a fused ``value_grad``
-    (see ``penalty_value``).  Points
-    are matched first by identity, which the loop can rely on because it
-    never changes an evaluated point in place: ``feas`` at the point of
-    the last gradient reads the residual that gradient formed.  The start
-    copy and every ``x + step`` are made read-only, so the caches take
-    them without a copy and match them by identity alone, with no
-    comparison of contents (see ``EvalCache``); ``unwrap`` hands back a
-    writable copy.
+    The start and every x + step are a new ``EvalCache`` built around a
+    read-only X, all sharing the oracle's one meter.  Value, gradient,
+    Hessian-vector products and feasibility at an iterate fill or read its
+    own cache, so a rejected line-search or trust-region trial leaves the
+    base it was taken from as it was, and a gradient at a valued point reads
+    the grad f(A(X)) that a fused ``value_grad`` left there (see
+    ``penalty_value``).  No point is compared by contents; ``unwrap`` hands
+    back a writable copy of X.
     """
 
     def __init__(self, pf):
         self.pf = pf
-        self.cache = EvalCache()
-        self.trial = EvalCache(counts=self.cache.counts)
-        self.meter = self.cache.counts
+        self.meter = EvalCache().counts
 
     def iterate(self, x0):
-        return _freeze(super().iterate(x0))
+        return EvalCache(self.meter, _freeze(super().iterate(x0)))
 
     def move(self, x, step, clock):
-        return _freeze(x + step)
+        return EvalCache(self.meter, _freeze(x.X + step))
+
+    def displacement(self, x, xn, alpha, d, clock):
+        return xn.X - x.X
 
     def unwrap(self, x):
-        return np.array(x), None
+        return np.array(x.X), None
 
     def value(self, x):
-        return penalty_value(self.pf, x, self.trial)
-
-    def _base(self, x):
-        if x is self.trial.src and x is not self.cache.src:
-            self.cache, self.trial = self.trial, self.cache
-        return self.cache
+        return penalty_value(self.pf, x.X, x)
 
     def grad(self, x):
-        return penalty_gradient(self.pf, x, self._base(x))
+        return penalty_gradient(self.pf, x.X, x)
 
     def hessvec(self, x, v):
         if self.pf.problem.hessvec is None:
             return super().hessvec(x, v)
-        return penalty_hessvec(self.pf, x, v, self._base(x))
+        return penalty_hessvec(self.pf, x.X, v, x)
 
     def feas(self, x):
-        if x is not self.cache.src:
-            self._base(x).ensure_base(self.pf.spec, x)
-        return _norm(self.cache.C)
+        x.ensure_base(self.pf.spec, x.X)
+        return _norm(x.C)
 
 
 class ManifoldOracle:
@@ -591,7 +583,7 @@ def _to_boundary(z, d, radius):
     return (-zd + np.sqrt(max(zd * zd + dd * (radius * radius - zz), 0.0))) / dd
 
 
-def _steihaug(hv, g, gn, radius, products=None, max_inner=250):
+def _steihaug(hv, g, gn, radius, products=None):
     # Returns (p, H p, hit_boundary).  The forcing rule gives outer order
     # 1 + TCG_THETA; TCG_KAPPA < 0.084 keeps exact steps on the small
     # quadratics whose minimizer fits in the radius.  H p is carried along
@@ -606,7 +598,7 @@ def _steihaug(hv, g, gn, radius, products=None, max_inner=250):
     d = -r
     rr = _dot(r, r)
     tol = gn * min(TCG_KAPPA, gn ** TCG_THETA)
-    for k in range(max_inner):
+    for k in range(TCG_MAX_INNER):
         if k == len(products):
             products.append(hv(d))
         Hd = products[k]

@@ -1,0 +1,53 @@
+"""The library names that bench/tracing.py wraps must exist, and a traced
+solve must take the same iterates as an untraced one."""
+
+import importlib.util
+import os
+
+import pytest
+
+import orthopt as op
+import orthopt.solvers as solvers_mod
+from orthopt.diagnostics import desk_specs
+from orthopt.solvers import SolverConfig, run_solver
+
+TRACING_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_patch_targets_exist(tracing):
+    for mod, attr, _ in tracing.MODULE_PATCHES:
+        assert callable(getattr(mod, attr, None)), f"{mod.__name__}.{attr}"
+    assert callable(solvers_mod.penalty_gradient)
+    for spec in desk_specs():
+        for attr, _ in tracing.SPEC_METHODS:
+            assert callable(getattr(spec, attr, None)), f"{spec.name}.{attr}"
+
+
+def _lsm_desk():
+    prob = op.build_lsm(20, 4, seed=0)
+    return op.PenaltyFunction(prob.spec, prob, 0.5), prob
+
+
+@pytest.mark.parametrize("solver_id", ["cdf-gd", "rgd"])
+def test_traced_solve_takes_the_untraced_iterates(tracing, solver_id):
+    cfg = SolverConfig(grad_tol=1e-5, max_iter=20000)
+    pf, prob = _lsm_desk()
+    plain = run_solver(solver_id, pf, prob.spec.random_feasible(3), cfg)
+    tracer = tracing.Tracer()
+    pf, prob = _lsm_desk()
+    tracer.instrument(prob)
+    with tracer.installed():
+        traced = run_solver(solver_id, pf, prob.spec.random_feasible(3), cfg)
+    assert (traced.status, traced.iters, repr(traced.fval)) == \
+        (plain.status, plain.iters, repr(plain.fval))
+    names = {span[tracing.NAME] for span in tracer.spans}
+    assert "manifolds.phi" in names
+    assert ("penalty.gradient" if solver_id.startswith("cdf") else "manifolds.theta") in names

@@ -75,7 +75,7 @@ def test_golden_cdf_tr_hessvec_count(config, hessvec):
 def test_cdf_tr_tol_1e9_hessvec_budget_on_lsm_desk():
     # the regularized trust-region ratio keeps rho near 1 where h - h_trial
     # is mostly rounding; with the plain ratio this solve took 835
-    # iterations and 157,929 Hessian-vector products, with it 202 and 29,710
+    # iterations and 157,929 Hessian-vector products, with it 199 and 25,352
     pf, x0 = desk_bundle("lsm_desk")
     r = run_solver("cdf-tr", pf, x0, SolverConfig(grad_tol=1e-9, max_iter=100000))
     assert r.status == "GradTol"

@@ -104,6 +104,9 @@ def test_config_rejects_unknown_problem():
     {"max_iter": 0}, {"time_limit": 0.0}, {"time_limit": float("nan")},
     {"eps_f": 0.0}, {"eps_f": float("nan")}, {"eps_f": float("inf")},
     {"beta": -1.0}, {"beta": float("nan")}, {"repetitions": 0},
+    {"max_iter": 2.5}, {"repetitions": 1.5}, {"x0_seed": -3}, {"x0_seed": 1.5},
+    {"problem": {"id": "lsm", "n": 10, "p": 4, "seed": -1}},
+    {"problem": {"id": "lsm", "n": 10, "p": 4, "seed": 2.5}},
 ], ids=repr)
 def test_config_rejects_bad_numeric_settings(setting):
     kwargs = {"problem": {"id": "lsm", "n": 10, "p": 4}, "solvers": ["cdf-gd"], "tols": [1e-5]}
@@ -367,6 +370,9 @@ def _lsm_cfg_with(line):
     ("max_iter = abc", ["run"]), ("max_iter 5", ["run"]),   # not key = value
     ("tols = 1e-4", ["run", "--tol", "-1"]), ("tols = 1e-4", ["run", "--tol", "nan"]),
     ("tols = 1e-4", ["profile", "--iters", "0"]),
+    ("tols = 1e-4", ["run", "--seed", "-1"]),
+    ("x0_seed = -3", ["run"]), ("x0_seed = 1.5", ["run"]), ("x0_seed = -3", ["profile"]),
+    ("repetitions = 1.5", ["run"]), ("max_iter = 2.5", ["run"]),
 ])
 def test_cli_bad_run_settings_are_config_errors(tmp_path, capsys, line, args):
     path = tmp_path / "exp.cfg"

@@ -214,10 +214,10 @@ def test_cdf_tr_hessvec_budget_on_desk_instance():
 
 
 def test_cdf_tr_rejected_trials_keep_the_base():
-    # trial values go to a second cache, so after a rejected trial the next
-    # Hessian-vector product at x reuses grad f(A(X)); with one shared cache
-    # this solve took 46 grad f calls for its 38 gradients.  Without the
-    # fused oracle, so that values at trial points form no gradient.
+    # each trial is an iterate with its own cache, so after a rejected trial
+    # the next Hessian-vector product at x reuses grad f(A(X)); with one
+    # shared cache this solve took 46 grad f calls for its 38 gradients.
+    # Without the fused oracle, so that values at trial points form no gradient.
     # Re-solves after a rejection replay their products, so every product
     # the oracle forms is counted once in phase_counts: 415, where forming
     # each re-solve's products afresh took 465.
@@ -228,28 +228,51 @@ def test_cdf_tr_rejected_trials_keep_the_base():
     r = trust_ncg(oracle, prob.spec.random_feasible(3).X, SolverConfig(grad_tol=1e-5, max_iter=50000))
     assert (r.status, r.iters) == (STATUS_GRAD_TOL, 37)
     assert r.phase_counts["objective"] > r.iters                  # some trials were rejected
-    assert oracle.cache.counts["grad_f"] == r.phase_counts["gradient"] == 38
+    assert oracle.meter["grad_f"] == r.phase_counts["gradient"] == 38
     assert len(products) == r.phase_counts["hessvec"] == 415
 
 
+def test_cdf_tr_finite_difference_hessvec_pins_its_iterates_and_work():
+    # without a Hessian oracle the penalty Hessian-vector product is a central
+    # difference of two gradients, each at a point moved from x
+    _, prob = lsm_desk(fused=False)
+    prob = op.Problem(prob.spec, prob.f, prob.grad, None, name=prob.name,
+                      metadata=prob.metadata, check_gradient=False)
+    pf = op.PenaltyFunction(prob.spec, prob, 0.5)
+    r = run_solver("cdf-tr", pf, prob.spec.random_feasible(3), SolverConfig(grad_tol=1e-5))
+    assert (r.status, r.iters, repr(r.fval)) == (STATUS_GRAD_TOL, 37, "0.1513862255410449")
+    assert r.phase_counts["hessvec"] == 439
+    assert r.work == {"matmul": 5512, "phi": 924, "grad_f": 916, "f": 46}
+
+
 def test_penalty_oracle_feas_reads_the_base_at_any_point():
+    # every iterate is its own cache, so feasibility at one is read off its own base
     pf, prob = lsm_desk()
     spec = prob.spec
     rng = np.random.default_rng(4)
-    x, y = (spec.random_feasible(s).X + 0.01 * rng.standard_normal((spec.n, spec.p)) for s in (4, 5))
+    x0 = spec.random_feasible(4).X + 0.01 * rng.standard_normal((spec.n, spec.p))
+    step = 0.01 * rng.standard_normal((spec.n, spec.p))
 
     def residual(z):
         return float(np.linalg.norm(z.T @ spec.phi(z) - np.eye(spec.p)))
 
     oracle = PenaltyOracle(pf)
+    x = oracle.iterate(x0)
+    assert not x.X.flags.writeable and np.array_equal(x.X, x0)
     oracle.grad(x)
-    phi = oracle.cache.counts["phi"]
-    assert oracle.feas(x) == residual(x)
-    assert oracle.cache.counts["phi"] == phi                      # read off the gradient's base
+    phi = oracle.meter["phi"]
+    assert oracle.feas(x) == residual(x.X)
+    assert oracle.meter["phi"] == phi                             # read off the gradient's base
+    y = oracle.move(x, step, None)
+    assert y.counts is oracle.meter and np.array_equal(y.X, x.X + step)
     oracle.value(y)
-    assert oracle.feas(x) == residual(x)                          # a trial value leaves it
-    assert oracle.feas(y) == residual(y)                          # the trial point's own base
-    assert oracle.feas(x.copy()) == residual(x)                   # an equal copy
+    assert oracle.feas(x) == residual(x.X)                        # a trial value leaves it
+    assert oracle.feas(y) == residual(y.X)                        # the trial point's own base
+    assert oracle.meter["phi"] == phi + 1
+    z = oracle.move(x, step, None)
+    assert oracle.feas(z) == residual(z.X)                        # an iterate never valued
+    assert oracle.meter["phi"] == phi + 2
+    np.testing.assert_array_equal(oracle.displacement(x, y, 1.0, None, None), y.X - x.X)
 
 
 def test_evalcache_re_evaluates_a_writable_array_changed_in_place():
@@ -271,24 +294,28 @@ def _count_array_equal(monkeypatch):
     return compared
 
 
-def test_evalcache_matches_frozen_arrays_by_identity(monkeypatch):
+def test_evalcache_matches_its_own_X_by_identity_and_others_by_contents(monkeypatch):
     pf, prob = lsm_desk()
     spec = prob.spec
     X = prob.spec.random_feasible(4).X.copy()
     X.flags.writeable = False
     compared = _count_array_equal(monkeypatch)
-    cache = EvalCache()
+    cache = EvalCache(X=X)
+    cache.ensure_base(spec, cache.X)
     cache.ensure_base(spec, X)
-    cache.ensure_base(spec, X)
-    assert cache.X is X and cache.counts["phi"] == 1       # no copy, no second base
-    Y = X.copy()
-    Y.flags.writeable = False
-    cache.ensure_base(spec, Y)
-    assert cache.X is Y and cache.counts["phi"] == 2       # another frozen array: a new base
+    assert cache.X is X and cache.counts["phi"] == 1       # its own X: no copy, no second base
     assert compared == []
-    view = X[:]                                           # read-only, but not the owner
-    cache.ensure_base(spec, view)
-    assert compared == [1] and cache.counts["phi"] == 2   # matched by contents
+    Y = X.copy()                                          # another array, equal contents
+    cache.ensure_base(spec, Y)
+    assert compared == [1] and cache.X is X and cache.counts["phi"] == 1
+    Y[0, 0] += 0.1                                        # another array, other contents
+    cache.ensure_base(spec, Y)
+    assert compared == [1, 1] and cache.counts["phi"] == 2
+    assert cache.X is not Y and (cache.X == Y).all()      # copied
+    Y[0, 0] -= 0.1
+    assert cache.X[0, 0] != Y[0, 0]                       # the copy is the cache's own
+    cache.ensure_base(spec, cache.X)
+    assert compared == [1, 1] and cache.counts["phi"] == 2
 
 
 def test_cdf_solve_compares_no_contents_and_reports_a_writable_X(monkeypatch):
