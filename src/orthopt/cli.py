@@ -60,7 +60,7 @@ def main(argv=None):
             if args.out is not None:
                 config.out = args.out
         config.validate()
-    except (ConfigError, ValueError, TypeError, KeyError, OSError, configparser.Error) as exc:
+    except (ConfigError, ValueError, KeyError, OSError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

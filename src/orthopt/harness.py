@@ -15,6 +15,8 @@ from .problems import PROBLEM_BUILDERS
 from .solvers import ALL_PHASES, SOLVERS, SolverConfig, run_solver
 
 TRACE_HEADER = ["iter", "value", "grad_norm", "feas"] + [f"t_{p}" for p in ALL_PHASES]
+NUMERIC_RUN_KEYS = ("beta", "max_iter", "time_limit", "eps_f", "x0_seed", "repetitions")
+RUN_KEYS = ("solvers", "tols", "out") + NUMERIC_RUN_KEYS   # the keys a [run] block may set
 
 
 class ConfigError(ValueError):
@@ -61,13 +63,13 @@ class ExperimentConfig:
         if not self.tols:
             raise ConfigError("at least one gradient tolerance is required")
         seed = self.problem.get("seed", 0)
-        # each comparison is written so that NaN fails it
+        # each comparison is written so that NaN, and so any non-number, fails it
         for ok, message in [
-            (all(0.0 <= t < np.inf for t in self.tols), "tols must be finite and >= 0"),
+            (all(0.0 <= _real(t) < np.inf for t in self.tols), "tols must be finite and >= 0"),
             (_is_int(self.max_iter) and self.max_iter >= 1, "max_iter must be an integer >= 1"),
-            (self.time_limit > 0, "time_limit must be > 0"),
-            (0.0 < self.eps_f < np.inf, "eps_f must be finite and > 0"),
-            (self.beta is None or self.beta > 0, "beta must be > 0"),
+            (_real(self.time_limit) > 0, "time_limit must be > 0"),
+            (0.0 < _real(self.eps_f) < np.inf, "eps_f must be finite and > 0"),
+            (self.beta is None or 0.0 < _real(self.beta) < np.inf, "beta must be finite and > 0"),
             (_is_int(self.repetitions) and self.repetitions >= 1,
              "repetitions must be an integer >= 1"),
             (_is_int(self.x0_seed) and self.x0_seed >= 0, "x0_seed must be an integer >= 0"),
@@ -80,6 +82,11 @@ class ExperimentConfig:
 
 def _is_int(value):
     return isinstance(value, (int, np.integer))
+
+
+def _real(value):
+    """value if it is a number, else NaN."""
+    return value if isinstance(value, (int, float, np.integer, np.floating)) else np.nan
 
 
 def _coerce(value):
@@ -104,18 +111,15 @@ def load_config(path):
         raise ConfigError("config needs a [problem] block")
     problem = {k: _coerce(v) for k, v in parser["problem"].items()}
     run_sec = parser["run"] if "run" in parser else {}
-    kwargs = {}
-    if "solvers" in run_sec:
-        kwargs["solvers"] = [s.strip() for s in run_sec["solvers"].split(",") if s.strip()]
-    else:
-        kwargs["solvers"] = list(SOLVERS)
-    if "tols" in run_sec:
-        kwargs["tols"] = [float(t) for t in run_sec["tols"].split(",") if t.strip()]
-    else:
-        kwargs["tols"] = [1e-5, 1e-9]
-    for key in ("beta", "max_iter", "time_limit", "eps_f", "x0_seed", "out", "repetitions"):
-        if key in run_sec:
-            kwargs[key] = _coerce(run_sec[key])
+    unknown = sorted(set(run_sec) - set(RUN_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown [run] key {unknown[0]!r}; choose from {', '.join(RUN_KEYS)}")
+    kwargs = {key: _coerce(run_sec[key]) for key in NUMERIC_RUN_KEYS if key in run_sec}
+    solvers, tols = run_sec.get("solvers", ",".join(SOLVERS)), run_sec.get("tols", "1e-5, 1e-9")
+    kwargs["solvers"] = [s.strip() for s in solvers.split(",") if s.strip()]
+    kwargs["tols"] = [float(t) for t in tols.split(",") if t.strip()]
+    if "out" in run_sec:    # a directory name, even when it reads as a number
+        kwargs["out"] = run_sec["out"].strip()
     return ExperimentConfig(problem=problem, **kwargs).validate()
 
 
@@ -131,10 +135,11 @@ def _run_cell(pf, x0, x0_seed, solver_id, tol, config, eps_f):
     report = run_solver(solver_id, pf, x0, cfg)
     # every row is read at the post-processed point; pre_feas keeps the raw residual
     point, _ = postprocess(pf.spec, report.X, eps_f=eps_f)
-    grad = np.linalg.norm(riemannian_gradient(pf.spec, point, pf.problem.grad(point.X)))
+    egrad = pf.problem.grad(point.X, point.store)
+    grad = np.linalg.norm(riemannian_gradient(pf.spec, point, egrad))
     rec = ExperimentRecord(
         problem=pf.problem.name, size=_problem_size(pf.problem), solver=solver_id,
-        tol=tol, fval=float(pf.problem.f(point.X)), iters=report.iters,
+        tol=tol, fval=float(pf.problem.f(point.X, point.store)), iters=report.iters,
         grad=float(grad), feas=float(point.feas),
         cpu=report.total_time, status=report.status,
         seed=int(pf.problem.metadata.get("seed", 0)), beta=pf.beta,

@@ -45,9 +45,10 @@ class FeasiblePoint:
     point, (U, factor of K = U^T U) with U = phi(X) q^T (``normal_factor``).
     The first ``theta_lstsq`` at the point builds it and later ones reuse it;
     the Riemannian solvers build it with each point they retract to.
+    ``store`` is the problem oracles' store for the point (see ``Problem``).
     """
 
-    __slots__ = ("spec", "X", "phiX", "gram", "feas", "normal")
+    __slots__ = ("spec", "X", "phiX", "gram", "feas", "normal", "store")
 
     def __init__(self, spec, X, tol=1e-8):
         X = np.asarray(X, dtype=float)
@@ -64,6 +65,7 @@ class FeasiblePoint:
     def _fill(self, spec, X, phiX, gram, tol):
         self.spec, self.X, self.phiX, self.gram = spec, X, phiX, gram
         self.normal = None
+        self.store = {}
         self.feas = np.linalg.norm(gram - np.eye(spec.p))
         if not np.isfinite(self.feas) or self.feas > tol:
             raise FeasibilityError(

@@ -106,8 +106,8 @@ def _eye(p):
 class EvalCache:
     """The base point of the penalty algebra: X, phi(X), the Gram matrix
     G = X^T phi(X), the constraint residual C = G - I, the factor
-    lead = 1.5 I - 0.5 G of dA*, A(X) = X lead^T, grad f(A(X)), which a
-    value taken through the problem's ``value_grad`` fills too, and
+    lead = 1.5 I - 0.5 G of dA*, A(X) = X lead^T, ``store``, the problem
+    oracles' store for the point A(X) (see ``Problem``), grad f(A(X)), and
     ``syms``, the pair (gen_sym(grad f(A(X))^T X), gen_sym(C)) that the
     gradient forms and the Hessian-vector product reads.
 
@@ -131,6 +131,7 @@ class EvalCache:
         self.C = None
         self.lead = None
         self.AX = None
+        self.store = None
         self.gradfA = None
         self.syms = None
 
@@ -168,6 +169,7 @@ class EvalCache:
         self.C = self.gram - eye
         self.lead = 1.5 * eye - 0.5 * self.gram
         self.AX = self._mm(X, self.lead.mT)
+        self.store = {}
         self.gradfA = None
         self.syms = None
 
@@ -176,7 +178,7 @@ class EvalCache:
         self.ensure_base(spec, X)
         if self.gradfA is None:
             self.counts["grad_f"] += 1
-            self.gradfA = problem.grad(self.AX)
+            self.gradfA = problem.grad(self.AX, self.store)
         if self.syms is None:
             self.syms = (spec.gen_sym(self._mm(self.gradfA.mT, self.X)), spec.gen_sym(self.C))
 
@@ -207,17 +209,11 @@ def _dA_adjoint(cache, spec, V, SV=None):
 
 
 def penalty_value(pf, X, cache=None):
-    """h(X).  With the problem's fused ``value_grad``, grad f(A(X)) comes
-    along and is kept in the base, so a gradient there costs no oracle call."""
+    """h(X); f(A(X)) fills the store of A(X), which a gradient there reads."""
     cache = cache if cache is not None else EvalCache()
     cache.ensure_base(pf.spec, X)
     cache.counts["f"] += 1
-    if pf.problem.value_grad is not None:
-        cache.counts["grad_f"] += 1
-        fA, cache.gradfA = pf.problem.value_grad(cache.AX)
-        cache.syms = None   # the pair belongs to the gradient it was formed from
-    else:
-        fA = pf.problem.f(cache.AX)
+    fA = pf.problem.f(cache.AX, cache.store)
     return float(fA) + 0.5 * pf.beta * float(np.vdot(cache.C, cache.C))
 
 
@@ -252,7 +248,7 @@ def penalty_hessvec(pf, X, dX, cache=None):
     SV, SC = cache.syms
     mm = cache._mm
     DAdX, phiD, P, Q = _dA(cache, spec, dX)
-    Hf = pf.problem.hessvec(cache.AX, DAdX)
+    Hf = pf.problem.hessvec(cache.AX, DAdX, cache.store)
     R = mm(X.mT, Hf)
     lead = mm(Hf, cache.lead)
     on_phiX = (-0.5 * (spec.gen_sym(R.mT) + spec.gen_sym(mm(Gf.mT, dX)))
@@ -302,7 +298,7 @@ def stationarity_report(pf, X, eps_f=1e-12, max_rounds=50):
     gh = penalty_gradient(pf, X, cache)
     feas = float(np.linalg.norm(cache.C))
     point, rounds = postprocess(pf.spec, X, eps_f=eps_f, max_rounds=max_rounds)
-    rg = riemannian_gradient(pf.spec, point, pf.problem.grad(point.X))
+    rg = riemannian_gradient(pf.spec, point, pf.problem.grad(point.X, point.store))
     return {
         "grad_h": float(np.linalg.norm(gh)),
         "feas": feas,

@@ -13,7 +13,6 @@ import numpy as np
 from .manifolds import IndefiniteStiefel, SymplecticStiefel, TensorStiefel, spec_from_record
 from .tensor import qr_posdiag
 
-VALUE_GRAD_AGREE = 1e-10   # relative gap allowed between value_grad and (f, grad)
 GRAD_CHECK_POINTS = 5      # random points of the central-difference gradient check
 GRAD_CHECK_STEP = 1e-5     # its difference step along a unit direction
 GRAD_CHECK_TOL = 1e-6      # its relative gap allowed between grad and the difference
@@ -24,20 +23,19 @@ class Problem:
 
     f maps a point of shape ``spec.batch + (n, p)`` to a scalar, grad returns
     the Euclidean gradient, hessvec (optional) the Euclidean Hessian action.
-    value_grad (optional) returns the pair (f(X), grad(X)) from one pass; a
-    problem supplies it only when the gradient costs little beyond the value
-    (they share the dominant product), because the solvers then take the
-    gradient along with every value, including values at trial points that
-    the line search or trust region rejects.
+    Each oracle takes the point's store as an optional last argument,
+    ``f(X, store=None)``, ``grad(X, store=None)``, ``hessvec(X, V,
+    store=None)``: a dict that belongs to the one point X, in which an oracle
+    may keep what the others at X reuse (a dominant product, say).  An
+    oracle may ignore it, and with ``store=None`` it computes afresh.
     """
 
     def __init__(self, spec, f, grad, hessvec=None, name="problem",
-                 metadata=None, check_gradient=True, value_grad=None):
+                 metadata=None, check_gradient=True):
         self.spec = spec
         self.f = f
         self.grad = grad
         self.hessvec = hessvec
-        self.value_grad = value_grad
         self.name = name
         self.metadata = dict(metadata or {})
         self.gradient_checked = False
@@ -46,12 +44,7 @@ class Problem:
             self.gradient_checked = True
 
     def _check_gradient(self):
-        """grad against central differences of f at GRAD_CHECK_POINTS random
-        points, and value_grad (if any) against f and grad to
-        VALUE_GRAD_AGREE relative at the last of them.  Agreement is an
-        identity, not an estimate, so one generic point shows a wrong fused
-        formula; each further point would cost two more objective
-        evaluations in set-up."""
+        """grad against central differences of f at GRAD_CHECK_POINTS random points."""
         rng = np.random.default_rng(1234)
         step = GRAD_CHECK_STEP
         for _ in range(GRAD_CHECK_POINTS):
@@ -60,23 +53,25 @@ class Problem:
             V = self.spec.random_ambient(rng)
             V /= np.linalg.norm(V)
             fd = (self.f(X + step * V) - self.f(X - step * V)) / (2.0 * step)
-            g = self.grad(X)
-            an = float(np.vdot(g, V))
+            an = float(np.vdot(self.grad(X), V))
             if abs(fd - an) > GRAD_CHECK_TOL * max(1.0, abs(fd)):
                 raise ValueError(
                     f"{self.name}: gradient check failed ({an:.9e} vs fd {fd:.9e})")
-        if self.value_grad is None:
-            return
-        fx = float(self.f(X))
-        v, vg = self.value_grad(X)
-        if not abs(float(v) - fx) <= VALUE_GRAD_AGREE * max(1.0, abs(fx)):
-            raise ValueError(f"{self.name}: value_grad value {float(v):.9e} differs from f {fx:.9e}")
-        err = float(np.linalg.norm(np.asarray(vg) - g))
-        if not err <= VALUE_GRAD_AGREE * max(1.0, float(np.linalg.norm(g))):
-            raise ValueError(f"{self.name}: value_grad gradient differs from grad by {err:.3e}")
 
     def __repr__(self):
         return f"Problem({self.name}, spec={self.spec!r})"
+
+
+def _memo(make):
+    """make(X), kept in the store of X under the key make, which is each built
+    problem's own; with no store it is formed afresh."""
+    def get(X, store=None):
+        if store is None:
+            return make(X)
+        if make not in store:
+            store[make] = make(X)
+        return store[make]
+    return get
 
 
 def build_lsm(n2, p2, seed=0, a=None, b=None):
@@ -104,23 +99,23 @@ def build_lsm(n2, p2, seed=0, a=None, b=None):
     # exact arithmetic, but with the n x n operand in the packed panel that
     # the BLAS micro-kernel streams along; 1.35x faster at n = 1000, p = 20
     # and 1.7x at n = 4000, p = 20 (one OpenBLAS thread on a Xeon core).
-    def value_grad(X):
-        # one product A X for the value and the gradient
-        G = (X.mT @ A).mT * mu
-        return float(np.vdot(X, G)), 2.0 * G
+    # The value and the gradient share the one product A X N.
+    @_memo
+    def AXN(X):
+        return (X.mT @ A).mT * mu
 
-    def f(X):
-        return value_grad(X)[0]
+    def f(X, store=None):
+        return float(np.vdot(X, AXN(X, store)))
 
-    def grad(X):
-        return value_grad(X)[1]
+    def grad(X, store=None):
+        return 2.0 * AXN(X, store)
 
-    def hessvec(X, V):
+    def hessvec(X, V, store=None):
         return 2.0 * (V.mT @ A).mT * mu
 
     meta = {"problem": "lsm", "n": n2, "p": p2, "seed": seed, "a": a, "b": b,
             "beta_default": 0.012, "rng": "pcg64"}
-    prob = Problem(spec, f, grad, hessvec, name="lsm", metadata=meta, value_grad=value_grad)
+    prob = Problem(spec, f, grad, hessvec, name="lsm", metadata=meta)
     prob.A = A
     prob.N_diag = mu
     return prob
@@ -157,14 +152,14 @@ def build_extrinsic_mean(n, p, k, p_k, n_samples=1000, seed=0):
             raise ValueError(f"sample {i} infeasible with residual {resid:.2e}")
     A = samples.mean(axis=0)
 
-    def f(X):
+    def f(X, store=None):
         d = X - A
         return float(np.vdot(d, d))
 
-    def grad(X):
+    def grad(X, store=None):
         return 2.0 * (X - A)
 
-    def hessvec(X, V):
+    def hessvec(X, V, store=None):
         return 2.0 * np.asarray(V, dtype=float)
 
     meta = {"problem": "extrinsic-mean", "n": n, "p": p, "k": k, "p_k": p_k,
@@ -200,21 +195,25 @@ def build_tensor_jfd(n, p, l, n_samples=10, gamma=0.5, seed=0, transform=None):
             mats[i] += gamma * noise / np.linalg.norm(noise)
     offdiag = 1.0 - np.eye(p)
 
-    def f(X):
-        O = (X.mT @ (mats @ X)) * offdiag
+    # the products by the sample faces at X, shared by every oracle there
+    @_memo
+    def faces(X):
+        DX = mats @ X
+        return DX, (X.mT @ DX) * offdiag, mats.mT @ X
+
+    def f(X, store=None):
+        O = faces(X, store)[1]
         return float(np.vdot(O, O))
 
-    def grad(X):
-        DX = mats @ X
-        O = (X.mT @ DX) * offdiag
-        return 2.0 * (mats.mT @ X @ O + DX @ O.mT).sum(axis=0)
+    def grad(X, store=None):
+        DX, O, MX = faces(X, store)
+        return 2.0 * (MX @ O + DX @ O.mT).sum(axis=0)
 
-    def hessvec(X, V):
+    def hessvec(X, V, store=None):
         V = np.asarray(V, dtype=float)
-        DX, DV = mats @ X, mats @ V
-        O = (X.mT @ DX) * offdiag
+        (DX, O, MX), DV = faces(X, store), mats @ V
         Od = (V.mT @ DX + X.mT @ DV) * offdiag
-        return 2.0 * (mats.mT @ V @ O + mats.mT @ X @ Od + DV @ O.mT + DX @ Od.mT).sum(axis=0)
+        return 2.0 * (mats.mT @ V @ O + MX @ Od + DV @ O.mT + DX @ Od.mT).sum(axis=0)
 
     meta = {"problem": "tensor-jfd", "n": n, "p": p, "l": l, "samples": n_samples,
             "gamma": gamma, "seed": seed, "beta_default": 0.8, "rng": "pcg64",
@@ -231,14 +230,14 @@ def toy_problem(spec, seed=0):
     A0 = spec.random_ambient(rng)
     A0 /= np.linalg.norm(A0)
 
-    def f(X):
+    def f(X, store=None):
         r = X - A0
         return 0.5 * float(np.vdot(r, r)) + 0.25 * float(np.vdot(X, X)) ** 2
 
-    def grad(X):
+    def grad(X, store=None):
         return (X - A0) + float(np.vdot(X, X)) * X
 
-    def hessvec(X, V):
+    def hessvec(X, V, store=None):
         V = np.asarray(V, dtype=float)
         return V + 2.0 * float(np.vdot(X, V)) * X + float(np.vdot(X, X)) * V
 
@@ -252,13 +251,13 @@ def build_zero(record):
     rec.setdefault("name", "stiefel")
     spec = spec_from_record(rec)
 
-    def f(X):
+    def f(X, store=None):
         return 0.0
 
-    def grad(X):
+    def grad(X, store=None):
         return np.zeros_like(np.asarray(X, dtype=float))
 
-    def hessvec(X, V):
+    def hessvec(X, V, store=None):
         return np.zeros_like(np.asarray(V, dtype=float))
 
     meta = {"problem": "zero", "seed": int(record.get("seed", 0)),

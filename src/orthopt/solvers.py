@@ -185,10 +185,9 @@ class PenaltyOracle(_FlatOracle):
     read-only X, all sharing the oracle's one meter.  Value, gradient,
     Hessian-vector products and feasibility at an iterate fill or read its
     own cache, so a rejected line-search or trust-region trial leaves the
-    base it was taken from as it was, and a gradient at a valued point reads
-    the grad f(A(X)) that a fused ``value_grad`` left there (see
-    ``penalty_value``).  No point is compared by contents; ``unwrap`` hands
-    back a writable copy of X.
+    base it was taken from as it was, and the objective oracles at A(X)
+    share that cache's store.  No point is compared by contents; ``unwrap``
+    hands back a writable copy of X.
     """
 
     def __init__(self, pf):
@@ -228,31 +227,23 @@ class ManifoldOracle:
 
     Iterates are FeasiblePoints.  A step the retraction cannot take
     (RetractError) is a rejected trial, reported as ``move`` returning None.
-    A problem with a fused ``value_grad`` leaves the Euclidean gradient of
-    the last valued point in a one-entry cache keyed by identity, which a
-    gradient at that same point reads.
+    The objective oracles at a point share the point's store.
     """
 
     meter = None
 
     def __init__(self, problem, spec):
         self.problem, self.spec = problem, spec
-        self._valued = self._egrad = None
 
     def iterate(self, x0):
         """The start as an iterate: a FeasiblePoint, checked to 1e-8."""
         return x0 if isinstance(x0, FeasiblePoint) else FeasiblePoint(self.spec, x0, tol=1e-8)
 
     def value(self, point):
-        if self.problem.value_grad is None:
-            return float(self.problem.f(point.X))
-        fx, self._egrad = self.problem.value_grad(point.X)
-        self._valued = point
-        return float(fx)
+        return float(self.problem.f(point.X, point.store))
 
     def grad(self, point):
-        egrad = self._egrad if point is self._valued else self.problem.grad(point.X)
-        return riemannian_gradient(self.spec, point, egrad)
+        return riemannian_gradient(self.spec, point, self.problem.grad(point.X, point.store))
 
     def move(self, point, step, clock):
         # the new point comes with the normal-space factorization that every

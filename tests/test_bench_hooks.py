@@ -3,6 +3,7 @@ solve must take the same iterates as an untraced one."""
 
 import importlib.util
 import os
+from collections import Counter
 
 import pytest
 
@@ -51,3 +52,40 @@ def test_traced_solve_takes_the_untraced_iterates(tracing, solver_id):
     names = {span[tracing.NAME] for span in tracer.spans}
     assert "manifolds.phi" in names
     assert ("penalty.gradient" if solver_id.startswith("cdf") else "manifolds.theta") in names
+
+
+def test_traced_penalty_solve_spans_every_objective_call(tracing):
+    # each penalty value and gradient calls the objective oracle it wraps, so
+    # the per-layer problems.f and problems.grad counts cannot read 0
+    pf, prob = _lsm_desk()
+    tracer = tracing.Tracer()
+    tracer.instrument(prob)
+    with tracer.installed():
+        run_solver("cdf-gd", pf, prob.spec.random_feasible(3), SolverConfig(grad_tol=1e-5))
+    names = Counter(span[tracing.NAME] for span in tracer.spans)
+    assert names["problems.f"] == names["penalty.value"] > 0
+    assert names["problems.grad"] == names["penalty.gradient"] > 0
+
+
+class _Recording:
+    """A problem that records the names of the callables read off it."""
+
+    def __init__(self, problem):
+        self.__dict__.update(problem=problem, called=set())
+
+    def __getattr__(self, name):
+        value = getattr(self.problem, name)
+        if callable(value):
+            self.called.add(name)
+        return value
+
+
+def test_problem_oracles_cover_every_oracle_the_library_calls(tracing):
+    _, prob = _lsm_desk()
+    recording = _Recording(prob)
+    pf = op.PenaltyFunction(prob.spec, recording, 0.5)
+    x0 = prob.spec.random_feasible(3)
+    for sid in op.SOLVERS:
+        run_solver(sid, pf, x0, SolverConfig(grad_tol=1e-5, max_iter=3))
+    op.stationarity_report(pf, x0.X)
+    assert recording.called == {attr for attr, _ in tracing.PROBLEM_ORACLES}

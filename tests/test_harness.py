@@ -81,6 +81,12 @@ def test_load_config_defaults(tmp_path):
     assert cfg.eps_f == 1e-12
 
 
+def test_load_config_keeps_a_numeric_out_directory_a_name(tmp_path):
+    path = tmp_path / "out.cfg"
+    path.write_text(LSM_CFG + "out = 2026\n")
+    assert load_config(path).out == "2026"
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/path.cfg")
@@ -107,6 +113,8 @@ def test_config_rejects_unknown_problem():
     {"max_iter": 2.5}, {"repetitions": 1.5}, {"x0_seed": -3}, {"x0_seed": 1.5},
     {"problem": {"id": "lsm", "n": 10, "p": 4, "seed": -1}},
     {"problem": {"id": "lsm", "n": 10, "p": 4, "seed": 2.5}},
+    {"time_limit": "abc"}, {"eps_f": "abc"}, {"beta": "abc"}, {"tols": [1e-5, "abc"]},
+    {"beta": float("inf")},
 ], ids=repr)
 def test_config_rejects_bad_numeric_settings(setting):
     kwargs = {"problem": {"id": "lsm", "n": 10, "p": 4}, "solvers": ["cdf-gd"], "tols": [1e-5]}
@@ -373,6 +381,7 @@ def _lsm_cfg_with(line):
     ("tols = 1e-4", ["run", "--seed", "-1"]),
     ("x0_seed = -3", ["run"]), ("x0_seed = 1.5", ["run"]), ("x0_seed = -3", ["profile"]),
     ("repetitions = 1.5", ["run"]), ("max_iter = 2.5", ["run"]),
+    ("time_limit = abc", ["run"]), ("eps_f = abc", ["run"]), ("beta = abc", ["profile"]),
 ])
 def test_cli_bad_run_settings_are_config_errors(tmp_path, capsys, line, args):
     path = tmp_path / "exp.cfg"
@@ -380,6 +389,16 @@ def test_cli_bad_run_settings_are_config_errors(tmp_path, capsys, line, args):
     code = cli_main(args[:1] + ["--config", str(path)] + args[1:])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_unknown_run_keys_are_config_errors(tmp_path, capsys):
+    # a misspelt budget and a key of the [problem] block, neither applied before
+    path = tmp_path / "exp.cfg"
+    path.write_text(LSM_CFG + "max_iters = 1\nseed = 1.5\n")
+    code = cli_main(["run", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "config error" in err and "'max_iters'" in err
 
 
 def test_cli_missing_config_file(capsys):

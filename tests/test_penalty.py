@@ -181,7 +181,8 @@ def test_penalty_value_equals_objective_on_manifold(spec):
 
 
 def test_penalty_value_pure_feasibility_term(spec):
-    zero = Problem(spec, lambda X: 0.0, lambda X: np.zeros_like(np.asarray(X)),
+    zero = Problem(spec, lambda X, store=None: 0.0,
+                   lambda X, store=None: np.zeros_like(np.asarray(X)),
                    name="zero", check_gradient=False)
     pf = PenaltyFunction(spec, zero, 2.5)
     X = _near_point(spec, 18)
@@ -216,7 +217,8 @@ def test_penalty_gradient_matches_central_differences(spec):
 
 
 def test_penalty_gradient_zero_objective_on_manifold(spec):
-    zero = Problem(spec, lambda X: 0.0, lambda X: np.zeros_like(np.asarray(X)),
+    zero = Problem(spec, lambda X, store=None: 0.0,
+                   lambda X, store=None: np.zeros_like(np.asarray(X)),
                    name="zero", check_gradient=False)
     pf = PenaltyFunction(spec, zero, 1.0)
     X = spec.random_feasible(22).X
@@ -294,8 +296,9 @@ def test_penalty_hessvec_symmetric_form(spec):
 
 
 def test_penalty_hessvec_zero_objective_reduction(spec):
-    zero = Problem(spec, lambda X: 0.0, lambda X: np.zeros_like(np.asarray(X)),
-                   hessvec=lambda X, V: np.zeros_like(np.asarray(V)),
+    zero = Problem(spec, lambda X, store=None: 0.0,
+                   lambda X, store=None: np.zeros_like(np.asarray(X)),
+                   hessvec=lambda X, V, store=None: np.zeros_like(np.asarray(V)),
                    name="zero", check_gradient=False)
     beta = 1.3
     pf = PenaltyFunction(spec, zero, beta)
@@ -332,7 +335,8 @@ def test_penalty_hessvec_same_bits_with_or_without_a_prior_gradient(spec):
 
 
 def test_penalty_hessvec_requires_hessian_oracle(spec):
-    prob = Problem(spec, lambda X: 0.0, lambda X: np.zeros_like(np.asarray(X)),
+    prob = Problem(spec, lambda X, store=None: 0.0,
+                   lambda X, store=None: np.zeros_like(np.asarray(X)),
                    name="gradonly", check_gradient=False)
     pf = PenaltyFunction(spec, prob, 1.0)
     with pytest.raises(UnsupportedOperation):

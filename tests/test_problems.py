@@ -14,29 +14,52 @@ def _fd_dir(f, X, V, t=1e-5):
 def test_problem_gradient_selftest_catches_bad_gradient():
     spec = op.stiefel(6, 2)
     with pytest.raises(ValueError):
-        Problem(spec, lambda X: float(np.vdot(X, X)),
-                lambda X: 3.0 * np.asarray(X), name="broken")
-
-
-def test_problem_selftest_catches_disagreeing_value_grad():
-    spec = op.stiefel(6, 2)
-
-    def f(X):
-        return float(np.vdot(X, X))
-
-    def grad(X):
-        return 2.0 * np.asarray(X)
-
-    Problem(spec, f, grad, value_grad=lambda X: (f(X), grad(X)), name="fused")
-    with pytest.raises(ValueError, match="value_grad value"):
-        Problem(spec, f, grad, value_grad=lambda X: (1.01 * f(X), grad(X)), name="bad value")
-    with pytest.raises(ValueError, match="value_grad gradient"):
-        Problem(spec, f, grad, value_grad=lambda X: (f(X), 3.0 * np.asarray(X)), name="bad grad")
+        Problem(spec, lambda X, store=None: float(np.vdot(X, X)),
+                lambda X, store=None: 3.0 * np.asarray(X), name="broken")
 
 
 def test_problem_selftest_flag():
     prob = toy_problem(op.stiefel(5, 2), seed=0)
     assert prob.gradient_checked
+
+
+class CountingStore(dict):
+    """A store that records every entry filled into it."""
+
+    def __init__(self):
+        super().__init__()
+        self.fills = []
+
+    def __setitem__(self, key, value):
+        self.fills.append(key)
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("build,fills", [
+    (lambda: build_lsm(10, 4, seed=1), 1),                              # A X N
+    (lambda: build_tensor_jfd(6, 2, 3, n_samples=3, seed=1), 1),        # D X, its Gram, D^T X
+    (lambda: build_extrinsic_mean(8, 2, k=5, p_k=1, n_samples=10, seed=0), 0),
+])
+def test_oracles_form_their_products_once_per_point(build, fills):
+    prob = build()
+    rng = np.random.default_rng(5)
+    X, V, W = (prob.spec.random_ambient(rng) for _ in range(3))
+    store = CountingStore()
+    out = [prob.f(X, store), prob.grad(X, store), prob.hessvec(X, V, store),
+           prob.hessvec(X, W, store)]
+    assert len(store.fills) == len(set(store.fills)) == fills
+    assert out[0] == prob.f(X)
+    for got, ref in zip(out[1:], [prob.grad(X), prob.hessvec(X, V), prob.hessvec(X, W)]):
+        np.testing.assert_array_equal(got, ref)
+
+
+def test_problems_sharing_a_point_keep_their_own_entries():
+    # a FeasiblePoint is a point of the manifold, not of one objective
+    one, two = build_lsm(10, 4, seed=1), build_lsm(10, 4, seed=2)
+    point = one.spec.random_feasible(0)
+    assert one.f(point.X, point.store) == one.f(point.X)
+    assert two.f(point.X, point.store) == two.f(point.X)
+    np.testing.assert_array_equal(one.grad(point.X, point.store), one.grad(point.X))
 
 
 # ----------------------------------------------------------------------- lsm
@@ -66,12 +89,13 @@ def test_lsm_gradient_and_hessvec():
     np.testing.assert_allclose(hv, fd_h, atol=1e-7)
 
 
-def test_lsm_value_grad_is_the_closed_form_bit_for_bit():
-    # the value and the gradient share one product A X N and doubling is
-    # exact, so the value is <X, g / 2> to the last bit
+def test_lsm_value_is_the_closed_form_of_its_gradient_bit_for_bit():
+    # the value and the gradient read one product A X N from the point's
+    # store and doubling is exact, so the value is <X, g / 2> to the last bit
     prob = build_lsm(10, 4, seed=1)
     X = prob.spec.random_ambient(np.random.default_rng(3))
-    v, g = prob.value_grad(X)
+    store = {}
+    v, g = prob.f(X, store), prob.grad(X, store)
     assert v == float(np.vdot(X, g / 2.0))
 
 
@@ -84,7 +108,8 @@ def test_lsm_oracles_agree_with_the_A_X_forms_at_scale():
         rng = np.random.default_rng(rng_seed)
         X, V = prob.spec.random_ambient(rng), prob.spec.random_ambient(rng)
         mu = prob.N_diag
-        v, g = prob.value_grad(X)
+        store = {}
+        v, g = prob.f(X, store), prob.grad(X, store)
         AXN = prob.A @ X * mu
         ref_v = float(np.vdot(X, AXN))
         assert abs(v - ref_v) <= 1e-13 * abs(ref_v)

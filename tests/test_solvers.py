@@ -52,12 +52,22 @@ def rosen_oracle():
     return FunctionOracle(f, g)
 
 
-def lsm_desk(beta=0.5, seed=0, fused=True):
+def lsm_desk(beta=0.5, seed=0):
     prob = op.build_lsm(20, 4, seed=seed)
-    if not fused:   # the same problem with its separate f and grad oracles only
-        prob = op.Problem(prob.spec, prob.f, prob.grad, prob.hessvec, name=prob.name,
-                          metadata=prob.metadata, check_gradient=False)
     return op.PenaltyFunction(prob.spec, prob, beta), prob
+
+
+def tjfd_desk():
+    prob = op.build_tensor_jfd(20, 3, 4, n_samples=5, gamma=0.5, seed=1)
+    return op.PenaltyFunction(prob.spec, prob, 0.8), prob
+
+
+def ignoring_store(prob):
+    """The same problem with oracles that drop the store and compute afresh."""
+    return op.Problem(prob.spec, lambda X, store=None: prob.f(X),
+                      lambda X, store=None: prob.grad(X),
+                      lambda X, V, store=None: prob.hessvec(X, V),
+                      name=prob.name, metadata=prob.metadata, check_gradient=False)
 
 
 # ------------------------------------------------------------- basic trios
@@ -217,11 +227,10 @@ def test_cdf_tr_rejected_trials_keep_the_base():
     # each trial is an iterate with its own cache, so after a rejected trial
     # the next Hessian-vector product at x reuses grad f(A(X)); with one
     # shared cache this solve took 46 grad f calls for its 38 gradients.
-    # Without the fused oracle, so that values at trial points form no gradient.
     # Re-solves after a rejection replay their products, so every product
     # the oracle forms is counted once in phase_counts: 415, where forming
     # each re-solve's products afresh took 465.
-    pf, prob = lsm_desk(fused=False)
+    pf, prob = lsm_desk()
     oracle = PenaltyOracle(pf)
     hessvec, products = oracle.hessvec, []
     oracle.hessvec = lambda x, v: products.append(v) or hessvec(x, v)
@@ -235,7 +244,7 @@ def test_cdf_tr_rejected_trials_keep_the_base():
 def test_cdf_tr_finite_difference_hessvec_pins_its_iterates_and_work():
     # without a Hessian oracle the penalty Hessian-vector product is a central
     # difference of two gradients, each at a point moved from x
-    _, prob = lsm_desk(fused=False)
+    _, prob = lsm_desk()
     prob = op.Problem(prob.spec, prob.f, prob.grad, None, name=prob.name,
                       metadata=prob.metadata, check_gradient=False)
     pf = op.PenaltyFunction(prob.spec, prob, 0.5)
@@ -334,35 +343,45 @@ def test_cdf_solve_compares_no_contents_and_reports_a_writable_X(monkeypatch):
 
 
 @pytest.mark.parametrize("solver_id", ["cdf-gd", "cdf-cg", "cdf-lbfgs", "cdf-tr", "rgd", "rcg"])
-def test_fused_value_grad_takes_the_same_iterates(solver_id):
-    x0 = lsm_desk()[1].spec.random_feasible(3)
+def test_store_takes_the_same_iterates(solver_id):
+    # the oracles reuse what the store holds for a point, and a store-less
+    # call forms it afresh by the same operations, so the solves agree bit for bit
     cfg = SolverConfig(grad_tol=1e-5, max_iter=50000)
-    r_fused, r_bare = (run_solver(solver_id, lsm_desk(fused=fused)[0], x0, cfg) for fused in (True, False))
-    assert (r_fused.status, r_fused.iters, repr(r_fused.fval)) == \
-        (r_bare.status, r_bare.iters, repr(r_bare.fval))
-    np.testing.assert_array_equal(r_fused.X, r_bare.X)
+    for (pf, prob), x0_seed in [(lsm_desk(), 3), (tjfd_desk(), 5)]:
+        x0 = prob.spec.random_feasible(x0_seed)
+        bare = op.PenaltyFunction(prob.spec, ignoring_store(prob), pf.beta)
+        r_store, r_bare = (run_solver(solver_id, q, x0, cfg) for q in (pf, bare))
+        assert r_store.status == STATUS_GRAD_TOL
+        assert (r_store.status, r_store.iters, repr(r_store.fval)) == \
+            (r_bare.status, r_bare.iters, repr(r_bare.fval))
+        np.testing.assert_array_equal(r_store.X, r_bare.X)
 
 
 @pytest.mark.parametrize("solver_id", ["cdf-gd", "cdf-cg", "rgd"])
 def test_separate_grad_oracle_only_where_no_value_was_taken(solver_id):
-    # the fused oracle hands each valued point its gradient; only the secant
-    # probes of cdf-cg, which are never valued, call grad on their own
+    # a gradient at a valued point reads the product A X N that the value
+    # left in the point's store; only the secant probes of cdf-cg, which are
+    # never valued, find the store empty and form it on their own
     pf, prob = lsm_desk()
-    calls = {"grad": 0, "value_grad": 0}
+    calls = {"f": 0, "grad": 0, "fresh": 0}
+    f, grad = prob.f, prob.grad
 
-    def counting(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapped
+    def counting_f(X, store=None):
+        calls["f"] += 1
+        return f(X, store)
 
-    prob.grad = counting("grad", prob.grad)
-    prob.value_grad = counting("value_grad", prob.value_grad)
+    def counting_grad(X, store=None):
+        calls["grad"] += 1
+        calls["fresh"] += not store
+        return grad(X, store)
+
+    prob.f, prob.grad = counting_f, counting_grad
     r = run_solver(solver_id, pf, prob.spec.random_feasible(3),
                    SolverConfig(grad_tol=1e-5, max_iter=50000))
     assert r.status == STATUS_GRAD_TOL
-    assert calls["grad"] == (r.iters if solver_id == "cdf-cg" else 0)
-    assert calls["value_grad"] >= r.iters + 1
+    assert calls["grad"] == r.phase_counts["gradient"]
+    assert calls["fresh"] == (r.iters if solver_id == "cdf-cg" else 0)
+    assert calls["f"] >= r.iters + 1
 
 
 @pytest.mark.parametrize("solver_id,per_iter", [
@@ -402,7 +421,8 @@ def test_solver_hooks_are_looked_up_at_call_time(monkeypatch):
 
 def test_rgd_constant_objective_stops_immediately():
     spec = op.stiefel(6, 2)
-    prob = op.Problem(spec, lambda X: 1.0, lambda X: np.zeros_like(np.asarray(X)),
+    prob = op.Problem(spec, lambda X, store=None: 1.0,
+                      lambda X, store=None: np.zeros_like(np.asarray(X)),
                       name="const", check_gradient=False)
     r = rgd(prob, spec, spec.random_feasible(0), SolverConfig(grad_tol=1e-6))
     assert r.status == STATUS_GRAD_TOL and r.iters == 0
@@ -412,7 +432,8 @@ def test_manifold_oracle_moves_to_a_point_with_its_normal_factorization(monkeypa
     # the decomposition the projections at the new point read is booked to
     # the retraction phase, so the transports and the gradient there form none
     spec = op.symplectic_stiefel(12, 4)
-    prob = op.Problem(spec, lambda X: float(np.vdot(X, X)), lambda X: 2.0 * X, name="norm")
+    prob = op.Problem(spec, lambda X, store=None: float(np.vdot(X, X)),
+                      lambda X, store=None: 2.0 * X, name="norm")
     oracle = solvers_mod.ManifoldOracle(prob, spec)
     x = spec.random_feasible(1)
     step = op.random_tangent(spec, x, 2)
@@ -432,8 +453,8 @@ def test_rgd_rayleigh_quotient_reaches_smallest_eigenvalues():
     M = rng.standard_normal((8, 8))
     A = M @ M.T
 
-    prob = op.Problem(spec, lambda X: float(np.vdot(X, A @ X)),
-                      lambda X: 2.0 * (A @ X), name="rayleigh")
+    prob = op.Problem(spec, lambda X, store=None: float(np.vdot(X, A @ X)),
+                      lambda X, store=None: 2.0 * (A @ X), name="rayleigh")
     r = rgd(prob, spec, spec.random_feasible(4), SolverConfig(grad_tol=1e-9, max_iter=20000))
     target = np.sort(np.linalg.eigvalsh(A))[:2].sum()
     np.testing.assert_allclose(r.fval, target, atol=1e-8)
@@ -444,8 +465,8 @@ def test_rcg_rayleigh_quotient_reaches_smallest_eigenvalues():
     spec = op.stiefel(8, 2)
     M = rng.standard_normal((8, 8))
     A = M @ M.T
-    prob = op.Problem(spec, lambda X: float(np.vdot(X, A @ X)),
-                      lambda X: 2.0 * (A @ X), name="rayleigh")
+    prob = op.Problem(spec, lambda X, store=None: float(np.vdot(X, A @ X)),
+                      lambda X, store=None: 2.0 * (A @ X), name="rayleigh")
     r = rcg(prob, spec, spec.random_feasible(5), SolverConfig(grad_tol=1e-9, max_iter=20000))
     target = np.sort(np.linalg.eigvalsh(A))[:2].sum()
     np.testing.assert_allclose(r.fval, target, atol=1e-8)

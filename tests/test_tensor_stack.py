@@ -41,13 +41,13 @@ def assert_rel(a, b):
 
 def elementwise_problem(spec, a):
     """0.5 ||X - a||^2 + 0.25 sum x^4: zero off the blocks when a is block-diagonal."""
-    def f(X):
+    def f(X, store=None):
         return 0.5 * float(np.vdot(X - a, X - a)) + 0.25 * float(np.sum(X ** 4))
 
-    def grad(X):
+    def grad(X, store=None):
         return X - a + X ** 3
 
-    def hessvec(X, V):
+    def hessvec(X, V, store=None):
         return V + 3.0 * X ** 2 * V
 
     return Problem(spec, f, grad, hessvec, name="elementwise", check_gradient=False)
