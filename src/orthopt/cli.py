@@ -31,7 +31,9 @@ def _build_parser():
     p_prof.add_argument("--json", action="store_true",
                         help="print one JSON object keyed by solver instead of the text lines")
 
-    sub.add_parser("selftest", help="run the manifold/penalty invariant battery")
+    p_self = sub.add_parser("selftest", help="run the manifold/penalty invariant battery")
+    p_self.add_argument("--json", action="store_true",
+                        help="print one JSON object with a row per check instead of the text lines")
     return parser
 
 
@@ -41,7 +43,7 @@ def main(argv=None):
     if args.command == "selftest":
         from .diagnostics import run_selftest
         try:
-            return 0 if run_selftest(stream=sys.stdout) else 2
+            return 0 if run_selftest(stream=sys.stdout, as_json=args.json) else 2
         except Exception as exc:                                    # noqa: BLE001
             print(f"internal error: {exc}", file=sys.stderr)
             return 2

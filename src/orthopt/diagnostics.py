@@ -1,5 +1,6 @@
 """Invariant battery over all manifold families, shared by the CLI selftest."""
 
+import json
 import time
 
 import numpy as np
@@ -158,18 +159,29 @@ CHECKS = [
 ]
 
 
-def run_selftest(stream=None, seed=0):
+def run_selftest(stream=None, seed=0, as_json=False):
     """Run the battery over every desk-scale family and the dense-A
-    indefinite frames; returns overall success."""
+    indefinite frames; returns overall success.
+
+    Writes a line per check and family and a summary line, or with
+    ``as_json`` one JSON object {"checks", "passed", "seconds"} whose
+    ``checks`` holds a row {check, family, ok, value} per line.
+    """
     def emit(line):
         if stream is not None:
             stream.write(line + "\n")
-    ok_all = True
     t0 = time.perf_counter()
+    rows = []
     for name, fn in CHECKS:
         for label, spec in battery_specs(seed).items():
             ok, value = fn(spec)
-            ok_all &= ok
-            emit(f"[{'PASS' if ok else 'FAIL'}] {name:<26} {label:<26} ({value:.3e})")
-    emit(f"selftest {'passed' if ok_all else 'FAILED'} in {time.perf_counter() - t0:.2f}s")
-    return ok_all
+            rows.append({"check": name, "family": label, "ok": bool(ok), "value": float(value)})
+            if not as_json:
+                emit(f"[{'PASS' if ok else 'FAIL'}] {name:<26} {label:<26} ({value:.3e})")
+    passed = all(row["ok"] for row in rows)
+    seconds = time.perf_counter() - t0
+    if as_json:
+        emit(json.dumps({"checks": rows, "passed": passed, "seconds": seconds}))
+    else:
+        emit(f"selftest {'passed' if passed else 'FAILED'} in {seconds:.2f}s")
+    return passed

@@ -23,6 +23,7 @@ at a new base costs 6 products and 1 phi, a Hessian-vector product after
 it 10 products and 1 phi.  ``postprocess`` costs one phi per round.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -79,8 +80,8 @@ class PenaltyFunction:
     """Bundle of manifold, objective, and penalty weight."""
 
     def __init__(self, spec, problem, beta):
-        if not beta > 0:
-            raise ValueError(f"penalty weight must be positive, got {beta}")
+        if not (beta > 0 and math.isfinite(beta)):
+            raise ValueError(f"penalty weight must be positive and finite, got {beta}")
         self.spec = spec
         self.problem = problem
         self.beta = float(beta)

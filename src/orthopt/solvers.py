@@ -4,14 +4,17 @@ Every solver is a pair (oracle, rule) driven by ``minimize``.  The oracle
 carries the geometry: ``FunctionOracle`` and ``PenaltyOracle`` are flat
 (a move is x + step, transport is the identity, the displacement is
 xn - x), while ``ManifoldOracle`` moves by retraction, transports by
-projection and reads feasibility off the point.  The rule proposes the next
-point: alternating Barzilai-Borwein steps (``cdf-gd``, ``rgd``), PR+ CG with
-a secant probe (``cdf-cg``), hybrid FR/DY CG (``rcg``), L-BFGS
-(``cdf-lbfgs``) or a Steihaug trust region (``cdf-tr``).  ``minimize`` owns
-the stop tests, the nonmonotone merit, the trace, the value and gradient at
-the start, the gradient at each accepted point and the SolveReport, whose
-wall-clock breakdown is split by phase {objective, gradient, hessvec,
-retraction, transport, linesearch}.
+projection and reads feasibility off the point.  The trust region asks the
+oracle for its trial point, which is the move except on the penalty, where
+``PenaltyOracle`` takes it one dissolving step further, at A(x + step);
+line searches, secant probes and finite differences use plain moves.  The
+rule proposes the next point: alternating Barzilai-Borwein steps
+(``cdf-gd``, ``rgd``), PR+ CG with a secant probe (``cdf-cg``), hybrid FR/DY
+CG (``rcg``), L-BFGS (``cdf-lbfgs``) or a Steihaug trust region
+(``cdf-tr``).  ``minimize`` owns the stop tests, the nonmonotone merit,
+the trace, the value and gradient at the start, the gradient at each
+accepted point and the SolveReport, whose wall-clock breakdown is split by
+phase {objective, gradient, hessvec, retraction, transport, linesearch}.
 """
 
 import math
@@ -138,6 +141,10 @@ class _FlatOracle:
     def move(self, x, step, clock):
         return x + step
 
+    def trial(self, x, step, clock):
+        """The trust-region trial point for ``step`` from x: the move itself."""
+        return self.move(x, step, clock)
+
     def transport(self, xn, v, clock):
         return v
 
@@ -181,12 +188,12 @@ class FunctionOracle(_FlatOracle):
 class PenaltyOracle(_FlatOracle):
     """Penalty function whose iterates are evaluation caches.
 
-    The start and every x + step are a new ``EvalCache`` built around a
-    read-only X, all sharing the oracle's one meter.  Value, gradient,
-    Hessian-vector products and feasibility at an iterate fill or read its
-    own cache, so a rejected line-search or trust-region trial leaves the
-    base it was taken from as it was, and the objective oracles at A(X)
-    share that cache's store.  No point is compared by contents; ``unwrap``
+    The start, every x + step and every trust-region trial A(x + step) are
+    a new ``EvalCache`` built around a read-only X, all sharing the oracle's
+    one meter.  Value, gradient, Hessian-vector products and feasibility at
+    an iterate fill or read its own cache, so a rejected line-search or
+    trust-region trial leaves the base it was taken from as it was, and the
+    objective oracles at A(X) share that cache's store.  No point is compared by contents; ``unwrap``
     hands back a writable copy of X.
     """
 
@@ -199,6 +206,16 @@ class PenaltyOracle(_FlatOracle):
 
     def move(self, x, step, clock):
         return EvalCache(self.meter, _freeze(x.X + step))
+
+    def trial(self, x, step, clock):
+        """A(x + step), one dissolving step from x + step, as a fresh cache.
+
+        The base at x + step costs 1 phi and 2 products, booked to no phase
+        as a flat move is; the trial cache is built around its A(X).
+        """
+        raw = self.move(x, step, clock)
+        raw.ensure_base(self.pf.spec, raw.X)
+        return EvalCache(self.meter, _freeze(raw.AX))
 
     def displacement(self, x, xn, alpha, d, clock):
         return xn.X - x.X
@@ -256,6 +273,8 @@ class ManifoldOracle:
                 return new
         except RetractError:
             return None
+
+    trial = move    # a trust-region trial is the retraction
 
     def transport(self, point, v, clock):
         with clock.phase("transport"):
@@ -531,6 +550,13 @@ class TrustRegion:
     only past the stored ones; the list is dropped when the step returns.
     ``phase_counts["hessvec"]`` counts the products formed, not the
     replayed ones.
+
+    The trial is ``oracle.trial(x, p)``: x + p on a flat oracle, the
+    retraction on a manifold, and on the penalty the dissolved point
+    A(x + p), which pulls x + p back toward the manifold and on which the
+    penalty is exact (Xiao, Liu & Toh 2024).  rho still compares h there
+    with the model at p.  A trial that comes back None is a rejection with
+    rho = -1.
     """
 
     def __init__(self):
@@ -547,13 +573,16 @@ class TrustRegion:
         while self.radius >= 1e-16:
             p, Hp, hit_boundary = _steihaug(hv, g, gn, self.radius, products)
             pred = -(_dot(g, p) + 0.5 * _dot(p, Hp))
-            xn = oracle.move(x, p, clock)
-            with clock.phase("objective"):
-                h_trial = oracle.value(xn)
-            delta = TR_RHO_REG * max(1.0, abs(h))
-            rho = (h - h_trial + delta) / (pred + delta) if pred > 0 else -1.0
-            if not np.isfinite(rho):        # a non-finite trial value is a rejection
-                rho = -1.0
+            xn = oracle.trial(x, p, clock)
+            rho = -1.0                      # a trial the oracle cannot take is a rejection
+            if xn is not None:
+                with clock.phase("objective"):
+                    h_trial = oracle.value(xn)
+                if pred > 0:
+                    delta = TR_RHO_REG * max(1.0, abs(h))
+                    rho = (h - h_trial + delta) / (pred + delta)
+                if not np.isfinite(rho):    # a non-finite trial value is a rejection
+                    rho = -1.0
             if rho < 0.25:
                 self.radius *= 0.25
             elif rho > 0.75 and hit_boundary:

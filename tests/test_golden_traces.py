@@ -24,19 +24,19 @@ GOLDEN = [
     ("lsm_desk", "cdf-gd", "GradTol", 129, 0.017316990154029713),
     ("lsm_desk", "cdf-cg", "GradTol", 71, 0.017316946469553608),
     ("lsm_desk", "cdf-lbfgs", "GradTol", 72, 0.017316953702847315),
-    ("lsm_desk", "cdf-tr", "GradTol", 9, 0.01731691241642685),
+    ("lsm_desk", "cdf-tr", "GradTol", 6, 0.0173169161807174),
     ("lsm_desk", "rgd", "GradTol", 113, 0.017317037207374528),
     ("lsm_desk", "rcg", "GradTol", 375, 0.017317059615098353),
     ("extrinsic_desk", "cdf-gd", "GradTol", 512, 0.18708522747755144),
     ("extrinsic_desk", "cdf-cg", "GradTol", 481, 0.1870852263642911),
     ("extrinsic_desk", "cdf-lbfgs", "GradTol", 351, 0.18708522637620797),
-    ("extrinsic_desk", "cdf-tr", "GradTol", 50, 0.1870852262576721),
+    ("extrinsic_desk", "cdf-tr", "GradTol", 49, 0.18708522626232502),
     ("extrinsic_desk", "rgd", "GradTol", 107, 0.18708522630423066),
     ("extrinsic_desk", "rcg", "GradTol", 105, 0.1870852269222141),
     ("tensor_jfd_desk", "cdf-gd", "GradTol", 321, 4.7391213391274445e-08),
     ("tensor_jfd_desk", "cdf-cg", "GradTol", 217, 1.5585963370757395e-09),
     ("tensor_jfd_desk", "cdf-lbfgs", "GradTol", 250, 2.333339886821612e-09),
-    ("tensor_jfd_desk", "cdf-tr", "GradTol", 24, 1.7865878835702098e-10),
+    ("tensor_jfd_desk", "cdf-tr", "GradTol", 19, 3.710851133095474e-12),
     ("tensor_jfd_desk", "rgd", "GradTol", 283, 3.329192101707516e-08),
     ("tensor_jfd_desk", "rcg", "GradTol", 352, 2.967807727582532e-08),
 ]
@@ -61,8 +61,10 @@ def test_golden_desk_solve(config, solver_id, status, iters, fval):
 
 # Hessian-vector products formed by the cdf-tr cells above.  A re-solve after
 # a rejected trial replays the products of its base, so only new ones count;
-# formed afresh per re-solve these were 414, 571 and 593.
-CDF_TR_HESSVEC = [("lsm_desk", 248), ("extrinsic_desk", 511), ("tensor_jfd_desk", 451)]
+# formed afresh per re-solve these were 414, 571 and 593.  With each trial at
+# the dissolved point A(x + p) they are 85, 616 and 272; at the raw point
+# x + p they were 248, 511 and 451.
+CDF_TR_HESSVEC = [("lsm_desk", 85), ("extrinsic_desk", 616), ("tensor_jfd_desk", 272)]
 
 
 @pytest.mark.parametrize("config,hessvec", CDF_TR_HESSVEC, ids=[c for c, _ in CDF_TR_HESSVEC])
@@ -75,11 +77,14 @@ def test_golden_cdf_tr_hessvec_count(config, hessvec):
 def test_cdf_tr_tol_1e9_hessvec_budget_on_lsm_desk():
     # the regularized trust-region ratio keeps rho near 1 where h - h_trial
     # is mostly rounding; with the plain ratio this solve took 835
-    # iterations and 157,929 Hessian-vector products, with it 199 and 25,352
+    # iterations and 157,929 Hessian-vector products, with it 199 and 25,352.
+    # Trials at the raw point x + p stalled with ||grad h|| between 1e-7 and
+    # 9e-7 for about 100 iterations; at the dissolved point A(x + p) the
+    # solve takes 25 iterations and 3,469 products.
     pf, x0 = desk_bundle("lsm_desk")
     r = run_solver("cdf-tr", pf, x0, SolverConfig(grad_tol=1e-9, max_iter=100000))
     assert r.status == "GradTol"
-    assert r.phase_counts["hessvec"] <= 40000
+    assert r.phase_counts["hessvec"] <= 5000
 
 
 def test_solve_reports_its_metered_work():

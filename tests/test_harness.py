@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import orthopt.diagnostics as diagnostics_mod
 import orthopt.harness as harness_mod
 from orthopt.cli import main as cli_main
 from orthopt.harness import (
@@ -434,3 +435,23 @@ def test_cli_selftest(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "selftest passed" in out
+
+
+def test_cli_selftest_json(capsys, monkeypatch):
+    code = cli_main(["selftest", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert set(out) == {"checks", "passed", "seconds"}
+    assert out["passed"] is True and out["seconds"] > 0.0
+    families = list(diagnostics_mod.battery_specs())
+    assert len(out["checks"]) == len(diagnostics_mod.CHECKS) * len(families)
+    assert {row["family"] for row in out["checks"]} == set(families)
+    for row in out["checks"]:
+        assert set(row) == {"check", "family", "ok", "value"} and row["ok"] is True
+    # a failing check keeps the exit code 2 and reads passed: false
+    failing = ("always fails", lambda spec: (False, 1.0))
+    monkeypatch.setattr(diagnostics_mod, "CHECKS", diagnostics_mod.CHECKS + [failing])
+    code = cli_main(["selftest", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["passed"] is False
+    assert [row["ok"] for row in out["checks"] if row["check"] == "always fails"] == [False] * len(families)

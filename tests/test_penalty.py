@@ -202,6 +202,13 @@ def test_penalty_rejects_nonpositive_weight(spec):
         PenaltyFunction(spec, toy_problem(spec, 0), 0.0)
 
 
+@pytest.mark.parametrize("beta", [float("inf"), float("nan"), 0.0, -1.0])
+def test_penalty_rejects_a_non_finite_or_nonpositive_weight(beta):
+    spec = op.stiefel(6, 2)
+    with pytest.raises(ValueError, match="positive and finite"):
+        PenaltyFunction(spec, toy_problem(spec, 0), beta)
+
+
 # --------------------------------------------------------- penalty gradient
 
 def test_penalty_gradient_matches_central_differences(spec):

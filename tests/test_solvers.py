@@ -172,6 +172,70 @@ def test_trust_region_re_solve_replays_the_products_of_its_base():
     assert all(np.array_equal(a, b) for a, b in zip(formed, first))
 
 
+class _ShortReach(FunctionOracle):
+    """The quadratic 0.5 x^T H x, whose oracle cannot take a trial step longer than ``reach``."""
+
+    def __init__(self, H, reach):
+        super().__init__(lambda x: 0.5 * float(x @ H @ x), lambda x: H @ x, lambda x, v: H @ v)
+        self.reach, self.refused = reach, 0
+
+    def trial(self, x, step, clock):
+        if np.linalg.norm(step) > self.reach:
+            self.refused += 1
+            return None
+        return super().trial(x, step, clock)
+
+
+def test_trust_region_takes_a_trial_that_comes_back_none_as_a_rejection():
+    # the first trial, on the boundary of the initial radius, is longer than
+    # the oracle's reach and comes back None: rho = -1 shrinks the radius to a
+    # quarter without a value, and the re-solve is accepted on its exact
+    # model, which doubles that radius
+    H = np.diag([1.0, 2.0, 3.0])
+    oracle = _ShortReach(H, 0.5)
+    x = np.full(3, 3.0)
+    g = H @ x
+    clock = PhaseClock()
+    rule = TrustRegion()
+    h = oracle.value(x)
+    xn, hn = rule.step(oracle, clock, x, g, np.linalg.norm(g), h, h, lambda: False)
+    assert oracle.refused == 1 and clock.counts["objective"] == 1
+    np.testing.assert_allclose(np.linalg.norm(xn - x), 0.25 * TR_INIT_RADIUS, rtol=1e-12)
+    assert hn == oracle.value(xn) and rule.radius == 0.5 * TR_INIT_RADIUS
+    r = trust_ncg(_ShortReach(H, 0.5), x, SolverConfig(grad_tol=1e-8))
+    assert r.status == STATUS_GRAD_TOL
+    # an oracle that takes no trial at all collapses the radius
+    never = _ShortReach(H, 0.0)
+    r = trust_ncg(never, x, SolverConfig(grad_tol=1e-8))
+    assert (r.status, r.iters, r.phase_counts["objective"]) == (STATUS_RADIUS_COLLAPSE, 0, 1)
+    assert never.refused > 1
+
+
+def test_cdf_tr_accepts_the_dissolved_trial_bit_for_bit():
+    # every accepted cdf-tr iterate on the lsm desk config is A(x + p), the
+    # public dissolve of the raw trial point
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "lsm_desk.cfg"))
+    prob = PROBLEM_BUILDERS[cfg.problem["id"]](cfg.problem)
+    oracle = PenaltyOracle(op.PenaltyFunction(prob.spec, prob, cfg.beta))
+    trials, accepted = {}, []
+    trial, grad = oracle.trial, oracle.grad
+
+    def spy_trial(x, p, clock):
+        xn = trial(x, p, clock)
+        trials[id(xn)] = (xn, x.X, p)
+        return xn
+
+    oracle.trial = spy_trial
+    oracle.grad = lambda x: accepted.append(x) or grad(x)
+    r = trust_ncg(oracle, prob.spec.random_feasible(cfg.x0_seed).X, SolverConfig(grad_tol=1e-5))
+    assert r.status == STATUS_GRAD_TOL and len(accepted) == r.iters + 1 > 1
+    assert len(trials) > r.iters                                 # some trials were rejected
+    for xn in accepted[1:]:
+        _, x, p = trials[id(xn)]
+        assert np.array_equal(xn.X, op.dissolve(prob.spec, x + p))
+    assert np.array_equal(r.X, accepted[-1].X)
+
+
 def test_steihaug_returns_hessian_product_interior():
     rng = np.random.default_rng(11)
     M = rng.standard_normal((8, 8))
@@ -226,32 +290,35 @@ def test_cdf_tr_hessvec_budget_on_desk_instance():
 def test_cdf_tr_rejected_trials_keep_the_base():
     # each trial is an iterate with its own cache, so after a rejected trial
     # the next Hessian-vector product at x reuses grad f(A(X)); with one
-    # shared cache this solve took 46 grad f calls for its 38 gradients.
-    # Re-solves after a rejection replay their products, so every product
-    # the oracle forms is counted once in phase_counts: 415, where forming
-    # each re-solve's products afresh took 465.
+    # shared cache and trials at x + p this solve took 46 grad f calls for
+    # its 38 gradients.  Re-solves after a rejection replay their products,
+    # so every product the oracle forms is counted once in phase_counts:
+    # 223 with trials at A(x + p) (415 at x + p, where forming each
+    # re-solve's products afresh took 465).
     pf, prob = lsm_desk()
     oracle = PenaltyOracle(pf)
     hessvec, products = oracle.hessvec, []
     oracle.hessvec = lambda x, v: products.append(v) or hessvec(x, v)
     r = trust_ncg(oracle, prob.spec.random_feasible(3).X, SolverConfig(grad_tol=1e-5, max_iter=50000))
-    assert (r.status, r.iters) == (STATUS_GRAD_TOL, 37)
+    assert (r.status, r.iters) == (STATUS_GRAD_TOL, 14)
     assert r.phase_counts["objective"] > r.iters                  # some trials were rejected
-    assert oracle.meter["grad_f"] == r.phase_counts["gradient"] == 38
-    assert len(products) == r.phase_counts["hessvec"] == 415
+    assert oracle.meter["grad_f"] == r.phase_counts["gradient"] == 15
+    assert len(products) == r.phase_counts["hessvec"] == 223
 
 
 def test_cdf_tr_finite_difference_hessvec_pins_its_iterates_and_work():
     # without a Hessian oracle the penalty Hessian-vector product is a central
-    # difference of two gradients, each at a point moved from x
+    # difference of two gradients, each at a point moved from x, not
+    # dissolved: the 235 products take 470 of the 485 gradients, and each
+    # of the 19 trials forms two bases, x + p and A(x + p)
     _, prob = lsm_desk()
     prob = op.Problem(prob.spec, prob.f, prob.grad, None, name=prob.name,
                       metadata=prob.metadata, check_gradient=False)
     pf = op.PenaltyFunction(prob.spec, prob, 0.5)
     r = run_solver("cdf-tr", pf, prob.spec.random_feasible(3), SolverConfig(grad_tol=1e-5))
-    assert (r.status, r.iters, repr(r.fval)) == (STATUS_GRAD_TOL, 37, "0.1513862255410449")
-    assert r.phase_counts["hessvec"] == 439
-    assert r.work == {"matmul": 5512, "phi": 924, "grad_f": 916, "f": 46}
+    assert (r.status, r.iters, repr(r.fval)) == (STATUS_GRAD_TOL, 14, "0.1513862461620734")
+    assert r.phase_counts["hessvec"] == 235
+    assert r.work == {"matmul": 2958, "phi": 509, "grad_f": 485, "f": 20}
 
 
 def test_penalty_oracle_feas_reads_the_base_at_any_point():
