@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import NoUniqueSolutionError, lyapunov_apply, lyapunov_factor, skew, sym
 from .linalg import lyapunov_solve  # noqa: F401  (a module attribute bench/tracing.py wraps)
-from .tensor import TransformMatrix, dct_transform, mode3_product, qr_posdiag
+from .tensor import dct_transform, mode3_product, qr_posdiag
 
 
 class FeasibilityError(ValueError):
@@ -535,23 +535,21 @@ class IndefiniteStiefel(ManifoldSpec):
 class TensorStiefel(Stiefel):
     """Third-order tensor frames under an l-product, stored as transform-domain faces.
 
-    Under an invertible transform the l-product acts face by face, so a
-    tensor frame is l orthonormal n x p faces.  Points are (l, n, p) arrays
+    Under the orthogonal cosine transform ``transform`` the l-product acts
+    face by face, so a tensor frame is l orthonormal n x p faces.  Points are (l, n, p) arrays
     and everything else is Stiefel geometry over the batch axis: phi is the
     identity and the retraction is a QR of each face.
     """
 
     name = "tensor-stiefel"
 
-    def __init__(self, n, p, l, transform=None):
+    def __init__(self, n, p, l):
         if int(l) < 1:
             raise ValueError("need l >= 1")
         super().__init__(n, p)
         self.l = int(l)
         self.batch = (self.l,)
-        self.transform = dct_transform(self.l) if transform is None else transform
-        if not isinstance(self.transform, TransformMatrix):
-            self.transform = TransformMatrix(self.transform)
+        self.transform = dct_transform(self.l)
 
     def embed_tensor(self, X3):
         """Carry an n x p x l tensor to its (l, n, p) stack of transform-domain faces."""
@@ -608,8 +606,8 @@ def hyperbolic(n, p, neg=None, H=None, seed=0):
     return spec
 
 
-def tensor_stiefel(n, p, l, transform=None):
-    return TensorStiefel(n, p, l, transform=transform)
+def tensor_stiefel(n, p, l):
+    return TensorStiefel(n, p, l)
 
 
 def spec_from_record(rec):

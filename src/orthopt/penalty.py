@@ -11,10 +11,12 @@ With C = X^T phi(X) - I its gradient is
 
     grad h(X) = dA(X)*[grad f(A(X))] + beta dC(X)*[C].
 
-``EvalCache`` holds the base point (X, phi(X), the Gram matrix, C and A(X));
-dA, dA* and dC* are each written once as a kernel over it, which the solvers
-and the public derivatives share.  The adjoints never apply phi: with
-phi(X T) = phi(X) psi(T),
+An ``EvalCache`` is one base point of one spec (X, phi(X), the Gram matrix,
+C and A(X)), built once around a read-only X and never moved; its
+``dissolved`` cache is the point A(X) on the same meter.  dA, dA* and dC*
+are each written once as a kernel over a cache, which the solvers and the
+public derivatives share; a public function takes its cache at a copy of X.
+The adjoints never apply phi: with phi(X T) = phi(X) psi(T),
 
     dC(X)*[T] = phi(X) T^T + phi(X T) = phi(X) gen_sym(T),
 
@@ -29,6 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from .manifolds import FeasiblePoint, riemannian_gradient
+
+POSTPROCESS_MAX_ROUNDS = 50   # dissolving rounds postprocess takes before it gives up
 
 
 class UnsupportedOperation(RuntimeError):
@@ -45,7 +49,7 @@ class PostprocessDivergence(RuntimeError):
 
 def dissolve(spec, X):
     """Apply the dissolving operator 1.5 X - 0.5 X phi(X)^T X."""
-    return EvalCache.at(spec, X).AX
+    return _cache_at(spec, X).base().AX
 
 
 def dC(spec, X, Z):
@@ -55,23 +59,23 @@ def dC(spec, X, Z):
 
 def dC_adjoint(spec, X, T):
     """Adjoint of dC: maps a p x p increment back into the ambient space."""
-    return _dC_adjoint(EvalCache.at(spec, X), spec, np.asarray(T, dtype=float))
+    return _dC_adjoint(_cache_at(spec, X).base(), np.asarray(T, dtype=float))
 
 
 def dA(spec, X, Z):
     """Differential of the dissolving operator."""
-    return _dA(EvalCache.at(spec, X), spec, np.asarray(Z, dtype=float))[0]
+    return _dA(_cache_at(spec, X).base(), np.asarray(Z, dtype=float))[0]
 
 
 def dA_adjoint(spec, X, T):
     """Adjoint of dA."""
-    return _dA_adjoint(EvalCache.at(spec, X), spec, np.asarray(T, dtype=float))
+    return _dA_adjoint(_cache_at(spec, X).base(), np.asarray(T, dtype=float))
 
 
 def dCA(spec, X, Z):
     """Differential of the composition constraint-after-dissolve."""
     E = dC(spec, X, Z)
-    G = EvalCache.at(spec, X).gram
+    G = _cache_at(spec, X).base().gram
     G2 = G @ G
     return 2.25 * E - 1.5 * (E @ G + G @ E) + 0.25 * (E @ G2 + G @ E @ G + G2 @ E)
 
@@ -104,29 +108,32 @@ def _eye(p):
     return eye
 
 
+METER_KEYS = ("matmul", "phi", "grad_f", "f")
+
+
 class EvalCache:
-    """The base point of the penalty algebra: X, phi(X), the Gram matrix
+    """One base point of the penalty algebra: X, phi(X), the Gram matrix
     G = X^T phi(X), the constraint residual C = G - I, the factor
     lead = 1.5 I - 0.5 G of dA*, A(X) = X lead^T, ``store``, the problem
     oracles' store for the point A(X) (see ``Problem``), grad f(A(X)), and
     ``syms``, the pair (gen_sym(grad f(A(X))^T X), gen_sym(C)) that the
     gradient forms and the Hessian-vector product reads.
 
-    A cache may be built around its own X, which it takes without a copy;
-    the rest is formed the first time it is asked for.  Its own X is matched
-    by identity, so whoever hands it over promises not to change it.  Any
-    other array is matched by contents against the base and copied when it
-    differs.  The penalty solvers make each iterate a cache of its own, as
-    a Riemannian iterate is a ``FeasiblePoint``.
+    A cache is one X of one spec and never moves.  It takes X without a copy
+    and makes it read-only, and forms the rest the first time it is asked
+    for.  The penalty solvers make each iterate a cache of its own, as a
+    Riemannian iterate is a ``FeasiblePoint``.
 
-    Also meters the work done through it: dense products of n x p / p x p
-    shape, phi applications, and objective/gradient oracle calls.  Caches
-    built with the same ``counts`` dict share one meter.
+    Also meters the work done through it (``METER_KEYS``): dense products of
+    n x p / p x p shape, phi applications, and objective/gradient oracle
+    calls.  Caches built with the same ``counts`` dict share one meter.
     """
 
-    def __init__(self, counts=None, X=None):
-        self.counts = counts if counts is not None else {"matmul": 0, "phi": 0, "grad_f": 0, "f": 0}
+    def __init__(self, spec, X, counts=None):
+        X.flags.writeable = False
+        self.spec = spec
         self.X = X
+        self.counts = counts if counts is not None else dict.fromkeys(METER_KEYS, 0)
         self.phiX = None
         self.gram = None
         self.C = None
@@ -136,83 +143,80 @@ class EvalCache:
         self.gradfA = None
         self.syms = None
 
-    @classmethod
-    def at(cls, spec, X):
-        """A fresh cache whose base is X."""
-        cache = cls()
-        cache.ensure_base(spec, X)
-        return cache
-
-    def reset_counts(self):
-        for k in self.counts:
-            self.counts[k] = 0
-
     def _mm(self, A, B):
         self.counts["matmul"] += 1
         return A @ B
 
-    def _phi(self, spec, Y):
+    def _phi(self, Y):
         self.counts["phi"] += 1
-        return spec.phi(Y)
+        return self.spec.phi(Y)
 
-    def ensure_base(self, spec, X):
-        if X is not self.X:
-            X = np.asarray(X, dtype=float)
-            if self.phiX is not None and self.X.shape == X.shape and np.array_equal(self.X, X):
-                return
-            self.X = X.copy()
-        elif self.phiX is not None:
-            return
-        X = self.X
-        self.phiX = self._phi(spec, X)
-        self.gram = self._mm(X.mT, self.phiX)
-        eye = _eye(spec.p)
-        self.C = self.gram - eye
-        self.lead = 1.5 * eye - 0.5 * self.gram
-        self.AX = self._mm(X, self.lead.mT)
-        self.store = {}
-        self.gradfA = None
-        self.syms = None
+    def base(self):
+        """The cache with phi(X), G, C, lead, A(X) and the store; 1 phi and
+        2 products the first time."""
+        if self.phiX is None:
+            X = self.X
+            self.phiX = self._phi(X)
+            self.gram = self._mm(X.mT, self.phiX)
+            eye = _eye(self.spec.p)
+            self.C = self.gram - eye
+            self.lead = 1.5 * eye - 0.5 * self.gram
+            self.AX = self._mm(X, self.lead.mT)
+            self.store = {}
+        return self
 
-    def ensure_grad(self, problem, spec, X):
+    def ensure_grad(self, problem):
         """The base with grad f(A(X)) and its pair ``syms``; 1 product when new."""
-        self.ensure_base(spec, X)
         if self.gradfA is None:
+            self.base()
             self.counts["grad_f"] += 1
             self.gradfA = problem.grad(self.AX, self.store)
-        if self.syms is None:
-            self.syms = (spec.gen_sym(self._mm(self.gradfA.mT, self.X)), spec.gen_sym(self.C))
+            self.syms = (self.spec.gen_sym(self._mm(self.gradfA.mT, self.X)),
+                         self.spec.gen_sym(self.C))
+
+    def dissolved(self):
+        """The cache at A(X), one dissolving step from X, on the same meter."""
+        return EvalCache(self.spec, self.base().AX, self.counts)
 
 
-# Kernels over an ensured base.  psi enters only through gen_sym.
+def _cache_at(spec, X, cache=None):
+    """``cache``, which must be built around X itself, or without one a
+    cache of its own at a float copy of X."""
+    if cache is None:
+        return EvalCache(spec, np.array(X, dtype=float))
+    if X is not cache.X:
+        raise ValueError("the cache is built around another array than X")
+    return cache
 
-def _dA(cache, spec, Z):
+
+# Kernels over a cache that has its base.  psi enters only through gen_sym.
+
+def _dA(cache, Z):
     """dA(X)[Z] = 1.5 Z - 0.5 (Z G^T + X (P + Q)), with the phi(Z) and the
     cross-Grams P = phi(Z)^T X, Q = phi(X)^T Z it forms; 4 products, 1 phi."""
     mm, X = cache._mm, cache.X
-    phiZ = cache._phi(spec, Z)
+    phiZ = cache._phi(Z)
     P = mm(phiZ.mT, X)
     Q = mm(cache.phiX.mT, Z)
     return 1.5 * Z - 0.5 * (mm(Z, cache.gram.mT) + mm(X, P + Q)), phiZ, P, Q
 
 
-def _dC_adjoint(cache, spec, T):
+def _dC_adjoint(cache, T):
     """dC(X)*[T] = phi(X) gen_sym(T); 1 product, no phi."""
-    return cache._mm(cache.phiX, spec.gen_sym(T))
+    return cache._mm(cache.phiX, cache.spec.gen_sym(T))
 
 
-def _dA_adjoint(cache, spec, V, SV=None):
+def _dA_adjoint(cache, V, SV=None):
     """dA(X)*[V] = V lead - 0.5 dC(X)*[V^T X] = V lead + phi(X) (-0.5 SV),
     SV = gen_sym(V^T X); 3 products, or 2 when SV is given."""
     if SV is None:
-        SV = spec.gen_sym(cache._mm(V.mT, cache.X))
+        SV = cache.spec.gen_sym(cache._mm(V.mT, cache.X))
     return cache._mm(V, cache.lead) + cache._mm(cache.phiX, -0.5 * SV)
 
 
 def penalty_value(pf, X, cache=None):
     """h(X); f(A(X)) fills the store of A(X), which a gradient there reads."""
-    cache = cache if cache is not None else EvalCache()
-    cache.ensure_base(pf.spec, X)
+    cache = _cache_at(pf.spec, X, cache).base()
     cache.counts["f"] += 1
     fA = pf.problem.f(cache.AX, cache.store)
     return float(fA) + 0.5 * pf.beta * float(np.vdot(cache.C, cache.C))
@@ -224,11 +228,10 @@ def penalty_gradient(pf, X, cache=None):
 
     The two adjoints stay separate sums, so the result is bit for bit the
     public ``dA_adjoint`` plus ``beta dC_adjoint``."""
-    cache = cache if cache is not None else EvalCache()
-    cache.ensure_grad(pf.problem, pf.spec, X)
+    cache = _cache_at(pf.spec, X, cache)
+    cache.ensure_grad(pf.problem)
     SV, SC = cache.syms
-    return (_dA_adjoint(cache, pf.spec, cache.gradfA, SV)
-            + pf.beta * cache._mm(cache.phiX, SC))
+    return _dA_adjoint(cache, cache.gradfA, SV) + pf.beta * cache._mm(cache.phiX, SC)
 
 
 def penalty_hessvec(pf, X, dX, cache=None):
@@ -242,13 +245,13 @@ def penalty_hessvec(pf, X, dX, cache=None):
     if pf.problem.hessvec is None:
         raise UnsupportedOperation(f"problem {getattr(pf.problem, 'name', '?')} has no Hessian oracle")
     spec = pf.spec
-    cache = cache if cache is not None else EvalCache()
+    cache = _cache_at(pf.spec, X, cache)
     dX = np.asarray(dX, dtype=float)
-    cache.ensure_grad(pf.problem, spec, X)
+    cache.ensure_grad(pf.problem)
     X, phiX, Gf = cache.X, cache.phiX, cache.gradfA
     SV, SC = cache.syms
     mm = cache._mm
-    DAdX, phiD, P, Q = _dA(cache, spec, dX)
+    DAdX, phiD, P, Q = _dA(cache, dX)
     Hf = pf.problem.hessvec(cache.AX, DAdX, cache.store)
     R = mm(X.mT, Hf)
     lead = mm(Hf, cache.lead)
@@ -259,46 +262,46 @@ def penalty_hessvec(pf, X, dX, cache=None):
             + mm(phiX, on_phiX) + mm(phiD, on_phiD))
 
 
-def postprocess(spec, X, eps_f=1e-12, max_rounds=50):
+def postprocess(spec, X, eps_f=1e-12):
     """Drive the constraint residual under eps_f by repeated dissolving.
 
     Each round is one base point: its residual C and its A(X), the next
-    iterate, share one phi(X) and one Gram matrix.  The next round's cache
-    is built around that A(X), with no copy, and the returned point reuses
-    the phi(X) and Gram matrix of the last base.  Returns (FeasiblePoint,
-    rounds).
+    iterate, share one phi(X) and one Gram matrix.  The first base is a
+    cache at a copy of X and each next one is the previous one's
+    ``dissolved`` cache, so the returned point's X is read-only, and it
+    reuses the phi(X) and Gram matrix of the last base.  Returns
+    (FeasiblePoint, rounds).
     Raises PostprocessDivergence (with the residual trace attached) when the
-    iterate sits outside the contraction basin or the target cannot be met
-    within max_rounds.
+    residual is not finite, when the iterate sits outside the contraction
+    basin, or when the target cannot be met within POSTPROCESS_MAX_ROUNDS.
     """
     if not eps_f > 0:
         raise ValueError(f"eps_f must be positive, got {eps_f}")
-    base = EvalCache.at(spec, X)
+    base = _cache_at(spec, X).base()
     c = np.linalg.norm(base.C)
     trace = [c]
     rounds = 0
-    while c >= eps_f:
-        if rounds >= max_rounds:
+    while not c < eps_f:    # written so that NaN stays in the loop
+        if rounds >= POSTPROCESS_MAX_ROUNDS:
             raise PostprocessDivergence(
                 f"residual {c:.3e} after {rounds} rounds, target {eps_f:.1e}", trace)
         if not np.isfinite(c) or c > 10.0 * trace[0] + 1.0:
             raise PostprocessDivergence(
                 f"residual diverged to {c:.3e} after {rounds} rounds", trace)
-        base = EvalCache(X=base.AX)
-        base.ensure_base(spec, base.X)
+        base = base.dissolved().base()
         c = np.linalg.norm(base.C)
         rounds += 1
         trace.append(c)
     return FeasiblePoint.from_parts(spec, base.X, base.phiX, base.gram, tol=max(eps_f, 1e-12)), rounds
 
 
-def stationarity_report(pf, X, eps_f=1e-12, max_rounds=50):
+def stationarity_report(pf, X, eps_f=1e-12):
     """Norms used in result tables: penalty gradient, feasibility, and the
     projected objective gradient at the post-processed point."""
-    cache = EvalCache()
-    gh = penalty_gradient(pf, X, cache)
+    cache = _cache_at(pf.spec, X)
+    gh = penalty_gradient(pf, cache.X, cache)
     feas = float(np.linalg.norm(cache.C))
-    point, rounds = postprocess(pf.spec, X, eps_f=eps_f, max_rounds=max_rounds)
+    point, rounds = postprocess(pf.spec, X, eps_f=eps_f)
     rg = riemannian_gradient(pf.spec, point, pf.problem.grad(point.X, point.store))
     return {
         "grad_h": float(np.linalg.norm(gh)),

@@ -170,7 +170,7 @@ def build_extrinsic_mean(n, p, k, p_k, n_samples=1000, seed=0):
     return prob
 
 
-def build_tensor_jfd(n, p, l, n_samples=10, gamma=0.5, seed=0, transform=None):
+def build_tensor_jfd(n, p, l, n_samples=10, gamma=0.5, seed=0):
     """Joint diagonalization of tensor stacks under a cosine-transform product.
 
     Sample tensors are congruences of diagonal-slice cores by a shared
@@ -181,7 +181,7 @@ def build_tensor_jfd(n, p, l, n_samples=10, gamma=0.5, seed=0, transform=None):
     """
     if gamma < 0:
         raise ValueError("noise level must be nonnegative")
-    spec = TensorStiefel(n, p, l, transform=transform)
+    spec = TensorStiefel(n, p, l)
     ss = np.random.SeedSequence(seed)
     seed_u, seed_d = ss.spawn(2)
     U = spec.random_feasible(seed_u)
@@ -217,7 +217,7 @@ def build_tensor_jfd(n, p, l, n_samples=10, gamma=0.5, seed=0, transform=None):
 
     meta = {"problem": "tensor-jfd", "n": n, "p": p, "l": l, "samples": n_samples,
             "gamma": gamma, "seed": seed, "beta_default": 0.8, "rng": "pcg64",
-            "transform": "dct" if transform is None else "custom"}
+            "transform": "dct"}
     prob = Problem(spec, f, grad, hessvec, name="tensor-jfd", metadata=meta)
     prob.exact_point = U
     prob.sample_mats = mats

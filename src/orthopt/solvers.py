@@ -30,7 +30,7 @@ from .manifolds import (
     riemannian_gradient,
     vector_transport,
 )
-from .penalty import EvalCache, penalty_gradient, penalty_hessvec, penalty_value
+from .penalty import METER_KEYS, EvalCache, penalty_gradient, penalty_hessvec, penalty_value
 
 STATUS_GRAD_TOL = "GradTol"
 STATUS_MAX_ITER = "MaxIter"
@@ -65,6 +65,8 @@ class SolverConfig:
     time_limit: float = 1800.0
 
     def __post_init__(self):
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         # written so that NaN fails it
         if not (self.grad_tol >= 0 and self.max_iter > 0 and self.time_limit > 0):
             raise ValueError("tolerances and budgets must be positive")
@@ -193,29 +195,27 @@ class PenaltyOracle(_FlatOracle):
     one meter.  Value, gradient, Hessian-vector products and feasibility at
     an iterate fill or read its own cache, so a rejected line-search or
     trust-region trial leaves the base it was taken from as it was, and the
-    objective oracles at A(X) share that cache's store.  No point is compared by contents; ``unwrap``
-    hands back a writable copy of X.
+    objective oracles at A(X) share that cache's store.  ``unwrap`` hands
+    back a writable copy of X.
     """
 
     def __init__(self, pf):
         self.pf = pf
-        self.meter = EvalCache().counts
+        self.meter = dict.fromkeys(METER_KEYS, 0)
 
     def iterate(self, x0):
-        return EvalCache(self.meter, _freeze(super().iterate(x0)))
+        return EvalCache(self.pf.spec, super().iterate(x0), self.meter)
 
     def move(self, x, step, clock):
-        return EvalCache(self.meter, _freeze(x.X + step))
+        return EvalCache(self.pf.spec, x.X + step, self.meter)
 
     def trial(self, x, step, clock):
         """A(x + step), one dissolving step from x + step, as a fresh cache.
 
         The base at x + step costs 1 phi and 2 products, booked to no phase
-        as a flat move is; the trial cache is built around its A(X).
+        as a flat move is.
         """
-        raw = self.move(x, step, clock)
-        raw.ensure_base(self.pf.spec, raw.X)
-        return EvalCache(self.meter, _freeze(raw.AX))
+        return self.move(x, step, clock).dissolved()
 
     def displacement(self, x, xn, alpha, d, clock):
         return xn.X - x.X
@@ -235,8 +235,7 @@ class PenaltyOracle(_FlatOracle):
         return penalty_hessvec(self.pf, x.X, v, x)
 
     def feas(self, x):
-        x.ensure_base(self.pf.spec, x.X)
-        return _norm(x.C)
+        return _norm(x.base().C)
 
 
 class ManifoldOracle:
@@ -291,11 +290,6 @@ class ManifoldOracle:
 
 
 # --- the loop and its line search ------------------------------------------
-
-def _freeze(a):
-    a.flags.writeable = False
-    return a
-
 
 def _dot(a, b):
     # np.vdot's own sum on real arrays: both flattened in C order, one BLAS dot

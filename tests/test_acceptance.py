@@ -149,9 +149,8 @@ def test_criterion_08_gradient_work_accounting():
     spec = op.symplectic_stiefel(16, 4)
     prob = toy_problem(spec, 108)
     pf = op.PenaltyFunction(spec, prob, 0.7)
-    cache = EvalCache()
     X = spec.random_feasible(108).X + 0.05 * _unit(spec, 108)
-    cache.reset_counts()
+    cache = EvalCache(spec, X)
     penalty_gradient(pf, X, cache)
     counts = dict(cache.counts)
     ok = counts == {"matmul": 6, "phi": 1, "grad_f": 1, "f": 0}

@@ -1,10 +1,12 @@
-"""The library names that bench/tracing.py wraps must exist, and a traced
-solve must take the same iterates as an untraced one."""
+"""The library names that bench/tracing.py wraps must exist, the penalty
+cache must keep the contract the tracer reads, and a traced solve must take
+the same iterates as an untraced one."""
 
 import importlib.util
 import os
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import orthopt as op
@@ -89,3 +91,42 @@ def test_problem_oracles_cover_every_oracle_the_library_calls(tracing):
         run_solver(sid, pf, x0, SolverConfig(grad_tol=1e-5, max_iter=3))
     op.stationarity_report(pf, x0.X)
     assert recording.called == {attr for attr, _ in tracing.PROBLEM_ORACLES}
+
+
+def test_penalty_gradient_keeps_the_tracer_contract(tracing):
+    # the tracer calls penalty_gradient(pf, X, cache) positionally and reads
+    # the solve's meter off cache.counts around the call
+    pf, prob = _lsm_desk()
+    seen = []
+    gradient = solvers_mod.penalty_gradient
+
+    def spy(pf, X, cache):
+        seen.append((X is cache.X, dict(cache.counts)))
+        return gradient(pf, X, cache)
+
+    solvers_mod.penalty_gradient = spy
+    try:
+        r = run_solver("cdf-gd", pf, prob.spec.random_feasible(3), SolverConfig(max_iter=3))
+    finally:
+        solvers_mod.penalty_gradient = gradient
+    assert len(seen) == r.phase_counts["gradient"] > 0
+    assert all(own and set(counts) == {"matmul", "phi", "grad_f", "f"} for own, counts in seen)
+
+
+def test_evalcache_is_one_read_only_point_whose_dissolved_cache_shares_its_meter():
+    pf, prob = _lsm_desk()
+    X = prob.spec.random_feasible(3).X + 0.01
+    cache = op.EvalCache(prob.spec, X)
+    assert cache.X is X and not X.flags.writeable
+    with pytest.raises(ValueError):
+        X[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        op.penalty_gradient(pf, X.copy(), cache)     # a foreign array, equal contents
+    g = op.penalty_gradient(pf, X, cache)
+    assert cache.counts == {"matmul": 6, "phi": 1, "grad_f": 1, "f": 0}
+    np.testing.assert_array_equal(g, op.penalty_gradient(pf, X))
+    moved = cache.dissolved()
+    assert moved.counts is cache.counts and moved.X is cache.AX
+    assert not moved.X.flags.writeable
+    op.penalty_value(pf, moved.X, moved)
+    assert cache.counts == {"matmul": 8, "phi": 2, "grad_f": 1, "f": 1}

@@ -235,9 +235,8 @@ def test_penalty_gradient_zero_objective_on_manifold(spec):
 def test_penalty_gradient_work_counters(spec):
     prob = toy_problem(spec, 23)
     pf = PenaltyFunction(spec, prob, 0.7)
-    cache = EvalCache()
     X = _near_point(spec, 23)
-    cache.reset_counts()
+    cache = EvalCache(spec, X)
     penalty_gradient(pf, X, cache)
     assert cache.counts == {"matmul": 6, "phi": 1, "grad_f": 1, "f": 0}
     # value at the same point reuses everything but the objective call
@@ -323,11 +322,12 @@ def test_penalty_hessvec_work_accounting(spec):
     prob = toy_problem(spec, 32)
     pf = PenaltyFunction(spec, prob, 0.7)
     X = _near_point(spec, 32)
-    cache = EvalCache()
+    cache = EvalCache(spec, X)
     penalty_gradient(pf, X, cache)
-    cache.reset_counts()
+    before = dict(cache.counts)
     penalty_hessvec(pf, X, _unit(spec, 33), cache)
-    assert cache.counts == {"matmul": 10, "phi": 1, "grad_f": 0, "f": 0}
+    assert {k: n - before[k] for k, n in cache.counts.items()} == \
+        {"matmul": 10, "phi": 1, "grad_f": 0, "f": 0}
 
 
 def test_penalty_hessvec_same_bits_with_or_without_a_prior_gradient(spec):
@@ -336,7 +336,7 @@ def test_penalty_hessvec_same_bits_with_or_without_a_prior_gradient(spec):
     prob = toy_problem(spec, 34)
     pf = PenaltyFunction(spec, prob, 0.7)
     X, V = _near_point(spec, 34), _unit(spec, 35)
-    cache = EvalCache()
+    cache = EvalCache(spec, X)
     penalty_gradient(pf, X, cache)
     assert np.array_equal(penalty_hessvec(pf, X, V, cache), penalty_hessvec(pf, X, V))
 
@@ -389,8 +389,21 @@ def test_postprocess_rejects_bad_eps_f(eps_f):
 def test_postprocess_divergence_carries_trace(spec):
     X = 3.0 * spec.random_feasible(33).X
     with pytest.raises(PostprocessDivergence) as err:
-        postprocess(spec, X, eps_f=1e-12, max_rounds=50)
+        postprocess(spec, X, eps_f=1e-12)
     assert len(err.value.trace) >= 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_postprocess_non_finite_entry_diverges(bad):
+    # a NaN residual fails every comparison, so it must not read as
+    # converged; it stops as an infinite one does
+    spec = op.stiefel(6, 2)
+    X = spec.random_feasible(0).X.copy()
+    X[0, 0] = bad
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(PostprocessDivergence, match="diverged") as err:
+        postprocess(spec, X)
+    assert len(err.value.trace) == 1
 
 
 # --------------------------------------------------------- stationarity report
