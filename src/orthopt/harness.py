@@ -14,7 +14,7 @@ from .penalty import PenaltyFunction, postprocess
 from .problems import PROBLEM_BUILDERS
 from .solvers import ALL_PHASES, SOLVERS, SolverConfig, run_solver
 
-TRACE_HEADER = ["iter", "value", "grad_norm", "feas"] + [f"t_{p}" for p in ALL_PHASES]
+TRACE_HEADER = ["iter", "value", "grad_norm", "feas"] + [f"t_{p}" for p in ALL_PHASES] + ["trials"]
 NUMERIC_RUN_KEYS = ("beta", "max_iter", "time_limit", "eps_f", "x0_seed", "repetitions")
 RUN_KEYS = ("solvers", "tols", "out") + NUMERIC_RUN_KEYS   # the keys a [run] block may set
 

@@ -115,9 +115,11 @@ class EvalCache:
     """One base point of the penalty algebra: X, phi(X), the Gram matrix
     G = X^T phi(X), the constraint residual C = G - I, the factor
     lead = 1.5 I - 0.5 G of dA*, A(X) = X lead^T, ``store``, the problem
-    oracles' store for the point A(X) (see ``Problem``), grad f(A(X)), and
+    oracles' store for the point A(X) (see ``Problem``), grad f(A(X)),
     ``syms``, the pair (gen_sym(grad f(A(X))^T X), gen_sym(C)) that the
-    gradient forms and the Hessian-vector product reads.
+    gradient forms and the Hessian-vector product reads, and ``origin_C``,
+    which on a cache made by ``dissolved()`` is the residual C of the point
+    it was dissolved from (None otherwise).
 
     A cache is one X of one spec and never moves.  It takes X without a copy
     and makes it read-only, and forms the rest the first time it is asked
@@ -142,6 +144,7 @@ class EvalCache:
         self.store = None
         self.gradfA = None
         self.syms = None
+        self.origin_C = None
 
     def _mm(self, A, B):
         self.counts["matmul"] += 1
@@ -175,8 +178,11 @@ class EvalCache:
                          self.spec.gen_sym(self.C))
 
     def dissolved(self):
-        """The cache at A(X), one dissolving step from X, on the same meter."""
-        return EvalCache(self.spec, self.base().AX, self.counts)
+        """The cache at A(X), one dissolving step from X, on the same meter,
+        carrying this cache's residual C as its ``origin_C``."""
+        out = EvalCache(self.spec, self.base().AX, self.counts)
+        out.origin_C = self.C
+        return out
 
 
 def _cache_at(spec, X, cache=None):
@@ -275,9 +281,14 @@ def postprocess(spec, X, eps_f=1e-12):
     residual is not finite, when the iterate sits outside the contraction
     basin, or when the target cannot be met within POSTPROCESS_MAX_ROUNDS.
     """
+    return _postprocess(_cache_at(spec, X), eps_f)
+
+
+def _postprocess(cache, eps_f):
+    """``postprocess`` from the point of ``cache``, whose base it reuses."""
     if not eps_f > 0:
         raise ValueError(f"eps_f must be positive, got {eps_f}")
-    base = _cache_at(spec, X).base()
+    base = cache.base()
     c = np.linalg.norm(base.C)
     trace = [c]
     rounds = 0
@@ -292,16 +303,18 @@ def postprocess(spec, X, eps_f=1e-12):
         c = np.linalg.norm(base.C)
         rounds += 1
         trace.append(c)
-    return FeasiblePoint.from_parts(spec, base.X, base.phiX, base.gram, tol=max(eps_f, 1e-12)), rounds
+    return FeasiblePoint.from_parts(base.spec, base.X, base.phiX, base.gram, tol=max(eps_f, 1e-12)), rounds
 
 
 def stationarity_report(pf, X, eps_f=1e-12):
     """Norms used in result tables: penalty gradient, feasibility, and the
-    projected objective gradient at the post-processed point."""
+    projected objective gradient at the post-processed point.  The
+    post-processing starts from the gradient's cache, so X is copied and
+    phi(X), the Gram matrix and A(X) are formed once."""
     cache = _cache_at(pf.spec, X)
     gh = penalty_gradient(pf, cache.X, cache)
     feas = float(np.linalg.norm(cache.C))
-    point, rounds = postprocess(pf.spec, X, eps_f=eps_f)
+    point, rounds = _postprocess(cache, eps_f)
     rg = riemannian_gradient(pf.spec, point, pf.problem.grad(point.X, point.store))
     return {
         "grad_h": float(np.linalg.norm(gh)),

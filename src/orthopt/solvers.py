@@ -4,14 +4,16 @@ Every solver is a pair (oracle, rule) driven by ``minimize``.  The oracle
 carries the geometry: ``FunctionOracle`` and ``PenaltyOracle`` are flat
 (a move is x + step, transport is the identity, the displacement is
 xn - x), while ``ManifoldOracle`` moves by retraction, transports by
-projection and reads feasibility off the point.  The trust region asks the
-oracle for its trial point, which is the move except on the penalty, where
-``PenaltyOracle`` takes it one dissolving step further, at A(x + step);
-line searches, secant probes and finite differences use plain moves.  The
-rule proposes the next point: alternating Barzilai-Borwein steps
-(``cdf-gd``, ``rgd``), PR+ CG with a secant probe (``cdf-cg``), hybrid FR/DY
-CG (``rcg``), L-BFGS (``cdf-lbfgs``) or a Steihaug trust region
-(``cdf-tr``).  ``minimize`` owns the stop tests, the nonmonotone merit,
+projection and reads feasibility off the point.  Line searches, secant
+probes and the trust region ask the oracle for its trial point, which is
+the move except on the penalty, where ``PenaltyOracle`` takes it one
+dissolving step further, at A(x + step); only the finite-difference Hessian
+uses plain moves.  A line search adds the oracle's ``charge`` to the value
+at a trial: on the penalty beta/2 ||C(x + step)||^2, the residual term of
+the raw step, elsewhere nothing.  The rule proposes the next point:
+alternating Barzilai-Borwein steps (``cdf-gd``, ``rgd``), PR+ CG with a
+secant probe (``cdf-cg``), hybrid FR/DY CG (``rcg``), L-BFGS
+(``cdf-lbfgs``) or a Steihaug trust region (``cdf-tr``).  ``minimize`` owns the stop tests, the nonmonotone merit,
 the trace, the value and gradient at the start, the gradient at each
 accepted point and the SolveReport, whose wall-clock breakdown is split by
 phase {objective, gradient, hessvec, retraction, transport, linesearch}.
@@ -77,7 +79,9 @@ class SolveReport:
     """Outcome of one solve.
 
     ``phase_seconds`` and ``phase_counts`` are the time and the number of
-    calls booked to each phase.  ``phase_counts["hessvec"]`` counts the
+    calls booked to each phase.  A ``trace`` row is (iter, value, grad_norm,
+    feas), the seconds booked to each phase so far, and the number of
+    objective evaluations the iteration took (0 for the start).  ``phase_counts["hessvec"]`` counts the
     Hessian-vector products formed; a trust-region re-solve that replays the
     products of its base does not count them again.
     """
@@ -144,8 +148,12 @@ class _FlatOracle:
         return x + step
 
     def trial(self, x, step, clock):
-        """The trust-region trial point for ``step`` from x: the move itself."""
+        """The trial point for ``step`` from x: the move itself."""
         return self.move(x, step, clock)
+
+    def charge(self, trial):
+        """What a line search adds to the value at ``trial``: nothing."""
+        return 0.0
 
     def transport(self, xn, v, clock):
         return v
@@ -190,13 +198,16 @@ class FunctionOracle(_FlatOracle):
 class PenaltyOracle(_FlatOracle):
     """Penalty function whose iterates are evaluation caches.
 
-    The start, every x + step and every trust-region trial A(x + step) are
-    a new ``EvalCache`` built around a read-only X, all sharing the oracle's
-    one meter.  Value, gradient, Hessian-vector products and feasibility at
-    an iterate fill or read its own cache, so a rejected line-search or
-    trust-region trial leaves the base it was taken from as it was, and the
-    objective oracles at A(X) share that cache's store.  ``unwrap`` hands
-    back a writable copy of X.
+    The start, every move x + step and every trial A(x + step) are a new
+    ``EvalCache`` built around a read-only X, all sharing the oracle's one
+    meter.  A line search accepts the trial A(x + alpha d) on its value plus
+    ``charge``, the penalty term beta/2 ||C(x + alpha d)||^2 of the raw step,
+    which the dissolving step would otherwise hide; the trust region takes
+    the value there uncharged.  Value, gradient, Hessian-vector products
+    and feasibility at an iterate fill or read its own cache, so a rejected
+    trial leaves the base it was taken from as it was, and the objective
+    oracles at A(X) share that cache's store.  ``unwrap`` hands back a
+    writable copy of X.
     """
 
     def __init__(self, pf):
@@ -216,6 +227,12 @@ class PenaltyOracle(_FlatOracle):
         as a flat move is.
         """
         return self.move(x, step, clock).dissolved()
+
+    def charge(self, trial):
+        """beta/2 ||C(x + step)||^2, the penalty term of the raw point that
+        ``trial`` dissolved, read off its residual; no phi, no product."""
+        C = trial.origin_C
+        return 0.5 * self.pf.beta * float(np.vdot(C, C))
 
     def displacement(self, x, xn, alpha, d, clock):
         return xn.X - x.X
@@ -252,8 +269,14 @@ class ManifoldOracle:
         self.problem, self.spec = problem, spec
 
     def iterate(self, x0):
-        """The start as an iterate: a FeasiblePoint, checked to 1e-8."""
-        return x0 if isinstance(x0, FeasiblePoint) else FeasiblePoint(self.spec, x0, tol=1e-8)
+        """The start as an iterate: a FeasiblePoint of this spec, checked to
+        1e-8.  A point of this spec is taken as it is; an array, or a point of
+        another spec, is checked on this one."""
+        if isinstance(x0, FeasiblePoint):
+            if x0.spec is self.spec:
+                return x0
+            x0 = x0.X
+        return FeasiblePoint(self.spec, x0, tol=1e-8)
 
     def value(self, point):
         return float(self.problem.f(point.X, point.store))
@@ -273,7 +296,11 @@ class ManifoldOracle:
         except RetractError:
             return None
 
-    trial = move    # a trust-region trial is the retraction
+    trial = move    # a trial is the retraction
+
+    def charge(self, trial):
+        """A retracted trial is feasible: nothing to add."""
+        return 0.0
 
     def transport(self, point, v, clock):
         with clock.phase("transport"):
@@ -316,17 +343,27 @@ class _Merit:
 
 
 def _search(oracle, clock, x, d, gd, merit_c, alpha0):
-    """Halve the step until the averaged sufficient-decrease test passes."""
+    """Halve the step until a trial passes the nonmonotone sufficient-decrease
+    test h(trial) + charge(trial) <= merit_c + c1 alpha <g, d> (Zhang & Hager
+    2004), and return (alpha, trial, h(trial)), or None.
+
+    The trial is ``oracle.trial(x, alpha d)``.  On the penalty it is
+    A(x + alpha d), and the charge is beta/2 ||C(x + alpha d)||^2, the term the
+    raw step pays in h: uncharged, a step far off the manifold looks as good
+    as its dissolved image, and L-BFGS on indefinite frames drifts to
+    ||C|| ~ 0.5 and ends in LineSearchFail.  The returned h is uncharged; it
+    is the value at the accepted point, and the merit averages it.
+    """
     t0 = time.perf_counter()
     before = clock.oracle_seconds()
     alpha = alpha0
     out = None
     for _ in range(LS_MAX_BACKTRACKS + 1):
-        xn = oracle.move(x, alpha * d, clock)
+        xn = oracle.trial(x, alpha * d, clock)
         if xn is not None:
             with clock.phase("objective"):
                 hn = oracle.value(xn)
-            if np.isfinite(hn) and hn <= merit_c + LS_C1 * alpha * gd:
+            if np.isfinite(hn) and hn + oracle.charge(xn) <= merit_c + LS_C1 * alpha * gd:
                 out = (alpha, xn, hn)
                 break
         alpha *= LS_SHRINK
@@ -356,7 +393,8 @@ def minimize(name, oracle, rule, x0, config=None):
         g = oracle.grad(x)
     gn = _norm(g)
     merit = _Merit(h)
-    trace = [(0, h, gn, oracle.feas(x)) + clock.row()]
+    valued = clock.counts["objective"]      # objective evaluations up to the last row
+    trace = [(0, h, gn, oracle.feas(x)) + clock.row() + (0,)]
     status = STATUS_MAX_ITER
     iters = 0
     for k in range(1, cfg.max_iter + 1):
@@ -378,7 +416,8 @@ def minimize(name, oracle, rule, x0, config=None):
         x, g, h = xn, g_new, hn
         gn = _norm(g)
         iters = k
-        trace.append((k, h, gn, oracle.feas(x)) + clock.row())
+        trials, valued = clock.counts["objective"] - valued, clock.counts["objective"]
+        trace.append((k, h, gn, oracle.feas(x)) + clock.row() + (trials,))
     X, point = oracle.unwrap(x)
     work = None if work0 is None else {k: v - work0[k] for k, v in oracle.meter.items()}
     return SolveReport(
@@ -444,15 +483,17 @@ class SecantCG(_LineSearchRule):
     """Nonlinear conjugate gradient (PR+ with restarts).
 
     The trial step is refined by a one-point secant fit of the directional
-    derivative, which lands on the exact minimizer for quadratics, so the
-    method terminates finitely on strictly convex quadratic models.
+    derivative, probed at the oracle's trial point (A(x + alpha d) on the
+    penalty, where the line search looks too).  On a flat quadratic the fit
+    lands on the exact minimizer, so the method terminates finitely on
+    strictly convex quadratic models.
     """
 
     def direction(self, oracle, clock, x, g, gn):
         d, gd = _descent(g, gn, -g if self.d is None else self.d)
         alpha_t = self.alpha if self.alpha else 1.0 / max(1.0, gn)
         with clock.phase("gradient"):
-            g_probe = oracle.grad(oracle.move(x, alpha_t * d, clock))
+            g_probe = oracle.grad(oracle.trial(x, alpha_t * d, clock))
         denom = _dot(g_probe - g, d)
         if denom > 1e-30:
             alpha0 = alpha_t * (-gd) / denom
@@ -545,12 +586,13 @@ class TrustRegion:
     ``phase_counts["hessvec"]`` counts the products formed, not the
     replayed ones.
 
-    The trial is ``oracle.trial(x, p)``: x + p on a flat oracle, the
-    retraction on a manifold, and on the penalty the dissolved point
-    A(x + p), which pulls x + p back toward the manifold and on which the
-    penalty is exact (Xiao, Liu & Toh 2024).  rho still compares h there
-    with the model at p.  A trial that comes back None is a rejection with
-    rho = -1.
+    The trial is ``oracle.trial(x, p)``, the trial point of the line
+    searches too: x + p on a flat oracle, the retraction on a manifold, and
+    on the penalty the dissolved point A(x + p), which pulls x + p back
+    toward the manifold and on which the penalty is exact (Xiao, Liu & Toh
+    2024).  rho compares the uncharged h there with the model at p; the
+    line searches' charge does not enter it.  A trial that comes back None
+    is a rejection with rho = -1.
     """
 
     def __init__(self):

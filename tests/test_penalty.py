@@ -419,6 +419,28 @@ def test_stationarity_report_fields(spec):
         rep["feas"], np.linalg.norm(X.mT @ spec.phi(X) - np.eye(spec.p)), rtol=1e-12)
 
 
+def test_stationarity_report_forms_its_input_base_once(monkeypatch):
+    # the post-processing starts from the gradient's cache: one phi for the
+    # input's base and one per round, and the same values as the separate calls
+    prob = op.build_lsm(20, 4)
+    spec = prob.spec
+    pf = PenaltyFunction(spec, prob, 0.5)
+    X = spec.random_feasible(0).X + 1e-3 * np.random.default_rng(0).standard_normal((20, 4))
+    calls = []
+    phi = spec.phi
+    monkeypatch.setattr(spec, "phi", lambda Y: calls.append(1) or phi(Y))
+    rep = stationarity_report(pf, X)
+    assert rep["rounds"] == 3 and len(calls) == 4
+    monkeypatch.setattr(spec, "phi", phi)
+    point, rounds = postprocess(spec, X)
+    rg = riemannian_gradient(spec, point, prob.grad(point.X))
+    assert (rep["grad_h"], rep["rounds"], rep["feas_post"]) == \
+        (float(np.linalg.norm(penalty_gradient(pf, X))), rounds, point.feas)
+    assert rep["feas"] == float(np.linalg.norm(X.mT @ phi(X) - np.eye(spec.p)))
+    assert rep["grad_f_post"] == float(np.linalg.norm(rg))
+    np.testing.assert_array_equal(rep["point"].X, point.X)
+
+
 def test_stationarity_lower_bound_inequality(spec):
     # ||grad h||^2 >= ||grad (f о dissolve)||^2 + (beta/9)||C|| near the manifold
     prob = toy_problem(spec, 36)

@@ -6,7 +6,7 @@ import pytest
 import orthopt as op
 import orthopt.penalty as penalty_mod
 import orthopt.solvers as solvers_mod
-from orthopt.harness import load_config
+from orthopt.harness import TRACE_HEADER, load_config
 from orthopt.problems import PROBLEM_BUILDERS
 from orthopt.solvers import (
     STATUS_GRAD_TOL,
@@ -235,6 +235,65 @@ def test_cdf_tr_accepts_the_dissolved_trial_bit_for_bit():
     assert np.array_equal(r.X, accepted[-1].X)
 
 
+@pytest.mark.parametrize("solver_id", ["cdf-gd", "cdf-cg", "cdf-lbfgs"])
+def test_line_search_accepts_the_charged_dissolved_trial_bit_for_bit(monkeypatch, solver_id):
+    # every accepted line-search iterate on the extrinsic desk config is
+    # A(x + alpha d), the public dissolve of the raw step, and passes the
+    # sufficient-decrease test with beta/2 ||C(x + alpha d)||^2 added to its value
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                   "extrinsic_desk.cfg"))
+    prob = PROBLEM_BUILDERS[cfg.problem["id"]](cfg.problem)
+    pf = op.PenaltyFunction(prob.spec, prob, cfg.beta)
+    search, hits = solvers_mod._search, []
+
+    def spy_search(oracle, clock, x, d, gd, merit_c, alpha0):
+        out = search(oracle, clock, x, d, gd, merit_c, alpha0)
+        hits.append((oracle, x, d, gd, merit_c, out))
+        return out
+
+    monkeypatch.setattr(solvers_mod, "_search", spy_search)
+    r = run_solver(solver_id, pf, prob.spec.random_feasible(cfg.x0_seed), SolverConfig(grad_tol=1e-5))
+    assert r.status == STATUS_GRAD_TOL and len(hits) == r.iters > 1
+    charges = []
+    for oracle, x, d, gd, merit_c, (alpha, xn, hn) in hits:
+        raw = x.X + alpha * d
+        assert np.array_equal(xn.X, op.dissolve(prob.spec, raw))
+        assert hn == pf.value(xn.X)                            # the merit takes h uncharged
+        charge = oracle.charge(xn)
+        np.testing.assert_allclose(
+            charge, 0.5 * pf.beta * np.linalg.norm(op.constraint(prob.spec, raw)) ** 2,
+            rtol=1e-12, atol=1e-300)
+        assert hn + charge <= merit_c + solvers_mod.LS_C1 * alpha * gd
+        charges.append(charge)
+    assert max(charges) > 0.0
+    assert np.array_equal(r.X, hits[-1][-1][1].X)
+
+
+def _indef_lbfgs():
+    prob = op.build_extrinsic_mean(120, 24, k=60, p_k=12, n_samples=100, seed=0)
+    pf = op.PenaltyFunction(prob.spec, prob, 0.5)
+    x0 = prob.spec.random_feasible(11)
+    return pf, x0, run_solver("cdf-lbfgs", pf, x0, SolverConfig(grad_tol=1e-5))
+
+
+def test_charged_line_search_reaches_the_riemannian_objective_on_indefinite_frames():
+    # an uncharged trial at A(x + alpha d) hides the normal error of x + alpha d;
+    # charged, L-BFGS converges and its post-processed point matches rgd's
+    pf, x0, r = _indef_lbfgs()
+    assert r.status == STATUS_GRAD_TOL
+    point, _ = op.postprocess(pf.spec, r.X)
+    ref = run_solver("rgd", pf, x0, SolverConfig(grad_tol=1e-5))
+    assert ref.status == STATUS_GRAD_TOL
+    f_cdf, f_ref = pf.problem.f(point.X), pf.problem.f(ref.X)
+    assert abs(f_cdf - f_ref) <= 1e-6 * abs(f_ref)
+
+
+def test_uncharged_dissolved_trials_fail_on_indefinite_frames(monkeypatch):
+    monkeypatch.setattr(PenaltyOracle, "charge", lambda self, trial: 0.0)
+    _, _, r = _indef_lbfgs()
+    assert r.status == STATUS_LS_FAIL
+
+
 def test_steihaug_returns_hessian_product_interior():
     rng = np.random.default_rng(11)
     M = rng.standard_normal((8, 8))
@@ -366,7 +425,7 @@ def test_cdf_solve_compares_no_contents_and_reports_a_writable_X(monkeypatch):
     x0 = prob.spec.random_feasible(cfg.x0_seed)
     compared = _count_array_equal(monkeypatch)
     r = run_solver("cdf-gd", pf, x0, SolverConfig(grad_tol=1e-5))
-    assert (r.status, r.iters) == (STATUS_GRAD_TOL, 512)
+    assert (r.status, r.iters) == (STATUS_GRAD_TOL, 184)
     assert compared == []
     assert r.X.flags.writeable
     r.X[0, 0] += 1.0                                       # the report owns its copy
@@ -425,6 +484,36 @@ def test_one_gradient_per_accepted_point(solver_id, per_iter):
                    SolverConfig(grad_tol=1e-5, max_iter=50000))
     assert r.status == STATUS_GRAD_TOL
     assert r.phase_counts["gradient"] == per_iter * r.iters + 1
+
+
+@pytest.mark.parametrize("solver_id", ["cdf-gd", "cdf-cg", "cdf-lbfgs", "cdf-tr", "rgd", "rcg"])
+def test_trace_rows_count_the_trials_of_their_iteration(solver_id):
+    # the last column holds the objective evaluations an iteration took; the
+    # start's value is in no row
+    pf, prob = lsm_desk()
+    r = run_solver(solver_id, pf, prob.spec.random_feasible(3),
+                   SolverConfig(grad_tol=1e-5, max_iter=50000))
+    assert r.status == STATUS_GRAD_TOL
+    assert all(len(row) == len(TRACE_HEADER) for row in r.trace) and TRACE_HEADER[-1] == "trials"
+    trials = [row[-1] for row in r.trace]
+    assert trials[0] == 0 and min(trials[1:]) >= 1
+    assert sum(trials) == r.phase_counts["objective"] - 1
+
+
+def test_rgd_checks_a_start_of_another_spec_on_its_own():
+    # a point of another manifold is checked like an array start, and a
+    # point of the same manifold from another spec object takes the same iterates
+    prob = op.build_extrinsic_mean(12, 4, k=6, p_k=2, n_samples=10, seed=0)
+    with pytest.raises(op.FeasibilityError):
+        rgd(prob, prob.spec, op.stiefel(12, 4).random_feasible(0))
+    pf, prob = lsm_desk()
+    own = prob.spec.random_feasible(3)
+    twin = op.FeasiblePoint(op.symplectic_stiefel(20, 4), own.X)
+    assert twin.spec is not prob.spec
+    cfg = SolverConfig(grad_tol=1e-5, max_iter=50000)
+    a, b = rgd(prob, prob.spec, own, cfg), rgd(prob, prob.spec, twin, cfg)
+    assert a.status == STATUS_GRAD_TOL and (a.iters, repr(a.fval)) == (b.iters, repr(b.fval))
+    np.testing.assert_array_equal(a.X, b.X)
 
 
 def test_solver_hooks_are_looked_up_at_call_time(monkeypatch):
