@@ -1,7 +1,6 @@
 """Command-line front end: run experiment grids, profile solvers, selftest."""
 
 import argparse
-import configparser
 import json
 import sys
 
@@ -52,8 +51,6 @@ def main(argv=None):
         config = load_config(args.config)
         if args.solver:
             config.solvers = args.solver
-        if args.command == "profile" and args.iters < 1:
-            raise ConfigError(f"--iters must be >= 1, got {args.iters}")
         if args.command == "run":
             if args.tol is not None:
                 config.tols = [args.tol]
@@ -61,13 +58,6 @@ def main(argv=None):
                 config.problem["seed"] = args.seed
             if args.out is not None:
                 config.out = args.out
-        config.validate()
-    except (ConfigError, ValueError, KeyError, OSError, configparser.Error) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        if args.command == "run":
             records = run(config)
             sys.stdout.write(emit_table(records, "json" if args.json else "text"))
             return 0

@@ -5,7 +5,8 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from .problems import PROBLEM_BUILDERS
 from .solvers import ALL_PHASES, SOLVERS, SolverConfig, run_solver
 
 TRACE_HEADER = ["iter", "value", "grad_norm", "feas"] + [f"t_{p}" for p in ALL_PHASES] + ["trials"]
-NUMERIC_RUN_KEYS = ("beta", "max_iter", "time_limit", "eps_f", "x0_seed", "repetitions")
+NUMERIC_RUN_KEYS = ("beta", "max_iter", "time_limit", "x0_seed", "repetitions")
 RUN_KEYS = ("solvers", "tols", "out") + NUMERIC_RUN_KEYS   # the keys a [run] block may set
 
 
@@ -49,44 +50,25 @@ class ExperimentConfig:
     beta: float = None
     max_iter: int = 100000
     time_limit: float = 1800.0
-    eps_f: float = 1e-12
     x0_seed: int = 7
     out: str = None
     repetitions: int = 1
 
     def validate(self):
-        if "id" not in self.problem or self.problem["id"] not in PROBLEM_BUILDERS:
+        """Check what no object built from the config checks itself; ``prepare``
+        leaves every other setting to the code that uses it."""
+        if self.problem.get("id") not in PROBLEM_BUILDERS:
             raise ConfigError(f"problem id must be one of {sorted(PROBLEM_BUILDERS)}")
+        if not self.solvers:
+            raise ConfigError("at least one solver is required")
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ConfigError(f"unknown solver {s!r}; choose from {sorted(SOLVERS)}")
         if not self.tols:
             raise ConfigError("at least one gradient tolerance is required")
-        seed = self.problem.get("seed", 0)
-        # each comparison is written so that NaN, and so any non-number, fails it
-        for ok, message in [
-            (all(0.0 <= _real(t) < np.inf for t in self.tols), "tols must be finite and >= 0"),
-            (_is_int(self.max_iter) and self.max_iter >= 1, "max_iter must be an integer >= 1"),
-            (_real(self.time_limit) > 0, "time_limit must be > 0"),
-            (0.0 < _real(self.eps_f) < np.inf, "eps_f must be finite and > 0"),
-            (self.beta is None or 0.0 < _real(self.beta) < np.inf, "beta must be finite and > 0"),
-            (_is_int(self.repetitions) and self.repetitions >= 1,
-             "repetitions must be an integer >= 1"),
-            (_is_int(self.x0_seed) and self.x0_seed >= 0, "x0_seed must be an integer >= 0"),
-            (_is_int(seed) and seed >= 0, "the problem seed must be an integer >= 0"),
-        ]:
-            if not ok:
-                raise ConfigError(message)
+        if not (isinstance(self.repetitions, (int, np.integer)) and self.repetitions >= 1):
+            raise ConfigError("repetitions must be an integer >= 1")
         return self
-
-
-def _is_int(value):
-    return isinstance(value, (int, np.integer))
-
-
-def _real(value):
-    """value if it is a number, else NaN."""
-    return value if isinstance(value, (int, float, np.integer, np.floating)) else np.nan
 
 
 def _coerce(value):
@@ -101,23 +83,38 @@ def _coerce(value):
         return value
 
 
+@contextmanager
+def _setting(name):
+    """Turn a fault raised while reading or using the setting ``name`` into a
+    ConfigError that names it and keeps the reason."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def load_config(path):
     """Read a key/value block file into an ExperimentConfig."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        blocks = {name: dict(parser[name]) for name in parser.sections()}
+    except (configparser.Error, ValueError) as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    if "problem" not in parser:
+    if "problem" not in blocks:
         raise ConfigError("config needs a [problem] block")
-    problem = {k: _coerce(v) for k, v in parser["problem"].items()}
-    run_sec = parser["run"] if "run" in parser else {}
+    problem = {k: _coerce(v) for k, v in blocks["problem"].items()}
+    run_sec = blocks.get("run", {})
     unknown = sorted(set(run_sec) - set(RUN_KEYS))
     if unknown:
         raise ConfigError(f"unknown [run] key {unknown[0]!r}; choose from {', '.join(RUN_KEYS)}")
     kwargs = {key: _coerce(run_sec[key]) for key in NUMERIC_RUN_KEYS if key in run_sec}
     solvers, tols = run_sec.get("solvers", ",".join(SOLVERS)), run_sec.get("tols", "1e-5, 1e-9")
     kwargs["solvers"] = [s.strip() for s in solvers.split(",") if s.strip()]
-    kwargs["tols"] = [float(t) for t in tols.split(",") if t.strip()]
+    with _setting("tols"):
+        kwargs["tols"] = [float(t) for t in tols.split(",") if t.strip()]
     if "out" in run_sec:    # a directory name, even when it reads as a number
         kwargs["out"] = run_sec["out"].strip()
     return ExperimentConfig(problem=problem, **kwargs).validate()
@@ -130,16 +127,15 @@ def _problem_size(problem):
     return f"({meta['n']},{meta['p']})"
 
 
-def _run_cell(pf, x0, x0_seed, solver_id, tol, config, eps_f):
-    cfg = SolverConfig(grad_tol=tol, max_iter=config.max_iter, time_limit=config.time_limit)
+def _run_cell(pf, x0, x0_seed, solver_id, cfg):
     report = run_solver(solver_id, pf, x0, cfg)
     # every row is read at the post-processed point; pre_feas keeps the raw residual
-    point, _ = postprocess(pf.spec, report.X, eps_f=eps_f)
+    point, _ = postprocess(pf.spec, report.X)
     egrad = pf.problem.grad(point.X, point.store)
     grad = np.linalg.norm(riemannian_gradient(pf.spec, point, egrad))
     rec = ExperimentRecord(
         problem=pf.problem.name, size=_problem_size(pf.problem), solver=solver_id,
-        tol=tol, fval=float(pf.problem.f(point.X, point.store)), iters=report.iters,
+        tol=cfg.grad_tol, fval=float(pf.problem.f(point.X, point.store)), iters=report.iters,
         grad=float(grad), feas=float(point.feas),
         cpu=report.total_time, status=report.status,
         seed=int(pf.problem.metadata.get("seed", 0)), beta=pf.beta,
@@ -155,12 +151,31 @@ def _write_trace(path, report):
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _penalty_bundle(config):
-    """Validate a config and build its problem's penalty at the configured or default beta."""
+def prepare(config):
+    """Validate a config and build everything it describes.
+
+    Returns (pf, cfgs, starts): the problem's PenaltyFunction at the
+    configured or default beta, one SolverConfig per distinct tolerance in
+    ascending order of tolerance, and the start point of each repetition
+    by its seed.  The problem is built by calling its builder with the
+    [problem] keys, less ``id``, as keyword arguments.  Each setting is
+    checked by the code that uses it; what that code rejects comes back as
+    a ConfigError that names the setting.
+    """
     config.validate()
-    problem = PROBLEM_BUILDERS[config.problem["id"]](config.problem)
-    beta = config.beta if config.beta is not None else problem.metadata.get("beta_default", 1.0)
-    return PenaltyFunction(problem.spec, problem, beta)
+    with _setting("[problem]"):
+        problem = PROBLEM_BUILDERS[config.problem["id"]](
+            **{k: v for k, v in config.problem.items() if k != "id"})
+    with _setting("beta"):
+        beta = config.beta if config.beta is not None else problem.metadata["beta_default"]
+        pf = PenaltyFunction(problem.spec, problem, beta)
+    with _setting("tols, max_iter or time_limit"):
+        cfgs = [SolverConfig(grad_tol=tol, max_iter=config.max_iter, time_limit=config.time_limit)
+                for tol in sorted(set(config.tols))]
+    with _setting("x0_seed"):
+        seeds = range(config.x0_seed, config.x0_seed + config.repetitions)
+        starts = {seed: problem.spec.random_feasible(seed) for seed in seeds}
+    return pf, cfgs, starts
 
 
 def run(config):
@@ -169,16 +184,14 @@ def run(config):
     Cells go in SOLVERS order, then by ascending tolerance, then by start
     seed; a solver or tolerance listed twice runs once.
     """
-    pf = _penalty_bundle(config)
-    starts = {config.x0_seed + r: pf.spec.random_feasible(config.x0_seed + r)
-              for r in range(config.repetitions)}
+    pf, cfgs, starts = prepare(config)
     if config.out:
         os.makedirs(config.out, exist_ok=True)
     records = []
     for solver_id in [s for s in SOLVERS if s in config.solvers]:
-        for tol in sorted(set(config.tols)):
+        for cfg in cfgs:
             for x0_seed, x0 in starts.items():
-                rec, report = _run_cell(pf, x0, x0_seed, solver_id, tol, config, config.eps_f)
+                rec, report = _run_cell(pf, x0, x0_seed, solver_id, cfg)
                 records.append(rec)
                 if config.out:
                     name = f"trace_{rec.problem}_{rec.solver}_{rec.tol:g}_x{rec.x0_seed}.csv"
@@ -277,11 +290,10 @@ def timing_profile(config, iters=100):
     The split has one entry per solver phase (objective, gradient, hessvec,
     retraction, transport, linesearch) and "other" for the remaining loop time.
     """
-    pf = _penalty_bundle(config)
-    x0 = pf.spec.random_feasible(config.x0_seed)
+    pf, (cfg,), starts = prepare(replace(config, tols=[0.0], max_iter=iters))
+    x0 = starts[config.x0_seed]
     out = {}
     for solver_id in config.solvers:
-        cfg = SolverConfig(grad_tol=0.0, max_iter=iters, time_limit=config.time_limit)
         report = run_solver(solver_id, pf, x0, cfg)
         seconds = dict(report.phase_seconds)
         seconds["other"] = max(report.total_time - sum(seconds.values()), 0.0)

@@ -71,10 +71,6 @@ class FeasiblePoint:
             raise FeasibilityError(
                 f"constraint residual {self.feas:.3e} exceeds tolerance {tol:.1e} on {spec.name}")
 
-    @property
-    def shape(self):
-        return self.X.shape
-
 
 def _orthonormalize_rows(vecs, drop_tol=1e-10):
     # SVD-based row-space basis; rows with tiny singular value are dropped

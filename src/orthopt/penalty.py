@@ -286,8 +286,8 @@ def postprocess(spec, X, eps_f=1e-12):
 
 def _postprocess(cache, eps_f):
     """``postprocess`` from the point of ``cache``, whose base it reuses."""
-    if not eps_f > 0:
-        raise ValueError(f"eps_f must be positive, got {eps_f}")
+    if not 0 < eps_f < math.inf:
+        raise ValueError(f"eps_f must be positive and finite, got {eps_f}")
     base = cache.base()
     c = np.linalg.norm(base.C)
     trace = [c]

@@ -30,18 +30,14 @@ class Problem:
     oracle may ignore it, and with ``store=None`` it computes afresh.
     """
 
-    def __init__(self, spec, f, grad, hessvec=None, name="problem",
-                 metadata=None, check_gradient=True):
+    def __init__(self, spec, f, grad, hessvec=None, name="problem", metadata=None):
         self.spec = spec
         self.f = f
         self.grad = grad
         self.hessvec = hessvec
         self.name = name
         self.metadata = dict(metadata or {})
-        self.gradient_checked = False
-        if check_gradient:
-            self._check_gradient()
-            self.gradient_checked = True
+        self._check_gradient()
 
     def _check_gradient(self):
         """grad against central differences of f at GRAD_CHECK_POINTS random points."""
@@ -74,7 +70,7 @@ def _memo(make):
     return get
 
 
-def build_lsm(n2, p2, seed=0, a=None, b=None):
+def build_lsm(n, p, seed=0, a=None, b=None):
     """Least-squares matching objective tr(X^T A X N) on symplectic frames.
 
     A = U diag(lambda) U^T with a random orthogonal U and decaying spectrum
@@ -83,17 +79,17 @@ def build_lsm(n2, p2, seed=0, a=None, b=None):
     explicitly, e.g. to put the instance in a strong-decay regime where the
     small default penalty weight is safely above its exactness threshold.
     """
-    spec = SymplecticStiefel(n2, p2)
+    spec = SymplecticStiefel(n, p)
     rng = np.random.default_rng(seed)
-    U, _ = qr_posdiag(rng.standard_normal((n2, n2)))
+    U, _ = qr_posdiag(rng.standard_normal((n, n)))
     a = 1.0 + rng.uniform(0.0, 1.0) if a is None else float(a)
     b = rng.uniform(0.0, 2.0) if b is None else float(b)
     if a <= 1.0 or b <= 0.0:
         raise ValueError("need decay base a > 1 and spectrum shift b > 0")
-    lam = a ** (1.0 - np.arange(1.0, n2 + 1.0)) + b
+    lam = a ** (1.0 - np.arange(1.0, n + 1.0)) + b
     A = (U * lam) @ U.T
     A = 0.5 * (A + A.T)
-    mu = 0.1 * np.exp(-np.arange(1.0, p2 + 1.0) / (p2 / 2.0))
+    mu = 0.1 * np.exp(-np.arange(1.0, p + 1.0) / (p / 2.0))
 
     # A is symmetric, so A X is formed as (X^T A)^T: the same product in
     # exact arithmetic, but with the n x n operand in the packed panel that
@@ -113,7 +109,7 @@ def build_lsm(n2, p2, seed=0, a=None, b=None):
     def hessvec(X, V, store=None):
         return 2.0 * (V.mT @ A).mT * mu
 
-    meta = {"problem": "lsm", "n": n2, "p": p2, "seed": seed, "a": a, "b": b,
+    meta = {"problem": "lsm", "n": n, "p": p, "seed": seed, "a": a, "b": b,
             "beta_default": 0.012, "rng": "pcg64"}
     prob = Problem(spec, f, grad, hessvec, name="lsm", metadata=meta)
     prob.A = A
@@ -245,11 +241,10 @@ def toy_problem(spec, seed=0):
                    metadata={"problem": "toy", "seed": seed})
 
 
-def build_zero(record):
-    """Constant-zero objective on any manifold named by a plain record."""
-    rec = {k: v for k, v in record.items() if k not in ("id",)}
-    rec.setdefault("name", "stiefel")
-    spec = spec_from_record(rec)
+def build_zero(name="stiefel", seed=0, **dims):
+    """Constant-zero objective on the manifold ``name`` of sizes ``dims``
+    (the keys of ``spec_from_record``)."""
+    spec = spec_from_record({"name": name, "seed": seed, **dims})
 
     def f(X, store=None):
         return 0.0
@@ -260,18 +255,17 @@ def build_zero(record):
     def hessvec(X, V, store=None):
         return np.zeros_like(np.asarray(V, dtype=float))
 
-    meta = {"problem": "zero", "seed": int(record.get("seed", 0)),
+    meta = {"problem": "zero", "seed": int(seed),
             "n": spec.n, "p": spec.p, "beta_default": 1.0, "rng": "pcg64"}
-    return Problem(spec, f, grad, hessvec, name="zero", metadata=meta,
-                   check_gradient=False)
+    return Problem(spec, f, grad, hessvec, name="zero", metadata=meta)
 
 
+# The builders by problem id.  A config's [problem] keys, less ``id``, are
+# passed to the builder as keyword arguments, so its signature is the schema
+# of the block.
 PROBLEM_BUILDERS = {
-    "lsm": lambda d: build_lsm(d["n"], d["p"], d.get("seed", 0),
-                               a=d.get("a"), b=d.get("b")),
-    "extrinsic-mean": lambda d: build_extrinsic_mean(
-        d["n"], d["p"], d["k"], d["p_k"], d.get("samples", 1000), d.get("seed", 0)),
-    "tensor-jfd": lambda d: build_tensor_jfd(
-        d["n"], d["p"], d["l"], d.get("samples", 10), d.get("gamma", 0.5), d.get("seed", 0)),
+    "lsm": build_lsm,
+    "extrinsic-mean": build_extrinsic_mean,
+    "tensor-jfd": build_tensor_jfd,
     "zero": build_zero,
 }

@@ -70,8 +70,9 @@ class SolverConfig:
         if not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         # written so that NaN fails it
-        if not (self.grad_tol >= 0 and self.max_iter > 0 and self.time_limit > 0):
-            raise ValueError("tolerances and budgets must be positive")
+        if not (0 <= self.grad_tol < math.inf and self.max_iter > 0 and self.time_limit > 0):
+            raise ValueError(f"need a finite grad_tol >= 0, max_iter > 0 and time_limit > 0; "
+                             f"got {self}")
 
 
 @dataclass

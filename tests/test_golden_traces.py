@@ -13,9 +13,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-import orthopt as op
-from orthopt.harness import load_config
-from orthopt.problems import PROBLEM_BUILDERS
+from orthopt.harness import load_config, prepare
 from orthopt.solvers import SolverConfig, run_solver
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -45,9 +43,8 @@ GOLDEN = [
 @lru_cache(maxsize=None)
 def desk_bundle(name):
     cfg = load_config(os.path.join(CONFIG_DIR, name + ".cfg"))
-    prob = PROBLEM_BUILDERS[cfg.problem["id"]](cfg.problem)
-    pf = op.PenaltyFunction(prob.spec, prob, cfg.beta)
-    return pf, prob.spec.random_feasible(cfg.x0_seed)
+    pf, _, starts = prepare(cfg)
+    return pf, starts[cfg.x0_seed]
 
 
 @pytest.mark.parametrize("config,solver_id,status,iters,fval", GOLDEN,

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from orthopt.harness import (
     TRACE_HEADER,
     emit_table,
     load_config,
+    prepare,
     run,
     timing_profile,
 )
@@ -29,7 +31,7 @@ n = 15
 p = 3
 k = 9
 p_k = 2
-samples = 20
+n_samples = 20
 seed = 1
 
 [run]
@@ -39,6 +41,8 @@ beta = 0.5
 max_iter = 20000
 x0_seed = 3
 """
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 LSM_CFG = """
 [problem]
@@ -51,6 +55,20 @@ seed = 0
 solvers = cdf-gd
 tols = 1e-4
 beta = 0.5
+"""
+
+TJFD_CFG = """
+[problem]
+id = tensor-jfd
+n = 6
+p = 2
+l = 2
+n_samples = 2
+seed = 0
+
+[run]
+solvers = cdf-gd
+tols = 1e-4
 """
 
 
@@ -79,7 +97,6 @@ def test_load_config_defaults(tmp_path):
     cfg = load_config(path)
     assert cfg.tols == [1e-5, 1e-9]
     assert len(cfg.solvers) == 6
-    assert cfg.eps_f == 1e-12
 
 
 def test_load_config_keeps_a_numeric_out_directory_a_name(tmp_path):
@@ -109,18 +126,36 @@ def test_config_rejects_unknown_problem():
 @pytest.mark.parametrize("setting", [
     {"tols": [-1.0]}, {"tols": [1e-5, float("nan")]}, {"tols": [float("inf")]},
     {"max_iter": 0}, {"time_limit": 0.0}, {"time_limit": float("nan")},
-    {"eps_f": 0.0}, {"eps_f": float("nan")}, {"eps_f": float("inf")},
     {"beta": -1.0}, {"beta": float("nan")}, {"repetitions": 0},
     {"max_iter": 2.5}, {"repetitions": 1.5}, {"x0_seed": -3}, {"x0_seed": 1.5},
     {"problem": {"id": "lsm", "n": 10, "p": 4, "seed": -1}},
     {"problem": {"id": "lsm", "n": 10, "p": 4, "seed": 2.5}},
-    {"time_limit": "abc"}, {"eps_f": "abc"}, {"beta": "abc"}, {"tols": [1e-5, "abc"]},
+    {"time_limit": "abc"}, {"beta": "abc"}, {"tols": [1e-5, "abc"]},
     {"beta": float("inf")},
 ], ids=repr)
 def test_config_rejects_bad_numeric_settings(setting):
     kwargs = {"problem": {"id": "lsm", "n": 10, "p": 4}, "solvers": ["cdf-gd"], "tols": [1e-5]}
     with pytest.raises(ConfigError):
-        ExperimentConfig(**{**kwargs, **setting}).validate()
+        prepare(ExperimentConfig(**{**kwargs, **setting}))
+
+
+@pytest.mark.parametrize("setting,name", [
+    ({"beta": -1.0}, "beta"), ({"max_iter": 0}, "max_iter"), ({"x0_seed": -3}, "x0_seed"),
+    ({"problem": {"id": "lsm", "n": 11, "p": 4}}, "[problem]"),
+], ids=repr)
+def test_prepare_names_the_rejected_setting(setting, name):
+    kwargs = {"problem": {"id": "lsm", "n": 10, "p": 4}, "solvers": ["cdf-gd"], "tols": [1e-5]}
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        prepare(ExperimentConfig(**{**kwargs, **setting}))
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+def test_shipped_configs_load_and_prepare(name):
+    cfg = load_config(os.path.join(CONFIG_DIR, name))
+    pf, cfgs, starts = prepare(cfg)
+    assert pf.problem.name == cfg.problem["id"] and pf.beta == cfg.beta
+    assert [c.grad_tol for c in cfgs] == sorted(set(cfg.tols))
+    assert list(starts) == [cfg.x0_seed]
 
 
 # ----------------------------------------------------------------------- run
@@ -166,11 +201,11 @@ def test_riemannian_records_use_postprocessed_feasibility():
     # rgd stops at once on a zero objective; the row is read after post-processing
     cfg = ExperimentConfig(problem={"id": "zero", "name": "stiefel", "n": 8, "p": 3},
                            solvers=["rgd"], tols=[1e-5])
-    pf = harness_mod._penalty_bundle(cfg)
+    pf, (solver_cfg,), _ = prepare(cfg)
     Q = pf.spec.random_feasible(0).X
     x0 = FeasiblePoint(pf.spec, (1.0 + 1.45e-9) * Q, tol=1e-8)
     assert 4e-9 < x0.feas < 6e-9
-    rec, report = harness_mod._run_cell(pf, x0, 0, "rgd", 1e-5, cfg, cfg.eps_f)
+    rec, report = harness_mod._run_cell(pf, x0, 0, "rgd", solver_cfg)
     assert report.iters == 0 and rec.status == "GradTol"
     assert rec.pre_feas == x0.feas
     assert rec.feas <= 1e-12
@@ -390,6 +425,22 @@ def test_cli_bad_run_settings_are_config_errors(tmp_path, capsys, line, args):
     code = cli_main(args[:1] + ["--config", str(path)] + args[1:])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "profile"])
+@pytest.mark.parametrize("text,named", [
+    (LSM_CFG.replace("n = 20", "n = 101"), "[problem]"),             # symplectic sizes are even
+    (LSM_CFG.replace("p = 4\n", ""), "[problem]"),                    # a required key missing
+    (TJFD_CFG.replace("seed = 0", "seed = 0\ngama = 0.1"), "gama"),   # a misspelt key
+    (LSM_CFG.replace("solvers = cdf-gd", "solvers ="), "solver"),
+], ids=["odd-n", "missing-p", "misspelt-gamma", "no-solver"])
+def test_cli_problem_and_solver_faults_are_config_errors(tmp_path, capsys, command, text, named):
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    code = cli_main([command, "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "config error" in captured.err and named in captured.err
 
 
 def test_cli_unknown_run_keys_are_config_errors(tmp_path, capsys):

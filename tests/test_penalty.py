@@ -183,7 +183,7 @@ def test_penalty_value_equals_objective_on_manifold(spec):
 def test_penalty_value_pure_feasibility_term(spec):
     zero = Problem(spec, lambda X, store=None: 0.0,
                    lambda X, store=None: np.zeros_like(np.asarray(X)),
-                   name="zero", check_gradient=False)
+                   name="zero")
     pf = PenaltyFunction(spec, zero, 2.5)
     X = _near_point(spec, 18)
     C = X.mT @ spec.phi(X) - np.eye(spec.p)
@@ -226,7 +226,7 @@ def test_penalty_gradient_matches_central_differences(spec):
 def test_penalty_gradient_zero_objective_on_manifold(spec):
     zero = Problem(spec, lambda X, store=None: 0.0,
                    lambda X, store=None: np.zeros_like(np.asarray(X)),
-                   name="zero", check_gradient=False)
+                   name="zero")
     pf = PenaltyFunction(spec, zero, 1.0)
     X = spec.random_feasible(22).X
     assert np.linalg.norm(pf.gradient(X)) <= 1e-10
@@ -305,7 +305,7 @@ def test_penalty_hessvec_zero_objective_reduction(spec):
     zero = Problem(spec, lambda X, store=None: 0.0,
                    lambda X, store=None: np.zeros_like(np.asarray(X)),
                    hessvec=lambda X, V, store=None: np.zeros_like(np.asarray(V)),
-                   name="zero", check_gradient=False)
+                   name="zero")
     beta = 1.3
     pf = PenaltyFunction(spec, zero, beta)
     X = spec.random_feasible(29).X
@@ -344,7 +344,7 @@ def test_penalty_hessvec_same_bits_with_or_without_a_prior_gradient(spec):
 def test_penalty_hessvec_requires_hessian_oracle(spec):
     prob = Problem(spec, lambda X, store=None: 0.0,
                    lambda X, store=None: np.zeros_like(np.asarray(X)),
-                   name="gradonly", check_gradient=False)
+                   name="gradonly")
     pf = PenaltyFunction(spec, prob, 1.0)
     with pytest.raises(UnsupportedOperation):
         pf.hessvec(spec.random_feasible(0).X, _unit(spec, 1))
@@ -379,7 +379,7 @@ def test_postprocess_applies_phi_once_per_round(spec, monkeypatch):
     assert len(calls) == rounds + 1
 
 
-@pytest.mark.parametrize("eps_f", [float("nan"), 0.0, -1e-12])
+@pytest.mark.parametrize("eps_f", [float("nan"), 0.0, -1e-12, float("inf")])
 def test_postprocess_rejects_bad_eps_f(eps_f):
     spec = op.stiefel(6, 2)
     with pytest.raises(ValueError):

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import orthopt as op
-from orthopt.problems import Problem, build_extrinsic_mean, build_lsm, build_tensor_jfd, toy_problem
+from orthopt.problems import (
+    Problem,
+    build_extrinsic_mean,
+    build_lsm,
+    build_tensor_jfd,
+    build_zero,
+    toy_problem,
+)
 
 
 def _fd_dir(f, X, V, t=1e-5):
@@ -18,9 +25,13 @@ def test_problem_gradient_selftest_catches_bad_gradient():
                 lambda X, store=None: 3.0 * np.asarray(X), name="broken")
 
 
-def test_problem_selftest_flag():
-    prob = toy_problem(op.stiefel(5, 2), seed=0)
-    assert prob.gradient_checked
+def test_problem_selftest_flag(monkeypatch):
+    # every problem checks its gradient on construction, the zero objective too
+    checked = []
+    monkeypatch.setattr(Problem, "_check_gradient", lambda self: checked.append(self.name))
+    toy_problem(op.stiefel(5, 2), seed=0)
+    build_zero(n=5, p=2)
+    assert checked == ["toy", "zero"]
 
 
 class CountingStore(dict):

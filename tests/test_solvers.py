@@ -6,8 +6,7 @@ import pytest
 import orthopt as op
 import orthopt.penalty as penalty_mod
 import orthopt.solvers as solvers_mod
-from orthopt.harness import TRACE_HEADER, load_config
-from orthopt.problems import PROBLEM_BUILDERS
+from orthopt.harness import TRACE_HEADER, load_config, prepare
 from orthopt.solvers import (
     STATUS_GRAD_TOL,
     STATUS_LS_FAIL,
@@ -66,15 +65,20 @@ def ignoring_store(prob):
     return op.Problem(prob.spec, lambda X, store=None: prob.f(X),
                       lambda X, store=None: prob.grad(X),
                       lambda X, V, store=None: prob.hessvec(X, V),
-                      name=prob.name, metadata=prob.metadata, check_gradient=False)
+                      name=prob.name, metadata=prob.metadata)
 
 
 # ------------------------------------------------------------- basic trios
 
-@pytest.mark.parametrize("field", ["grad_tol", "max_iter", "time_limit"])
-def test_solver_config_rejects_nan(field):
+@pytest.mark.parametrize("setting", [
+    pytest.param({"grad_tol": float("nan")}, id="grad_tol"),
+    pytest.param({"max_iter": float("nan")}, id="max_iter"),
+    pytest.param({"time_limit": float("nan")}, id="time_limit"),
+    pytest.param({"grad_tol": float("inf")}, id="grad_tol=inf"),
+])
+def test_solver_config_rejects_nan(setting):
     with pytest.raises(ValueError):
-        SolverConfig(**{field: float("nan")})
+        SolverConfig(**setting)
 
 
 def test_gd_bb_unit_quadratic_fast():
@@ -214,7 +218,7 @@ def test_cdf_tr_accepts_the_dissolved_trial_bit_for_bit():
     # every accepted cdf-tr iterate on the lsm desk config is A(x + p), the
     # public dissolve of the raw trial point
     cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs", "lsm_desk.cfg"))
-    prob = PROBLEM_BUILDERS[cfg.problem["id"]](cfg.problem)
+    prob = prepare(cfg)[0].problem
     oracle = PenaltyOracle(op.PenaltyFunction(prob.spec, prob, cfg.beta))
     trials, accepted = {}, []
     trial, grad = oracle.trial, oracle.grad
@@ -242,7 +246,7 @@ def test_line_search_accepts_the_charged_dissolved_trial_bit_for_bit(monkeypatch
     # sufficient-decrease test with beta/2 ||C(x + alpha d)||^2 added to its value
     cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                                    "extrinsic_desk.cfg"))
-    prob = PROBLEM_BUILDERS[cfg.problem["id"]](cfg.problem)
+    prob = prepare(cfg)[0].problem
     pf = op.PenaltyFunction(prob.spec, prob, cfg.beta)
     search, hits = solvers_mod._search, []
 
@@ -371,7 +375,7 @@ def test_cdf_tr_finite_difference_hessvec_pins_its_iterates_and_work():
     # of the 19 trials forms two bases, x + p and A(x + p)
     _, prob = lsm_desk()
     prob = op.Problem(prob.spec, prob.f, prob.grad, None, name=prob.name,
-                      metadata=prob.metadata, check_gradient=False)
+                      metadata=prob.metadata)
     pf = op.PenaltyFunction(prob.spec, prob, 0.5)
     r = run_solver("cdf-tr", pf, prob.spec.random_feasible(3), SolverConfig(grad_tol=1e-5))
     assert (r.status, r.iters, repr(r.fval)) == (STATUS_GRAD_TOL, 14, "0.1513862461620734")
@@ -420,7 +424,7 @@ def _count_array_equal(monkeypatch):
 def test_cdf_solve_compares_no_contents_and_reports_a_writable_X(monkeypatch):
     cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                                    "extrinsic_desk.cfg"))
-    prob = PROBLEM_BUILDERS[cfg.problem["id"]](cfg.problem)
+    prob = prepare(cfg)[0].problem
     pf = op.PenaltyFunction(prob.spec, prob, cfg.beta)
     x0 = prob.spec.random_feasible(cfg.x0_seed)
     compared = _count_array_equal(monkeypatch)
@@ -543,7 +547,7 @@ def test_rgd_constant_objective_stops_immediately():
     spec = op.stiefel(6, 2)
     prob = op.Problem(spec, lambda X, store=None: 1.0,
                       lambda X, store=None: np.zeros_like(np.asarray(X)),
-                      name="const", check_gradient=False)
+                      name="const")
     r = rgd(prob, spec, spec.random_feasible(0), SolverConfig(grad_tol=1e-6))
     assert r.status == STATUS_GRAD_TOL and r.iters == 0
 

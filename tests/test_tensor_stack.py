@@ -50,7 +50,7 @@ def elementwise_problem(spec, a):
     def hessvec(X, V, store=None):
         return V + 3.0 * X ** 2 * V
 
-    return Problem(spec, f, grad, hessvec, name="elementwise", check_gradient=False)
+    return Problem(spec, f, grad, hessvec, name="elementwise")
 
 
 @pytest.fixture(scope="module")
