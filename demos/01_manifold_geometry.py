@@ -3,10 +3,10 @@
 Every manifold here is the solution set of X^T phi(X) = I for some linear,
 self-adjoint phi.  The same projection / gradient / retraction code serves
 all of them; a family declares only phi and the p x p matrix q of its
-companion psi(T) = q^T T q.  The retraction is one Cayley step for the
-families with q set, one polar step for the others, and a QR step for
-orthonormal and tensor frames.  Tensor frames are stacks of l faces of shape
-(l, n, p); every product and transpose acts face by face.
+companion psi(T) = q^T T q.  The retraction is the same for every family:
+dissolving steps A(Y) = 1.5 Y - 0.5 Y phi(Y)^T Y from Y = X + Z until the
+residual is below 1e-12, which reads phi alone.  Tensor frames are stacks of
+l faces of shape (l, n, p); every product and transpose acts face by face.
 """
 
 import numpy as np

@@ -18,12 +18,12 @@ records = run(config)
 print(emit_table(records, "text"))
 
 print("=== penalty solvers at the tight tolerance ===")
-print("(each Riemannian iteration pays for a Cayley retraction and two")
-print(" projections; driving rgd and rcg to 1e-9 here took 41,002 and 22,326")
-print(" iterations, 20 s and 9.5 s, 3-11x as long as cdf-cg (9,453 iterations,")
-print(" 2.8 s) or cdf-lbfgs (6,942, 1.9 s), on a 2-core x86-64 machine with one")
-print(" OpenBLAS thread; the penalty solvers only pay a handful of matrix")
-print(" products per step)")
+print("(each Riemannian iteration pays for a dissolving retraction and two")
+print(" projections; driving rgd and rcg to 1e-9 here took 51,318 and 22,316")
+print(" iterations, 18 s and 6.1-7.0 s, 2.5-10x as long as cdf-cg (9,453")
+print(" iterations, 2.4 s) or cdf-lbfgs (6,942, 1.8 s), on a 2-core x86-64")
+print(" machine with one OpenBLAS thread; the penalty solvers only pay a")
+print(" handful of matrix products per step)")
 config = ExperimentConfig(
     problem=problem,
     solvers=["cdf-gd", "cdf-cg", "cdf-lbfgs", "cdf-tr"],

@@ -26,5 +26,6 @@ for sid, tb in profiles.items():
 
 print("\npenalty solvers: geometry share is exactly zero by construction;")
 print("rgd/rcg: the projection inside the transport is one p x p Lyapunov")
-print("solve per call, so the n x n Cayley solve of the retraction takes the")
-print("largest share here.")
+print("solve per call; the retraction phase, one or a few dissolving steps of")
+print("one phi and two products each plus the eigendecomposition that the new")
+print("point's projections share, takes the largest share here.")

@@ -289,11 +289,12 @@ def timing_profile(config, iters=100):
 
     The split has one entry per solver phase (objective, gradient, hessvec,
     retraction, transport, linesearch) and "other" for the remaining loop time.
+    Solvers go in SOLVERS order, and one listed twice runs once.
     """
     pf, (cfg,), starts = prepare(replace(config, tols=[0.0], max_iter=iters))
     x0 = starts[config.x0_seed]
     out = {}
-    for solver_id in config.solvers:
+    for solver_id in [s for s in SOLVERS if s in config.solvers]:
         report = run_solver(solver_id, pf, x0, cfg)
         seconds = dict(report.phase_seconds)
         seconds["other"] = max(report.total_time - sum(seconds.values()), 0.0)

@@ -241,10 +241,11 @@ def toy_problem(spec, seed=0):
                    metadata={"problem": "toy", "seed": seed})
 
 
-def build_zero(name="stiefel", seed=0, **dims):
+def build_zero(name="stiefel", **dims):
     """Constant-zero objective on the manifold ``name`` of sizes ``dims``
-    (the keys of ``spec_from_record``)."""
-    spec = spec_from_record({"name": name, "seed": seed, **dims})
+    (the keys of ``spec_from_record``; a ``seed`` only where the family
+    draws a random matrix)."""
+    spec = spec_from_record({"name": name, **dims})
 
     def f(X, store=None):
         return 0.0
@@ -255,7 +256,7 @@ def build_zero(name="stiefel", seed=0, **dims):
     def hessvec(X, V, store=None):
         return np.zeros_like(np.asarray(V, dtype=float))
 
-    meta = {"problem": "zero", "seed": int(seed),
+    meta = {"problem": "zero", "seed": int(dims.get("seed", 0)),
             "n": spec.n, "p": spec.p, "beta_default": 1.0, "rng": "pcg64"}
     return Problem(spec, f, grad, hessvec, name="zero", metadata=meta)
 

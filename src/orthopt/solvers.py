@@ -261,7 +261,8 @@ class ManifoldOracle:
 
     Iterates are FeasiblePoints.  A step the retraction cannot take
     (RetractError) is a rejected trial, reported as ``move`` returning None.
-    The objective oracles at a point share the point's store.
+    The objective oracles at a point share the point's store.  ``unwrap``
+    hands back a writable copy of X with the point.
     """
 
     meter = None
@@ -314,7 +315,7 @@ class ManifoldOracle:
         return point.feas
 
     def unwrap(self, point):
-        return point.X, point
+        return np.array(point.X), point
 
 
 # --- the loop and its line search ------------------------------------------

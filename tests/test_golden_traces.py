@@ -23,20 +23,20 @@ GOLDEN = [
     ("lsm_desk", "cdf-cg", "GradTol", 66, 0.017316947880665606),
     ("lsm_desk", "cdf-lbfgs", "GradTol", 72, 0.017316975883707973),
     ("lsm_desk", "cdf-tr", "GradTol", 6, 0.0173169161807174),
-    ("lsm_desk", "rgd", "GradTol", 113, 0.017317037207374528),
-    ("lsm_desk", "rcg", "GradTol", 375, 0.017317059615098353),
+    ("lsm_desk", "rgd", "GradTol", 106, 0.017317306263835052),
+    ("lsm_desk", "rcg", "GradTol", 375, 0.017317059356223588),
     ("extrinsic_desk", "cdf-gd", "GradTol", 184, 0.18708522708608363),
     ("extrinsic_desk", "cdf-cg", "GradTol", 187, 0.18708522638471814),
     ("extrinsic_desk", "cdf-lbfgs", "GradTol", 119, 0.18708522647002046),
     ("extrinsic_desk", "cdf-tr", "GradTol", 49, 0.18708522626232502),
-    ("extrinsic_desk", "rgd", "GradTol", 107, 0.18708522630423066),
-    ("extrinsic_desk", "rcg", "GradTol", 105, 0.1870852269222141),
+    ("extrinsic_desk", "rgd", "GradTol", 109, 0.1870852274645602),
+    ("extrinsic_desk", "rcg", "GradTol", 143, 0.1870852269264312),
     ("tensor_jfd_desk", "cdf-gd", "GradTol", 288, 5.389549248799776e-08),
     ("tensor_jfd_desk", "cdf-cg", "GradTol", 167, 1.6146809720300717e-09),
     ("tensor_jfd_desk", "cdf-lbfgs", "GradTol", 163, 3.945267121476327e-09),
     ("tensor_jfd_desk", "cdf-tr", "GradTol", 19, 3.710851133095474e-12),
-    ("tensor_jfd_desk", "rgd", "GradTol", 283, 3.329192101707516e-08),
-    ("tensor_jfd_desk", "rcg", "GradTol", 352, 2.967807727582532e-08),
+    ("tensor_jfd_desk", "rgd", "GradTol", 338, 4.7630335231214075e-08),
+    ("tensor_jfd_desk", "rcg", "GradTol", 320, 2.6035841143981272e-08),
 ]
 
 

@@ -211,6 +211,16 @@ def test_riemannian_records_use_postprocessed_feasibility():
     assert rec.feas <= 1e-12
 
 
+@pytest.mark.parametrize("problem", [
+    {"n": 8.7, "p": 3}, {"n": 8, "p": 3, "gama": 1}, {"n": 8, "p": 3, "seed": 1},
+], ids=repr)
+def test_zero_problem_rejects_fractional_and_unused_keys(problem):
+    cfg = ExperimentConfig(problem={"id": "zero", "name": "stiefel", **problem},
+                           solvers=["rgd"], tols=[1e-5])
+    with pytest.raises(ConfigError, match=re.escape("[problem]")):
+        prepare(cfg)
+
+
 def test_zero_objective_grid_converges_immediately():
     cfg = ExperimentConfig(
         problem={"id": "zero", "name": "symplectic-stiefel", "n": 8, "p": 4},
@@ -349,6 +359,20 @@ def test_timing_profile_splits_hessvec_and_linesearch(monkeypatch):
         assert abs(sum(tb.percent.values()) - 100.0) <= 0.1
     assert profiles["cdf-tr"].seconds["hessvec"] > 0.0
     assert profiles["cdf-gd"].seconds["linesearch"] > 0.0
+
+
+def test_timing_profile_runs_a_repeated_solver_once(tiny_config, monkeypatch):
+    solved = []
+
+    def recording(solver_id, *args):
+        solved.append(solver_id)
+        return run_solver(solver_id, *args)
+
+    monkeypatch.setattr(harness_mod, "run_solver", recording)
+    cfg = load_config(tiny_config)
+    cfg.solvers = ["rgd", "cdf-lbfgs", "rgd"]
+    profiles = timing_profile(cfg, iters=5)
+    assert solved == list(profiles) == ["cdf-lbfgs", "rgd"]
 
 
 def test_timing_profile_geometry_dominates_rgd_on_lsm_desk():

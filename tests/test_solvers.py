@@ -656,6 +656,15 @@ def test_riemannian_solvers_do_use_retraction_and_transport():
         assert r.phase_counts["transport"] > 0
 
 
+def test_riemannian_solve_reports_a_writable_copy_of_its_point():
+    pf, prob = lsm_desk()
+    r = run_solver("rgd", pf, prob.spec.random_feasible(10), SolverConfig(grad_tol=1e-4))
+    assert r.status == STATUS_GRAD_TOL and r.X.flags.writeable
+    assert np.array_equal(r.X, r.point.X) and not r.point.X.flags.writeable
+    r.X[0, 0] += 1.0                                       # the report owns its copy
+    assert not np.array_equal(r.X, r.point.X)
+
+
 def test_grad_norm_matches_trace_tail():
     pf, prob = lsm_desk()
     x0 = prob.spec.random_feasible(11)
