@@ -55,13 +55,8 @@ from .solvers import (
     PenaltyOracle,
     SolveReport,
     SolverConfig,
-    cg,
-    gd_bb,
-    lbfgs,
-    rcg,
-    rgd,
+    minimize,
     run_solver,
-    trust_ncg,
 )
 from .tensor import (
     TransformMatrix,

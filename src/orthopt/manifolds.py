@@ -89,8 +89,8 @@ class SignedPermutation:
     Each entry of T q^T, q^T T or q^T T q has one nonzero term, so on
     finite input each method equals the dense product bit for bit.  A
     diagonal q (J) is a sign mask or a column or row sign flip.  For a q
-    that moves columns (J_2p), T q^T copies signed column blocks into one
-    output, q^T T gathers rows and psi gathers entries.
+    that moves columns (J_2p), T q^T scatters signed columns, q^T T gathers
+    rows and psi gathers entries.
     """
 
     def __init__(self, q):
@@ -109,24 +109,15 @@ class SignedPermutation:
         q.flags.writeable = False
         self.matrix, self.perm, self.sign = q, perm, sign
         self._diagonal = np.array_equal(perm, np.arange(p))
-        # column j of T q is sign[j] T[:, perm[j]]: cut perm into runs of
-        # consecutive sources with one sign, each one slice copy
-        cuts = [0] + [j for j in range(1, p)
-                      if perm[j] != perm[j - 1] + 1 or sign[j] != sign[j - 1]] + [p]
-        self._runs = [(c, d, perm[c], perm[c] + d - c, sign[c]) for c, d in zip(cuts, cuts[1:])]
         self._mask = np.outer(sign, sign)
         self._flat = perm[:, None] * p + perm
 
     def right_t(self, T):
-        """T q^T = sym T q."""
+        """T q^T = sym T q: column perm[j] is sign[j] T[:, j]."""
         if self._diagonal:
             return T * self.sign
         out = np.empty(T.shape)
-        for c, d, a, b, s in self._runs:
-            if s * self.sym > 0:
-                out[..., c:d] = T[..., a:b]
-            else:
-                np.negative(T[..., a:b], out=out[..., c:d])
+        out[..., self.perm] = T * self.sign
         return out
 
     def left_t(self, T):

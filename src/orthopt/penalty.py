@@ -278,14 +278,17 @@ def postprocess(spec, X, eps_f=1e-12):
     reuses the phi(X) and Gram matrix of the last base.  Returns
     (FeasiblePoint, rounds).
     Raises PostprocessDivergence (with the residual trace attached) when the
-    residual is not finite, when the iterate sits outside the contraction
-    basin, or when the target cannot be met within POSTPROCESS_MAX_ROUNDS.
+    residual is not finite, when a round does not lower it (outside the
+    contraction basin, or at a fixed point of A off the manifold such as
+    X = 0), or when the target cannot be met within POSTPROCESS_MAX_ROUNDS.
     """
     return _postprocess(_cache_at(spec, X), eps_f)
 
 
 def _postprocess(cache, eps_f):
-    """``postprocess`` from the point of ``cache``, whose base it reuses."""
+    """``postprocess`` from the point of ``cache``, whose base it reuses.
+    Each round must lower ||C||, so a fixed point of A off the manifold
+    costs one round, not POSTPROCESS_MAX_ROUNDS."""
     if not 0 < eps_f < math.inf:
         raise ValueError(f"eps_f must be positive and finite, got {eps_f}")
     base = cache.base()
@@ -296,9 +299,12 @@ def _postprocess(cache, eps_f):
         if rounds >= POSTPROCESS_MAX_ROUNDS:
             raise PostprocessDivergence(
                 f"residual {c:.3e} after {rounds} rounds, target {eps_f:.1e}", trace)
-        if not np.isfinite(c) or c > 10.0 * trace[0] + 1.0:
+        if not np.isfinite(c):
             raise PostprocessDivergence(
                 f"residual diverged to {c:.3e} after {rounds} rounds", trace)
+        if rounds and not c < trace[-2]:
+            raise PostprocessDivergence(
+                f"residual {c:.3e} not lowered by round {rounds} (was {trace[-2]:.3e})", trace)
         base = base.dissolved().base()
         c = np.linalg.norm(base.C)
         rounds += 1

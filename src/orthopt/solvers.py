@@ -1,22 +1,23 @@
 """One solver loop over a pluggable geometry and step rule.
 
-Every solver is a pair (oracle, rule) driven by ``minimize``.  The oracle
-carries the geometry: ``FunctionOracle`` and ``PenaltyOracle`` are flat
-(a move is x + step, transport is the identity, the displacement is
-xn - x), while ``ManifoldOracle`` moves by retraction, transports by
-projection and reads feasibility off the point.  Line searches, secant
-probes and the trust region ask the oracle for its trial point, which is
-the move except on the penalty, where ``PenaltyOracle`` takes it one
-dissolving step further, at A(x + step); only the finite-difference Hessian
-uses plain moves.  A line search adds the oracle's ``charge`` to the value
-at a trial: on the penalty beta/2 ||C(x + step)||^2, the residual term of
-the raw step, elsewhere nothing.  The rule proposes the next point:
-alternating Barzilai-Borwein steps (``cdf-gd``, ``rgd``), PR+ CG with a
-secant probe (``cdf-cg``), hybrid FR/DY CG (``rcg``), L-BFGS
-(``cdf-lbfgs``) or a Steihaug trust region (``cdf-tr``).  ``minimize`` owns the stop tests, the nonmonotone merit,
-the trace, the value and gradient at the start, the gradient at each
-accepted point and the SolveReport, whose wall-clock breakdown is split by
-phase {objective, gradient, hessvec, retraction, transport, linesearch}.
+``SOLVERS`` defines every solver as one row, id -> (route, rule class).
+The route names the oracle ``run_solver`` builds: ``cdf`` the penalty,
+``riemannian`` the manifold.  ``minimize(solver_id, oracle, x0)`` runs a
+fresh instance of the row's rule over any oracle.  The oracle carries the
+geometry: ``FunctionOracle`` and ``PenaltyOracle`` are flat (a move is
+x + step, transport is the identity, the displacement is xn - x), while
+``ManifoldOracle`` moves by retraction, transports by projection and reads
+feasibility off the point.  Line searches, secant probes and the trust
+region ask the oracle for its trial point, which is the move except on the
+penalty, where ``PenaltyOracle`` takes it one dissolving step further, at
+A(x + step); only the finite-difference Hessian uses plain moves.  A line
+search adds the oracle's ``charge`` to the value at a trial: on the penalty
+beta/2 ||C(x + step)||^2, the residual term of the raw step, elsewhere
+nothing.  The rule proposes the next point; ``minimize`` owns the stop
+tests, the nonmonotone merit, the trace, the value and gradient at the
+start, the gradient at each accepted point and the SolveReport, whose
+wall-clock breakdown is split by phase {objective, gradient, hessvec,
+retraction, transport, linesearch}.
 """
 
 import math
@@ -216,6 +217,9 @@ class PenaltyOracle(_FlatOracle):
         self.meter = dict.fromkeys(METER_KEYS, 0)
 
     def iterate(self, x0):
+        """The start, an array or a FeasiblePoint, as a cache around a copy of its X."""
+        if isinstance(x0, FeasiblePoint):
+            x0 = x0.X
         return EvalCache(self.pf.spec, super().iterate(x0), self.meter)
 
     def move(self, x, step, clock):
@@ -374,12 +378,14 @@ def _search(oracle, clock, x, d, gd, merit_c, alpha0):
     return out
 
 
-def minimize(name, oracle, rule, x0, config=None):
-    """Run ``rule`` on ``oracle`` from ``x0`` until a stop test fires.
+def minimize(solver_id, oracle, x0, config=None):
+    """Run the step rule of ``SOLVERS[solver_id]`` on ``oracle`` from ``x0``
+    until a stop test fires; an unknown id raises KeyError.
 
     Stops on ||g|| <= grad_tol, on the time limit, after max_iter accepted
     steps, or with the status the rule returns when it finds no step.
     """
+    rule = _row(solver_id)[1]()
     cfg = config or SolverConfig()
     clock = PhaseClock()
     work0 = None if oracle.meter is None else dict(oracle.meter)
@@ -423,7 +429,7 @@ def minimize(name, oracle, rule, x0, config=None):
     X, point = oracle.unwrap(x)
     work = None if work0 is None else {k: v - work0[k] for k, v in oracle.meter.items()}
     return SolveReport(
-        solver=name, X=X, fval=h, grad_norm=gn, feas_norm=oracle.feas(x),
+        solver=solver_id, X=X, fval=h, grad_norm=gn, feas_norm=oracle.feas(x),
         iters=iters, status=status, total_time=time.perf_counter() - t0,
         phase_seconds=dict(clock.seconds), phase_counts=dict(clock.counts),
         trace=trace, point=point, work=work)
@@ -679,53 +685,28 @@ def _steihaug(hv, g, gn, radius, products=None):
     return z, Hz, False
 
 
-# --- the six solvers and their registry ------------------------------------
-
-def gd_bb(oracle, x0, config=None):
-    """Gradient descent with alternating spectral steps and a nonmonotone search."""
-    return minimize("cdf-gd", oracle, Spectral(), x0, config)
-
-
-def cg(oracle, x0, config=None):
-    """Nonlinear conjugate gradient, PR+ with a secant trial step (see SecantCG)."""
-    return minimize("cdf-cg", oracle, SecantCG(), x0, config)
-
-
-def lbfgs(oracle, x0, config=None):
-    """Limited-memory BFGS with the two-loop recursion."""
-    return minimize("cdf-lbfgs", oracle, LBFGS(), x0, config)
-
-
-def trust_ncg(oracle, x0, config=None):
-    """Steihaug truncated-CG trust region (see TrustRegion)."""
-    return minimize("cdf-tr", oracle, TrustRegion(), x0, config)
-
-
-def rgd(problem, spec, x0, config=None):
-    """Riemannian gradient descent with spectral steps and a nonmonotone search."""
-    return minimize("rgd", ManifoldOracle(problem, spec), Spectral(), x0, config)
-
-
-def rcg(problem, spec, x0, config=None):
-    """Riemannian conjugate gradient with a hybrid FR/DY parameter."""
-    return minimize("rcg", ManifoldOracle(problem, spec), HybridCG(), x0, config)
-
+# --- the registry: each solver is a route and a step rule ------------------
 
 SOLVERS = {
-    "cdf-gd": ("cdf", gd_bb),
-    "cdf-cg": ("cdf", cg),
-    "cdf-lbfgs": ("cdf", lbfgs),
-    "cdf-tr": ("cdf", trust_ncg),
-    "rgd": ("riemannian", rgd),
-    "rcg": ("riemannian", rcg),
+    "cdf-gd": ("cdf", Spectral),
+    "cdf-cg": ("cdf", SecantCG),
+    "cdf-lbfgs": ("cdf", LBFGS),
+    "cdf-tr": ("cdf", TrustRegion),
+    "rgd": ("riemannian", Spectral),
+    "rcg": ("riemannian", HybridCG),
 }
 
 
-def run_solver(solver_id, pf, x0_point, config=None):
-    """Dispatch a solve by string id on a penalty bundle and a feasible start."""
+def _row(solver_id):
     if solver_id not in SOLVERS:
         raise KeyError(f"unknown solver {solver_id!r}; choose from {sorted(SOLVERS)}")
-    kind, fn = SOLVERS[solver_id]
-    if kind == "cdf":
-        return fn(PenaltyOracle(pf), x0_point.X, config)
-    return fn(pf.problem, pf.spec, x0_point, config)
+    return SOLVERS[solver_id]
+
+
+def run_solver(solver_id, pf, x0_point, config=None):
+    """Solve by string id on a penalty bundle from a feasible start: the
+    ``cdf`` route minimizes the penalty, the ``riemannian`` route the
+    objective on the manifold."""
+    route, _ = _row(solver_id)
+    oracle = PenaltyOracle(pf) if route == "cdf" else ManifoldOracle(pf.problem, pf.spec)
+    return minimize(solver_id, oracle, x0_point, config)

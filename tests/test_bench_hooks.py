@@ -1,6 +1,7 @@
-"""The library names that bench/tracing.py wraps must exist, the penalty
-cache must keep the contract the tracer reads, and a traced solve must take
-the same iterates as an untraced one."""
+"""The library names that bench/tracing.py wraps must exist, the solver
+registry must keep the (route, rule) rows the bench scripts read, the
+penalty cache must keep the contract the tracer reads, and a traced solve
+must take the same iterates as an untraced one."""
 
 import importlib.util
 import os
@@ -14,15 +15,36 @@ import orthopt.solvers as solvers_mod
 from orthopt.diagnostics import desk_specs
 from orthopt.solvers import SolverConfig, run_solver
 
-TRACING_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
+BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+
+
+def _bench_module(name):
+    path = os.path.join(BENCH_DIR, name + ".py")
+    spec = importlib.util.spec_from_file_location("bench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _bench_module("tracing")
+
+
+def test_registry_rows_are_route_and_rule_pairs():
+    # bench/workloads.py reads the route as SOLVERS[sid][0], and bench/run.py
+    # and bench/tracing.py sum the seconds of the "cdf" and "riemannian" routes
+    for sid, row in op.SOLVERS.items():
+        assert isinstance(row, tuple) and len(row) == 2, sid
+        route, rule = row
+        assert route in ("cdf", "riemannian") and isinstance(rule, type), sid
+        assert callable(rule.step) and callable(rule.update), sid
+    workloads = _bench_module("workloads")
+    assert {op.SOLVERS[sid][0] for sid in workloads.CDF_SOLVERS} == {"cdf"}
+    assert {op.SOLVERS[sid][0] for sid in workloads.RIEMANNIAN_SOLVERS} == {"riemannian"}
+    assert set(workloads.CDF_SOLVERS + workloads.RIEMANNIAN_SOLVERS) == set(op.SOLVERS)
+    with pytest.raises(KeyError, match="unknown solver"):
+        op.minimize("sgd", solvers_mod.FunctionOracle(lambda x: 0.0, np.zeros_like), np.zeros(2))
 
 
 def test_tracer_patch_targets_exist(tracing):

@@ -22,7 +22,7 @@ from orthopt.penalty import (
     stationarity_report,
 )
 from orthopt.problems import Problem, toy_problem
-from orthopt.solvers import SolverConfig, rgd
+from orthopt.solvers import ManifoldOracle, SolverConfig, minimize
 
 SPECS = desk_specs()
 
@@ -262,8 +262,8 @@ def test_penalty_gradient_vanishes_iff_projected_gradient_does(spec):
     # drive the constrained problem to stationarity, then cross-check
     prob = toy_problem(spec, 24)
     pf = PenaltyFunction(spec, prob, 0.7)
-    report = rgd(prob, spec, spec.random_feasible(24),
-                 SolverConfig(grad_tol=1e-11, max_iter=20000))
+    report = minimize("rgd", ManifoldOracle(prob, spec), spec.random_feasible(24),
+                      SolverConfig(grad_tol=1e-11, max_iter=20000))
     X = report.point.X
     rg = np.linalg.norm(riemannian_gradient(spec, report.point, prob.grad(X)))
     assert rg <= 1e-9
@@ -404,6 +404,16 @@ def test_postprocess_non_finite_entry_diverges(bad):
             pytest.raises(PostprocessDivergence, match="diverged") as err:
         postprocess(spec, X)
     assert len(err.value.trace) == 1
+
+
+def test_postprocess_stops_at_a_fixed_point_off_the_manifold(spec):
+    # A(0) = 0 with ||C|| > 0: the first round does not lower the residual,
+    # so the loop gives up there instead of after POSTPROCESS_MAX_ROUNDS
+    Z = np.zeros_like(spec.random_feasible(0).X)
+    with pytest.raises(PostprocessDivergence, match="not lowered") as err:
+        postprocess(spec, Z)
+    trace = err.value.trace
+    assert len(trace) == 2 and trace[0] == trace[1] > 0
 
 
 # --------------------------------------------------------- stationarity report

@@ -14,22 +14,15 @@ from orthopt.solvers import (
     STATUS_TIME_LIMIT,
     TR_INIT_RADIUS,
     FunctionOracle,
+    ManifoldOracle,
     PenaltyOracle,
     PhaseClock,
     SolverConfig,
     TrustRegion,
     _steihaug,
-    cg,
-    gd_bb,
-    lbfgs,
-    rcg,
-    rgd,
+    minimize,
     run_solver,
-    trust_ncg,
 )
-
-EUCLIDEAN = [gd_bb, cg, lbfgs, trust_ncg]
-RIEMANNIAN = [rgd, rcg]
 
 
 def quad_oracle(H):
@@ -82,15 +75,15 @@ def test_solver_config_rejects_nan(setting):
 
 
 def test_gd_bb_unit_quadratic_fast():
-    r = gd_bb(quad_oracle(np.eye(4)), np.full(4, 2.0), SolverConfig(grad_tol=1e-8))
+    r = minimize("cdf-gd", quad_oracle(np.eye(4)), np.full(4, 2.0), SolverConfig(grad_tol=1e-8))
     assert r.status == STATUS_GRAD_TOL and r.iters <= 5
     np.testing.assert_allclose(r.X, 0.0, atol=1e-7)
 
 
 def test_gd_bb_ill_conditioned_quadratic():
     H = np.diag([1.0, 100.0])
-    r = gd_bb(quad_oracle(H), np.array([1.0, 1.0]),
-              SolverConfig(grad_tol=1e-9, max_iter=200))
+    r = minimize("cdf-gd", quad_oracle(H), np.array([1.0, 1.0]),
+                 SolverConfig(grad_tol=1e-9, max_iter=200))
     assert r.status == STATUS_GRAD_TOL and r.iters <= 200
 
 
@@ -98,13 +91,13 @@ def test_cg_finite_termination_on_spd_quadratic():
     rng = np.random.default_rng(0)
     M = rng.standard_normal((5, 5))
     H = M @ M.T + 5 * np.eye(5)
-    r = cg(quad_oracle(H), rng.standard_normal(5), SolverConfig(grad_tol=1e-8))
+    r = minimize("cdf-cg", quad_oracle(H), rng.standard_normal(5), SolverConfig(grad_tol=1e-8))
     assert r.status == STATUS_GRAD_TOL and r.iters <= 5
 
 
 def test_cg_rosenbrock():
-    r = cg(rosen_oracle(), np.array([-1.2, 1.0]),
-           SolverConfig(grad_tol=1e-8, max_iter=5000))
+    r = minimize("cdf-cg", rosen_oracle(), np.array([-1.2, 1.0]),
+                 SolverConfig(grad_tol=1e-8, max_iter=5000))
     np.testing.assert_allclose(r.X, [1.0, 1.0], atol=1e-6)
 
 
@@ -112,20 +105,20 @@ def test_lbfgs_quadratic():
     rng = np.random.default_rng(1)
     M = rng.standard_normal((6, 6))
     H = M @ M.T + 4 * np.eye(6)
-    r = lbfgs(quad_oracle(H), rng.standard_normal(6), SolverConfig(grad_tol=1e-8))
+    r = minimize("cdf-lbfgs", quad_oracle(H), rng.standard_normal(6), SolverConfig(grad_tol=1e-8))
     assert r.status == STATUS_GRAD_TOL and r.iters <= 30
 
 
 def test_lbfgs_rosenbrock():
-    r = lbfgs(rosen_oracle(), np.array([-1.2, 1.0]),
-              SolverConfig(grad_tol=1e-8, max_iter=5000))
+    r = minimize("cdf-lbfgs", rosen_oracle(), np.array([-1.2, 1.0]),
+                 SolverConfig(grad_tol=1e-8, max_iter=5000))
     np.testing.assert_allclose(r.X, [1.0, 1.0], atol=1e-6)
 
 
 def test_trust_ncg_single_step_inside_radius():
     H = np.diag([1.0, 2.0, 3.0])
     x0 = np.full(3, 0.3)   # minimizer within the initial radius
-    r = trust_ncg(quad_oracle(H), x0, SolverConfig(grad_tol=1e-8))
+    r = minimize("cdf-tr", quad_oracle(H), x0, SolverConfig(grad_tol=1e-8))
     assert r.status == STATUS_GRAD_TOL and r.iters == 1
 
 
@@ -205,11 +198,11 @@ def test_trust_region_takes_a_trial_that_comes_back_none_as_a_rejection():
     assert oracle.refused == 1 and clock.counts["objective"] == 1
     np.testing.assert_allclose(np.linalg.norm(xn - x), 0.25 * TR_INIT_RADIUS, rtol=1e-12)
     assert hn == oracle.value(xn) and rule.radius == 0.5 * TR_INIT_RADIUS
-    r = trust_ncg(_ShortReach(H, 0.5), x, SolverConfig(grad_tol=1e-8))
+    r = minimize("cdf-tr", _ShortReach(H, 0.5), x, SolverConfig(grad_tol=1e-8))
     assert r.status == STATUS_GRAD_TOL
     # an oracle that takes no trial at all collapses the radius
     never = _ShortReach(H, 0.0)
-    r = trust_ncg(never, x, SolverConfig(grad_tol=1e-8))
+    r = minimize("cdf-tr", never, x, SolverConfig(grad_tol=1e-8))
     assert (r.status, r.iters, r.phase_counts["objective"]) == (STATUS_RADIUS_COLLAPSE, 0, 1)
     assert never.refused > 1
 
@@ -230,7 +223,8 @@ def test_cdf_tr_accepts_the_dissolved_trial_bit_for_bit():
 
     oracle.trial = spy_trial
     oracle.grad = lambda x: accepted.append(x) or grad(x)
-    r = trust_ncg(oracle, prob.spec.random_feasible(cfg.x0_seed).X, SolverConfig(grad_tol=1e-5))
+    r = minimize("cdf-tr", oracle, prob.spec.random_feasible(cfg.x0_seed).X,
+                 SolverConfig(grad_tol=1e-5))
     assert r.status == STATUS_GRAD_TOL and len(accepted) == r.iters + 1 > 1
     assert len(trials) > r.iters                                 # some trials were rejected
     for xn in accepted[1:]:
@@ -321,8 +315,8 @@ def test_steihaug_returns_hessian_product_on_negative_curvature():
 
 
 def test_trust_ncg_rosenbrock_with_fd_fallback():
-    r = trust_ncg(rosen_oracle(), np.array([-1.2, 1.0]),
-                  SolverConfig(grad_tol=1e-7, max_iter=500))
+    r = minimize("cdf-tr", rosen_oracle(), np.array([-1.2, 1.0]),
+                 SolverConfig(grad_tol=1e-7, max_iter=500))
     np.testing.assert_allclose(r.X, [1.0, 1.0], atol=1e-5)
 
 
@@ -361,7 +355,8 @@ def test_cdf_tr_rejected_trials_keep_the_base():
     oracle = PenaltyOracle(pf)
     hessvec, products = oracle.hessvec, []
     oracle.hessvec = lambda x, v: products.append(v) or hessvec(x, v)
-    r = trust_ncg(oracle, prob.spec.random_feasible(3).X, SolverConfig(grad_tol=1e-5, max_iter=50000))
+    r = minimize("cdf-tr", oracle, prob.spec.random_feasible(3).X,
+                 SolverConfig(grad_tol=1e-5, max_iter=50000))
     assert (r.status, r.iters) == (STATUS_GRAD_TOL, 14)
     assert r.phase_counts["objective"] > r.iters                  # some trials were rejected
     assert oracle.meter["grad_f"] == r.phase_counts["gradient"] == 15
@@ -509,13 +504,13 @@ def test_rgd_checks_a_start_of_another_spec_on_its_own():
     # point of the same manifold from another spec object takes the same iterates
     prob = op.build_extrinsic_mean(12, 4, k=6, p_k=2, n_samples=10, seed=0)
     with pytest.raises(op.FeasibilityError):
-        rgd(prob, prob.spec, op.stiefel(12, 4).random_feasible(0))
+        minimize("rgd", ManifoldOracle(prob, prob.spec), op.stiefel(12, 4).random_feasible(0))
     pf, prob = lsm_desk()
     own = prob.spec.random_feasible(3)
     twin = op.FeasiblePoint(op.symplectic_stiefel(20, 4), own.X)
     assert twin.spec is not prob.spec
     cfg = SolverConfig(grad_tol=1e-5, max_iter=50000)
-    a, b = rgd(prob, prob.spec, own, cfg), rgd(prob, prob.spec, twin, cfg)
+    a, b = (minimize("rgd", ManifoldOracle(prob, prob.spec), x, cfg) for x in (own, twin))
     assert a.status == STATUS_GRAD_TOL and (a.iters, repr(a.fval)) == (b.iters, repr(b.fval))
     np.testing.assert_array_equal(a.X, b.X)
 
@@ -548,7 +543,8 @@ def test_rgd_constant_objective_stops_immediately():
     prob = op.Problem(spec, lambda X, store=None: 1.0,
                       lambda X, store=None: np.zeros_like(np.asarray(X)),
                       name="const")
-    r = rgd(prob, spec, spec.random_feasible(0), SolverConfig(grad_tol=1e-6))
+    r = minimize("rgd", ManifoldOracle(prob, spec), spec.random_feasible(0),
+                 SolverConfig(grad_tol=1e-6))
     assert r.status == STATUS_GRAD_TOL and r.iters == 0
 
 
@@ -579,7 +575,8 @@ def test_rgd_rayleigh_quotient_reaches_smallest_eigenvalues():
 
     prob = op.Problem(spec, lambda X, store=None: float(np.vdot(X, A @ X)),
                       lambda X, store=None: 2.0 * (A @ X), name="rayleigh")
-    r = rgd(prob, spec, spec.random_feasible(4), SolverConfig(grad_tol=1e-9, max_iter=20000))
+    r = minimize("rgd", ManifoldOracle(prob, spec), spec.random_feasible(4),
+                 SolverConfig(grad_tol=1e-9, max_iter=20000))
     target = np.sort(np.linalg.eigvalsh(A))[:2].sum()
     np.testing.assert_allclose(r.fval, target, atol=1e-8)
 
@@ -591,7 +588,8 @@ def test_rcg_rayleigh_quotient_reaches_smallest_eigenvalues():
     A = M @ M.T
     prob = op.Problem(spec, lambda X, store=None: float(np.vdot(X, A @ X)),
                       lambda X, store=None: 2.0 * (A @ X), name="rayleigh")
-    r = rcg(prob, spec, spec.random_feasible(5), SolverConfig(grad_tol=1e-9, max_iter=20000))
+    r = minimize("rcg", ManifoldOracle(prob, spec), spec.random_feasible(5),
+                 SolverConfig(grad_tol=1e-9, max_iter=20000))
     target = np.sort(np.linalg.eigvalsh(A))[:2].sum()
     np.testing.assert_allclose(r.fval, target, atol=1e-8)
 
@@ -599,8 +597,9 @@ def test_rcg_rayleigh_quotient_reaches_smallest_eigenvalues():
 def test_riemannian_iterates_stay_feasible():
     pf, prob = lsm_desk()
     x0 = prob.spec.random_feasible(6)
-    for fn in RIEMANNIAN:
-        r = fn(prob, prob.spec, x0, SolverConfig(grad_tol=1e-5, max_iter=20000))
+    for sid in ("rgd", "rcg"):
+        r = minimize(sid, ManifoldOracle(prob, prob.spec), x0,
+                     SolverConfig(grad_tol=1e-5, max_iter=20000))
         assert r.status == STATUS_GRAD_TOL
         assert max(row[3] for row in r.trace) <= 1e-9
 
@@ -650,8 +649,9 @@ def test_cdf_solvers_never_touch_retraction_or_transport():
 def test_riemannian_solvers_do_use_retraction_and_transport():
     pf, prob = lsm_desk()
     x0 = prob.spec.random_feasible(10)
-    for fn in RIEMANNIAN:
-        r = fn(prob, prob.spec, x0, SolverConfig(grad_tol=1e-4, max_iter=5000))
+    for sid in ("rgd", "rcg"):
+        r = minimize(sid, ManifoldOracle(prob, prob.spec), x0,
+                     SolverConfig(grad_tol=1e-4, max_iter=5000))
         assert r.phase_counts["retraction"] > 0
         assert r.phase_counts["transport"] > 0
 
@@ -686,7 +686,7 @@ def test_stationarity_report_matches_solver_trace_tail():
 def test_merit_sequence_nonincreasing():
     pf, prob = lsm_desk()
     x0 = prob.spec.random_feasible(12)
-    r = gd_bb(PenaltyOracle(pf), x0.X, SolverConfig(grad_tol=1e-5, max_iter=20000))
+    r = minimize("cdf-gd", PenaltyOracle(pf), x0.X, SolverConfig(grad_tol=1e-5, max_iter=20000))
     hs = [row[1] for row in r.trace]
     eta, C, Q = 0.85, hs[0], 1.0
     for h in hs[1:]:
@@ -710,7 +710,8 @@ def test_line_search_failure_is_a_status():
     def g(x):
         return np.ones(1)
 
-    r = gd_bb(FunctionOracle(f, g), np.zeros(1), SolverConfig(grad_tol=1e-10, max_iter=50))
+    r = minimize("cdf-gd", FunctionOracle(f, g), np.zeros(1),
+                 SolverConfig(grad_tol=1e-10, max_iter=50))
     assert r.status == STATUS_LS_FAIL
 
 
@@ -722,14 +723,14 @@ def test_trust_region_rejects_nan_trial_values():
         return float(x @ x) if np.array_equal(x, x0) else float("nan")
 
     orc = FunctionOracle(f, lambda x: 2.0 * x, lambda x, v: 2.0 * v)
-    r = trust_ncg(orc, x0, SolverConfig(grad_tol=1e-10, time_limit=5.0))
+    r = minimize("cdf-tr", orc, x0, SolverConfig(grad_tol=1e-10, time_limit=5.0))
     assert r.status == STATUS_RADIUS_COLLAPSE and r.iters == 0
     assert r.total_time < 1.0
 
 
 def test_time_limit_status():
     orc = quad_oracle(np.eye(3))
-    r = gd_bb(orc, np.full(3, 5.0), SolverConfig(grad_tol=1e-16, time_limit=1e-9))
+    r = minimize("cdf-gd", orc, np.full(3, 5.0), SolverConfig(grad_tol=1e-16, time_limit=1e-9))
     assert r.status == STATUS_TIME_LIMIT
 
 
