@@ -19,11 +19,11 @@ print(emit_table(records, "text"))
 
 print("=== penalty solvers at the tight tolerance ===")
 print("(each Riemannian iteration pays for a dissolving retraction and two")
-print(" projections; driving rgd and rcg to 1e-9 here took 51,318 and 22,316")
-print(" iterations, 18 s and 6.1-7.0 s, 2.5-10x as long as cdf-cg (9,453")
-print(" iterations, 2.4 s) or cdf-lbfgs (6,942, 1.8 s), on a 2-core x86-64")
-print(" machine with one OpenBLAS thread; the penalty solvers only pay a")
-print(" handful of matrix products per step)")
+print(" projections; driving rgd and rcg to 1e-9 here took 43,234 and 22,316")
+print(" iterations, 9.4 s and 4.9 s, 3.5-13x as long as cdf-cg (9,275")
+print(" iterations, 1.4 s) or cdf-lbfgs (5,454, 0.74 s), in single runs on a")
+print(" 2-core x86-64 machine with one OpenBLAS thread; the penalty solvers")
+print(" only pay a handful of matrix products per step)")
 config = ExperimentConfig(
     problem=problem,
     solvers=["cdf-gd", "cdf-cg", "cdf-lbfgs", "cdf-tr"],

@@ -67,7 +67,7 @@ def main(argv=None):
             return 0
         for solver_id, tb in profiles.items():
             shares = ", ".join(f"{k} {v:5.1f}%" for k, v in tb.percent.items())
-            print(f"{solver_id:<10} total {tb.total:8.3f}s  {shares}")
+            print(f"{solver_id:<10} total {tb.total:8.3f}s  grad {tb.grad_norm:.1e}  {shares}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .manifolds import riemannian_gradient
-from .penalty import PenaltyFunction, postprocess
+from .penalty import PenaltyFunction, PostprocessDivergence, postprocess
 from .problems import PROBLEM_BUILDERS
 from .solvers import ALL_PHASES, SOLVERS, SolverConfig, run_solver
 
@@ -129,15 +129,26 @@ def _problem_size(problem):
 
 def _run_cell(pf, x0, x0_seed, solver_id, cfg):
     report = run_solver(solver_id, pf, x0, cfg)
-    # every row is read at the post-processed point; pre_feas keeps the raw residual
-    point, _ = postprocess(pf.spec, report.X)
-    egrad = pf.problem.grad(point.X, point.store)
-    grad = np.linalg.norm(riemannian_gradient(pf.spec, point, egrad))
+    # every row is read at the post-processed point; pre_feas keeps the raw
+    # residual.  A row whose post-processing diverges is read at the raw
+    # iterate instead: f there, the solver's last gradient norm and the raw
+    # residual, so that the rest of the grid still runs.
+    status = report.status
+    try:
+        point, _ = postprocess(pf.spec, report.X)
+    except PostprocessDivergence:
+        status = "PostprocessDivergence"
+        fval, grad, feas = pf.problem.f(report.X), report.grad_norm, report.feas_norm
+    else:
+        fval = pf.problem.f(point.X, point.store)
+        egrad = pf.problem.grad(point.X, point.store)
+        grad = np.linalg.norm(riemannian_gradient(pf.spec, point, egrad))
+        feas = point.feas
     rec = ExperimentRecord(
         problem=pf.problem.name, size=_problem_size(pf.problem), solver=solver_id,
-        tol=cfg.grad_tol, fval=float(pf.problem.f(point.X, point.store)), iters=report.iters,
-        grad=float(grad), feas=float(point.feas),
-        cpu=report.total_time, status=report.status,
+        tol=cfg.grad_tol, fval=float(fval), iters=report.iters,
+        grad=float(grad), feas=float(feas),
+        cpu=report.total_time, status=status,
         seed=int(pf.problem.metadata.get("seed", 0)), beta=pf.beta,
         pre_feas=float(report.feas_norm), x0_seed=x0_seed)
     return rec, report
@@ -269,6 +280,7 @@ class TimingBreakdown:
     seconds: dict
     percent: dict
     iters: int
+    grad_norm: float   # the solver's gradient norm at its last iterate
 
     def validate(self):
         s = sum(self.percent.values())
@@ -278,10 +290,11 @@ class TimingBreakdown:
 
     def to_dict(self):
         """Plain-JSON form: total seconds, iterations, microseconds per
-        iteration (None when the solve took no step) and the phase split."""
+        iteration (None when the solve took no step), the final gradient
+        norm and the phase split."""
         return {"total_s": self.total, "iters": self.iters,
                 "us_per_iter": 1e6 * self.total / self.iters if self.iters else None,
-                "seconds": self.seconds, "percent": self.percent}
+                "grad_norm": self.grad_norm, "seconds": self.seconds, "percent": self.percent}
 
 
 def timing_profile(config, iters=100):
@@ -289,6 +302,7 @@ def timing_profile(config, iters=100):
 
     The split has one entry per solver phase (objective, gradient, hessvec,
     retraction, transport, linesearch) and "other" for the remaining loop time.
+    The final gradient norm shows a solve that ran on past convergence.
     Solvers go in SOLVERS order, and one listed twice runs once.
     """
     pf, (cfg,), starts = prepare(replace(config, tols=[0.0], max_iter=iters))
@@ -302,5 +316,6 @@ def timing_profile(config, iters=100):
         percent = {k: 100.0 * v / total for k, v in seconds.items()}
         out[solver_id] = TimingBreakdown(
             solver=solver_id, total=report.total_time,
-            seconds=seconds, percent=percent, iters=report.iters).validate()
+            seconds=seconds, percent=percent, iters=report.iters,
+            grad_norm=float(report.grad_norm)).validate()
     return out

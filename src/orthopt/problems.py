@@ -78,27 +78,41 @@ def build_lsm(n, p, seed=0, a=None, b=None):
     default a > 1 and b in (0, 2) are drawn from the seed; both can be fixed
     explicitly, e.g. to put the instance in a strong-decay regime where the
     small default penalty weight is safely above its exactness threshold.
+
+    No n x n matrix is kept.  A = b I + sum_i a^(1-i) u_i u_i^T is held by
+    its factors and applied as A X = b X + U_r (d * (U_r^T X)) in O(npr),
+    where d_i = a^(1-i) for the r leading i with a^(1-i) > eps b.  Each
+    dropped term is below eps b <= eps lambda_min(A), under the rounding a
+    stored dense A carries, so r is not a setting.  U_r is the positive-
+    diagonal QR factor of the first r columns of the seed's n x n Gaussian,
+    which is drawn in full so that the seed stream and the drawn a, b stay
+    the same; it equals the first r columns of the full QR factor to
+    rounding.  At a = 200, b = 0.05 (every shipped config and the
+    benchmark) r = 8.  Slow decay is the worst case: a drawn a below about
+    1.08 at n >= 1000 gives r near n, and each product then costs up to
+    twice a dense one.
     """
     spec = SymplecticStiefel(n, p)
     rng = np.random.default_rng(seed)
-    U, _ = qr_posdiag(rng.standard_normal((n, n)))
+    G = rng.standard_normal((n, n))
     a = 1.0 + rng.uniform(0.0, 1.0) if a is None else float(a)
     b = rng.uniform(0.0, 2.0) if b is None else float(b)
     if a <= 1.0 or b <= 0.0:
         raise ValueError("need decay base a > 1 and spectrum shift b > 0")
-    lam = a ** (1.0 - np.arange(1.0, n + 1.0)) + b
-    A = (U * lam) @ U.T
-    A = 0.5 * (A + A.T)
+    d = a ** (1.0 - np.arange(1.0, n + 1.0))
+    d = d[d > np.finfo(float).eps * b]
+    U, _ = qr_posdiag(G[:, :d.size])
     mu = 0.1 * np.exp(-np.arange(1.0, p + 1.0) / (p / 2.0))
+    dmu, bmu = np.outer(d, mu), b * mu
 
-    # A is symmetric, so A X is formed as (X^T A)^T: the same product in
-    # exact arithmetic, but with the n x n operand in the packed panel that
-    # the BLAS micro-kernel streams along; 1.35x faster at n = 1000, p = 20
-    # and 1.7x at n = 4000, p = 20 (one OpenBLAS thread on a Xeon core).
-    # The value and the gradient share the one product A X N.
-    @_memo
-    def AXN(X):
-        return (X.mT @ A).mT * mu
+    def AN(X):
+        """A X N = b X N + U_r ((U_r^T X) * d mu^T), in O(npr)."""
+        out = U @ ((U.T @ X) * dmu)
+        out += X * bmu
+        return out
+
+    # the value and the gradient share the one product A X N
+    AXN = _memo(AN)
 
     def f(X, store=None):
         return float(np.vdot(X, AXN(X, store)))
@@ -107,12 +121,13 @@ def build_lsm(n, p, seed=0, a=None, b=None):
         return 2.0 * AXN(X, store)
 
     def hessvec(X, V, store=None):
-        return 2.0 * (V.mT @ A).mT * mu
+        return 2.0 * AN(V)
 
     meta = {"problem": "lsm", "n": n, "p": p, "seed": seed, "a": a, "b": b,
             "beta_default": 0.012, "rng": "pcg64"}
     prob = Problem(spec, f, grad, hessvec, name="lsm", metadata=meta)
-    prob.A = A
+    prob.U = U
+    prob.d = d
     prob.N_diag = mu
     return prob
 

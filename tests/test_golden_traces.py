@@ -19,11 +19,11 @@ from orthopt.solvers import SolverConfig, run_solver
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 GOLDEN = [
-    ("lsm_desk", "cdf-gd", "GradTol", 126, 0.017317062341888106),
+    ("lsm_desk", "cdf-gd", "GradTol", 126, 0.017317062323227824),
     ("lsm_desk", "cdf-cg", "GradTol", 66, 0.017316947880665606),
     ("lsm_desk", "cdf-lbfgs", "GradTol", 72, 0.017316975883707973),
-    ("lsm_desk", "cdf-tr", "GradTol", 6, 0.0173169161807174),
-    ("lsm_desk", "rgd", "GradTol", 106, 0.017317306263835052),
+    ("lsm_desk", "cdf-tr", "GradTol", 6, 0.017316916180825707),
+    ("lsm_desk", "rgd", "GradTol", 106, 0.017317306264310807),
     ("lsm_desk", "rcg", "GradTol", 375, 0.017317059356223588),
     ("extrinsic_desk", "cdf-gd", "GradTol", 184, 0.18708522708608363),
     ("extrinsic_desk", "cdf-cg", "GradTol", 187, 0.18708522638471814),

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from orthopt.harness import (
     timing_profile,
 )
 from orthopt.manifolds import FeasiblePoint
+from orthopt.penalty import PostprocessDivergence, postprocess
 from orthopt.solvers import ALL_PHASES, run_solver
 
 TINY_CFG = """
@@ -261,6 +263,43 @@ def test_run_grid_order_and_one_record_per_cell(tiny_config, monkeypatch):
     assert len(solved) == len(cells)
 
 
+def test_a_diverging_post_processing_keeps_the_rest_of_the_grid(tiny_config, monkeypatch,
+                                                                capsys):
+    # the cdf-gd rows fail their post-processing: each is read at its raw
+    # iterate, and every other row comes back as it does without the fault
+    cfg = load_config(tiny_config)
+    cfg.solvers = ["cdf-gd", "cdf-lbfgs", "rgd"]
+    cfg.repetitions = 2
+    clean = run(cfg)
+    solving = []
+
+    def recording(solver_id, *args):
+        solving.append(solver_id)
+        return run_solver(solver_id, *args)
+
+    def diverging(spec, X, eps_f=1e-12):
+        if solving[-1] == "cdf-gd":
+            raise PostprocessDivergence("residual 1.0 not lowered by round 1", [1.0, 1.0])
+        return postprocess(spec, X, eps_f)
+
+    monkeypatch.setattr(harness_mod, "run_solver", recording)
+    monkeypatch.setattr(harness_mod, "postprocess", diverging)
+    records = run(cfg)
+    assert [r.solver for r in records] == [r.solver for r in clean]
+    for rec, ref in zip(records, clean):
+        if rec.solver == "cdf-gd":
+            assert rec.status == "PostprocessDivergence" and rec.iters == ref.iters
+            assert np.all(np.isfinite([rec.fval, rec.grad, rec.feas]))
+            assert rec.feas == rec.pre_feas == ref.pre_feas
+        else:
+            assert replace(rec, cpu=0.0) == replace(ref, cpu=0.0)
+    capsys.readouterr()
+    argv = ["run", "--config", tiny_config, "--solver", "cdf-gd", "--solver", "rgd", "--json"]
+    assert cli_main(argv) == 0
+    statuses = [row["status"] for row in json.loads(capsys.readouterr().out)]
+    assert statuses == ["PostprocessDivergence", "GradTol"]
+
+
 # ---------------------------------------------------------------- emit_table
 
 def _fake_records():
@@ -352,6 +391,7 @@ def test_timing_profile_splits_hessvec_and_linesearch(monkeypatch):
                            solvers=["cdf-gd", "cdf-tr"], tols=[1e-5], beta=0.5, x0_seed=3)
     profiles = timing_profile(cfg, iters=20)
     for sid, tb in profiles.items():
+        assert tb.grad_norm == reports[sid].grad_norm
         ps = reports[sid].phase_seconds
         assert tb.seconds["hessvec"] == ps["hessvec"]
         assert tb.seconds["linesearch"] == ps["linesearch"]
@@ -487,7 +527,8 @@ def test_cli_profile(tmp_path, capsys):
     path.write_text(LSM_CFG)
     code = cli_main(["profile", "--config", str(path), "--iters", "10"])
     assert code == 0
-    assert "cdf-gd" in capsys.readouterr().out
+    line, = capsys.readouterr().out.splitlines()
+    assert line.startswith("cdf-gd") and re.search(r" grad \d\.\de[+-]\d\d ", line)
 
 
 def test_cli_profile_json(tmp_path, capsys):
@@ -501,6 +542,7 @@ def test_cli_profile_json(tmp_path, capsys):
     for row in out.values():
         assert row["iters"] == 10
         assert row["us_per_iter"] == pytest.approx(1e5 * row["total_s"])
+        assert 0.0 < row["grad_norm"] < np.inf
         assert set(row["seconds"]) == set(row["percent"]) == set(ALL_PHASES) | {"other"}
         assert sum(row["percent"].values()) == pytest.approx(100.0, abs=0.1)
 

@@ -10,6 +10,7 @@ from orthopt.problems import (
     build_zero,
     toy_problem,
 )
+from orthopt.tensor import qr_posdiag
 
 
 def _fd_dir(f, X, V, t=1e-5):
@@ -75,14 +76,26 @@ def test_problems_sharing_a_point_keep_their_own_entries():
 
 # ----------------------------------------------------------------------- lsm
 
+def dense_lsm_A(prob):
+    """The dense A = U diag(a^(1-i) + b) U^T that build_lsm defines, with U
+    the full QR factor of the seed's n x n Gaussian and a, b read from the
+    problem's metadata."""
+    meta = prob.metadata
+    n = meta["n"]
+    U, _ = qr_posdiag(np.random.default_rng(meta["seed"]).standard_normal((n, n)))
+    lam = meta["a"] ** (1.0 - np.arange(1.0, n + 1.0)) + meta["b"]
+    return (U * lam) @ U.T
+
+
 def test_lsm_objective_formula_and_data_shapes():
     prob = build_lsm(12, 4, seed=0)
     assert prob.spec.name == "symplectic-stiefel"
-    lam = np.linalg.eigvalsh(prob.A)
+    A = dense_lsm_A(prob)
+    lam = np.linalg.eigvalsh(A)
     assert lam.min() > 0
     assert np.all(np.diff(prob.N_diag) < 0)
     X = prob.spec.random_ambient(np.random.default_rng(0))
-    np.testing.assert_allclose(prob.f(X), np.vdot(X, prob.A @ X @ np.diag(prob.N_diag)),
+    np.testing.assert_allclose(prob.f(X), np.vdot(X, A @ X @ np.diag(prob.N_diag)),
                                rtol=1e-12)
     assert prob.f(np.zeros((12, 4))) == 0.0
 
@@ -111,29 +124,42 @@ def test_lsm_value_is_the_closed_form_of_its_gradient_bit_for_bit():
 
 
 def test_lsm_oracles_agree_with_the_A_X_forms_at_scale():
-    # the oracles form A X as (X^T A)^T; BLAS may sum the two orientations
-    # in different orders, so they need agree to rounding only
+    # the oracles apply A by its factors, b X + U_r (d * (U_r^T X)), with
+    # the terms below eps b dropped; against the dense A of the full QR
+    # factor they need agree to rounding only
     for (n, p, kw), rng_seed in [((1000, 20, dict(seed=5, a=200.0, b=0.05)), 5),
                                  ((10, 4, dict(seed=1)), 3)]:
         prob = build_lsm(n, p, **kw)
+        A = dense_lsm_A(prob)
         rng = np.random.default_rng(rng_seed)
         X, V = prob.spec.random_ambient(rng), prob.spec.random_ambient(rng)
         mu = prob.N_diag
         store = {}
         v, g = prob.f(X, store), prob.grad(X, store)
-        AXN = prob.A @ X * mu
+        AXN = A @ X * mu
         ref_v = float(np.vdot(X, AXN))
         assert abs(v - ref_v) <= 1e-13 * abs(ref_v)
         assert np.linalg.norm(g - 2.0 * AXN) <= 1e-13 * np.linalg.norm(2.0 * AXN)
-        ref_hv = 2.0 * (prob.A @ V) * mu
+        ref_hv = 2.0 * (A @ V) * mu
         assert np.linalg.norm(prob.hessvec(X, V) - ref_hv) <= 1e-13 * np.linalg.norm(ref_hv)
 
 
 def test_lsm_explicit_spectrum_override():
     prob = build_lsm(10, 4, seed=0, a=50.0, b=0.1)
     assert prob.metadata["a"] == 50.0 and prob.metadata["b"] == 0.1
-    lam = np.sort(np.linalg.eigvalsh(prob.A))[::-1]
+    lam = np.sort(np.linalg.eigvalsh(dense_lsm_A(prob)))[::-1]
     np.testing.assert_allclose(lam[0], 1.1, atol=1e-10)
+    np.testing.assert_allclose(prob.d, lam[:prob.d.size] - 0.1, atol=1e-10)
+
+
+def test_lsm_rank_rule_drops_only_terms_below_eps_b():
+    # at a = 200, b = 0.05, A is b I plus a rank-8 part to rounding: the
+    # ninth term 200^-8 is the first at or below eps b
+    prob = build_lsm(1000, 20, seed=0, a=200.0, b=0.05)
+    assert prob.U.shape == (1000, 8)
+    np.testing.assert_array_equal(prob.d, 200.0 ** -np.arange(8.0))
+    assert 200.0 ** -8.0 <= np.finfo(float).eps * 0.05 < prob.d[-1]
+    np.testing.assert_allclose(prob.U.T @ prob.U, np.eye(8), rtol=0.0, atol=1e-14)
 
 
 def test_lsm_rejects_bad_inputs():
@@ -146,8 +172,13 @@ def test_lsm_rejects_bad_inputs():
 def test_lsm_deterministic_per_seed():
     p1 = build_lsm(10, 4, seed=7)
     p2 = build_lsm(10, 4, seed=7)
-    np.testing.assert_array_equal(p1.A, p2.A)
+    np.testing.assert_array_equal(p1.U, p2.U)
+    np.testing.assert_array_equal(p1.d, p2.d)
     assert p1.metadata["a"] == p2.metadata["a"]
+    # the factors are the seed's dense A, with b I and the kept terms
+    b = p1.metadata["b"]
+    np.testing.assert_allclose(b * np.eye(10) + (p1.U * p1.d) @ p1.U.T, dense_lsm_A(p1),
+                               rtol=0.0, atol=1e-14)
 
 
 # ------------------------------------------------------------ extrinsic mean

@@ -349,7 +349,7 @@ def test_cdf_tr_rejected_trials_keep_the_base():
     # shared cache and trials at x + p this solve took 46 grad f calls for
     # its 38 gradients.  Re-solves after a rejection replay their products,
     # so every product the oracle forms is counted once in phase_counts:
-    # 223 with trials at A(x + p) (415 at x + p, where forming each
+    # 221 with trials at A(x + p) (415 at x + p, where forming each
     # re-solve's products afresh took 465).
     pf, prob = lsm_desk()
     oracle = PenaltyOracle(pf)
@@ -360,22 +360,22 @@ def test_cdf_tr_rejected_trials_keep_the_base():
     assert (r.status, r.iters) == (STATUS_GRAD_TOL, 14)
     assert r.phase_counts["objective"] > r.iters                  # some trials were rejected
     assert oracle.meter["grad_f"] == r.phase_counts["gradient"] == 15
-    assert len(products) == r.phase_counts["hessvec"] == 223
+    assert len(products) == r.phase_counts["hessvec"] == 221
 
 
 def test_cdf_tr_finite_difference_hessvec_pins_its_iterates_and_work():
     # without a Hessian oracle the penalty Hessian-vector product is a central
     # difference of two gradients, each at a point moved from x, not
-    # dissolved: the 235 products take 470 of the 485 gradients, and each
+    # dissolved: the 233 products take 466 of the 481 gradients, and each
     # of the 19 trials forms two bases, x + p and A(x + p)
     _, prob = lsm_desk()
     prob = op.Problem(prob.spec, prob.f, prob.grad, None, name=prob.name,
                       metadata=prob.metadata)
     pf = op.PenaltyFunction(prob.spec, prob, 0.5)
     r = run_solver("cdf-tr", pf, prob.spec.random_feasible(3), SolverConfig(grad_tol=1e-5))
-    assert (r.status, r.iters, repr(r.fval)) == (STATUS_GRAD_TOL, 14, "0.1513862461620734")
-    assert r.phase_counts["hessvec"] == 235
-    assert r.work == {"matmul": 2958, "phi": 509, "grad_f": 485, "f": 20}
+    assert (r.status, r.iters, repr(r.fval)) == (STATUS_GRAD_TOL, 14, "0.1513862455081762")
+    assert r.phase_counts["hessvec"] == 233
+    assert r.work == {"matmul": 2934, "phi": 505, "grad_f": 481, "f": 20}
 
 
 def test_penalty_oracle_feas_reads_the_base_at_any_point():
