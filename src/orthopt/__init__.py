@@ -8,8 +8,10 @@ objectives without retractions or transports.
 
 from .linalg import lyapunov_solve
 from .manifolds import (
+    EvalCache,
     FeasibilityError,
     FeasiblePoint,
+    PostprocessDivergence,
     RetractError,
     ThetaDegenerateError,
     constraint,
@@ -32,9 +34,7 @@ from .manifolds import (
     vector_transport,
 )
 from .penalty import (
-    EvalCache,
     PenaltyFunction,
-    PostprocessDivergence,
     UnsupportedOperation,
     dA,
     dA_adjoint,

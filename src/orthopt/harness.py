@@ -10,8 +10,8 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .manifolds import riemannian_gradient
-from .penalty import PenaltyFunction, PostprocessDivergence, postprocess
+from .manifolds import PostprocessDivergence, riemannian_gradient
+from .penalty import PenaltyFunction, postprocess
 from .problems import PROBLEM_BUILDERS
 from .solvers import ALL_PHASES, SOLVERS, SolverConfig, run_solver
 

@@ -11,11 +11,15 @@ penalty) is written against this interface.  The one retraction,
 alone, so all six families share it.
 Generalized Stiefel and hyperbolic frames are indefinite frames with J = I.
 
-A point is an array of shape ``spec.batch + (n, p)``: one matrix for the five
-matrix families, and a stack of l faces for tensor frames.  Products broadcast
-over the batch axis and every transpose is ``.mT``, so one code path serves
-both.
+A point X is an array of shape ``spec.batch + (n, p)``: one matrix for the
+five matrix families, and a stack of l faces for tensor frames.  Products
+broadcast over the batch axis and every transpose is ``.mT``, so one code path
+serves both.  Both routes hold a point as one class, ``EvalCache``, and
+``FeasiblePoint`` is its checked constructor.
 """
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,38 +44,152 @@ class ThetaDegenerateError(np.linalg.LinAlgError):
         self.solution = solution
 
 
-class FeasiblePoint:
-    """A manifold point with its phi image and Gram matrix cached.
+POSTPROCESS_MAX_ROUNDS = 50   # dissolving rounds postprocess takes before it gives up
 
-    ``normal`` holds the factorization of the normal equations at the
-    point, (U, factor of K = U^T U) with U = phi(X) q^T (``normal_factor``).
-    The first ``theta_lstsq`` at the point builds it and later ones reuse it;
-    the Riemannian solvers build it with each point they retract to.
-    ``store`` is the problem oracles' store for the point (see ``Problem``).
+
+class PostprocessDivergence(RuntimeError):
+    """Repeated dissolving failed to reach the feasibility target."""
+
+    def __init__(self, message, trace):
+        super().__init__(message)
+        self.trace = trace
+
+
+@lru_cache(maxsize=16)
+def _eye(p):
+    # one read-only p x p identity per size, shared by every base point
+    eye = np.eye(p)
+    eye.flags.writeable = False
+    return eye
+
+
+METER_KEYS = ("matmul", "phi", "grad_f", "f")
+
+
+class EvalCache:
+    """One point X of one spec, on the manifold or off it, and the one point
+    class of both routes: X, phi(X), the Gram matrix G = X^T phi(X), the
+    residual C = G - I, lead = 1.5 I - 0.5 G, A(X) = X lead^T, grad f(A(X))
+    and ``syms``, the pair (gen_sym(grad f(A(X))^T X), gen_sym(C)) that the
+    penalty gradient forms and its Hessian-vector product reads.  ``feas``
+    reads ||C||, ``normal`` is the factorization ``normal_factor`` keeps, and
+    ``origin_C``, on a cache made by ``dissolved()``, is the residual of the
+    point it was dissolved from.  ``store`` belongs to X itself (see
+    ``Problem``); the penalty evaluates f at A(X) through the store of
+    ``dissolved()``, the point A(X), which is made once.
+
+    A cache takes X without a copy, makes it read-only and never moves; the
+    rest is formed the first time it is asked for.  ``FeasiblePoint`` is the
+    checked constructor.  Caches built with the same ``counts`` dict share
+    one meter of the work done through them (``METER_KEYS``): dense products
+    of n x p / p x p shape, phi applications and objective/gradient calls.
     """
 
-    __slots__ = ("spec", "X", "phiX", "gram", "feas", "normal", "store")
+    __slots__ = ("spec", "X", "counts", "phiX", "gram", "C", "lead", "AX", "store",
+                 "gradfA", "syms", "origin_C", "normal", "_dissolved")
 
-    def __init__(self, spec, X, tol=1e-8):
-        X = np.asarray(X, dtype=float)
-        phiX = spec.phi(X)
-        self._fill(spec, X, phiX, X.mT @ phiX, tol)
-
-    @classmethod
-    def from_parts(cls, spec, X, phiX, gram, tol=1e-8):
-        """The point X whose phi(X) and Gram matrix X^T phi(X) are already formed."""
-        point = cls.__new__(cls)
-        point._fill(spec, X, phiX, gram, tol)
-        return point
-
-    def _fill(self, spec, X, phiX, gram, tol):
-        self.spec, self.X, self.phiX, self.gram = spec, X, phiX, gram
-        self.normal = None
+    def __init__(self, spec, X, counts=None):
+        X.flags.writeable = False
+        self.spec = spec
+        self.X = X
+        self.counts = counts if counts is not None else dict.fromkeys(METER_KEYS, 0)
+        self.phiX = self.gram = self.C = self.lead = self.AX = None
         self.store = {}
-        self.feas = np.linalg.norm(gram - np.eye(spec.p))
-        if not np.isfinite(self.feas) or self.feas > tol:
-            raise FeasibilityError(
-                f"constraint residual {self.feas:.3e} exceeds tolerance {tol:.1e} on {spec.name}")
+        self.gradfA = self.syms = self.origin_C = self.normal = self._dissolved = None
+
+    def _mm(self, A, B):
+        self.counts["matmul"] += 1
+        return A @ B
+
+    def _phi(self, Y):
+        self.counts["phi"] += 1
+        return self.spec.phi(Y)
+
+    def base(self):
+        """The cache with phi(X), G, C, lead and A(X); 1 phi and 2 products
+        the first time."""
+        if self.phiX is None:
+            X = self.X
+            self.phiX = self._phi(X)
+            self.gram = self._mm(X.mT, self.phiX)
+            eye = _eye(self.spec.p)
+            self.C = self.gram - eye
+            self.lead = 1.5 * eye - 0.5 * self.gram
+            self.AX = self._mm(X, self.lead.mT)
+        return self
+
+    @property
+    def feas(self):
+        """||C||, the constraint residual at X."""
+        return np.linalg.norm(self.base().C)
+
+    def ensure_grad(self, problem):
+        """The base with grad f(A(X)) and its pair ``syms``; 1 product when new."""
+        if self.gradfA is None:
+            self.base()
+            self.counts["grad_f"] += 1
+            self.gradfA = problem.grad(self.AX, self.dissolved().store)
+            self.syms = (self.spec.gen_sym(self._mm(self.gradfA.mT, self.X)),
+                         self.spec.gen_sym(self.C))
+
+    def dissolved(self):
+        """The cache at A(X), one dissolving step from X, on the same meter,
+        carrying this cache's residual C as its ``origin_C``; made once."""
+        if self._dissolved is None:
+            self._dissolved = EvalCache(self.spec, self.base().AX, self.counts)
+            self._dissolved.origin_C = self.C
+        return self._dissolved
+
+
+def _checked(point, tol):
+    """``point`` once its residual is finite and at most ``tol``."""
+    feas = point.feas
+    if not np.isfinite(feas) or feas > tol:
+        raise FeasibilityError(
+            f"constraint residual {feas:.3e} exceeds tolerance {tol:.1e} on {point.spec.name}")
+    return point
+
+
+def FeasiblePoint(spec, X, tol=1e-8):
+    """A point of ``spec`` at a read-only float copy of X, checked to ``tol``:
+    an ``EvalCache`` whose residual ||C|| is at most ``tol``, or
+    FeasibilityError."""
+    return _checked(EvalCache(spec, np.array(X, dtype=float)), tol)
+
+
+def _point(spec, point):
+    """``point`` itself, or for an array an unchecked point of ``spec`` at a
+    float copy, which the caller throws away: it is factored on every call."""
+    return point if isinstance(point, EvalCache) else EvalCache(spec, np.array(point, dtype=float))
+
+
+def _postprocess(cache, eps_f):
+    """Drive the residual of ``cache`` under eps_f by repeated dissolving and
+    return (last base, rounds); the base passes the same check as a
+    ``FeasiblePoint`` at eps_f.  Each round is the previous base's
+    ``dissolved`` cache, so the residual and the next A(X) share one phi(X)
+    and one Gram matrix.  Each round must lower ||C||, so a fixed point of A
+    off the manifold costs one round, not POSTPROCESS_MAX_ROUNDS."""
+    if not 0 < eps_f < math.inf:
+        raise ValueError(f"eps_f must be positive and finite, got {eps_f}")
+    base, c = cache, cache.feas
+    trace = [c]
+    rounds = 0
+    while not c < eps_f:    # written so that NaN stays in the loop
+        if rounds >= POSTPROCESS_MAX_ROUNDS:
+            raise PostprocessDivergence(
+                f"residual {c:.3e} after {rounds} rounds, target {eps_f:.1e}", trace)
+        if not np.isfinite(c):
+            raise PostprocessDivergence(
+                f"residual diverged to {c:.3e} after {rounds} rounds", trace)
+        if rounds and not c < trace[-2]:
+            raise PostprocessDivergence(
+                f"residual {c:.3e} not lowered by round {rounds} (was {trace[-2]:.3e})", trace)
+        base = base.dissolved()
+        c = base.feas
+        rounds += 1
+        trace.append(c)
+    return _checked(base, eps_f), rounds
 
 
 def _orthonormalize_rows(vecs, drop_tol=1e-10):
@@ -209,7 +327,6 @@ class ManifoldSpec:
         """
         if not np.any(Z):
             return point
-        from .penalty import EvalCache, PostprocessDivergence, _postprocess
         try:
             with np.errstate(over="ignore", invalid="ignore"):   # non-finite steps fail below
                 return _postprocess(EvalCache(self, point.X + Z).dissolved(), 1e-12)[0]
@@ -241,24 +358,24 @@ def gen_sym(spec, T):
 
 def tangent_test(spec, point, Z, tol=1e-8):
     """Check X^T phi(Z) + Z^T phi(X) = 0; returns (ok, residual)."""
-    X = point.X if isinstance(point, FeasiblePoint) else np.asarray(point, float)
-    phiX = point.phiX if isinstance(point, FeasiblePoint) else spec.phi(X)
-    resid = np.linalg.norm(X.mT @ spec.phi(Z) + Z.mT @ phiX)
+    point = _point(spec, point).base()
+    resid = np.linalg.norm(point.X.mT @ spec.phi(Z) + Z.mT @ point.phiX)
     return bool(resid <= tol), resid
 
 
 def normal_factor(spec, point):
     """(U, LyapunovFactor of K = U^T U) with U = phi(X) q^T: the part of the
-    normal equations that the point alone determines.  A FeasiblePoint of
-    ``spec`` builds it once and keeps it as ``point.normal``."""
-    cached = isinstance(point, FeasiblePoint) and point.spec is spec
-    if cached and point.normal is not None:
+    normal equations that the point alone determines.  A point of ``spec``
+    builds it once and keeps it as ``point.normal``."""
+    point = _point(spec, point)
+    own = point.spec is spec        # the kept factor serves the point's own spec only
+    if own and point.normal is not None:
         return point.normal
-    phiX = point.phiX if isinstance(point, FeasiblePoint) else spec.phi(np.asarray(point, float))
+    phiX = point.base().phiX
     U = phiX if spec.qperm is None else spec.qperm.right_t(phiX)
     K = U.mT @ U
     normal = U, lyapunov_factor(K, K)
-    if cached:
+    if own:
         point.normal = normal
     return normal
 
@@ -270,11 +387,12 @@ def theta_lstsq(spec, point, D):
     U = phi(X) q^T, K = U^T U and R = U^T D, the normal equations are the
     p x p Lyapunov equation K W + W K = R + R^T (W symmetric, q symmetric or
     None) or R - R^T (W skew, q skew), solved in the eigenbasis of K.  A
-    FeasiblePoint keeps U and the eigendecomposition of K (see
-    ``FeasiblePoint``), so each solve at it costs O(n p^2 + p^3) with no
-    new decomposition; a raw array is factored on every call.  A singular K
-    raises ThetaDegenerateError carrying the minimum-norm least-squares
-    solution.
+    point of ``spec`` keeps U and the eigendecomposition of K as its
+    ``normal``, so each solve at it costs O(n p^2 + p^3) with no new
+    decomposition.  Here and in every geometry function below, a raw array
+    is an unchecked point at a copy of it, factored on every call.  A
+    singular K raises ThetaDegenerateError carrying the minimum-norm
+    least-squares solution.
     """
     q = spec.qperm
     U, factor = normal_factor(spec, point)
@@ -290,6 +408,7 @@ def theta_lstsq(spec, point, D):
 
 def project_tangent(spec, point, D):
     """Orthogonal projection of D onto the tangent space at the point."""
+    point = _point(spec, point).base()
     return np.asarray(D, float) - point.phiX @ theta_lstsq(spec, point, D)
 
 
@@ -300,6 +419,7 @@ def riemannian_gradient(spec, point, egrad):
 
 def riemannian_hessvec(spec, point, Z, egrad, ehessvec):
     """Riemannian Hessian action on a tangent vector Z."""
+    point = _point(spec, point)
     theta = theta_lstsq(spec, point, egrad)
     return project_tangent(spec, point, np.asarray(ehessvec, float) - spec.phi(Z) @ theta)
 

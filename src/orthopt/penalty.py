@@ -11,11 +11,12 @@ With C = X^T phi(X) - I its gradient is
 
     grad h(X) = dA(X)*[grad f(A(X))] + beta dC(X)*[C].
 
-An ``EvalCache`` is one base point of one spec (X, phi(X), the Gram matrix,
-C and A(X)), built once around a read-only X and never moved; its
-``dissolved`` cache is the point A(X) on the same meter.  dA, dA* and dC*
-are each written once as a kernel over a cache, which the solvers and the
-public derivatives share; a public function takes its cache at a copy of X.
+A point of either route is a ``manifolds.EvalCache`` (X, phi(X), the Gram
+matrix, C and A(X)) around a read-only X; its ``dissolved`` cache is the
+point A(X) on the same meter, whose store f and its derivatives at A(X)
+use.  dA, dA* and dC* are each written once as a kernel over a cache,
+which the solvers and the public derivatives share; a public function
+takes its cache at a copy of X.
 The adjoints never apply phi: with phi(X T) = phi(X) psi(T),
 
     dC(X)*[T] = phi(X) T^T + phi(X T) = phi(X) gen_sym(T),
@@ -26,25 +27,14 @@ it 10 products and 1 phi.  ``postprocess`` costs one phi per round.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .manifolds import FeasiblePoint, riemannian_gradient
-
-POSTPROCESS_MAX_ROUNDS = 50   # dissolving rounds postprocess takes before it gives up
+from .manifolds import EvalCache, _postprocess, riemannian_gradient
 
 
 class UnsupportedOperation(RuntimeError):
     """The underlying problem lacks the requested oracle."""
-
-
-class PostprocessDivergence(RuntimeError):
-    """Repeated dissolving failed to reach the feasibility target."""
-
-    def __init__(self, message, trace):
-        super().__init__(message)
-        self.trace = trace
 
 
 def dissolve(spec, X):
@@ -100,91 +90,6 @@ class PenaltyFunction:
         return penalty_hessvec(self, X, dX, cache)
 
 
-@lru_cache(maxsize=16)
-def _eye(p):
-    # one read-only p x p identity per size, shared by every base point
-    eye = np.eye(p)
-    eye.flags.writeable = False
-    return eye
-
-
-METER_KEYS = ("matmul", "phi", "grad_f", "f")
-
-
-class EvalCache:
-    """One base point of the penalty algebra: X, phi(X), the Gram matrix
-    G = X^T phi(X), the constraint residual C = G - I, the factor
-    lead = 1.5 I - 0.5 G of dA*, A(X) = X lead^T, ``store``, the problem
-    oracles' store for the point A(X) (see ``Problem``), grad f(A(X)),
-    ``syms``, the pair (gen_sym(grad f(A(X))^T X), gen_sym(C)) that the
-    gradient forms and the Hessian-vector product reads, and ``origin_C``,
-    which on a cache made by ``dissolved()`` is the residual C of the point
-    it was dissolved from (None otherwise).
-
-    A cache is one X of one spec and never moves.  It takes X without a copy
-    and makes it read-only, and forms the rest the first time it is asked
-    for.  The penalty solvers make each iterate a cache of its own, as a
-    Riemannian iterate is a ``FeasiblePoint``.
-
-    Also meters the work done through it (``METER_KEYS``): dense products of
-    n x p / p x p shape, phi applications, and objective/gradient oracle
-    calls.  Caches built with the same ``counts`` dict share one meter.
-    """
-
-    def __init__(self, spec, X, counts=None):
-        X.flags.writeable = False
-        self.spec = spec
-        self.X = X
-        self.counts = counts if counts is not None else dict.fromkeys(METER_KEYS, 0)
-        self.phiX = None
-        self.gram = None
-        self.C = None
-        self.lead = None
-        self.AX = None
-        self.store = None
-        self.gradfA = None
-        self.syms = None
-        self.origin_C = None
-
-    def _mm(self, A, B):
-        self.counts["matmul"] += 1
-        return A @ B
-
-    def _phi(self, Y):
-        self.counts["phi"] += 1
-        return self.spec.phi(Y)
-
-    def base(self):
-        """The cache with phi(X), G, C, lead, A(X) and the store; 1 phi and
-        2 products the first time."""
-        if self.phiX is None:
-            X = self.X
-            self.phiX = self._phi(X)
-            self.gram = self._mm(X.mT, self.phiX)
-            eye = _eye(self.spec.p)
-            self.C = self.gram - eye
-            self.lead = 1.5 * eye - 0.5 * self.gram
-            self.AX = self._mm(X, self.lead.mT)
-            self.store = {}
-        return self
-
-    def ensure_grad(self, problem):
-        """The base with grad f(A(X)) and its pair ``syms``; 1 product when new."""
-        if self.gradfA is None:
-            self.base()
-            self.counts["grad_f"] += 1
-            self.gradfA = problem.grad(self.AX, self.store)
-            self.syms = (self.spec.gen_sym(self._mm(self.gradfA.mT, self.X)),
-                         self.spec.gen_sym(self.C))
-
-    def dissolved(self):
-        """The cache at A(X), one dissolving step from X, on the same meter,
-        carrying this cache's residual C as its ``origin_C``."""
-        out = EvalCache(self.spec, self.base().AX, self.counts)
-        out.origin_C = self.C
-        return out
-
-
 def _cache_at(spec, X, cache=None):
     """``cache``, which must be built around X itself, or without one a
     cache of its own at a float copy of X."""
@@ -221,10 +126,11 @@ def _dA_adjoint(cache, V, SV=None):
 
 
 def penalty_value(pf, X, cache=None):
-    """h(X); f(A(X)) fills the store of A(X), which a gradient there reads."""
+    """h(X); f(A(X)) fills the store of the point A(X), ``cache.dissolved()``,
+    which a gradient there reads."""
     cache = _cache_at(pf.spec, X, cache).base()
     cache.counts["f"] += 1
-    fA = pf.problem.f(cache.AX, cache.store)
+    fA = pf.problem.f(cache.AX, cache.dissolved().store)
     return float(fA) + 0.5 * pf.beta * float(np.vdot(cache.C, cache.C))
 
 
@@ -258,7 +164,7 @@ def penalty_hessvec(pf, X, dX, cache=None):
     SV, SC = cache.syms
     mm = cache._mm
     DAdX, phiD, P, Q = _dA(cache, dX)
-    Hf = pf.problem.hessvec(cache.AX, DAdX, cache.store)
+    Hf = pf.problem.hessvec(cache.AX, DAdX, cache.dissolved().store)
     R = mm(X.mT, Hf)
     lead = mm(Hf, cache.lead)
     on_phiX = (-0.5 * (spec.gen_sym(R.mT) + spec.gen_sym(mm(Gf.mT, dX)))
@@ -274,42 +180,14 @@ def postprocess(spec, X, eps_f=1e-12):
     Each round is one base point: its residual C and its A(X), the next
     iterate, share one phi(X) and one Gram matrix.  The first base is a
     cache at a copy of X and each next one is the previous one's
-    ``dissolved`` cache, so the returned point's X is read-only, and it
-    reuses the phi(X) and Gram matrix of the last base.  Returns
-    (FeasiblePoint, rounds).
-    Raises PostprocessDivergence (with the residual trace attached) when the
+    ``dissolved`` cache.  Returns (point, rounds), the point being the last
+    base, checked like a ``FeasiblePoint`` at eps_f.  Raises
+    PostprocessDivergence (with the residual trace attached) when the
     residual is not finite, when a round does not lower it (outside the
     contraction basin, or at a fixed point of A off the manifold such as
     X = 0), or when the target cannot be met within POSTPROCESS_MAX_ROUNDS.
     """
     return _postprocess(_cache_at(spec, X), eps_f)
-
-
-def _postprocess(cache, eps_f):
-    """``postprocess`` from the point of ``cache``, whose base it reuses.
-    Each round must lower ||C||, so a fixed point of A off the manifold
-    costs one round, not POSTPROCESS_MAX_ROUNDS."""
-    if not 0 < eps_f < math.inf:
-        raise ValueError(f"eps_f must be positive and finite, got {eps_f}")
-    base = cache.base()
-    c = np.linalg.norm(base.C)
-    trace = [c]
-    rounds = 0
-    while not c < eps_f:    # written so that NaN stays in the loop
-        if rounds >= POSTPROCESS_MAX_ROUNDS:
-            raise PostprocessDivergence(
-                f"residual {c:.3e} after {rounds} rounds, target {eps_f:.1e}", trace)
-        if not np.isfinite(c):
-            raise PostprocessDivergence(
-                f"residual diverged to {c:.3e} after {rounds} rounds", trace)
-        if rounds and not c < trace[-2]:
-            raise PostprocessDivergence(
-                f"residual {c:.3e} not lowered by round {rounds} (was {trace[-2]:.3e})", trace)
-        base = base.dissolved().base()
-        c = np.linalg.norm(base.C)
-        rounds += 1
-        trace.append(c)
-    return FeasiblePoint.from_parts(base.spec, base.X, base.phiX, base.gram, tol=max(eps_f, 1e-12)), rounds
 
 
 def stationarity_report(pf, X, eps_f=1e-12):

@@ -7,11 +7,12 @@ fresh instance of the row's rule over any oracle.  The oracle carries the
 geometry: ``FunctionOracle`` and ``PenaltyOracle`` are flat (a move is
 x + step, transport is the identity, the displacement is xn - x), while
 ``ManifoldOracle`` moves by retraction, transports by projection and reads
-feasibility off the point.  Line searches, secant probes and the trust
-region ask the oracle for its trial point, which is the move except on the
-penalty, where ``PenaltyOracle`` takes it one dissolving step further, at
-A(x + step); only the finite-difference Hessian uses plain moves.  A line
-search adds the oracle's ``charge`` to the value at a trial: on the penalty
+feasibility off the point.  Both routes make each iterate an ``EvalCache``
+of its own.  Line searches, secant probes and the trust region ask the
+oracle for its trial point, which is the move except on the penalty, where
+``PenaltyOracle`` takes it one dissolving step further, at A(x + step);
+only the finite-difference Hessian uses plain moves.  A line search adds
+the oracle's ``charge`` to the value at a trial: on the penalty
 beta/2 ||C(x + step)||^2, the residual term of the raw step, elsewhere
 nothing.  The rule proposes the next point; ``minimize`` owns the stop
 tests, the nonmonotone merit, the trace, the value and gradient at the
@@ -27,13 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifolds import (
-    FeasiblePoint,
+    METER_KEYS,
+    EvalCache,
     RetractError,
+    _checked,
+    _point,
     normal_factor,
     riemannian_gradient,
     vector_transport,
 )
-from .penalty import METER_KEYS, EvalCache, penalty_gradient, penalty_hessvec, penalty_value
+from .penalty import penalty_gradient, penalty_hessvec, penalty_value
 
 STATUS_GRAD_TOL = "GradTol"
 STATUS_MAX_ITER = "MaxIter"
@@ -208,8 +212,8 @@ class PenaltyOracle(_FlatOracle):
     the value there uncharged.  Value, gradient, Hessian-vector products
     and feasibility at an iterate fill or read its own cache, so a rejected
     trial leaves the base it was taken from as it was, and the objective
-    oracles at A(X) share that cache's store.  ``unwrap`` hands back a
-    writable copy of X.
+    oracles at A(X) share the store of its ``dissolved()`` point.
+    ``unwrap`` hands back a writable copy of X.
     """
 
     def __init__(self, pf):
@@ -217,10 +221,8 @@ class PenaltyOracle(_FlatOracle):
         self.meter = dict.fromkeys(METER_KEYS, 0)
 
     def iterate(self, x0):
-        """The start, an array or a FeasiblePoint, as a cache around a copy of its X."""
-        if isinstance(x0, FeasiblePoint):
-            x0 = x0.X
-        return EvalCache(self.pf.spec, super().iterate(x0), self.meter)
+        """The start, an array or a point, as a cache around a copy of its X."""
+        return EvalCache(self.pf.spec, super().iterate(_point(self.pf.spec, x0).X), self.meter)
 
     def move(self, x, step, clock):
         return EvalCache(self.pf.spec, x.X + step, self.meter)
@@ -263,7 +265,7 @@ class PenaltyOracle(_FlatOracle):
 class ManifoldOracle:
     """Objective restricted to a manifold: retraction moves, projection transport.
 
-    Iterates are FeasiblePoints.  A step the retraction cannot take
+    Iterates are points of the spec.  A step the retraction cannot take
     (RetractError) is a rejected trial, reported as ``move`` returning None.
     The objective oracles at a point share the point's store.  ``unwrap``
     hands back a writable copy of X with the point.
@@ -275,14 +277,13 @@ class ManifoldOracle:
         self.problem, self.spec = problem, spec
 
     def iterate(self, x0):
-        """The start as an iterate: a FeasiblePoint of this spec, checked to
-        1e-8.  A point of this spec is taken as it is; an array, or a point of
-        another spec, is checked on this one."""
-        if isinstance(x0, FeasiblePoint):
-            if x0.spec is self.spec:
-                return x0
-            x0 = x0.X
-        return FeasiblePoint(self.spec, x0, tol=1e-8)
+        """The start as an iterate: a point of this spec, checked to 1e-8.  A
+        point of this spec is taken as it is; an array, or a point of
+        another spec, becomes one at a copy of its X."""
+        point = _point(self.spec, x0)
+        if point.spec is not self.spec:
+            point = EvalCache(self.spec, np.array(point.X))
+        return _checked(point, 1e-8)
 
     def value(self, point):
         return float(self.problem.f(point.X, point.store))

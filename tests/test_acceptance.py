@@ -11,8 +11,8 @@ import numpy as np
 import orthopt as op
 from orthopt.diagnostics import desk_specs
 from orthopt.harness import ExperimentConfig, timing_profile
-from orthopt.manifolds import riemannian_gradient, theta_lstsq
-from orthopt.penalty import EvalCache, dA, dA_adjoint, dCA, dissolve, penalty_gradient
+from orthopt.manifolds import EvalCache, riemannian_gradient, theta_lstsq
+from orthopt.penalty import dA, dA_adjoint, dCA, dissolve, penalty_gradient
 from orthopt.problems import toy_problem
 from orthopt.solvers import SolverConfig, run_solver
 

@@ -61,7 +61,7 @@ def _lsm_desk():
     return op.PenaltyFunction(prob.spec, prob, 0.5), prob
 
 
-@pytest.mark.parametrize("solver_id", ["cdf-gd", "rgd"])
+@pytest.mark.parametrize("solver_id", ["cdf-gd", "cdf-cg", "cdf-lbfgs", "cdf-tr", "rgd", "rcg"])
 def test_traced_solve_takes_the_untraced_iterates(tracing, solver_id):
     cfg = SolverConfig(grad_tol=1e-5, max_iter=20000)
     pf, prob = _lsm_desk()

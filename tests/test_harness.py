@@ -22,8 +22,8 @@ from orthopt.harness import (
     run,
     timing_profile,
 )
-from orthopt.manifolds import FeasiblePoint
-from orthopt.penalty import PostprocessDivergence, postprocess
+from orthopt.manifolds import FeasiblePoint, PostprocessDivergence
+from orthopt.penalty import postprocess
 from orthopt.solvers import ALL_PHASES, run_solver
 
 TINY_CFG = """

@@ -125,6 +125,24 @@ def test_feasible_point_rejects_bad_matrix(spec):
         FeasiblePoint(spec, X, tol=1e-8)
 
 
+def test_feasible_point_holds_a_read_only_copy_of_the_callers_array():
+    # a later write to the caller's array moves neither the point nor its
+    # residual, nor the first trace row of a solve started from it
+    prob = op.build_lsm(20, 4, seed=0)
+    spec = prob.spec
+    assert not spec.random_feasible(0).X.flags.writeable
+    X = np.array(spec.random_feasible(0).X)
+    pt = FeasiblePoint(spec, X)
+    kept, feas = pt.X.copy(), pt.feas
+    assert not np.shares_memory(pt.X, X) and not pt.X.flags.writeable
+    X[0, 0] += 0.5
+    assert np.linalg.norm(constraint(spec, X)) > 0.5
+    np.testing.assert_array_equal(pt.X, kept)
+    assert pt.feas == feas == np.linalg.norm(constraint(spec, kept)) and feas < 1e-12
+    pf = op.PenaltyFunction(spec, prob, 0.5)
+    assert op.run_solver("rgd", pf, pt, op.SolverConfig(max_iter=1)).trace[0][3] == feas
+
+
 # ----------------------------------------------------------------- gen_sym
 
 def test_gen_sym_doubles_symmetric_on_identity_psi():
@@ -192,6 +210,24 @@ def test_random_tangent_passes_test(spec):
     Z = random_tangent(spec, pt, 4)
     ok, resid = tangent_test(spec, pt, Z, tol=1e-10 * max(1.0, np.linalg.norm(Z)))
     assert ok, resid
+
+
+@pytest.mark.parametrize("geometry", [
+    lambda spec, point, D, E: project_tangent(spec, point, D),
+    lambda spec, point, D, E: riemannian_gradient(spec, point, D),
+    lambda spec, point, D, E: vector_transport(spec, point, D),
+    lambda spec, point, D, E: riemannian_hessvec(spec, point, project_tangent(spec, point, E), D, E),
+    lambda spec, point, D, E: random_tangent(spec, point, 7),
+], ids=["project_tangent", "riemannian_gradient", "vector_transport", "riemannian_hessvec",
+        "random_tangent"])
+def test_geometry_takes_a_raw_array_as_an_unchecked_point(spec, geometry):
+    # an array is a throwaway point at a copy of it, so it gives the point's bits
+    pt = spec.random_feasible(13)
+    rng = np.random.default_rng(14)
+    D, E = spec.random_ambient(rng), spec.random_ambient(rng)
+    X = np.array(pt.X)
+    np.testing.assert_array_equal(geometry(spec, X, D, E), geometry(spec, pt, D, E))
+    assert X.flags.writeable
 
 
 # -------------------------------------------------------------------- theta

@@ -3,11 +3,9 @@ import pytest
 
 import orthopt as op
 from orthopt.diagnostics import desk_specs
-from orthopt.manifolds import riemannian_gradient
+from orthopt.manifolds import EvalCache, PostprocessDivergence, riemannian_gradient
 from orthopt.penalty import (
-    EvalCache,
     PenaltyFunction,
-    PostprocessDivergence,
     UnsupportedOperation,
     dA,
     dA_adjoint,
@@ -449,6 +447,36 @@ def test_stationarity_report_forms_its_input_base_once(monkeypatch):
     assert rep["feas"] == float(np.linalg.norm(X.mT @ phi(X) - np.eye(spec.p)))
     assert rep["grad_f_post"] == float(np.linalg.norm(rg))
     np.testing.assert_array_equal(rep["point"].X, point.X)
+
+
+def test_penalty_evaluates_f_at_A_X_through_the_store_of_the_dissolved_point():
+    # a point's store belongs to its own X: f(A(X)) leaves the store of X
+    # empty and keeps A X N in the store of the point A(X), made once
+    prob = op.build_lsm(20, 4, seed=0)
+    spec = prob.spec
+    pf = PenaltyFunction(spec, prob, 0.5)
+    X = spec.random_feasible(0).X + 0.01
+    cache = EvalCache(spec, X)
+    penalty_value(pf, X, cache)
+    moved = cache.dissolved()
+    assert cache.store == {} and moved is cache.dissolved() and moved.X is cache.AX
+    (AXN,) = moved.store.values()
+    np.testing.assert_array_equal(2.0 * AXN, prob.grad(cache.AX))
+
+
+def test_stationarity_report_reads_a_point_that_needs_no_round_afresh():
+    # with 0 rounds the post-processed point is the gradient's own cache; its
+    # store holds nothing of A(X), so grad f at the point is formed at X
+    prob = op.build_lsm(20, 4, seed=0)
+    spec = prob.spec
+    pf = PenaltyFunction(spec, prob, 0.5)
+    rep = stationarity_report(pf, spec.random_feasible(2).X)
+    point = rep["point"]
+    egrad = prob.grad(point.X)
+    assert rep["rounds"] == 0 and not np.array_equal(point.X, point.AX)
+    assert rep["grad_f_post"] == float(np.linalg.norm(riemannian_gradient(spec, point, egrad)))
+    (AXN,) = point.store.values()
+    np.testing.assert_array_equal(2.0 * AXN, egrad)
 
 
 def test_stationarity_lower_bound_inequality(spec):

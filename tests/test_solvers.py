@@ -515,6 +515,27 @@ def test_rgd_checks_a_start_of_another_spec_on_its_own():
     np.testing.assert_array_equal(a.X, b.X)
 
 
+def test_manifold_oracle_checks_every_start_to_1e_8(monkeypatch):
+    # a point of the spec within 1e-8 is taken as it is, with no new phi; an
+    # off-manifold penalty cache and a point checked only to 1e-5 are refused
+    _, prob = lsm_desk()
+    spec = prob.spec
+    oracle = ManifoldOracle(prob, spec)
+    Q = spec.random_feasible(3)
+    loose = op.FeasiblePoint(spec, (1.0 + 1e-7) * Q.X, tol=1e-5)
+    assert 1e-8 < loose.feas <= 1e-5
+    off = op.EvalCache(spec, Q.X + 0.01)
+    calls = []
+    phi = spec.phi
+    monkeypatch.setattr(spec, "phi", lambda Y: calls.append(1) or phi(Y))
+    assert oracle.iterate(Q) is Q and calls == []
+    for start in (off, loose):
+        with pytest.raises(op.FeasibilityError):
+            oracle.iterate(start)
+    with pytest.raises(op.FeasibilityError):
+        minimize("rgd", oracle, loose)
+
+
 def test_solver_hooks_are_looked_up_at_call_time(monkeypatch):
     # per-layer tracing replaces these module globals while a solve runs
     hits = {}
