@@ -79,13 +79,15 @@ class EvalCache:
     ``dissolved()``, the point A(X), which is made once.
 
     A cache takes X without a copy, makes it read-only and never moves; the
-    rest is formed the first time it is asked for.  ``FeasiblePoint`` is the
-    checked constructor.  Caches built with the same ``counts`` dict share
-    one meter of the work done through them (``METER_KEYS``): dense products
-    of n x p / p x p shape, phi applications and objective/gradient calls.
+    rest is formed the first time it is asked for, so a point read only for
+    its residual or its geometry never pays for A(X).  ``FeasiblePoint`` is
+    the checked constructor.  Caches built with the same ``counts`` dict
+    share one meter of the work done through them (``METER_KEYS``): dense
+    products of n x p / p x p shape, phi applications and objective/gradient
+    calls.
     """
 
-    __slots__ = ("spec", "X", "counts", "phiX", "gram", "C", "lead", "AX", "store",
+    __slots__ = ("spec", "X", "counts", "phiX", "gram", "C", "_lead", "_AX", "store",
                  "gradfA", "syms", "origin_C", "normal", "_dissolved")
 
     def __init__(self, spec, X, counts=None):
@@ -93,7 +95,7 @@ class EvalCache:
         self.spec = spec
         self.X = X
         self.counts = counts if counts is not None else dict.fromkeys(METER_KEYS, 0)
-        self.phiX = self.gram = self.C = self.lead = self.AX = None
+        self.phiX = self.gram = self.C = self._lead = self._AX = None
         self.store = {}
         self.gradfA = self.syms = self.origin_C = self.normal = self._dissolved = None
 
@@ -106,17 +108,27 @@ class EvalCache:
         return self.spec.phi(Y)
 
     def base(self):
-        """The cache with phi(X), G, C, lead and A(X); 1 phi and 2 products
-        the first time."""
+        """The cache with phi(X), G and C; 1 phi and 1 product the first time."""
         if self.phiX is None:
             X = self.X
             self.phiX = self._phi(X)
             self.gram = self._mm(X.mT, self.phiX)
-            eye = _eye(self.spec.p)
-            self.C = self.gram - eye
-            self.lead = 1.5 * eye - 0.5 * self.gram
-            self.AX = self._mm(X, self.lead.mT)
+            self.C = self.gram - _eye(self.spec.p)
         return self
+
+    @property
+    def lead(self):
+        """1.5 I - 0.5 G, formed at the first read; no product."""
+        if self._lead is None:
+            self._lead = 1.5 * _eye(self.spec.p) - 0.5 * self.base().gram
+        return self._lead
+
+    @property
+    def AX(self):
+        """A(X) = X lead^T, formed at the first read; 1 product."""
+        if self._AX is None:
+            self._AX = self._mm(self.X, self.lead.mT)
+        return self._AX
 
     @property
     def feas(self):
@@ -136,7 +148,7 @@ class EvalCache:
         """The cache at A(X), one dissolving step from X, on the same meter,
         carrying this cache's residual C as its ``origin_C``; made once."""
         if self._dissolved is None:
-            self._dissolved = EvalCache(self.spec, self.base().AX, self.counts)
+            self._dissolved = EvalCache(self.spec, self.AX, self.counts)
             self._dissolved.origin_C = self.C
         return self._dissolved
 
@@ -158,9 +170,14 @@ def FeasiblePoint(spec, X, tol=1e-8):
 
 
 def _point(spec, point):
-    """``point`` itself, or for an array an unchecked point of ``spec`` at a
-    float copy, which the caller throws away: it is factored on every call."""
-    return point if isinstance(point, EvalCache) else EvalCache(spec, np.array(point, dtype=float))
+    """``point`` itself when it is a point of ``spec``; for an array, or a
+    point of another spec, an unchecked point of ``spec`` at a float copy of
+    its X, which the caller throws away: it is factored on every call."""
+    if isinstance(point, EvalCache):
+        if point.spec is spec:
+            return point
+        point = point.X
+    return EvalCache(spec, np.array(point, dtype=float))
 
 
 def _postprocess(cache, eps_f):
@@ -368,16 +385,12 @@ def normal_factor(spec, point):
     normal equations that the point alone determines.  A point of ``spec``
     builds it once and keeps it as ``point.normal``."""
     point = _point(spec, point)
-    own = point.spec is spec        # the kept factor serves the point's own spec only
-    if own and point.normal is not None:
-        return point.normal
-    phiX = point.base().phiX
-    U = phiX if spec.qperm is None else spec.qperm.right_t(phiX)
-    K = U.mT @ U
-    normal = U, lyapunov_factor(K, K)
-    if own:
-        point.normal = normal
-    return normal
+    if point.normal is None:
+        phiX = point.base().phiX
+        U = phiX if spec.qperm is None else spec.qperm.right_t(phiX)
+        K = U.mT @ U
+        point.normal = U, lyapunov_factor(K, K)
+    return point.normal
 
 
 def theta_lstsq(spec, point, D):
@@ -389,8 +402,9 @@ def theta_lstsq(spec, point, D):
     None) or R - R^T (W skew, q skew), solved in the eigenbasis of K.  A
     point of ``spec`` keeps U and the eigendecomposition of K as its
     ``normal``, so each solve at it costs O(n p^2 + p^3) with no new
-    decomposition.  Here and in every geometry function below, a raw array
-    is an unchecked point at a copy of it, factored on every call.  A
+    decomposition.  Here and in every geometry function below, a raw array,
+    or a point of another spec, is an unchecked point of ``spec`` at a copy
+    of its X, factored on every call.  A
     singular K raises ThetaDegenerateError carrying the minimum-norm
     least-squares solution.
     """

@@ -242,8 +242,10 @@ def toy_problem(spec, seed=0):
     A0 /= np.linalg.norm(A0)
 
     def f(X, store=None):
-        r = X - A0
-        return 0.5 * float(np.vdot(r, r)) + 0.25 * float(np.vdot(X, X)) ** 2
+        # NumPy arithmetic, so a far trial overflows to inf and is rejected
+        # where a Python float power would raise OverflowError
+        r, v = X - A0, np.vdot(X, X)
+        return 0.5 * float(np.vdot(r, r)) + 0.25 * float(v * v)
 
     def grad(X, store=None):
         return (X - A0) + float(np.vdot(X, X)) * X

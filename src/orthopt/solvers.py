@@ -14,11 +14,14 @@ oracle for its trial point, which is the move except on the penalty, where
 only the finite-difference Hessian uses plain moves.  A line search adds
 the oracle's ``charge`` to the value at a trial: on the penalty
 beta/2 ||C(x + step)||^2, the residual term of the raw step, elsewhere
-nothing.  The rule proposes the next point; ``minimize`` owns the stop
-tests, the nonmonotone merit, the trace, the value and gradient at the
-start, the gradient at each accepted point and the SolveReport, whose
-wall-clock breakdown is split by phase {objective, gradient, hessvec,
-retraction, transport, linesearch}.
+nothing.  A first trial rejected on the charge alone is retried once along
+the oracle's ``tangent``, on the penalty dA_x[d] (4 products and 1 phi),
+whose raw step pays a charge of O(alpha^4); the rule then carries on from
+the direction the step took.  The rule proposes the next point;
+``minimize`` owns the stop tests, the nonmonotone merit, the trace, the
+value and gradient at the start, the gradient at each accepted point and
+the SolveReport, whose wall-clock breakdown is split by phase {objective,
+gradient, hessvec, retraction, transport, linesearch}.
 """
 
 import math
@@ -37,7 +40,7 @@ from .manifolds import (
     riemannian_gradient,
     vector_transport,
 )
-from .penalty import penalty_gradient, penalty_hessvec, penalty_value
+from .penalty import _dA, penalty_gradient, penalty_hessvec, penalty_value
 
 STATUS_GRAD_TOL = "GradTol"
 STATUS_MAX_ITER = "MaxIter"
@@ -161,6 +164,10 @@ class _FlatOracle:
         """What a line search adds to the value at ``trial``: nothing."""
         return 0.0
 
+    def tangent(self, x, d):
+        """A direction to retry a trial rejected on its charge: none."""
+        return None
+
     def transport(self, xn, v, clock):
         return v
 
@@ -208,11 +215,12 @@ class PenaltyOracle(_FlatOracle):
     ``EvalCache`` built around a read-only X, all sharing the oracle's one
     meter.  A line search accepts the trial A(x + alpha d) on its value plus
     ``charge``, the penalty term beta/2 ||C(x + alpha d)||^2 of the raw step,
-    which the dissolving step would otherwise hide; the trust region takes
-    the value there uncharged.  Value, gradient, Hessian-vector products
-    and feasibility at an iterate fill or read its own cache, so a rejected
-    trial leaves the base it was taken from as it was, and the objective
-    oracles at A(X) share the store of its ``dissolved()`` point.
+    which the dissolving step would otherwise hide; a first trial rejected on
+    that charge alone is retried along ``tangent``, dA_x[d].  The trust
+    region takes the value there uncharged.  Value, gradient, Hessian-vector
+    products and feasibility at an iterate fill or read its own cache, so a
+    rejected trial leaves the base it was taken from as it was, and the
+    objective oracles at A(X) share the store of its ``dissolved()`` point.
     ``unwrap`` hands back a writable copy of X.
     """
 
@@ -240,6 +248,12 @@ class PenaltyOracle(_FlatOracle):
         ``trial`` dissolved, read off its residual; no phi, no product."""
         C = trial.origin_C
         return 0.5 * self.pf.beta * float(np.vdot(C, C))
+
+    def tangent(self, x, d):
+        """dA_x[d], the dissolving differential at x applied to d: at a
+        feasible x, C(x + alpha dA_x[d]) is O(alpha^2), so the charge is
+        O(alpha^4).  4 products and 1 phi at the base of x."""
+        return _dA(x.base(), d)[0]
 
     def displacement(self, x, xn, alpha, d, clock):
         return xn.X - x.X
@@ -280,10 +294,7 @@ class ManifoldOracle:
         """The start as an iterate: a point of this spec, checked to 1e-8.  A
         point of this spec is taken as it is; an array, or a point of
         another spec, becomes one at a copy of its X."""
-        point = _point(self.spec, x0)
-        if point.spec is not self.spec:
-            point = EvalCache(self.spec, np.array(point.X))
-        return _checked(point, 1e-8)
+        return _checked(_point(self.spec, x0), 1e-8)
 
     def value(self, point):
         return float(self.problem.f(point.X, point.store))
@@ -308,6 +319,10 @@ class ManifoldOracle:
     def charge(self, trial):
         """A retracted trial is feasible: nothing to add."""
         return 0.0
+
+    def tangent(self, point, d):
+        """No trial is rejected on a charge, so no direction to retry."""
+        return None
 
     def transport(self, point, v, clock):
         with clock.phase("transport"):
@@ -349,10 +364,11 @@ class _Merit:
         self.Q = Qn
 
 
-def _search(oracle, clock, x, d, gd, merit_c, alpha0):
+def _search(oracle, clock, x, g, d, gd, merit_c, alpha0):
     """Halve the step until a trial passes the nonmonotone sufficient-decrease
     test h(trial) + charge(trial) <= merit_c + c1 alpha <g, d> (Zhang & Hager
-    2004), and return (alpha, trial, h(trial)), or None.
+    2004), and return (alpha, trial, h(trial), d, <g, d>) with the direction
+    the accepted trial took, or None.
 
     The trial is ``oracle.trial(x, alpha d)``.  On the penalty it is
     A(x + alpha d), and the charge is beta/2 ||C(x + alpha d)||^2, the term the
@@ -360,20 +376,35 @@ def _search(oracle, clock, x, d, gd, merit_c, alpha0):
     as its dissolved image, and L-BFGS on indefinite frames drifts to
     ||C|| ~ 0.5 and ends in LineSearchFail.  The returned h is uncharged; it
     is the value at the accepted point, and the merit averages it.
+
+    A first trial that passes on h alone and fails only on the charge is
+    retried once, at the same alpha, along ``oracle.tangent(x, d)`` when
+    that is downhill.  On the penalty that is dA_x[d], whose raw step leaves
+    the manifold at O(alpha^2) and pays a charge of O(alpha^4) (Xiao, Liu &
+    Toh 2024); it costs 4 products and 1 phi.  The other oracles have no
+    charge and no tangent, so their searches are unchanged.
     """
     t0 = time.perf_counter()
     before = clock.oracle_seconds()
     alpha = alpha0
     out = None
-    for _ in range(LS_MAX_BACKTRACKS + 1):
-        xn = oracle.trial(x, alpha * d, clock)
-        if xn is not None:
-            with clock.phase("objective"):
-                hn = oracle.value(xn)
-            if np.isfinite(hn) and hn + oracle.charge(xn) <= merit_c + LS_C1 * alpha * gd:
-                out = (alpha, xn, hn)
-                break
-        alpha *= LS_SHRINK
+    with np.errstate(over="ignore", invalid="ignore"):     # non-finite trials fail below
+        for k in range(LS_MAX_BACKTRACKS + 1):
+            xn = oracle.trial(x, alpha * d, clock)
+            if xn is not None:
+                with clock.phase("objective"):
+                    hn = oracle.value(xn)
+                bound = merit_c + LS_C1 * alpha * gd
+                if np.isfinite(hn) and hn + oracle.charge(xn) <= bound:
+                    out = (alpha, xn, hn, d, gd)
+                    break
+                if k == 0 and hn <= bound:      # rejected on the charge alone
+                    t = oracle.tangent(x, d)
+                    gt = None if t is None else _dot(g, t)
+                    if gt is not None and gt < 0.0:
+                        d, gd = t, gt
+                        continue                # the retry keeps alpha
+            alpha *= LS_SHRINK
     clock.seconds["linesearch"] += (time.perf_counter() - t0) - (clock.oracle_seconds() - before)
     clock.counts["linesearch"] += 1
     return out
@@ -454,11 +485,10 @@ class _LineSearchRule:
 
     def step(self, oracle, clock, x, g, gn, h, merit_c, expired):
         d, gd, alpha0 = self.direction(oracle, clock, x, g, gn)
-        hit = _search(oracle, clock, x, d, gd, merit_c, alpha0)
+        hit = _search(oracle, clock, x, g, d, gd, merit_c, alpha0)
         if hit is None:
             return STATUS_LS_FAIL
-        self.alpha, xn, hn = hit
-        self.d, self.gd = d, gd
+        self.alpha, xn, hn, self.d, self.gd = hit      # the direction the step took
         return xn, hn
 
 

@@ -212,7 +212,7 @@ def test_random_tangent_passes_test(spec):
     assert ok, resid
 
 
-@pytest.mark.parametrize("geometry", [
+GEOMETRY = pytest.mark.parametrize("geometry", [
     lambda spec, point, D, E: project_tangent(spec, point, D),
     lambda spec, point, D, E: riemannian_gradient(spec, point, D),
     lambda spec, point, D, E: vector_transport(spec, point, D),
@@ -220,6 +220,9 @@ def test_random_tangent_passes_test(spec):
     lambda spec, point, D, E: random_tangent(spec, point, 7),
 ], ids=["project_tangent", "riemannian_gradient", "vector_transport", "riemannian_hessvec",
         "random_tangent"])
+
+
+@GEOMETRY
 def test_geometry_takes_a_raw_array_as_an_unchecked_point(spec, geometry):
     # an array is a throwaway point at a copy of it, so it gives the point's bits
     pt = spec.random_feasible(13)
@@ -228,6 +231,22 @@ def test_geometry_takes_a_raw_array_as_an_unchecked_point(spec, geometry):
     X = np.array(pt.X)
     np.testing.assert_array_equal(geometry(spec, X, D, E), geometry(spec, pt, D, E))
     assert X.flags.writeable
+
+
+@GEOMETRY
+def test_geometry_takes_a_point_of_another_spec_at_its_X(geometry):
+    # a point of another spec is a throwaway point of the given spec at a
+    # copy of its X: the bits of the raw array, tangent to the given spec,
+    # and the point keeps no factor of another spec
+    spec, other = op.stiefel(12, 4), op.symplectic_stiefel(12, 4)
+    pt = other.random_feasible(1)
+    rng = np.random.default_rng(14)
+    D, E = spec.random_ambient(rng), spec.random_ambient(rng)
+    out = geometry(spec, pt, D, E)
+    np.testing.assert_array_equal(out, geometry(spec, np.array(pt.X), D, E))
+    ok, resid = tangent_test(spec, pt, out, tol=1e-10 * max(1.0, np.linalg.norm(out)))
+    assert ok, resid
+    assert pt.normal is None and pt.spec is other
 
 
 # -------------------------------------------------------------------- theta
@@ -762,9 +781,11 @@ def test_theta_factors_each_point_once(spec, monkeypatch):
     assert len(calls) == 1
     for D, theta in zip((D1, D2, D1), thetas):
         assert np.array_equal(theta, _uncached_theta(spec, pt, D))
-    if spec.q is not None:                  # the kept factor serves the point's own spec only
+    if spec.q is not None:                  # another spec takes a point of its own at pt.X
         twin = op.stiefel(spec.n, spec.p)
-        assert np.array_equal(theta_lstsq(twin, pt, D1), _uncached_theta(twin, pt, D1))
+        at_twin = op.EvalCache(twin, np.array(pt.X)).base()
+        assert np.array_equal(theta_lstsq(twin, pt, D1), _uncached_theta(twin, at_twin, D1))
+        assert np.array_equal(theta_lstsq(spec, pt, D1), thetas[0])   # its own factor is kept
     # a raw array is factored on every call, to the same bits
     calls.clear()
     for D, theta in zip((D1, D2, D1), thetas):

@@ -377,6 +377,21 @@ def test_postprocess_applies_phi_once_per_round(spec, monkeypatch):
     assert len(calls) == rounds + 1
 
 
+def test_a_base_forms_A_X_only_when_it_is_read(spec):
+    # a checked point pays 1 phi and 1 product for its residual, and the last
+    # base of a post-processing pays no A(X); A(X) itself comes at its first
+    # read, 1 product, with the bits of the public dissolve
+    X = spec.random_feasible(37).X
+    pt = op.FeasiblePoint(spec, X)
+    assert pt.counts == {"matmul": 1, "phi": 1, "grad_f": 0, "f": 0}
+    np.testing.assert_array_equal(pt.AX, op.dissolve(spec, X))
+    pt.AX
+    assert pt.counts == {"matmul": 2, "phi": 1, "grad_f": 0, "f": 0}
+    point, rounds = postprocess(spec, X + 1e-2 * _unit(spec, 38), eps_f=1e-12)
+    assert rounds >= 2
+    assert point.counts == {"matmul": 2 * rounds + 1, "phi": rounds + 1, "grad_f": 0, "f": 0}
+
+
 @pytest.mark.parametrize("eps_f", [float("nan"), 0.0, -1e-12, float("inf")])
 def test_postprocess_rejects_bad_eps_f(eps_f):
     spec = op.stiefel(6, 2)

@@ -6,10 +6,12 @@ import pytest
 import orthopt as op
 import orthopt.penalty as penalty_mod
 import orthopt.solvers as solvers_mod
+from orthopt.diagnostics import battery_specs
 from orthopt.harness import TRACE_HEADER, load_config, prepare
 from orthopt.solvers import (
     STATUS_GRAD_TOL,
     STATUS_LS_FAIL,
+    STATUS_MAX_ITER,
     STATUS_RADIUS_COLLAPSE,
     STATUS_TIME_LIMIT,
     TR_INIT_RADIUS,
@@ -236,24 +238,25 @@ def test_cdf_tr_accepts_the_dissolved_trial_bit_for_bit():
 @pytest.mark.parametrize("solver_id", ["cdf-gd", "cdf-cg", "cdf-lbfgs"])
 def test_line_search_accepts_the_charged_dissolved_trial_bit_for_bit(monkeypatch, solver_id):
     # every accepted line-search iterate on the extrinsic desk config is
-    # A(x + alpha d), the public dissolve of the raw step, and passes the
-    # sufficient-decrease test with beta/2 ||C(x + alpha d)||^2 added to its value
+    # A(x + alpha d), the public dissolve of the raw step along the direction
+    # d the search returns, and passes the sufficient-decrease test with
+    # beta/2 ||C(x + alpha d)||^2 added to its value
     cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                                    "extrinsic_desk.cfg"))
     prob = prepare(cfg)[0].problem
     pf = op.PenaltyFunction(prob.spec, prob, cfg.beta)
     search, hits = solvers_mod._search, []
 
-    def spy_search(oracle, clock, x, d, gd, merit_c, alpha0):
-        out = search(oracle, clock, x, d, gd, merit_c, alpha0)
-        hits.append((oracle, x, d, gd, merit_c, out))
+    def spy_search(oracle, clock, x, g, d, gd, merit_c, alpha0):
+        out = search(oracle, clock, x, g, d, gd, merit_c, alpha0)
+        hits.append((oracle, x, merit_c, out))
         return out
 
     monkeypatch.setattr(solvers_mod, "_search", spy_search)
     r = run_solver(solver_id, pf, prob.spec.random_feasible(cfg.x0_seed), SolverConfig(grad_tol=1e-5))
     assert r.status == STATUS_GRAD_TOL and len(hits) == r.iters > 1
     charges = []
-    for oracle, x, d, gd, merit_c, (alpha, xn, hn) in hits:
+    for oracle, x, merit_c, (alpha, xn, hn, d, gd) in hits:
         raw = x.X + alpha * d
         assert np.array_equal(xn.X, op.dissolve(prob.spec, raw))
         assert hn == pf.value(xn.X)                            # the merit takes h uncharged
@@ -265,6 +268,70 @@ def test_line_search_accepts_the_charged_dissolved_trial_bit_for_bit(monkeypatch
         charges.append(charge)
     assert max(charges) > 0.0
     assert np.array_equal(r.X, hits[-1][-1][1].X)
+
+
+@pytest.mark.parametrize("solver_id", ["cdf-gd", "cdf-cg", "cdf-lbfgs"])
+def test_a_first_trial_rejected_on_its_charge_alone_is_retried_along_dA(monkeypatch, solver_id):
+    # a first trial that passes on h and fails on h + charge is retried once,
+    # at the same alpha, along the public dA(spec, x, d) bit for bit, which is
+    # downhill; the search returns that direction and its slope, and every
+    # later trial of the search halves alpha along it
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                   "extrinsic_desk.cfg"))
+    prob = prepare(cfg)[0].problem
+    pf = op.PenaltyFunction(prob.spec, prob, cfg.beta)
+    search, trial, steps, hits = solvers_mod._search, PenaltyOracle.trial, [], []
+
+    def spy_trial(self, x, step, clock):
+        steps.append(step)
+        return trial(self, x, step, clock)
+
+    def spy_search(oracle, clock, x, g, d, gd, merit_c, alpha0):
+        steps.clear()                       # drop the secant probe of cdf-cg
+        out = search(oracle, clock, x, g, d, gd, merit_c, alpha0)
+        hits.append((x, g, d, gd, merit_c, alpha0, list(steps), out))
+        return out
+
+    monkeypatch.setattr(PenaltyOracle, "trial", spy_trial)
+    monkeypatch.setattr(solvers_mod, "_search", spy_search)
+    r = run_solver(solver_id, pf, prob.spec.random_feasible(cfg.x0_seed), SolverConfig(grad_tol=1e-5))
+    assert r.status == STATUS_GRAD_TOL and len(hits) == r.iters
+    retries = 0
+    for x, g, d, gd, merit_c, alpha0, tried, (alpha, xn, hn, d_out, gd_out) in hits:
+        assert np.array_equal(tried[0], alpha0 * d)
+        if d_out is d:
+            assert gd_out == gd
+            continue
+        retries += 1
+        assert np.array_equal(d_out, op.dA(prob.spec, x.X, d))
+        assert gd_out == solvers_mod._dot(g, d_out) < 0.0
+        first = op.dissolve(prob.spec, x.X + alpha0 * d)
+        bound = merit_c + solvers_mod.LS_C1 * alpha0 * gd
+        charge = 0.5 * pf.beta * np.linalg.norm(op.constraint(prob.spec, x.X + alpha0 * d)) ** 2
+        assert pf.value(first) <= bound < pf.value(first) + charge
+        assert np.array_equal(tried[1], alpha0 * d_out)
+        assert alpha == alpha0 * solvers_mod.LS_SHRINK ** (len(tried) - 2)
+        for j, step in enumerate(tried[1:]):
+            assert np.array_equal(step, alpha0 * solvers_mod.LS_SHRINK ** j * d_out)
+    assert retries > 0
+
+
+@pytest.mark.parametrize("solver_id,iters,fval,values", [
+    ("cdf-gd", 76, "4.6389951607653125e-28", 104),
+    ("cdf-cg", 40, "9.862437644686242e-27", 49),
+    ("cdf-lbfgs", 58, "1.0563133020128285e-19", 69),
+])
+def test_flat_and_manifold_oracles_offer_no_retry(solver_id, iters, fval, values):
+    # no charge, no tangent: a FunctionOracle solve takes the iterates of a
+    # search without retries
+    assert rosen_oracle().tangent(np.zeros(2), np.ones(2)) is None
+    pf, prob = lsm_desk()
+    pt = prob.spec.random_feasible(3)
+    assert ManifoldOracle(prob, prob.spec).tangent(pt, pt.X) is None
+    r = minimize(solver_id, rosen_oracle(), np.array([-1.2, 1.0]),
+                 SolverConfig(grad_tol=1e-8, max_iter=5000))
+    assert (r.status, r.iters, repr(r.fval)) == (STATUS_GRAD_TOL, iters, fval)
+    assert r.phase_counts["objective"] == values
 
 
 def _indef_lbfgs():
@@ -424,7 +491,7 @@ def test_cdf_solve_compares_no_contents_and_reports_a_writable_X(monkeypatch):
     x0 = prob.spec.random_feasible(cfg.x0_seed)
     compared = _count_array_equal(monkeypatch)
     r = run_solver("cdf-gd", pf, x0, SolverConfig(grad_tol=1e-5))
-    assert (r.status, r.iters) == (STATUS_GRAD_TOL, 184)
+    assert (r.status, r.iters) == (STATUS_GRAD_TOL, 138)
     assert compared == []
     assert r.X.flags.writeable
     r.X[0, 0] += 1.0                                       # the report owns its copy
@@ -771,3 +838,38 @@ def test_config_rejects_a_max_iter_that_is_not_an_integer(max_iter):
     # a float budget would pass the positivity test and fail inside range()
     with pytest.raises(ValueError, match="max_iter"):
         SolverConfig(max_iter=max_iter)
+
+
+# ------------------------------------------------- the status contract sweep
+
+SWEEP_SPECS = dict(battery_specs(), **{
+    "stiefel-p=n": op.stiefel(6, 6),
+    "stiefel-p=1": op.stiefel(7, 1),
+    "tensor-stiefel-l=1": op.tensor_stiefel(5, 2, 1),
+})
+# a typed exception of the library, the one other way a solve may end
+TYPED_ERRORS = (op.FeasibilityError, op.RetractError, op.ThetaDegenerateError,
+                op.PostprocessDivergence, op.UnsupportedOperation)
+KNOWN_STATUSES = (STATUS_GRAD_TOL, STATUS_LS_FAIL, STATUS_RADIUS_COLLAPSE, STATUS_MAX_ITER)
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS.values(), ids=SWEEP_SPECS)
+def test_every_solve_ends_in_a_known_status_or_a_typed_error(spec):
+    # every family, the edge sizes p = n, p = 1 and l = 1, a small, a unit and
+    # a large beta, and all six solvers: each solve ends in a known status
+    # with finite fields, or raises a typed error; a far trial of cdf-lbfgs at
+    # beta = 1e4 overflows the toy objective and must be a rejected trial
+    prob = op.toy_problem(spec, seed=1)
+    x0 = spec.random_feasible(0)
+    cfg = SolverConfig(grad_tol=1e-8, max_iter=200)
+    for beta in (1e-4, 1.0, 1e4):
+        pf = op.PenaltyFunction(spec, prob, beta)
+        for solver_id in op.SOLVERS:
+            try:
+                r = run_solver(solver_id, pf, x0, cfg)
+            except TYPED_ERRORS:
+                continue
+            assert r.status in KNOWN_STATUSES, (solver_id, beta, r.status)
+            assert np.isfinite([r.fval, r.grad_norm, r.feas_norm]).all(), (solver_id, beta)
+            assert (r.iters == cfg.max_iter) == (r.status == STATUS_MAX_ITER)
+            assert (r.grad_norm <= cfg.grad_tol) == (r.status == STATUS_GRAD_TOL)
