@@ -58,16 +58,6 @@ from .solvers import (
     minimize,
     run_solver,
 )
-from .tensor import (
-    TransformMatrix,
-    dct_matrix,
-    dct_transform,
-    facewise_product,
-    lproduct,
-    lproduct_identity,
-    lproduct_transpose,
-    mode3_product,
-    tqr,
-)
+from .tensor import dct_matrix, mode3_product
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ import numpy as np
 
 from .linalg import NoUniqueSolutionError, lyapunov_apply, lyapunov_factor, skew, sym
 from .linalg import lyapunov_solve  # noqa: F401  (a module attribute bench/tracing.py wraps)
-from .tensor import dct_transform, mode3_product, qr_posdiag
+from .tensor import dct_matrix, mode3_product, qr_posdiag
 
 
 class FeasibilityError(ValueError):
@@ -162,22 +162,30 @@ def _checked(point, tol):
     return point
 
 
+def _copy_X(spec, X):
+    """A float copy of X, or of the X of a point, of the shape
+    ``spec.batch + (n, p)`` of a point of ``spec``, or ValueError."""
+    X = np.array(X.X if isinstance(X, EvalCache) else X, dtype=float)
+    shape = spec.batch + (spec.n, spec.p)
+    if X.shape != shape:
+        raise ValueError(f"a point of {spec!r} has shape {shape}, not {X.shape}")
+    return X
+
+
 def FeasiblePoint(spec, X, tol=1e-8):
-    """A point of ``spec`` at a read-only float copy of X, checked to ``tol``:
-    an ``EvalCache`` whose residual ||C|| is at most ``tol``, or
-    FeasibilityError."""
-    return _checked(EvalCache(spec, np.array(X, dtype=float)), tol)
+    """A point of ``spec`` at a read-only float copy of X (an array or a
+    point), checked to ``tol``: an ``EvalCache`` whose residual ||C|| is at
+    most ``tol``, or FeasibilityError."""
+    return _checked(EvalCache(spec, _copy_X(spec, X)), tol)
 
 
 def _point(spec, point):
     """``point`` itself when it is a point of ``spec``; for an array, or a
     point of another spec, an unchecked point of ``spec`` at a float copy of
     its X, which the caller throws away: it is factored on every call."""
-    if isinstance(point, EvalCache):
-        if point.spec is spec:
-            return point
-        point = point.X
-    return EvalCache(spec, np.array(point, dtype=float))
+    if isinstance(point, EvalCache) and point.spec is spec:
+        return point
+    return EvalCache(spec, _copy_X(spec, point))
 
 
 def _postprocess(cache, eps_f):
@@ -364,8 +372,8 @@ class ManifoldSpec:
 # -------------------------------------------------------------------------
 
 def constraint(spec, X):
-    """Residual X^T phi(X) - I."""
-    X = np.asarray(X, dtype=float)
+    """Residual X^T phi(X) - I at an array or a point."""
+    X = _copy_X(spec, X)
     return X.mT @ spec.phi(X) - np.eye(spec.p)
 
 
@@ -439,8 +447,8 @@ def riemannian_hessvec(spec, point, Z, egrad, ehessvec):
 
 
 def retract(spec, point, Z):
-    """Step from a feasible point along Z, returning a feasible point."""
-    return spec.retract(point, Z)
+    """Step from a feasible point (or an array) along Z, returning a feasible point."""
+    return spec.retract(_point(spec, point), Z)
 
 
 def vector_transport(spec, point_new, Z):
@@ -618,10 +626,12 @@ class IndefiniteStiefel(ManifoldSpec):
 class TensorStiefel(Stiefel):
     """Third-order tensor frames under an l-product, stored as transform-domain faces.
 
-    Under the orthogonal cosine transform ``transform`` the l-product acts
-    face by face, so a tensor frame is l orthonormal n x p faces.  Points are (l, n, p) arrays
-    and everything else is Stiefel geometry over the batch axis: phi is the
-    identity, and the dissolving retraction acts on every face at once.
+    ``transform`` is the orthogonal DCT matrix C: ``embed_tensor`` carries
+    an n x p x l tensor by C to (l, n, p) faces, ``extract_tensor`` back by
+    C^T.  On faces the l-product is ``@``, the l-transpose ``.mT``, the
+    identity a stack of ``np.eye`` and the tensor QR ``qr_posdiag``, so a
+    frame is l orthonormal faces and the rest is Stiefel geometry over the
+    batch axis: phi is the identity and the retraction acts on every face.
     """
 
     name = "tensor-stiefel"
@@ -632,15 +642,15 @@ class TensorStiefel(Stiefel):
         super().__init__(n, p)
         self.l = int(l)
         self.batch = (self.l,)
-        self.transform = dct_transform(self.l)
+        self.transform = dct_matrix(self.l)
 
     def embed_tensor(self, X3):
         """Carry an n x p x l tensor to its (l, n, p) stack of transform-domain faces."""
-        return np.moveaxis(mode3_product(X3, self.transform.M), 2, 0)
+        return np.moveaxis(mode3_product(X3, self.transform), 2, 0)
 
     def extract_tensor(self, Y):
         """Inverse of embed_tensor."""
-        return mode3_product(np.moveaxis(np.asarray(Y, dtype=float), 0, 2), self.transform.Minv)
+        return mode3_product(np.moveaxis(np.asarray(Y, dtype=float), 0, 2), self.transform.T)
 
 
 # -------------------------------------------------------------------------

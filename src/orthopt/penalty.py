@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .manifolds import EvalCache, _postprocess, riemannian_gradient
+from .manifolds import EvalCache, _copy_X, _postprocess, riemannian_gradient
 
 
 class UnsupportedOperation(RuntimeError):
@@ -44,6 +44,7 @@ def dissolve(spec, X):
 
 def dC(spec, X, Z):
     """Differential of the constraint map at X in direction Z."""
+    X = _copy_X(spec, X)
     return X.mT @ spec.phi(Z) + Z.mT @ spec.phi(X)
 
 
@@ -92,9 +93,10 @@ class PenaltyFunction:
 
 def _cache_at(spec, X, cache=None):
     """``cache``, which must be built around X itself, or without one a
-    cache of its own at a float copy of X."""
+    cache of its own at a float copy of X, an array or the X of a point, so
+    that nothing is written into the caller's point."""
     if cache is None:
-        return EvalCache(spec, np.array(X, dtype=float))
+        return EvalCache(spec, _copy_X(spec, X))
     if X is not cache.X:
         raise ValueError("the cache is built around another array than X")
     return cache

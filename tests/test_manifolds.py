@@ -125,6 +125,20 @@ def test_feasible_point_rejects_bad_matrix(spec):
         FeasiblePoint(spec, X, tol=1e-8)
 
 
+def test_an_array_of_another_shape_is_not_a_point():
+    # an orthonormal 8 x 2 frame is no point of stiefel(6, 2), nor a stack
+    # of 4 faces one of tensor_stiefel(5, 2, 3)
+    spec, X = op.stiefel(6, 2), qr_posdiag(np.random.default_rng(3).standard_normal((8, 2)))[0]
+    for convert in (lambda: FeasiblePoint(spec, X), lambda: project_tangent(spec, X, X),
+                    lambda: op.penalty_value(op.PenaltyFunction(spec, op.toy_problem(spec, 0), 1.0), X)):
+        with pytest.raises(ValueError, match=r"\(6, 2\).*\(8, 2\)"):
+            convert()
+    tensor = op.tensor_stiefel(5, 2, 3)
+    faces = qr_posdiag(np.random.default_rng(4).standard_normal((4, 5, 2)))[0]
+    with pytest.raises(ValueError, match=r"\(3, 5, 2\).*\(4, 5, 2\)"):
+        FeasiblePoint(tensor, faces)
+
+
 def test_feasible_point_holds_a_read_only_copy_of_the_callers_array():
     # a later write to the caller's array moves neither the point nor its
     # residual, nor the first trace row of a solve started from it
@@ -642,7 +656,6 @@ def test_spec_record_takes_integral_numbers_and_strings():
 # ------------------------------------------------------- tensor conversions
 
 def test_tensor_embed_extract_round_trip():
-    from orthopt.tensor import tqr
     spec = op.tensor_stiefel(5, 2, 3)
     rng = np.random.default_rng(44)
     X3 = rng.standard_normal((5, 2, 3))
@@ -650,7 +663,7 @@ def test_tensor_embed_extract_round_trip():
     assert Y.shape == (3, 5, 2)
     np.testing.assert_allclose(spec.extract_tensor(Y), X3, atol=1e-12)
     # a tensor-domain orthogonal factor embeds to a feasible point
-    Q, _ = tqr(X3, spec.transform)
+    Q = spec.extract_tensor(qr_posdiag(Y)[0])
     from orthopt.manifolds import FeasiblePoint
     pt = FeasiblePoint(spec, spec.embed_tensor(Q), tol=1e-10)
     assert pt.feas <= 1e-10

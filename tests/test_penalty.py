@@ -506,3 +506,43 @@ def test_stationarity_lower_bound_inequality(spec):
         gh = penalty_gradient(pf, Y)
         gg = gh - beta * dC_adjoint(spec, Y, C)
         assert np.vdot(gh, gh) >= np.vdot(gg, gg) + (beta / 9.0) * np.linalg.norm(C)
+
+
+# ------------------------------------------------- a point wherever X is taken
+
+def _report(pf, X):
+    rep = stationarity_report(pf, X)
+    return [rep[k] for k in ("grad_h", "feas", "grad_f_post", "feas_post", "rounds")] + [rep["point"].X]
+
+
+# each public function that takes X, as a map from (spec, pf, Z, T, X) to the arrays it gives
+POINT_CALLS = {
+    "dissolve": lambda spec, pf, Z, T, X: [dissolve(spec, X)],
+    "dA": lambda spec, pf, Z, T, X: [dA(spec, X, Z)],
+    "dA_adjoint": lambda spec, pf, Z, T, X: [dA_adjoint(spec, X, Z)],
+    "dC": lambda spec, pf, Z, T, X: [dC(spec, X, Z)],
+    "dC_adjoint": lambda spec, pf, Z, T, X: [dC_adjoint(spec, X, T)],
+    "dCA": lambda spec, pf, Z, T, X: [dCA(spec, X, Z)],
+    "postprocess": lambda spec, pf, Z, T, X: [postprocess(spec, X)[0].X],
+    "stationarity_report": lambda spec, pf, Z, T, X: _report(pf, X),
+    "FeasiblePoint": lambda spec, pf, Z, T, X: [op.FeasiblePoint(spec, X, tol=1.0).X],
+    "constraint": lambda spec, pf, Z, T, X: [op.constraint(spec, X)],
+    "penalty_value": lambda spec, pf, Z, T, X: [penalty_value(pf, X)],
+    "penalty_gradient": lambda spec, pf, Z, T, X: [penalty_gradient(pf, X)],
+    "penalty_hessvec": lambda spec, pf, Z, T, X: [penalty_hessvec(pf, X, Z)],
+    "retract": lambda spec, pf, Z, T, X: [op.retract(spec, X, Z).X],
+}
+
+
+@pytest.mark.parametrize("name", list(POINT_CALLS))
+def test_a_point_and_its_X_give_the_same_bits(spec, name):
+    # the function works at a copy of the point's X: nothing is written into
+    # the point, and no returned array is one of its buffers
+    args = (spec, PenaltyFunction(spec, toy_problem(spec, 0), 0.7), 1e-3 * _unit(spec, 5),
+            spec.random_gram(np.random.default_rng(6)))
+    pt = EvalCache(spec, _near_point(spec, 0))
+    from_point, from_X = POINT_CALLS[name](*args, pt), POINT_CALLS[name](*args, pt.X)
+    for a, b in zip(from_point, from_X, strict=True):
+        np.testing.assert_array_equal(a, b)
+        assert not np.shares_memory(a, pt.X)
+    assert pt.store == {} and pt.phiX is None and pt._dissolved is None
