@@ -21,8 +21,8 @@ profiles = timing_profile(config, iters=100)
 
 columns = ("gradient", "hessvec", "retraction", "transport", "objective", "linesearch", "other")
 print(f"{'solver':<10} {'total[s]':>9}" + "".join(f" {k:>11}" for k in columns))
-for sid, tb in profiles.items():
-    print(f"{sid:<10} {tb.total:9.3f}" + "".join(f" {tb.percent[k]:10.1f}%" for k in columns))
+for sid, row in profiles.items():
+    print(f"{sid:<10} {row['total_s']:9.3f}" + "".join(f" {row['percent'][k]:10.1f}%" for k in columns))
 
 print("\npenalty solvers: geometry share is exactly zero by construction;")
 print("rgd/rcg: the projection inside the transport is one p x p Lyapunov")

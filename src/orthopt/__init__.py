@@ -15,12 +15,10 @@ from .manifolds import (
     RetractError,
     ThetaDegenerateError,
     constraint,
-    gen_sym,
     generalized_stiefel,
     hyperbolic,
     indefinite_stiefel,
     project_tangent,
-    random_feasible,
     random_tangent,
     retract,
     riemannian_gradient,

@@ -63,11 +63,12 @@ def main(argv=None):
             return 0
         profiles = timing_profile(config, iters=args.iters)
         if args.json:
-            print(json.dumps({solver_id: tb.to_dict() for solver_id, tb in profiles.items()}))
+            print(json.dumps(profiles))
             return 0
-        for solver_id, tb in profiles.items():
-            shares = ", ".join(f"{k} {v:5.1f}%" for k, v in tb.percent.items())
-            print(f"{solver_id:<10} total {tb.total:8.3f}s  grad {tb.grad_norm:.1e}  {shares}")
+        for solver_id, row in profiles.items():
+            shares = ", ".join(f"{k} {v:5.1f}%" for k, v in row["percent"].items())
+            print(f"{solver_id:<10} total {row['total_s']:8.3f}s  "
+                  f"grad {row['grad_norm']:.1e}  {shares}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,7 +6,8 @@ import time
 import numpy as np
 
 from . import manifolds as mf
-from .penalty import PenaltyFunction, dA, dA_adjoint, dC, dC_adjoint, dCA, dissolve, penalty_gradient
+from .penalty import (PenaltyFunction, dA, dA_adjoint, dC, dC_adjoint, dCA, dissolve,
+                      penalty_gradient, penalty_value)
 from .problems import toy_problem
 
 
@@ -65,10 +66,9 @@ def check_constraint_in_s1(spec):
     sign = 1.0 if q is None or np.vdot(q, q.mT) > 0 else -1.0
     worst = 0.0
     for _ in range(20):
-        X = _unit(rng, spec)
-        C = X.mT @ spec.phi(X) - np.eye(spec.p)
-        W = C if q is None else q @ C
-        worst = max(worst, np.linalg.norm(W - sign * W.mT) / max(np.linalg.norm(C), 1e-30))
+        point = mf.EvalCache(spec, _unit(rng, spec)).base()
+        W = point.C if q is None else q @ point.C
+        worst = max(worst, np.linalg.norm(W - sign * W.mT) / max(point.feas, 1e-30))
     return worst <= 1e-12, worst
 
 
@@ -122,11 +122,9 @@ def check_contraction_slope(spec):
     Z = _unit(rng, spec)
     xs, ys = [], []
     for t in (1e-1, 1e-2, 1e-3):
-        Y = X + t * Z
-        c0 = np.linalg.norm(Y.mT @ spec.phi(Y) - np.eye(spec.p))
-        c1 = np.linalg.norm(dissolve(spec, Y).mT @ spec.phi(dissolve(spec, Y)) - np.eye(spec.p))
-        xs.append(np.log(c0))
-        ys.append(np.log(c1))
+        point = mf.EvalCache(spec, X + t * Z)
+        xs.append(np.log(point.feas))
+        ys.append(np.log(point.dissolved().feas))
     slope = np.polyfit(xs, ys, 1)[0]
     return 1.8 <= slope <= 2.2, slope
 
@@ -140,7 +138,7 @@ def check_penalty_gradient_fd(spec):
     worst = 0.0
     for _ in range(5):
         V = _unit(rng, spec)
-        fd = (pf.value(X + 1e-5 * V) - pf.value(X - 1e-5 * V)) / 2e-5
+        fd = (penalty_value(pf, X + 1e-5 * V) - penalty_value(pf, X - 1e-5 * V)) / 2e-5
         an = float(np.vdot(g, V))
         worst = max(worst, abs(fd - an) / max(1.0, abs(fd)))
     return worst <= 1e-6, worst

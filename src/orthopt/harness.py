@@ -273,37 +273,17 @@ def _text_table(records):
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class TimingBreakdown:
-    solver: str
-    total: float
-    seconds: dict
-    percent: dict
-    iters: int
-    grad_norm: float   # the solver's gradient norm at its last iterate
-
-    def validate(self):
-        s = sum(self.percent.values())
-        if abs(s - 100.0) > 0.1:
-            raise ValueError(f"percentages sum to {s:.3f}")
-        return self
-
-    def to_dict(self):
-        """Plain-JSON form: total seconds, iterations, microseconds per
-        iteration (None when the solve took no step), the final gradient
-        norm and the phase split."""
-        return {"total_s": self.total, "iters": self.iters,
-                "us_per_iter": 1e6 * self.total / self.iters if self.iters else None,
-                "grad_norm": self.grad_norm, "seconds": self.seconds, "percent": self.percent}
-
-
 def timing_profile(config, iters=100):
     """Run every solver for a fixed iteration budget and split its wall time.
 
-    The split has one entry per solver phase (objective, gradient, hessvec,
-    retraction, transport, linesearch) and "other" for the remaining loop time.
-    The final gradient norm shows a solve that ran on past convergence.
-    Solvers go in SOLVERS order, and one listed twice runs once.
+    Returns a plain-JSON dict per solver id: ``total_s``, ``iters``,
+    ``us_per_iter`` (None when the solve took no step), ``grad_norm``, the
+    solver's gradient norm at its last iterate, which shows a solve that
+    ran on past convergence, and the phase split as ``seconds`` and
+    ``percent``.  The split has one entry per solver phase (objective,
+    gradient, hessvec, retraction, transport, linesearch) and "other" for
+    the remaining loop time.  Solvers go in SOLVERS order, and one listed
+    twice runs once.
     """
     pf, (cfg,), starts = prepare(replace(config, tols=[0.0], max_iter=iters))
     x0 = starts[config.x0_seed]
@@ -313,9 +293,9 @@ def timing_profile(config, iters=100):
         seconds = dict(report.phase_seconds)
         seconds["other"] = max(report.total_time - sum(seconds.values()), 0.0)
         total = sum(seconds.values())
-        percent = {k: 100.0 * v / total for k, v in seconds.items()}
-        out[solver_id] = TimingBreakdown(
-            solver=solver_id, total=report.total_time,
-            seconds=seconds, percent=percent, iters=report.iters,
-            grad_norm=float(report.grad_norm)).validate()
+        out[solver_id] = {
+            "total_s": report.total_time, "iters": report.iters,
+            "us_per_iter": 1e6 * report.total_time / report.iters if report.iters else None,
+            "grad_norm": float(report.grad_norm), "seconds": seconds,
+            "percent": {k: 100.0 * v / total for k, v in seconds.items()}}
     return out

@@ -15,7 +15,12 @@ A point X is an array of shape ``spec.batch + (n, p)``: one matrix for the
 five matrix families, and a stack of l faces for tensor frames.  Products
 broadcast over the batch axis and every transpose is ``.mT``, so one code path
 serves both.  Both routes hold a point as one class, ``EvalCache``, and
-``FeasiblePoint`` is its checked constructor.
+``FeasiblePoint`` is its checked constructor.  The residual C is formed
+only by ``EvalCache.base`` and its norm only by ``EvalCache.feas``; dC is
+the one kernel ``_dC`` at a base.  The normal-space solve has one path:
+the eigendecomposition of K = U^T U, ``lyapunov_factor(K)``, kept by the
+point.  A public function checks the shape of every direction it takes
+(``_shaped``), so none broadcasts against X.
 """
 
 import math
@@ -132,8 +137,8 @@ class EvalCache:
 
     @property
     def feas(self):
-        """||C||, the constraint residual at X."""
-        return np.linalg.norm(self.base().C)
+        """||C||, the norm of the constraint residual at X, as a Python float."""
+        return float(np.linalg.norm(self.base().C))
 
     def ensure_grad(self, problem):
         """The base with grad f(A(X)) and its pair ``syms``; 1 product when new."""
@@ -162,14 +167,20 @@ def _checked(point, tol):
     return point
 
 
+def _shaped(spec, Z, rows=None):
+    """Z as a float array of shape ``spec.batch + (rows, p)``, that of a
+    point of ``spec`` when rows is None, or ValueError naming both shapes."""
+    Z = np.asarray(Z, dtype=float)
+    shape = spec.batch + (spec.n if rows is None else rows, spec.p)
+    if Z.shape != shape:
+        raise ValueError(f"{spec!r} takes an array of shape {shape} here, not {Z.shape}")
+    return Z
+
+
 def _copy_X(spec, X):
     """A float copy of X, or of the X of a point, of the shape
     ``spec.batch + (n, p)`` of a point of ``spec``, or ValueError."""
-    X = np.array(X.X if isinstance(X, EvalCache) else X, dtype=float)
-    shape = spec.batch + (spec.n, spec.p)
-    if X.shape != shape:
-        raise ValueError(f"a point of {spec!r} has shape {shape}, not {X.shape}")
-    return X
+    return _shaped(spec, np.array(X.X if isinstance(X, EvalCache) else X, dtype=float))
 
 
 def FeasiblePoint(spec, X, tol=1e-8):
@@ -348,8 +359,10 @@ class ManifoldSpec:
         left rcg on extrinsic_desk at tol 1e-9 at MaxIter after 100,000
         iterations, against 273 with the step.  Steps that do not reach the
         target (a non-finite residual, or none under 1e-12 within
-        ``postprocess``'s budget) raise RetractError.
+        ``postprocess``'s budget) raise RetractError, and a Z of another
+        shape than X ValueError.
         """
+        Z = _shaped(self, Z)
         if not np.any(Z):
             return point
         try:
@@ -372,19 +385,19 @@ class ManifoldSpec:
 # -------------------------------------------------------------------------
 
 def constraint(spec, X):
-    """Residual X^T phi(X) - I at an array or a point."""
-    X = _copy_X(spec, X)
-    return X.mT @ spec.phi(X) - np.eye(spec.p)
+    """Residual X^T phi(X) - I at an array or a point: the C of a base
+    point at a copy of its X."""
+    return EvalCache(spec, _copy_X(spec, X)).base().C
 
 
-def gen_sym(spec, T):
-    return spec.gen_sym(np.asarray(T, dtype=float))
+def _dC(point, Z):
+    """dC(X)[Z] = X^T phi(Z) + Z^T phi(X) at a point that has its base; unmetered."""
+    return point.X.mT @ point.spec.phi(Z) + Z.mT @ point.phiX
 
 
 def tangent_test(spec, point, Z, tol=1e-8):
     """Check X^T phi(Z) + Z^T phi(X) = 0; returns (ok, residual)."""
-    point = _point(spec, point).base()
-    resid = np.linalg.norm(point.X.mT @ spec.phi(Z) + Z.mT @ point.phiX)
+    resid = np.linalg.norm(_dC(_point(spec, point).base(), _shaped(spec, Z)))
     return bool(resid <= tol), resid
 
 
@@ -397,7 +410,7 @@ def normal_factor(spec, point):
         phiX = point.base().phiX
         U = phiX if spec.qperm is None else spec.qperm.right_t(phiX)
         K = U.mT @ U
-        point.normal = U, lyapunov_factor(K, K)
+        point.normal = U, lyapunov_factor(K)
     return point.normal
 
 
@@ -418,7 +431,7 @@ def theta_lstsq(spec, point, D):
     """
     q = spec.qperm
     U, factor = normal_factor(spec, point)
-    R = U.mT @ np.asarray(D, dtype=float)
+    R = U.mT @ _shaped(spec, D)
     rhs = R + (1.0 if q is None else q.sym) * R.mT
     try:
         W = lyapunov_apply(factor, rhs)
@@ -431,7 +444,7 @@ def theta_lstsq(spec, point, D):
 def project_tangent(spec, point, D):
     """Orthogonal projection of D onto the tangent space at the point."""
     point = _point(spec, point).base()
-    return np.asarray(D, float) - point.phiX @ theta_lstsq(spec, point, D)
+    return _shaped(spec, D) - point.phiX @ theta_lstsq(spec, point, D)
 
 
 def riemannian_gradient(spec, point, egrad):
@@ -441,9 +454,9 @@ def riemannian_gradient(spec, point, egrad):
 
 def riemannian_hessvec(spec, point, Z, egrad, ehessvec):
     """Riemannian Hessian action on a tangent vector Z."""
-    point = _point(spec, point)
+    point, Z = _point(spec, point), _shaped(spec, Z)
     theta = theta_lstsq(spec, point, egrad)
-    return project_tangent(spec, point, np.asarray(ehessvec, float) - spec.phi(Z) @ theta)
+    return project_tangent(spec, point, _shaped(spec, ehessvec) - spec.phi(Z) @ theta)
 
 
 def retract(spec, point, Z):
@@ -454,10 +467,6 @@ def retract(spec, point, Z):
 def vector_transport(spec, point_new, Z):
     """Carry Z into the tangent space at point_new (orthogonal projection)."""
     return project_tangent(spec, point_new, Z)
-
-
-def random_feasible(spec, seed=0):
-    return spec.random_feasible(seed)
 
 
 def random_tangent(spec, point, seed=0):
@@ -567,7 +576,7 @@ class IndefiniteStiefel(ManifoldSpec):
         self.J = np.diag(self._j)
         self.qperm = SignedPermutation(self.J) if p_m else None
         if A is not None:
-            A = sym(np.asarray(A, dtype=float))
+            A = sym(_n_by_n(A, self.n, "A"))
         if A is None or np.count_nonzero(A) == np.count_nonzero(np.diagonal(A)):
             # the eigenpairs of a diagonal A are its entries and the unit
             # vectors, so its sorted eigenvector matrix is the permutation _order
@@ -579,15 +588,13 @@ class IndefiniteStiefel(ManifoldSpec):
         else:
             self.a, self._A = None, A
             w, V = np.linalg.eigh(A)
-        if np.abs(w).min() < 1e-12 * np.abs(w).max():
+        if not np.abs(w).min() >= 1e-12 * np.abs(w).max() > 0:    # zero and NaN fail it
             raise ValueError("A must be nonsingular")
         if A is not None and (w > 0).sum() != k:
             raise ValueError(f"A has {(w > 0).sum()} positive eigenvalues, not k={k}")
         self._order = np.argsort(-w)         # positive eigenvalues first
         self._eigw = w[self._order]
         self._eigv = None if self._A is None else V[:, self._order]
-        if (self._eigw > 0).sum() < p_k or (self._eigw < 0).sum() < p - p_k:
-            raise ValueError("signature of A cannot carry the requested (p_k, p_m)")
 
     @property
     def A(self):
@@ -657,6 +664,14 @@ class TensorStiefel(Stiefel):
 # factories and plain-text records
 # -------------------------------------------------------------------------
 
+def _n_by_n(M, n, name):
+    """M as a float n x n array, or ValueError."""
+    M = np.asarray(M, dtype=float)
+    if M.shape != (n, n):
+        raise ValueError(f"{name} must have shape ({n}, {n}), not {M.shape}")
+    return M
+
+
 def stiefel(n, p):
     return Stiefel(n, p)
 
@@ -668,7 +683,7 @@ def generalized_stiefel(n, p, B=None, seed=0):
         Q, _ = qr_posdiag(rng.standard_normal((n, n)))
         B = (Q * rng.uniform(0.5, 2.0, size=n)) @ Q.T
     # k = n: a B that is not positive definite fails the count of positive eigenvalues
-    spec = IndefiniteStiefel(n, p, n, p, A=B)
+    spec = IndefiniteStiefel(n, p, n, p, A=_n_by_n(B, n, "B"))
     spec.name = "generalized-stiefel"
     return spec
 
@@ -688,7 +703,7 @@ def hyperbolic(n, p, neg=None, H=None, seed=0):
         Q, _ = qr_posdiag(np.random.default_rng(seed).standard_normal((n, n)))
         H = (Q * np.concatenate([np.ones(n - neg), -np.ones(neg)])) @ Q.T
     # eig H = +/-1 has trace H = k - (n - k), which gives k without an eigh
-    half = 0.5 * (n + np.trace(H))
+    half = 0.5 * (n + np.trace(_n_by_n(H, n, "H")))
     k = int(round(half))
     if abs(half - k) > 1e-8 * n:
         raise ValueError("H must have eigenvalues +/- 1")

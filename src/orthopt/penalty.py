@@ -15,8 +15,11 @@ A point of either route is a ``manifolds.EvalCache`` (X, phi(X), the Gram
 matrix, C and A(X)) around a read-only X; its ``dissolved`` cache is the
 point A(X) on the same meter, whose store f and its derivatives at A(X)
 use.  dA, dA* and dC* are each written once as a kernel over a cache,
-which the solvers and the public derivatives share; a public function
-takes its cache at a copy of X.
+which the solvers and the public derivatives share, and dC once, unmetered,
+as ``manifolds._dC``, which ``tangent_test`` shares; a public function
+takes its cache at a copy of X and checks the shape of each direction.
+The residual C and its norm are read off the cache (``EvalCache.base``
+and ``EvalCache.feas``), never formed again.
 The adjoints never apply phi: with phi(X T) = phi(X) psi(T),
 
     dC(X)*[T] = phi(X) T^T + phi(X T) = phi(X) gen_sym(T),
@@ -30,7 +33,7 @@ import math
 
 import numpy as np
 
-from .manifolds import EvalCache, _copy_X, _postprocess, riemannian_gradient
+from .manifolds import EvalCache, _copy_X, _dC, _postprocess, _shaped, riemannian_gradient
 
 
 class UnsupportedOperation(RuntimeError):
@@ -44,29 +47,29 @@ def dissolve(spec, X):
 
 def dC(spec, X, Z):
     """Differential of the constraint map at X in direction Z."""
-    X = _copy_X(spec, X)
-    return X.mT @ spec.phi(Z) + Z.mT @ spec.phi(X)
+    return _dC(_cache_at(spec, X).base(), _shaped(spec, Z))
 
 
 def dC_adjoint(spec, X, T):
     """Adjoint of dC: maps a p x p increment back into the ambient space."""
-    return _dC_adjoint(_cache_at(spec, X).base(), np.asarray(T, dtype=float))
+    return _dC_adjoint(_cache_at(spec, X).base(), _shaped(spec, T, spec.p))
 
 
 def dA(spec, X, Z):
     """Differential of the dissolving operator."""
-    return _dA(_cache_at(spec, X).base(), np.asarray(Z, dtype=float))[0]
+    return _dA(_cache_at(spec, X).base(), _shaped(spec, Z))[0]
 
 
 def dA_adjoint(spec, X, T):
     """Adjoint of dA."""
-    return _dA_adjoint(_cache_at(spec, X).base(), np.asarray(T, dtype=float))
+    return _dA_adjoint(_cache_at(spec, X).base(), _shaped(spec, T))
 
 
 def dCA(spec, X, Z):
     """Differential of the composition constraint-after-dissolve."""
-    E = dC(spec, X, Z)
-    G = _cache_at(spec, X).base().gram
+    cache = _cache_at(spec, X).base()
+    E = _dC(cache, _shaped(spec, Z))
+    G = cache.gram
     G2 = G @ G
     return 2.25 * E - 1.5 * (E @ G + G @ E) + 0.25 * (E @ G2 + G @ E @ G + G2 @ E)
 
@@ -80,15 +83,6 @@ class PenaltyFunction:
         self.spec = spec
         self.problem = problem
         self.beta = float(beta)
-
-    def value(self, X, cache=None):
-        return penalty_value(self, X, cache)
-
-    def gradient(self, X, cache=None):
-        return penalty_gradient(self, X, cache)
-
-    def hessvec(self, X, dX, cache=None):
-        return penalty_hessvec(self, X, dX, cache)
 
 
 def _cache_at(spec, X, cache=None):
@@ -160,7 +154,7 @@ def penalty_hessvec(pf, X, dX, cache=None):
         raise UnsupportedOperation(f"problem {getattr(pf.problem, 'name', '?')} has no Hessian oracle")
     spec = pf.spec
     cache = _cache_at(pf.spec, X, cache)
-    dX = np.asarray(dX, dtype=float)
+    dX = _shaped(spec, dX)
     cache.ensure_grad(pf.problem)
     X, phiX, Gf = cache.X, cache.phiX, cache.gradfA
     SV, SC = cache.syms
@@ -199,7 +193,7 @@ def stationarity_report(pf, X, eps_f=1e-12):
     phi(X), the Gram matrix and A(X) are formed once."""
     cache = _cache_at(pf.spec, X)
     gh = penalty_gradient(pf, cache.X, cache)
-    feas = float(np.linalg.norm(cache.C))
+    feas = cache.feas
     point, rounds = _postprocess(cache, eps_f)
     rg = riemannian_gradient(pf.spec, point, pf.problem.grad(point.X, point.store))
     return {

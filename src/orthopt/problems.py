@@ -10,7 +10,8 @@ construction.
 
 import numpy as np
 
-from .manifolds import IndefiniteStiefel, SymplecticStiefel, TensorStiefel, spec_from_record
+from .manifolds import (FeasiblePoint, IndefiniteStiefel, SymplecticStiefel, TensorStiefel,
+                        spec_from_record)
 from .tensor import qr_posdiag
 
 GRAD_CHECK_POINTS = 5      # random points of the central-difference gradient check
@@ -132,14 +133,6 @@ def build_lsm(n, p, seed=0, a=None, b=None):
     return prob
 
 
-def _block_diag2(W1, W2):
-    p1, p2 = W1.shape[0], W2.shape[0]
-    out = np.zeros((p1 + p2, p1 + p2))
-    out[:p1, :p1] = W1
-    out[p1:, p1:] = W2
-    return out
-
-
 def build_extrinsic_mean(n, p, k, p_k, n_samples=1000, seed=0):
     """Matrix approximation ||X - A||^2 on indefinite frames.
 
@@ -154,13 +147,14 @@ def build_extrinsic_mean(n, p, k, p_k, n_samples=1000, seed=0):
     Y0 = spec.random_feasible(seed_y0)
     rng = np.random.default_rng(seed_w)
     samples = np.empty((n_samples, n, p))
+    W = np.zeros((p, p))    # block diagonal: its off-diagonal blocks stay zero
     for i in range(n_samples):
-        W1 = qr_posdiag(rng.standard_normal((p_k, p_k)))[0] if p_k else np.zeros((0, 0))
-        W2 = qr_posdiag(rng.standard_normal((p_m, p_m)))[0] if p_m else np.zeros((0, 0))
-        samples[i] = Y0.X @ _block_diag2(W1, W2)
-        resid = np.linalg.norm(samples[i].T @ spec.phi(samples[i]) - np.eye(p))
-        if resid > 1e-10:
-            raise ValueError(f"sample {i} infeasible with residual {resid:.2e}")
+        if p_k:
+            W[:p_k, :p_k] = qr_posdiag(rng.standard_normal((p_k, p_k)))[0]
+        if p_m:
+            W[p_k:, p_k:] = qr_posdiag(rng.standard_normal((p_m, p_m)))[0]
+        samples[i] = Y0.X @ W
+        FeasiblePoint(spec, samples[i], tol=1e-10)     # FeasibilityError when it is not
     A = samples.mean(axis=0)
 
     def f(X, store=None):

@@ -273,7 +273,7 @@ class PenaltyOracle(_FlatOracle):
         return penalty_hessvec(self.pf, x.X, v, x)
 
     def feas(self, x):
-        return _norm(x.base().C)
+        return x.feas
 
 
 class ManifoldOracle:
@@ -678,7 +678,7 @@ def _to_boundary(z, d, radius):
     return (-zd + np.sqrt(max(zd * zd + dd * (radius * radius - zz), 0.0))) / dd
 
 
-def _steihaug(hv, g, gn, radius, products=None):
+def _steihaug(hv, g, gn, radius, products):
     # Returns (p, H p, hit_boundary).  The forcing rule gives outer order
     # 1 + TCG_THETA; TCG_KAPPA < 0.084 keeps exact steps on the small
     # quadratics whose minimizer fits in the radius.  H p is carried along
@@ -686,7 +686,6 @@ def _steihaug(hv, g, gn, radius, products=None):
     # ``products`` holds the H d of earlier runs at the same base: the
     # directions do not depend on the radius until CG stops, so those are
     # read in order and only later ones are formed and appended.
-    products = [] if products is None else products
     z = np.zeros_like(g)
     Hz = np.zeros_like(g)
     r = np.array(g, dtype=float)

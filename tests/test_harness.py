@@ -181,6 +181,23 @@ def test_run_grid_produces_records_and_traces(tiny_config, tmp_path):
     assert len(rows) > 2
 
 
+@pytest.mark.parametrize("solver", ["cdf-lbfgs", "rgd"])
+def test_every_cell_of_the_written_csvs_is_a_number_or_a_word(tiny_config, tmp_path, solver):
+    # a float cell is written as a plain float, never as np.float64(...)
+    cfg = load_config(tiny_config)
+    cfg.solvers, cfg.out = [solver], str(tmp_path / "out")
+    run(cfg)
+    for name in os.listdir(cfg.out):
+        if name.endswith(".csv"):
+            with open(os.path.join(cfg.out, name)) as fh:
+                header, *rows = list(csv.reader(fh))
+            words = {"problem", "size", "solver", "status"} & set(header)
+            for row in rows:
+                for key, cell in zip(header, row):
+                    if key not in words:
+                        float(cell)
+
+
 def test_run_is_deterministic(tiny_config):
     # byte-identical output apart from wall-clock columns
     cfg = load_config(tiny_config)
@@ -371,12 +388,12 @@ def test_timing_profile_phase_shares(tiny_config):
     cfg = load_config(tiny_config)
     profiles = timing_profile(cfg, iters=40)
     for solver_id, tb in profiles.items():
-        assert abs(sum(tb.percent.values()) - 100.0) <= 0.1
+        assert abs(sum(tb["percent"].values()) - 100.0) <= 0.1
         if solver_id.startswith("cdf"):
-            assert tb.percent["retraction"] == 0.0
-            assert tb.percent["transport"] == 0.0
+            assert tb["percent"]["retraction"] == 0.0
+            assert tb["percent"]["transport"] == 0.0
         else:
-            assert tb.percent["retraction"] + tb.percent["transport"] > 0.0
+            assert tb["percent"]["retraction"] + tb["percent"]["transport"] > 0.0
 
 
 def test_timing_profile_splits_hessvec_and_linesearch(monkeypatch):
@@ -391,14 +408,14 @@ def test_timing_profile_splits_hessvec_and_linesearch(monkeypatch):
                            solvers=["cdf-gd", "cdf-tr"], tols=[1e-5], beta=0.5, x0_seed=3)
     profiles = timing_profile(cfg, iters=20)
     for sid, tb in profiles.items():
-        assert tb.grad_norm == reports[sid].grad_norm
+        assert tb["grad_norm"] == reports[sid].grad_norm
         ps = reports[sid].phase_seconds
-        assert tb.seconds["hessvec"] == ps["hessvec"]
-        assert tb.seconds["linesearch"] == ps["linesearch"]
-        assert tb.seconds["gradient"] == ps["gradient"]
-        assert abs(sum(tb.percent.values()) - 100.0) <= 0.1
-    assert profiles["cdf-tr"].seconds["hessvec"] > 0.0
-    assert profiles["cdf-gd"].seconds["linesearch"] > 0.0
+        assert tb["seconds"]["hessvec"] == ps["hessvec"]
+        assert tb["seconds"]["linesearch"] == ps["linesearch"]
+        assert tb["seconds"]["gradient"] == ps["gradient"]
+        assert abs(sum(tb["percent"].values()) - 100.0) <= 0.1
+    assert profiles["cdf-tr"]["seconds"]["hessvec"] > 0.0
+    assert profiles["cdf-gd"]["seconds"]["linesearch"] > 0.0
 
 
 def test_timing_profile_runs_a_repeated_solver_once(tiny_config, monkeypatch):
@@ -420,7 +437,7 @@ def test_timing_profile_geometry_dominates_rgd_on_lsm_desk():
         problem={"id": "lsm", "n": 100, "p": 10, "seed": 5, "a": 200.0, "b": 0.05},
         solvers=["rgd"], tols=[1e-5], beta=0.012, x0_seed=2)
     tb = timing_profile(cfg, iters=60)["rgd"]
-    assert tb.percent["retraction"] + tb.percent["transport"] > 50.0
+    assert tb["percent"]["retraction"] + tb["percent"]["transport"] > 50.0
 
 
 # ----------------------------------------------------------------------- cli

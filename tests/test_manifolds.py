@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,41 @@ def test_an_array_of_another_shape_is_not_a_point():
         FeasiblePoint(tensor, faces)
 
 
+# name -> (a call of (spec, X, the wrong array), the shape of that array) on stiefel(6, 2)
+_WRONG_SHAPES = {
+    "project_tangent": (project_tangent, (6, 1)),
+    "theta_lstsq": (theta_lstsq, (6, 1)),
+    "riemannian_gradient": (riemannian_gradient, (3, 6, 2)),
+    "vector_transport": (vector_transport, (3, 6, 2)),
+    "riemannian_hessvec-Z": (lambda s, X, W: riemannian_hessvec(s, X, W, X, X), (6, 1)),
+    "riemannian_hessvec-egrad": (lambda s, X, W: riemannian_hessvec(s, X, X, W, X), (6, 1)),
+    "riemannian_hessvec-ehessvec": (lambda s, X, W: riemannian_hessvec(s, X, X, X, W), (6, 1)),
+    "tangent_test": (tangent_test, (6, 1)),
+    "retract": (retract, (3, 6, 2)),
+    "spec.retract": (lambda s, X, W: s.retract(s.random_feasible(0), W), (3, 6, 2)),
+    "dC-column": (op.dC, (6, 1)),
+    "dC-stack": (op.dC, (3, 6, 2)),
+    "dCA": (op.dCA, (6, 1)),
+    "dA": (op.dA, (3, 6, 2)),
+    "dA_adjoint": (op.dA_adjoint, (3, 6, 2)),
+    "dC_adjoint": (op.dC_adjoint, (3, 2, 2)),
+    "penalty_hessvec": (lambda s, X, W: op.penalty_hessvec(
+        op.PenaltyFunction(s, op.toy_problem(s, 0), 1.0), X, W), (6, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_WRONG_SHAPES))
+def test_a_direction_of_another_shape_is_rejected(name):
+    # a direction that would broadcast against X raises ValueError naming
+    # the shape it needs and the one it got, instead of an answer of the
+    # wrong shape or another error
+    call, shape = _WRONG_SHAPES[name]
+    spec = op.stiefel(6, 2)
+    need = (2, 2) if name == "dC_adjoint" else (6, 2)
+    with pytest.raises(ValueError, match=rf"\({need[0]}, {need[1]}\).*{re.escape(str(shape))}"):
+        call(spec, spec.random_feasible(0).X, np.ones(shape))
+
+
 def test_feasible_point_holds_a_read_only_copy_of_the_callers_array():
     # a later write to the caller's array moves neither the point nor its
     # residual, nor the first trace row of a solve started from it
@@ -163,12 +200,12 @@ def test_gen_sym_doubles_symmetric_on_identity_psi():
     spec = op.stiefel(6, 3)
     T = np.random.default_rng(0).standard_normal((3, 3))
     T = T + T.T
-    np.testing.assert_allclose(op.gen_sym(spec, T), 2.0 * T)
+    np.testing.assert_allclose(spec.gen_sym(T), 2.0 * T)
 
 
 def test_gen_sym_signature_matrix_doubles():
     spec = op.indefinite_stiefel(9, 3, k=5, p_k=2)
-    np.testing.assert_allclose(op.gen_sym(spec, spec.J), 2.0 * spec.J)
+    np.testing.assert_allclose(spec.gen_sym(spec.J), 2.0 * spec.J)
 
 
 def test_assumption_identities(spec):
@@ -184,7 +221,7 @@ def test_gen_sym_lands_in_s1_span(spec):
     basis = spec.s1_basis()
     for _ in range(5):
         T = spec.random_gram(rng)
-        S = op.gen_sym(spec, T)
+        S = spec.gen_sym(T)
         coords = np.tensordot(basis, S, axes=S.ndim)
         recon = np.tensordot(coords, basis, axes=(0, 0))
         assert np.linalg.norm(recon - S) <= 1e-12 * max(np.linalg.norm(S), 1.0)
@@ -588,6 +625,22 @@ def test_generalized_and_hyperbolic_are_indefinite_frames_with_identity_J():
         op.hyperbolic(8, 6, H=H)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: op.indefinite_stiefel(9, 3, k=5, p_k=2, A=np.diag([1.0, 2, 3, 4, 5, -1, -2])),
+     r"A must have shape \(9, 9\), not \(7, 7\)"),
+    (lambda: op.generalized_stiefel(6, 2, B=np.eye(8)), r"B must have shape \(6, 6\), not \(8, 8\)"),
+    (lambda: op.hyperbolic(6, 2, H=np.eye(8)), r"H must have shape \(6, 6\), not \(8, 8\)"),
+    (lambda: op.indefinite_stiefel(1, 1, k=0, p_k=0, A=np.zeros((1, 1))), "nonsingular"),
+    (lambda: op.indefinite_stiefel(2, 1, k=1, p_k=1, A=np.diag([1.0, np.nan])), "nonsingular"),
+    (lambda: op.indefinite_stiefel(3, 2, k=1, p_k=1, A=np.diag([1.0, 0.0, -1.0])), "nonsingular"),
+    (lambda: op.tensor_stiefel(4, 2, 0), r"l >= 1"),
+    (lambda: op.hyperbolic(2, 1, H=np.diag([2.0, -2.0])), r"eigenvalues \+/- 1"),
+], ids=["A-size", "B-size", "H-size", "A-zero", "A-nan", "A-singular", "l-zero", "H-eig-2"])
+def test_a_matrix_or_size_a_family_cannot_take_is_rejected_with_the_reason(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_custom_A_must_have_k_positive_eigenvalues():
     A = np.diag([1.0, 2, 3, 4, 5, -1, -2, -3, -4])
     with pytest.raises(ValueError, match="5 positive eigenvalues"):
@@ -686,7 +739,7 @@ def _dense_theta(spec, point, D):
     U = point.phiX @ q.T
     K = U.T @ U
     R = U.T @ D
-    return q.T @ lyapunov_solve(K, K, R + _q_sign(q) * R.T)
+    return q.T @ lyapunov_solve(K, R + _q_sign(q) * R.T)
 
 
 def _dense_retract(spec, point, Z):
@@ -770,7 +823,7 @@ def _uncached_theta(spec, point, D):
     U = point.phiX if q is None else q.right_t(point.phiX)
     K = U.mT @ U
     R = U.mT @ D
-    W = lyapunov_solve(K, K, R + (1.0 if q is None else q.sym) * R.mT)
+    W = lyapunov_solve(K, R + (1.0 if q is None else q.sym) * R.mT)
     return W if q is None else q.left_t(W)
 
 

@@ -175,7 +175,7 @@ def test_penalty_value_equals_objective_on_manifold(spec):
     prob = toy_problem(spec, 17)
     pf = PenaltyFunction(spec, prob, 0.7)
     X = spec.random_feasible(17).X
-    np.testing.assert_allclose(pf.value(X), prob.f(X), rtol=1e-12)
+    np.testing.assert_allclose(penalty_value(pf, X), prob.f(X), rtol=1e-12)
 
 
 def test_penalty_value_pure_feasibility_term(spec):
@@ -185,14 +185,14 @@ def test_penalty_value_pure_feasibility_term(spec):
     pf = PenaltyFunction(spec, zero, 2.5)
     X = _near_point(spec, 18)
     C = X.mT @ spec.phi(X) - np.eye(spec.p)
-    np.testing.assert_allclose(pf.value(X), 1.25 * np.vdot(C, C), rtol=1e-12)
+    np.testing.assert_allclose(penalty_value(pf, X), 1.25 * np.vdot(C, C), rtol=1e-12)
 
 
 def test_penalty_decreases_under_dissolving_near_manifold(spec):
     prob = toy_problem(spec, 19)
     pf = PenaltyFunction(spec, prob, 50.0)
     Y = spec.random_feasible(19).X + 0.05 * _unit(spec, 20)
-    assert pf.value(dissolve(spec, Y)) <= pf.value(Y) + 1e-12
+    assert penalty_value(pf, dissolve(spec, Y)) <= penalty_value(pf, Y) + 1e-12
 
 
 def test_penalty_rejects_nonpositive_weight(spec):
@@ -213,11 +213,11 @@ def test_penalty_gradient_matches_central_differences(spec):
     prob = toy_problem(spec, 21)
     pf = PenaltyFunction(spec, prob, 0.7)
     X = _near_point(spec, 21)
-    g = pf.gradient(X)
+    g = penalty_gradient(pf, X)
     t = 1e-5
     for s in range(5):
         V = _unit(spec, 700 + s)
-        fd = (pf.value(X + t * V) - pf.value(X - t * V)) / (2 * t)
+        fd = (penalty_value(pf, X + t * V) - penalty_value(pf, X - t * V)) / (2 * t)
         assert abs(fd - np.vdot(g, V)) <= 1e-6 * max(1.0, abs(fd))
 
 
@@ -227,7 +227,7 @@ def test_penalty_gradient_zero_objective_on_manifold(spec):
                    name="zero")
     pf = PenaltyFunction(spec, zero, 1.0)
     X = spec.random_feasible(22).X
-    assert np.linalg.norm(pf.gradient(X)) <= 1e-10
+    assert np.linalg.norm(penalty_gradient(pf, X)) <= 1e-10
 
 
 def test_penalty_gradient_work_counters(spec):
@@ -265,7 +265,7 @@ def test_penalty_gradient_vanishes_iff_projected_gradient_does(spec):
     X = report.point.X
     rg = np.linalg.norm(riemannian_gradient(spec, report.point, prob.grad(X)))
     assert rg <= 1e-9
-    assert np.linalg.norm(pf.gradient(X)) <= 1e-9
+    assert np.linalg.norm(penalty_gradient(pf, X)) <= 1e-9
 
 
 # ---------------------------------------------------------- penalty Hessian
@@ -274,7 +274,7 @@ def test_penalty_hessvec_zero_direction(spec):
     prob = toy_problem(spec, 25)
     pf = PenaltyFunction(spec, prob, 0.7)
     X = _near_point(spec, 25)
-    np.testing.assert_allclose(pf.hessvec(X, np.zeros_like(X)), 0.0, atol=1e-14)
+    np.testing.assert_allclose(penalty_hessvec(pf, X, np.zeros_like(X)), 0.0, atol=1e-14)
 
 
 def test_penalty_hessvec_matches_fd_of_gradient(spec):
@@ -283,8 +283,8 @@ def test_penalty_hessvec_matches_fd_of_gradient(spec):
     X = _near_point(spec, 26)
     V = _unit(spec, 27)
     t = 1e-5
-    fd = (pf.gradient(X + t * V) - pf.gradient(X - t * V)) / (2 * t)
-    hv = pf.hessvec(X, V)
+    fd = (penalty_gradient(pf, X + t * V) - penalty_gradient(pf, X - t * V)) / (2 * t)
+    hv = penalty_hessvec(pf, X, V)
     assert np.linalg.norm(fd - hv) <= 1e-5 * max(1.0, np.linalg.norm(hv))
 
 
@@ -294,8 +294,8 @@ def test_penalty_hessvec_symmetric_form(spec):
     X = _near_point(spec, 28)
     for s in range(5):
         V1, V2 = _unit(spec, 800 + s), _unit(spec, 900 + s)
-        lhs = np.vdot(V1, pf.hessvec(X, V2))
-        rhs = np.vdot(V2, pf.hessvec(X, V1))
+        lhs = np.vdot(V1, penalty_hessvec(pf, X, V2))
+        rhs = np.vdot(V2, penalty_hessvec(pf, X, V1))
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
 
 
@@ -310,7 +310,7 @@ def test_penalty_hessvec_zero_objective_reduction(spec):
     V = _unit(spec, 30)
     phiX, phiV = spec.phi(X), spec.phi(V)
     expected = beta * (phiX @ spec.gen_sym(V.mT @ phiX) + phiX @ spec.gen_sym(X.mT @ phiV))
-    np.testing.assert_allclose(pf.hessvec(X, V), expected, atol=1e-10)
+    np.testing.assert_allclose(penalty_hessvec(pf, X, V), expected, atol=1e-10)
 
 
 def test_penalty_hessvec_work_accounting(spec):
@@ -345,7 +345,7 @@ def test_penalty_hessvec_requires_hessian_oracle(spec):
                    name="gradonly")
     pf = PenaltyFunction(spec, prob, 1.0)
     with pytest.raises(UnsupportedOperation):
-        pf.hessvec(spec.random_feasible(0).X, _unit(spec, 1))
+        penalty_hessvec(pf, spec.random_feasible(0).X, _unit(spec, 1))
 
 
 # ------------------------------------------------------------ postprocessing
@@ -427,6 +427,17 @@ def test_postprocess_stops_at_a_fixed_point_off_the_manifold(spec):
         postprocess(spec, Z)
     trace = err.value.trace
     assert len(trace) == 2 and trace[0] == trace[1] > 0
+
+
+def test_postprocess_gives_up_after_its_round_budget(monkeypatch):
+    # each round lowers the residual, but one round is not enough for 1e-12
+    monkeypatch.setattr(op.manifolds, "POSTPROCESS_MAX_ROUNDS", 1)
+    spec = op.stiefel(6, 2)
+    X = spec.random_feasible(0).X + 1e-2
+    with pytest.raises(PostprocessDivergence, match="after 1 rounds") as err:
+        postprocess(spec, X)
+    trace = err.value.trace
+    assert len(trace) == 2 and 1e-12 < trace[1] < trace[0]
 
 
 # --------------------------------------------------------- stationarity report

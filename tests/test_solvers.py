@@ -134,7 +134,7 @@ def _steihaug_case(H, g, radius):
         return Hv
 
     g = np.asarray(g, dtype=float)
-    p, Hp, hit = _steihaug(hv, g, np.linalg.norm(g), radius)
+    p, Hp, hit = _steihaug(hv, g, np.linalg.norm(g), radius, [])
     assert np.linalg.norm(Hp - H @ p) <= 1e-12 * np.linalg.norm(H @ p)
     return p, hit, curvatures
 
@@ -154,7 +154,7 @@ def test_trust_region_re_solve_replays_the_products_of_its_base():
 
     def solve_afresh(radius):
         asked = []
-        p, _, hit = _steihaug(lambda v: asked.append(v) or H @ v, g, gn, radius)
+        p, _, hit = _steihaug(lambda v: asked.append(v) or H @ v, g, gn, radius, [])
         return p, hit, asked
 
     oracle = FunctionOracle(f, lambda y: H @ y, lambda y, v: formed.append(v) or H @ v)
@@ -259,7 +259,7 @@ def test_line_search_accepts_the_charged_dissolved_trial_bit_for_bit(monkeypatch
     for oracle, x, merit_c, (alpha, xn, hn, d, gd) in hits:
         raw = x.X + alpha * d
         assert np.array_equal(xn.X, op.dissolve(prob.spec, raw))
-        assert hn == pf.value(xn.X)                            # the merit takes h uncharged
+        assert hn == op.penalty_value(pf, xn.X)                    # the merit takes h uncharged
         charge = oracle.charge(xn)
         np.testing.assert_allclose(
             charge, 0.5 * pf.beta * np.linalg.norm(op.constraint(prob.spec, raw)) ** 2,
@@ -308,7 +308,7 @@ def test_a_first_trial_rejected_on_its_charge_alone_is_retried_along_dA(monkeypa
         first = op.dissolve(prob.spec, x.X + alpha0 * d)
         bound = merit_c + solvers_mod.LS_C1 * alpha0 * gd
         charge = 0.5 * pf.beta * np.linalg.norm(op.constraint(prob.spec, x.X + alpha0 * d)) ** 2
-        assert pf.value(first) <= bound < pf.value(first) + charge
+        assert op.penalty_value(pf, first) <= bound < op.penalty_value(pf, first) + charge
         assert np.array_equal(tried[1], alpha0 * d_out)
         assert alpha == alpha0 * solvers_mod.LS_SHRINK ** (len(tried) - 2)
         for j, step in enumerate(tried[1:]):
@@ -495,7 +495,7 @@ def test_cdf_solve_compares_no_contents_and_reports_a_writable_X(monkeypatch):
     assert compared == []
     assert r.X.flags.writeable
     r.X[0, 0] += 1.0                                       # the report owns its copy
-    assert pf.value(r.X) != r.fval
+    assert op.penalty_value(pf, r.X) != r.fval
 
 
 @pytest.mark.parametrize("solver_id", ["cdf-gd", "cdf-cg", "cdf-lbfgs", "cdf-tr", "rgd", "rcg"])
