@@ -55,6 +55,23 @@ def check_assumptions(spec):
     return worst <= 1e-12, worst
 
 
+def check_cross_gram(spec):
+    """X^T phi(Z) = psi(phi(X)^T Z), relative to its size, at a feasible X
+    and at one 1e-2 off it: the identity by which dA takes both of its
+    cross-Grams from one product.  It needs phi self-adjoint and
+    phi(X T) = phi(X) psi(T)."""
+    rng = np.random.default_rng(7)
+    X0 = spec.random_feasible(7).X
+    worst = 0.0
+    for X in (X0, X0 + 1e-2 * _unit(rng, spec)):
+        for _ in range(10):
+            Z = _unit(rng, spec)
+            lhs = X.mT @ spec.phi(Z)
+            rhs = spec.psi(spec.phi(X).mT @ Z)
+            worst = max(worst, np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
+    return worst <= 1e-12, worst
+
+
 def check_constraint_in_s1(spec):
     """The constraint residual always lies in S1 = {q^T W}.
 
@@ -146,6 +163,7 @@ def check_penalty_gradient_fd(spec):
 
 CHECKS = [
     ("assumption identities", check_assumptions),
+    ("cross-Gram identity", check_cross_gram),
     ("constraint in S1 span", check_constraint_in_s1),
     ("dissolving fixed point", check_dissolving),
     ("differential idempotence", check_idempotence),

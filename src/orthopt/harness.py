@@ -15,7 +15,8 @@ from .penalty import PenaltyFunction, postprocess
 from .problems import PROBLEM_BUILDERS
 from .solvers import ALL_PHASES, SOLVERS, SolverConfig, run_solver
 
-TRACE_HEADER = ["iter", "value", "grad_norm", "feas"] + [f"t_{p}" for p in ALL_PHASES] + ["trials"]
+TRACE_HEADER = (["iter", "value", "grad_norm", "feas"] + [f"t_{p}" for p in ALL_PHASES]
+                + ["trials", "hessvecs"])
 NUMERIC_RUN_KEYS = ("beta", "max_iter", "time_limit", "x0_seed", "repetitions")
 RUN_KEYS = ("solvers", "tols", "out") + NUMERIC_RUN_KEYS   # the keys a [run] block may set
 

@@ -24,9 +24,12 @@ The adjoints never apply phi: with phi(X T) = phi(X) psi(T),
 
     dC(X)*[T] = phi(X) T^T + phi(X T) = phi(X) gen_sym(T),
 
-so each is a product by phi(X) on the left of a p x p matrix.  A gradient
-at a new base costs 6 products and 1 phi, a Hessian-vector product after
-it 10 products and 1 phi.  ``postprocess`` costs one phi per round.
+so each is a product by phi(X) on the left of a p x p matrix.  Nor does
+dA: with phi self-adjoint too, X^T phi(Z) = psi(phi(X)^T Z), so its two
+cross-Grams come from one product, and it costs 3 products and no phi.
+A gradient at a new base costs 6 products and 1 phi, a Hessian-vector
+product after it 9 products and 1 phi, the phi(dX) its curvature term
+multiplies.  ``postprocess`` costs one phi per round.
 """
 
 import math
@@ -96,16 +99,18 @@ def _cache_at(spec, X, cache=None):
     return cache
 
 
-# Kernels over a cache that has its base.  psi enters only through gen_sym.
+# Kernels over a cache that has its base.  psi enters only through gen_sym
+# and the cross-Gram P of dA.
 
 def _dA(cache, Z):
-    """dA(X)[Z] = 1.5 Z - 0.5 (Z G^T + X (P + Q)), with the phi(Z) and the
-    cross-Grams P = phi(Z)^T X, Q = phi(X)^T Z it forms; 4 products, 1 phi."""
+    """dA(X)[Z] = 1.5 Z - 0.5 (Z G^T + X (P + Q)), with the cross-Grams
+    Q = phi(X)^T Z and P = phi(Z)^T X it forms; 3 products, no phi.  P is
+    psi(Q)^T: phi is self-adjoint and phi(X T) = phi(X) psi(T), so
+    X^T phi(Z) = psi(phi(X)^T Z) and phi(Z) is never formed."""
     mm, X = cache._mm, cache.X
-    phiZ = cache._phi(Z)
-    P = mm(phiZ.mT, X)
     Q = mm(cache.phiX.mT, Z)
-    return 1.5 * Z - 0.5 * (mm(Z, cache.gram.mT) + mm(X, P + Q)), phiZ, P, Q
+    P = cache.spec.psi(Q).mT
+    return 1.5 * Z - 0.5 * (mm(Z, cache.gram.mT) + mm(X, P + Q)), P, Q
 
 
 def _dC_adjoint(cache, T):
@@ -143,12 +148,13 @@ def penalty_gradient(pf, X, cache=None):
 
 
 def penalty_hessvec(pf, X, dX, cache=None):
-    """Action of the penalty Hessian; 10 metered products and 1 phi
-    application at a base that has its ``syms``, 11 when it forms them.
+    """Action of the penalty Hessian; 9 metered products and 1 phi
+    application at a base that has its ``syms``, 10 when it forms them.
 
     Needs the problem's Hessian oracle.  Each p x p cross-Gram is formed
-    once (a transpose reuses it), and the n x p terms are grouped by their
-    left factor X, phi(X) or phi(dX), so each of those is multiplied once.
+    once (a transpose or psi reuses it), and the n x p terms are grouped by
+    their left factor X, phi(X) or phi(dX), so each of those is multiplied
+    once; gen_sym is linear, so the phi(X) coefficient takes one.
     """
     if pf.problem.hessvec is None:
         raise UnsupportedOperation(f"problem {getattr(pf.problem, 'name', '?')} has no Hessian oracle")
@@ -159,12 +165,12 @@ def penalty_hessvec(pf, X, dX, cache=None):
     X, phiX, Gf = cache.X, cache.phiX, cache.gradfA
     SV, SC = cache.syms
     mm = cache._mm
-    DAdX, phiD, P, Q = _dA(cache, dX)
+    DAdX, P, Q = _dA(cache, dX)
+    phiD = cache._phi(dX)
     Hf = pf.problem.hessvec(cache.AX, DAdX, cache.dissolved().store)
     R = mm(X.mT, Hf)
     lead = mm(Hf, cache.lead)
-    on_phiX = (-0.5 * (spec.gen_sym(R.mT) + spec.gen_sym(mm(Gf.mT, dX)))
-               + pf.beta * (spec.gen_sym(Q.mT) + spec.gen_sym(P.mT)))
+    on_phiX = spec.gen_sym(-0.5 * (R.mT + mm(Gf.mT, dX)) + pf.beta * (Q.mT + P.mT))
     on_phiD = pf.beta * SC - 0.5 * SV
     return (lead - 0.5 * mm(Gf, spec.gen_sym(P))
             + mm(phiX, on_phiX) + mm(phiD, on_phiD))

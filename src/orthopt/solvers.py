@@ -14,11 +14,11 @@ oracle for its trial point, which is the move except on the penalty, where
 only the finite-difference Hessian uses plain moves.  A line search adds
 the oracle's ``charge`` to the value at a trial: on the penalty
 beta/2 ||C(x + step)||^2, the residual term of the raw step, elsewhere
-nothing.  A first trial rejected on the charge alone is retried once along
-the oracle's ``tangent``, on the penalty dA_x[d] (4 products and 1 phi),
-whose raw step pays a charge of O(alpha^4); the rule then carries on from
-the direction the step took.  The rule proposes the next point;
-``minimize`` owns the stop tests, the nonmonotone merit, the trace, the
+nothing.  The first trial of a search rejected on the charge alone is
+retried once along the oracle's ``tangent``, on the penalty dA_x[d] (3
+products, no phi), whose raw step pays a charge of O(alpha^4); the rule
+then carries on from the direction the step took.  The rule proposes the
+next point; ``minimize`` owns the stop tests, the nonmonotone merit, the trace, the
 value and gradient at the start, the gradient at each accepted point and
 the SolveReport, whose wall-clock breakdown is split by phase {objective,
 gradient, hessvec, retraction, transport, linesearch}.
@@ -62,7 +62,7 @@ TR_MAX_RADIUS = 1e3
 TR_ACCEPT = 0.15          # least rho that accepts a trust-region step
 TR_RHO_REG = 1e3 * np.finfo(float).eps   # rho regularization per unit of max(1, |h|)
 LBFGS_MEMORY = 10         # (s, y) pairs kept by L-BFGS
-# truncated-CG forcing rule ||r|| <= ||g|| min(TCG_KAPPA, ||g||^TCG_THETA)
+# truncated-CG forcing rule ||r|| < max(||g|| min(TCG_KAPPA, ||g||^TCG_THETA), grad_tol)
 TCG_KAPPA = 0.05
 TCG_THETA = 0.5
 TCG_MAX_INNER = 250       # inner CG iterations per subproblem
@@ -89,8 +89,9 @@ class SolveReport:
 
     ``phase_seconds`` and ``phase_counts`` are the time and the number of
     calls booked to each phase.  A ``trace`` row is (iter, value, grad_norm,
-    feas), the seconds booked to each phase so far, and the number of
-    objective evaluations the iteration took (0 for the start).  ``phase_counts["hessvec"]`` counts the
+    feas), the seconds booked to each phase so far, the number of objective
+    evaluations the iteration took and the number of Hessian-vector products
+    it formed (both 0 for the start).  ``phase_counts["hessvec"]`` counts the
     Hessian-vector products formed; a trust-region re-solve that replays the
     products of its base does not count them again.
     """
@@ -215,9 +216,9 @@ class PenaltyOracle(_FlatOracle):
     ``EvalCache`` built around a read-only X, all sharing the oracle's one
     meter.  A line search accepts the trial A(x + alpha d) on its value plus
     ``charge``, the penalty term beta/2 ||C(x + alpha d)||^2 of the raw step,
-    which the dissolving step would otherwise hide; a first trial rejected on
-    that charge alone is retried along ``tangent``, dA_x[d].  The trust
-    region takes the value there uncharged.  Value, gradient, Hessian-vector
+    which the dissolving step would otherwise hide; the first trial of a
+    search rejected on that charge alone is retried along ``tangent``,
+    dA_x[d].  The trust region takes the value there uncharged.  Value, gradient, Hessian-vector
     products and feasibility at an iterate fill or read its own cache, so a
     rejected trial leaves the base it was taken from as it was, and the
     objective oracles at A(X) share the store of its ``dissolved()`` point.
@@ -252,7 +253,7 @@ class PenaltyOracle(_FlatOracle):
     def tangent(self, x, d):
         """dA_x[d], the dissolving differential at x applied to d: at a
         feasible x, C(x + alpha dA_x[d]) is O(alpha^2), so the charge is
-        O(alpha^4).  4 products and 1 phi at the base of x."""
+        O(alpha^4).  3 products and no phi at the base of x."""
         return _dA(x.base(), d)[0]
 
     def displacement(self, x, xn, alpha, d, clock):
@@ -377,17 +378,20 @@ def _search(oracle, clock, x, g, d, gd, merit_c, alpha0):
     ||C|| ~ 0.5 and ends in LineSearchFail.  The returned h is uncharged; it
     is the value at the accepted point, and the merit averages it.
 
-    A first trial that passes on h alone and fails only on the charge is
-    retried once, at the same alpha, along ``oracle.tangent(x, d)`` when
-    that is downhill.  On the penalty that is dA_x[d], whose raw step leaves
-    the manifold at O(alpha^2) and pays a charge of O(alpha^4) (Xiao, Liu &
-    Toh 2024); it costs 4 products and 1 phi.  The other oracles have no
-    charge and no tangent, so their searches are unchanged.
+    The first trial of the search that passes on h alone and fails only on
+    the charge, whatever its alpha, is retried once, at the same alpha,
+    along ``oracle.tangent(x, d)`` when that is downhill; a later
+    charge-only rejection halves alpha like any other.  On the penalty the
+    tangent is dA_x[d], whose raw step leaves the manifold at O(alpha^2)
+    and pays a charge of O(alpha^4) (Xiao, Liu & Toh 2024); it costs 3
+    products and no phi.  The other oracles have no charge and no tangent,
+    so their searches are unchanged.
     """
     t0 = time.perf_counter()
     before = clock.oracle_seconds()
     alpha = alpha0
     out = None
+    retried = False
     with np.errstate(over="ignore", invalid="ignore"):     # non-finite trials fail below
         for k in range(LS_MAX_BACKTRACKS + 1):
             xn = oracle.trial(x, alpha * d, clock)
@@ -398,7 +402,8 @@ def _search(oracle, clock, x, g, d, gd, merit_c, alpha0):
                 if np.isfinite(hn) and hn + oracle.charge(xn) <= bound:
                     out = (alpha, xn, hn, d, gd)
                     break
-                if k == 0 and hn <= bound:      # rejected on the charge alone
+                if not retried and hn <= bound:     # rejected on the charge alone
+                    retried = True
                     t = oracle.tangent(x, d)
                     gt = None if t is None else _dot(g, t)
                     if gt is not None and gt < 0.0:
@@ -433,8 +438,9 @@ def minimize(solver_id, oracle, x0, config=None):
         g = oracle.grad(x)
     gn = _norm(g)
     merit = _Merit(h)
-    valued = clock.counts["objective"]      # objective evaluations up to the last row
-    trace = [(0, h, gn, oracle.feas(x)) + clock.row() + (0,)]
+    # objective evaluations and Hessian-vector products up to the last row
+    valued, formed = clock.counts["objective"], clock.counts["hessvec"]
+    trace = [(0, h, gn, oracle.feas(x)) + clock.row() + (0, 0)]
     status = STATUS_MAX_ITER
     iters = 0
     for k in range(1, cfg.max_iter + 1):
@@ -444,7 +450,7 @@ def minimize(solver_id, oracle, x0, config=None):
         if expired():
             status = STATUS_TIME_LIMIT
             break
-        out = rule.step(oracle, clock, x, g, gn, h, merit.C, expired)
+        out = rule.step(oracle, clock, x, g, gn, h, merit.C, expired, cfg.grad_tol)
         if isinstance(out, str):
             status = out
             break
@@ -457,7 +463,8 @@ def minimize(solver_id, oracle, x0, config=None):
         gn = _norm(g)
         iters = k
         trials, valued = clock.counts["objective"] - valued, clock.counts["objective"]
-        trace.append((k, h, gn, oracle.feas(x)) + clock.row() + (trials,))
+        hessvecs, formed = clock.counts["hessvec"] - formed, clock.counts["hessvec"]
+        trace.append((k, h, gn, oracle.feas(x)) + clock.row() + (trials, hessvecs))
     X, point = oracle.unwrap(x)
     work = None if work0 is None else {k: v - work0[k] for k, v in oracle.meter.items()}
     return SolveReport(
@@ -483,7 +490,7 @@ class _LineSearchRule:
     alpha = None    # accepted step length of the previous iteration
     d = None        # search direction of the current iteration
 
-    def step(self, oracle, clock, x, g, gn, h, merit_c, expired):
+    def step(self, oracle, clock, x, g, gn, h, merit_c, expired, grad_tol):
         d, gd, alpha0 = self.direction(oracle, clock, x, g, gn)
         hit = _search(oracle, clock, x, g, d, gd, merit_c, alpha0)
         if hit is None:
@@ -606,9 +613,13 @@ class TrustRegion:
     """Trust region with a Steihaug truncated conjugate-gradient subproblem.
 
     The inner CG stops once its residual satisfies the forcing rule
-    ||r|| <= ||g|| min(kappa, ||g||^theta) with kappa = 0.05 and theta = 0.5
-    (Steihaug 1983; Absil, Baker & Gallivan 2007), so near a nondegenerate
-    minimizer the outer iterates converge with order 1 + theta.  kappa stays
+    ||r|| < max(||g|| min(kappa, ||g||^theta), grad_tol) with kappa = 0.05
+    and theta = 0.5 (Steihaug 1983; Absil, Baker & Gallivan 2007), so near
+    a nondegenerate minimizer the outer iterates converge with order
+    1 + theta.  The floor is the solve's own stop tolerance: r is the model
+    gradient at x + p, and solving the model below the tolerance the outer
+    loop stops at is work the stop test never sees (Eisenstat & Walker
+    1996).  At grad_tol = 0 the rule is the plain forcing rule.  kappa stays
     below 0.084: a larger one stops CG after two of three steps on a 3 x 3
     diagonal quadratic whose minimizer fits in the radius, and the exact
     single step is lost.  The inner solve also returns H p, so the predicted
@@ -637,16 +648,17 @@ class TrustRegion:
     def __init__(self):
         self.radius = TR_INIT_RADIUS
 
-    def step(self, oracle, clock, x, g, gn, h, merit_c, expired):
-        """Solve trial subproblems until one is accepted, the radius collapses
-        below 1e-16 or the time runs out."""
+    def step(self, oracle, clock, x, g, gn, h, merit_c, expired, grad_tol):
+        """Solve trial subproblems, each to the forcing rule floored at
+        ``grad_tol``, until one is accepted, the radius collapses below 1e-16
+        or the time runs out."""
         def hv(v):
             with clock.phase("hessvec"):
                 return oracle.hessvec(x, v)
 
         products = []
         while self.radius >= 1e-16:
-            p, Hp, hit_boundary = _steihaug(hv, g, gn, self.radius, products)
+            p, Hp, hit_boundary = _steihaug(hv, g, gn, self.radius, products, grad_tol)
             pred = -(_dot(g, p) + 0.5 * _dot(p, Hp))
             xn = oracle.trial(x, p, clock)
             rho = -1.0                      # a trial the oracle cannot take is a rejection
@@ -678,11 +690,14 @@ def _to_boundary(z, d, radius):
     return (-zd + np.sqrt(max(zd * zd + dd * (radius * radius - zz), 0.0))) / dd
 
 
-def _steihaug(hv, g, gn, radius, products):
+def _steihaug(hv, g, gn, radius, products, floor):
     # Returns (p, H p, hit_boundary).  The forcing rule gives outer order
     # 1 + TCG_THETA; TCG_KAPPA < 0.084 keeps exact steps on the small
-    # quadratics whose minimizer fits in the radius.  H p is carried along
-    # the CG recurrence, so the caller needs no product of its own.
+    # quadratics whose minimizer fits in the radius.  ``floor``, the
+    # solve's grad_tol, caps how far below it the residual is driven: r is
+    # the model gradient at z, so a smaller one cannot change which test
+    # ends the solve.  H p is carried along the CG recurrence, so the
+    # caller needs no product of its own.
     # ``products`` holds the H d of earlier runs at the same base: the
     # directions do not depend on the radius until CG stops, so those are
     # read in order and only later ones are formed and appended.
@@ -691,7 +706,7 @@ def _steihaug(hv, g, gn, radius, products):
     r = np.array(g, dtype=float)
     d = -r
     rr = _dot(r, r)
-    tol = gn * min(TCG_KAPPA, gn ** TCG_THETA)
+    tol = max(gn * min(TCG_KAPPA, gn ** TCG_THETA), floor)
     for k in range(TCG_MAX_INNER):
         if k == len(products):
             products.append(hv(d))

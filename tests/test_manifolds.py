@@ -5,13 +5,19 @@ import pytest
 
 import orthopt as op
 import orthopt.linalg as linalg_mod
-from orthopt.diagnostics import battery_specs, check_assumptions, check_constraint_in_s1
+from orthopt.diagnostics import (
+    battery_specs,
+    check_assumptions,
+    check_constraint_in_s1,
+    check_cross_gram,
+)
 from orthopt.linalg import lyapunov_solve, skew, sym
 from orthopt.manifolds import (
     FeasibilityError,
     FeasiblePoint,
     RetractError,
     SignedPermutation,
+    Stiefel,
     ThetaDegenerateError,
     _cayley_apply,
     _j_right,
@@ -209,11 +215,40 @@ def test_gen_sym_signature_matrix_doubles():
 
 
 def test_assumption_identities(spec):
-    # phi self-adjoint, phi(X T) = phi(X) psi(T), psi(phi(X)^T X) = X^T phi(X)
+    # phi self-adjoint, phi(X T) = phi(X) psi(T), psi(phi(X)^T X) = X^T phi(X),
+    # and X^T phi(Z) = psi(phi(X)^T Z) on and off the manifold
     ok, worst = check_assumptions(spec)
     assert ok, worst
     ok, worst = check_constraint_in_s1(spec)
     assert ok, worst
+    ok, worst = check_cross_gram(spec)
+    assert ok, worst
+
+
+class _ShearedStiefel(Stiefel):
+    """phi(X) = M X with M = I + a strictly upper triangular shear: linear,
+    one-to-one and phi(X T) = phi(X) T, but not self-adjoint."""
+
+    def __init__(self, n, p):
+        super().__init__(n, p)
+        self.M = np.eye(n) + np.triu(np.random.default_rng(0).standard_normal((n, n)), 1)
+
+    def phi(self, X):
+        return self.M @ np.asarray(X, dtype=float)
+
+    def random_feasible(self, seed=0):
+        # an orthonormal frame, not a point of this spec: the check reads
+        # only its X
+        return op.stiefel(self.n, self.p).random_feasible(seed)
+
+
+def test_cross_gram_check_fails_where_phi_is_not_self_adjoint():
+    spec = _ShearedStiefel(8, 3)
+    rng = np.random.default_rng(1)
+    X, T = rng.standard_normal((8, 3)), rng.standard_normal((3, 3))
+    np.testing.assert_allclose(spec.phi(X @ T), spec.phi(X) @ T, rtol=1e-12)
+    ok, worst = check_cross_gram(spec)
+    assert not ok and worst > 0.1
 
 
 def test_gen_sym_lands_in_s1_span(spec):

@@ -134,9 +134,29 @@ def _steihaug_case(H, g, radius):
         return Hv
 
     g = np.asarray(g, dtype=float)
-    p, Hp, hit = _steihaug(hv, g, np.linalg.norm(g), radius, [])
+    p, Hp, hit = _steihaug(hv, g, np.linalg.norm(g), radius, [], 0.0)
     assert np.linalg.norm(Hp - H @ p) <= 1e-12 * np.linalg.norm(H @ p)
     return p, hit, curvatures
+
+
+def test_trust_region_inner_solve_stops_at_the_solves_grad_tol(monkeypatch):
+    # on a quadratic of condition number 1e4 the last step starts at a
+    # gradient where the forcing rule asks for a residual more than 10x
+    # below grad_tol; floored at grad_tol, the inner CG stops sooner, and
+    # the solve ends on GradTol in the same iterations with fewer products
+    H = np.diag(np.geomspace(1.0, 1e4, 50))
+    x0 = np.random.default_rng(0).standard_normal(50)
+    cfg = SolverConfig(grad_tol=1e-6)
+    r = minimize("cdf-tr", quad_oracle(H), x0, cfg)
+    steihaug = solvers_mod._steihaug
+    monkeypatch.setattr(solvers_mod, "_steihaug", lambda hv, g, gn, radius, products, floor:
+                        steihaug(hv, g, gn, radius, products, 0.0))
+    plain = minimize("cdf-tr", quad_oracle(H), x0, cfg)
+    gn = r.trace[-2][2]
+    assert gn * min(solvers_mod.TCG_KAPPA, gn ** solvers_mod.TCG_THETA) < 0.1 * cfg.grad_tol
+    assert (r.status, r.iters) == (plain.status, plain.iters) == (STATUS_GRAD_TOL, 9)
+    assert r.trace[-1][-1] < plain.trace[-1][-1]
+    assert r.phase_counts["hessvec"] < plain.phase_counts["hessvec"]
 
 
 def test_trust_region_re_solve_replays_the_products_of_its_base():
@@ -154,12 +174,12 @@ def test_trust_region_re_solve_replays_the_products_of_its_base():
 
     def solve_afresh(radius):
         asked = []
-        p, _, hit = _steihaug(lambda v: asked.append(v) or H @ v, g, gn, radius, [])
+        p, _, hit = _steihaug(lambda v: asked.append(v) or H @ v, g, gn, radius, [], 0.0)
         return p, hit, asked
 
     oracle = FunctionOracle(f, lambda y: H @ y, lambda y, v: formed.append(v) or H @ v)
     clock = PhaseClock()
-    xn, hn = TrustRegion().step(oracle, clock, x, g, gn, f(x), f(x), lambda: False)
+    xn, hn = TrustRegion().step(oracle, clock, x, g, gn, f(x), f(x), lambda: False, 0.0)
     p1, hit1, first = solve_afresh(TR_INIT_RADIUS)
     p2, hit2, second = solve_afresh(0.25 * TR_INIT_RADIUS)
     assert not hit1 and np.linalg.norm(p1) > 0.5               # the rejected trial
@@ -196,7 +216,7 @@ def test_trust_region_takes_a_trial_that_comes_back_none_as_a_rejection():
     clock = PhaseClock()
     rule = TrustRegion()
     h = oracle.value(x)
-    xn, hn = rule.step(oracle, clock, x, g, np.linalg.norm(g), h, h, lambda: False)
+    xn, hn = rule.step(oracle, clock, x, g, np.linalg.norm(g), h, h, lambda: False, 0.0)
     assert oracle.refused == 1 and clock.counts["objective"] == 1
     np.testing.assert_allclose(np.linalg.norm(xn - x), 0.25 * TR_INIT_RADIUS, rtol=1e-12)
     assert hn == oracle.value(xn) and rule.radius == 0.5 * TR_INIT_RADIUS
@@ -270,21 +290,56 @@ def test_line_search_accepts_the_charged_dissolved_trial_bit_for_bit(monkeypatch
     assert np.array_equal(r.X, hits[-1][-1][1].X)
 
 
+def _replay_search(spec, x, g, d, gd, merit_c, alpha0, trials):
+    """Replay one search of the line-search rule from its recorded trials,
+    each (step, h, charge), with the retry direction from the public dA;
+    returns the index of the accepted trial, the retries and the retries
+    that followed an h-rejection."""
+    alpha, retried, after_h, rejected_on_h = alpha0, 0, 0, False
+    for j, (step, h, charge) in enumerate(trials):
+        assert np.array_equal(step, alpha * d)
+        bound = merit_c + solvers_mod.LS_C1 * alpha * gd
+        if h + charge <= bound:
+            return j, retried, after_h
+        if not retried and h <= bound:          # the first charge-only rejection
+            retried, after_h = 1, int(rejected_on_h)
+            t = op.dA(spec, x.X, d)
+            if solvers_mod._dot(g, t) < 0.0:
+                d, gd = t, solvers_mod._dot(g, t)
+                continue                        # the retry keeps alpha
+        rejected_on_h = rejected_on_h or not h <= bound
+        alpha *= solvers_mod.LS_SHRINK
+    return None, retried, after_h
+
+
 @pytest.mark.parametrize("solver_id", ["cdf-gd", "cdf-cg", "cdf-lbfgs"])
 def test_a_first_trial_rejected_on_its_charge_alone_is_retried_along_dA(monkeypatch, solver_id):
-    # a first trial that passes on h and fails on h + charge is retried once,
-    # at the same alpha, along the public dA(spec, x, d) bit for bit, which is
-    # downhill; the search returns that direction and its slope, and every
-    # later trial of the search halves alpha along it
+    # the first trial of a search that passes on h and fails on h + charge,
+    # whatever its alpha, is retried once, at the same alpha, along the
+    # public dA(spec, x, d) bit for bit when that is downhill; the search
+    # returns that direction and its slope, every later trial halves alpha
+    # along it, and a later charge-only rejection is not retried.  On the
+    # extrinsic desk config some of those rejections follow a trial
+    # rejected on h, which halved alpha first.
     cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                                    "extrinsic_desk.cfg"))
     prob = prepare(cfg)[0].problem
     pf = op.PenaltyFunction(prob.spec, prob, cfg.beta)
-    search, trial, steps, hits = solvers_mod._search, PenaltyOracle.trial, [], []
+    search, trial, value = solvers_mod._search, PenaltyOracle.trial, PenaltyOracle.value
+    steps, values, hits = [], {}, []
 
     def spy_trial(self, x, step, clock):
         steps.append(step)
-        return trial(self, x, step, clock)
+        xn = trial(self, x, step, clock)
+        values[id(xn)] = (len(steps) - 1, xn)
+        return xn
+
+    def spy_value(self, x):
+        h = value(self, x)
+        if id(x) in values:
+            j, xn = values[id(x)]
+            steps[j] = (steps[j], h, self.charge(xn))
+        return h
 
     def spy_search(oracle, clock, x, g, d, gd, merit_c, alpha0):
         steps.clear()                       # drop the secant probe of cdf-cg
@@ -293,27 +348,24 @@ def test_a_first_trial_rejected_on_its_charge_alone_is_retried_along_dA(monkeypa
         return out
 
     monkeypatch.setattr(PenaltyOracle, "trial", spy_trial)
+    monkeypatch.setattr(PenaltyOracle, "value", spy_value)
     monkeypatch.setattr(solvers_mod, "_search", spy_search)
     r = run_solver(solver_id, pf, prob.spec.random_feasible(cfg.x0_seed), SolverConfig(grad_tol=1e-5))
     assert r.status == STATUS_GRAD_TOL and len(hits) == r.iters
-    retries = 0
+    retries = after_h = 0
     for x, g, d, gd, merit_c, alpha0, tried, (alpha, xn, hn, d_out, gd_out) in hits:
-        assert np.array_equal(tried[0], alpha0 * d)
+        j, retried, followed = _replay_search(prob.spec, x, g, d, gd, merit_c, alpha0, tried)
+        assert j == len(tried) - 1 and hn == tried[j][1]
+        assert np.array_equal(xn.X, op.dissolve(prob.spec, x.X + tried[j][0]))
+        assert np.array_equal(tried[j][0], alpha * d_out)
         if d_out is d:
             assert gd_out == gd
-            continue
-        retries += 1
-        assert np.array_equal(d_out, op.dA(prob.spec, x.X, d))
-        assert gd_out == solvers_mod._dot(g, d_out) < 0.0
-        first = op.dissolve(prob.spec, x.X + alpha0 * d)
-        bound = merit_c + solvers_mod.LS_C1 * alpha0 * gd
-        charge = 0.5 * pf.beta * np.linalg.norm(op.constraint(prob.spec, x.X + alpha0 * d)) ** 2
-        assert op.penalty_value(pf, first) <= bound < op.penalty_value(pf, first) + charge
-        assert np.array_equal(tried[1], alpha0 * d_out)
-        assert alpha == alpha0 * solvers_mod.LS_SHRINK ** (len(tried) - 2)
-        for j, step in enumerate(tried[1:]):
-            assert np.array_equal(step, alpha0 * solvers_mod.LS_SHRINK ** j * d_out)
-    assert retries > 0
+        else:
+            assert retried and np.array_equal(d_out, op.dA(prob.spec, x.X, d))
+            assert gd_out == solvers_mod._dot(g, d_out) < 0.0
+        retries += retried
+        after_h += followed
+    assert after_h > 0 and retries > after_h
 
 
 @pytest.mark.parametrize("solver_id,iters,fval,values", [
@@ -416,8 +468,9 @@ def test_cdf_tr_rejected_trials_keep_the_base():
     # shared cache and trials at x + p this solve took 46 grad f calls for
     # its 38 gradients.  Re-solves after a rejection replay their products,
     # so every product the oracle forms is counted once in phase_counts:
-    # 221 with trials at A(x + p) (415 at x + p, where forming each
-    # re-solve's products afresh took 465).
+    # 208 with trials at A(x + p) and the inner CG stopped at grad_tol (221
+    # with it stopped below; 415 at x + p, where forming each re-solve's
+    # products afresh took 465).
     pf, prob = lsm_desk()
     oracle = PenaltyOracle(pf)
     hessvec, products = oracle.hessvec, []
@@ -427,22 +480,22 @@ def test_cdf_tr_rejected_trials_keep_the_base():
     assert (r.status, r.iters) == (STATUS_GRAD_TOL, 14)
     assert r.phase_counts["objective"] > r.iters                  # some trials were rejected
     assert oracle.meter["grad_f"] == r.phase_counts["gradient"] == 15
-    assert len(products) == r.phase_counts["hessvec"] == 221
+    assert len(products) == r.phase_counts["hessvec"] == 208
 
 
 def test_cdf_tr_finite_difference_hessvec_pins_its_iterates_and_work():
     # without a Hessian oracle the penalty Hessian-vector product is a central
     # difference of two gradients, each at a point moved from x, not
-    # dissolved: the 233 products take 466 of the 481 gradients, and each
+    # dissolved: the 221 products take 442 of the 457 gradients, and each
     # of the 19 trials forms two bases, x + p and A(x + p)
     _, prob = lsm_desk()
     prob = op.Problem(prob.spec, prob.f, prob.grad, None, name=prob.name,
                       metadata=prob.metadata)
     pf = op.PenaltyFunction(prob.spec, prob, 0.5)
     r = run_solver("cdf-tr", pf, prob.spec.random_feasible(3), SolverConfig(grad_tol=1e-5))
-    assert (r.status, r.iters, repr(r.fval)) == (STATUS_GRAD_TOL, 14, "0.1513862455081762")
-    assert r.phase_counts["hessvec"] == 233
-    assert r.work == {"matmul": 2934, "phi": 505, "grad_f": 481, "f": 20}
+    assert (r.status, r.iters, repr(r.fval)) == (STATUS_GRAD_TOL, 14, "0.15138624707885415")
+    assert r.phase_counts["hessvec"] == 221
+    assert r.work == {"matmul": 2790, "phi": 481, "grad_f": 457, "f": 20}
 
 
 def test_penalty_oracle_feas_reads_the_base_at_any_point():
@@ -491,7 +544,7 @@ def test_cdf_solve_compares_no_contents_and_reports_a_writable_X(monkeypatch):
     x0 = prob.spec.random_feasible(cfg.x0_seed)
     compared = _count_array_equal(monkeypatch)
     r = run_solver("cdf-gd", pf, x0, SolverConfig(grad_tol=1e-5))
-    assert (r.status, r.iters) == (STATUS_GRAD_TOL, 138)
+    assert (r.status, r.iters) == (STATUS_GRAD_TOL, 143)
     assert compared == []
     assert r.X.flags.writeable
     r.X[0, 0] += 1.0                                       # the report owns its copy
@@ -554,16 +607,26 @@ def test_one_gradient_per_accepted_point(solver_id, per_iter):
 
 @pytest.mark.parametrize("solver_id", ["cdf-gd", "cdf-cg", "cdf-lbfgs", "cdf-tr", "rgd", "rcg"])
 def test_trace_rows_count_the_trials_of_their_iteration(solver_id):
-    # the last column holds the objective evaluations an iteration took; the
-    # start's value is in no row
+    # the "trials" column holds the objective evaluations an iteration took,
+    # and the last one, "hessvecs", the Hessian-vector products it formed,
+    # which sum to the solve's phase count; both are 0 on the start row, and
+    # "hessvecs" is 0 for every line-search solver
     pf, prob = lsm_desk()
     r = run_solver(solver_id, pf, prob.spec.random_feasible(3),
                    SolverConfig(grad_tol=1e-5, max_iter=50000))
     assert r.status == STATUS_GRAD_TOL
-    assert all(len(row) == len(TRACE_HEADER) for row in r.trace) and TRACE_HEADER[-1] == "trials"
-    trials = [row[-1] for row in r.trace]
+    assert all(len(row) == len(TRACE_HEADER) for row in r.trace)
+    assert TRACE_HEADER[:4] == ["iter", "value", "grad_norm", "feas"]
+    assert TRACE_HEADER[-2:] == ["trials", "hessvecs"]
+    trials = [row[-2] for row in r.trace]
     assert trials[0] == 0 and min(trials[1:]) >= 1
     assert sum(trials) == r.phase_counts["objective"] - 1
+    hessvecs = [row[-1] for row in r.trace]
+    assert hessvecs[0] == 0 and sum(hessvecs) == r.phase_counts["hessvec"]
+    if solver_id == "cdf-tr":
+        assert min(hessvecs[1:]) >= 1
+    else:
+        assert sum(hessvecs) == 0
 
 
 def test_rgd_checks_a_start_of_another_spec_on_its_own():
