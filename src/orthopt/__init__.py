@@ -23,7 +23,6 @@ from .manifolds import (
     retract,
     riemannian_gradient,
     riemannian_hessvec,
-    spec_from_record,
     stiefel,
     symplectic_stiefel,
     tangent_test,

@@ -39,15 +39,10 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
 
-    if args.command == "selftest":
-        from .diagnostics import run_selftest
-        try:
-            return 0 if run_selftest(stream=sys.stdout, as_json=args.json) else 2
-        except Exception as exc:                                    # noqa: BLE001
-            print(f"internal error: {exc}", file=sys.stderr)
-            return 2
-
     try:
+        if args.command == "selftest":
+            from .diagnostics import run_selftest
+            return 0 if run_selftest(stream=sys.stdout, as_json=args.json) else 2
         config = load_config(args.config)
         if args.solver:
             config.solvers = args.solver

@@ -122,10 +122,9 @@ def load_config(path):
 
 
 def _problem_size(problem):
-    meta = problem.metadata
-    if problem.name == "tensor-jfd":
-        return f"({meta['n']},{meta['p']},{meta['l']})"
-    return f"({meta['n']},{meta['p']})"
+    """The sizes of the problem's spec, "(n,p)" with the batch shape after."""
+    spec = problem.spec
+    return "(" + ",".join(str(d) for d in (spec.n, spec.p) + spec.batch) + ")"
 
 
 def _run_cell(pf, x0, x0_seed, solver_id, cfg):

@@ -287,6 +287,13 @@ class SignedPermutation:
         return T * self._mask
 
 
+def _size(key, value):
+    """The integral number ``value`` as an int, never rounded, or ValueError naming ``key``."""
+    if not float(value).is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 class ManifoldSpec:
     """Base class bundling (phi, psi) and the dissolving retraction.
 
@@ -301,8 +308,8 @@ class ManifoldSpec:
     batch = ()
 
     def __init__(self, n, p):
-        self.n = int(n)
-        self.p = int(p)
+        self.n = _size("n", n)
+        self.p = _size("p", p)
         if self.n <= 0 or self.p <= 0 or self.p > self.n:
             raise ValueError(f"bad ambient dimensions ({n}, {p})")
         self._s1 = None
@@ -520,10 +527,10 @@ class SymplecticStiefel(ManifoldSpec):
     name = "symplectic-stiefel"
 
     def __init__(self, n, p):
-        if n % 2 or p % 2:
-            raise ValueError(f"symplectic dimensions must be even, got ({n}, {p})")
         super().__init__(n, p)
-        self.qperm = SignedPermutation(symplectic_j(p // 2))
+        if self.n % 2 or self.p % 2:
+            raise ValueError(f"symplectic dimensions must be even, got ({n}, {p})")
+        self.qperm = SignedPermutation(symplectic_j(self.p // 2))
 
     def phi(self, X):
         # -J_{2n} X J_{2p} as four signed block copies; equal bit for bit to
@@ -568,10 +575,11 @@ class IndefiniteStiefel(ManifoldSpec):
 
     def __init__(self, n, p, k, p_k, A=None):
         super().__init__(n, p)
-        m, p_m = n - k, p - p_k
+        k, p_k = _size("k", k), _size("p_k", p_k)
+        m, p_m = self.n - k, self.p - p_k
         if not (0 <= p_k <= k and 0 <= p_m <= m):
             raise ValueError(f"infeasible block sizes k={k}, p_k={p_k} for (n, p)=({n}, {p})")
-        self.k, self.p_k = int(k), int(p_k)
+        self.k, self.p_k = k, p_k
         self._j = np.concatenate([np.ones(p_k), -np.ones(p_m)])
         self.J = np.diag(self._j)
         self.qperm = SignedPermutation(self.J) if p_m else None
@@ -644,10 +652,11 @@ class TensorStiefel(Stiefel):
     name = "tensor-stiefel"
 
     def __init__(self, n, p, l):
-        if int(l) < 1:
+        l = _size("l", l)
+        if l < 1:
             raise ValueError("need l >= 1")
         super().__init__(n, p)
-        self.l = int(l)
+        self.l = l
         self.batch = (self.l,)
         self.transform = dct_matrix(self.l)
 
@@ -661,7 +670,7 @@ class TensorStiefel(Stiefel):
 
 
 # -------------------------------------------------------------------------
-# factories and plain-text records
+# factories
 # -------------------------------------------------------------------------
 
 def _n_by_n(M, n, name):
@@ -678,6 +687,7 @@ def stiefel(n, p):
 
 def generalized_stiefel(n, p, B=None, seed=0):
     """X^T B X = I for B positive definite: indefinite frames with A = B, J = I."""
+    n = _size("n", n)
     if B is None:
         rng = np.random.default_rng(seed)
         Q, _ = qr_posdiag(rng.standard_normal((n, n)))
@@ -698,8 +708,9 @@ def indefinite_stiefel(n, p, k, p_k, A=None):
 
 def hyperbolic(n, p, neg=None, H=None, seed=0):
     """X^T H X = I for eig H = +/-1: indefinite frames with A = H, J = I."""
+    n = _size("n", n)
     if H is None:
-        neg = n // 3 if neg is None else int(neg)
+        neg = n // 3 if neg is None else _size("neg", neg)
         Q, _ = qr_posdiag(np.random.default_rng(seed).standard_normal((n, n)))
         H = (Q * np.concatenate([np.ones(n - neg), -np.ones(neg)])) @ Q.T
     # eig H = +/-1 has trace H = k - (n - k), which gives k without an eigh
@@ -716,40 +727,3 @@ def hyperbolic(n, p, neg=None, H=None, seed=0):
 
 def tensor_stiefel(n, p, l):
     return TensorStiefel(n, p, l)
-
-
-# each family's factory and the keys of its record besides the name, which
-# are the factory's keyword arguments
-_RECORDS = {
-    "stiefel": (stiefel, ("n", "p")),
-    "generalized-stiefel": (generalized_stiefel, ("n", "p", "seed")),
-    "symplectic-stiefel": (symplectic_stiefel, ("n", "p")),
-    "indefinite-stiefel": (indefinite_stiefel, ("n", "p", "k", "p_k")),
-    "hyperbolic": (hyperbolic, ("n", "p", "neg", "seed")),
-    "tensor-stiefel": (tensor_stiefel, ("n", "p", "l")),
-}
-
-
-def _record_int(key, value):
-    # an integral number, or a string that int() reads; never rounded
-    number = int(value) if isinstance(value, str) else value
-    if not float(number).is_integer():
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(number)
-
-
-def spec_from_record(rec):
-    """Rebuild a manifold from a plain key/value record (strings accepted).
-
-    Each value must be an integer, and each key one that the family reads;
-    anything else raises ValueError.
-    """
-    rec = dict(rec)
-    name = rec.pop("name")
-    if name not in _RECORDS:
-        raise ValueError(f"unknown manifold name {name!r}")
-    make, keys = _RECORDS[name]
-    unknown = sorted(set(rec) - set(keys))
-    if unknown:
-        raise ValueError(f"{name} takes no key {unknown[0]!r}; its keys are {', '.join(keys)}")
-    return make(**{k: _record_int(k, v) for k, v in rec.items()})

@@ -10,8 +10,7 @@ construction.
 
 import numpy as np
 
-from .manifolds import (FeasiblePoint, IndefiniteStiefel, SymplecticStiefel, TensorStiefel,
-                        spec_from_record)
+from .manifolds import FeasiblePoint, IndefiniteStiefel, SymplecticStiefel, TensorStiefel
 from .tensor import qr_posdiag
 
 GRAD_CHECK_POINTS = 5      # random points of the central-difference gradient check
@@ -252,26 +251,6 @@ def toy_problem(spec, seed=0):
                    metadata={"problem": "toy", "seed": seed})
 
 
-def build_zero(name="stiefel", **dims):
-    """Constant-zero objective on the manifold ``name`` of sizes ``dims``
-    (the keys of ``spec_from_record``; a ``seed`` only where the family
-    draws a random matrix)."""
-    spec = spec_from_record({"name": name, **dims})
-
-    def f(X, store=None):
-        return 0.0
-
-    def grad(X, store=None):
-        return np.zeros_like(np.asarray(X, dtype=float))
-
-    def hessvec(X, V, store=None):
-        return np.zeros_like(np.asarray(V, dtype=float))
-
-    meta = {"problem": "zero", "seed": int(dims.get("seed", 0)),
-            "n": spec.n, "p": spec.p, "beta_default": 1.0, "rng": "pcg64"}
-    return Problem(spec, f, grad, hessvec, name="zero", metadata=meta)
-
-
 # The builders by problem id.  A config's [problem] keys, less ``id``, are
 # passed to the builder as keyword arguments, so its signature is the schema
 # of the block.
@@ -279,5 +258,4 @@ PROBLEM_BUILDERS = {
     "lsm": build_lsm,
     "extrinsic-mean": build_extrinsic_mean,
     "tensor-jfd": build_tensor_jfd,
-    "zero": build_zero,
 }

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import orthopt as op
 import orthopt.diagnostics as diagnostics_mod
 import orthopt.harness as harness_mod
 from orthopt.cli import main as cli_main
@@ -23,8 +24,9 @@ from orthopt.harness import (
     timing_profile,
 )
 from orthopt.manifolds import FeasiblePoint, PostprocessDivergence
-from orthopt.penalty import postprocess
-from orthopt.solvers import ALL_PHASES, run_solver
+from orthopt.penalty import PenaltyFunction, postprocess
+from orthopt.problems import PROBLEM_BUILDERS, Problem
+from orthopt.solvers import ALL_PHASES, SolverConfig, run_solver
 
 TINY_CFG = """
 [problem]
@@ -123,6 +125,9 @@ def test_config_rejects_unknown_problem():
     cfg = ExperimentConfig(problem={"id": "nope"}, solvers=["cdf-gd"], tols=[1e-5])
     with pytest.raises(ConfigError):
         cfg.validate()
+    cfg.problem = {"id": "zero", "n": 8, "p": 3}
+    with pytest.raises(ConfigError, match=re.escape("['extrinsic-mean', 'lsm', 'tensor-jfd']")):
+        cfg.validate()
 
 
 @pytest.mark.parametrize("setting", [
@@ -144,6 +149,7 @@ def test_config_rejects_bad_numeric_settings(setting):
 @pytest.mark.parametrize("setting,name", [
     ({"beta": -1.0}, "beta"), ({"max_iter": 0}, "max_iter"), ({"x0_seed": -3}, "x0_seed"),
     ({"problem": {"id": "lsm", "n": 11, "p": 4}}, "[problem]"),
+    ({"problem": {"id": "lsm", "n": 10.5, "p": 4}}, "[problem]: n must be an integer"),
 ], ids=repr)
 def test_prepare_names_the_rejected_setting(setting, name):
     kwargs = {"problem": {"id": "lsm", "n": 10, "p": 4}, "solvers": ["cdf-gd"], "tols": [1e-5]}
@@ -216,38 +222,39 @@ def test_cdf_records_use_postprocessed_feasibility(tiny_config):
     assert cdf.pre_feas >= cdf.feas
 
 
+def zero_problem(spec):
+    """A constant-zero objective on ``spec``: every start is stationary."""
+    return Problem(spec, lambda X, store=None: 0.0,
+                   lambda X, store=None: np.zeros_like(np.asarray(X, dtype=float)),
+                   lambda X, V, store=None: np.zeros_like(np.asarray(V, dtype=float)),
+                   name="zero", metadata={"beta_default": 1.0})
+
+
 def test_riemannian_records_use_postprocessed_feasibility():
     # rgd stops at once on a zero objective; the row is read after post-processing
-    cfg = ExperimentConfig(problem={"id": "zero", "name": "stiefel", "n": 8, "p": 3},
-                           solvers=["rgd"], tols=[1e-5])
-    pf, (solver_cfg,), _ = prepare(cfg)
-    Q = pf.spec.random_feasible(0).X
-    x0 = FeasiblePoint(pf.spec, (1.0 + 1.45e-9) * Q, tol=1e-8)
+    spec = op.stiefel(8, 3)
+    pf = PenaltyFunction(spec, zero_problem(spec), 1.0)
+    Q = spec.random_feasible(0).X
+    x0 = FeasiblePoint(spec, (1.0 + 1.45e-9) * Q, tol=1e-8)
     assert 4e-9 < x0.feas < 6e-9
-    rec, report = harness_mod._run_cell(pf, x0, 0, "rgd", solver_cfg)
+    rec, report = harness_mod._run_cell(pf, x0, 0, "rgd", SolverConfig(grad_tol=1e-5))
     assert report.iters == 0 and rec.status == "GradTol"
     assert rec.pre_feas == x0.feas
     assert rec.feas <= 1e-12
 
 
-@pytest.mark.parametrize("problem", [
-    {"n": 8.7, "p": 3}, {"n": 8, "p": 3, "gama": 1}, {"n": 8, "p": 3, "seed": 1},
-], ids=repr)
-def test_zero_problem_rejects_fractional_and_unused_keys(problem):
-    cfg = ExperimentConfig(problem={"id": "zero", "name": "stiefel", **problem},
-                           solvers=["rgd"], tols=[1e-5])
-    with pytest.raises(ConfigError, match=re.escape("[problem]")):
-        prepare(cfg)
-
-
-def test_zero_objective_grid_converges_immediately():
-    cfg = ExperimentConfig(
-        problem={"id": "zero", "name": "symplectic-stiefel", "n": 8, "p": 4},
-        solvers=["cdf-gd", "cdf-cg", "cdf-lbfgs", "rgd", "rcg"], tols=[1e-5])
-    for rec in run(cfg):
+def test_zero_objective_grid_converges_immediately(monkeypatch):
+    monkeypatch.setitem(PROBLEM_BUILDERS, "zero",
+                        lambda n, p: zero_problem(op.symplectic_stiefel(n, p)))
+    cfg = ExperimentConfig(problem={"id": "zero", "n": 8, "p": 4},
+                           solvers=["cdf-gd", "cdf-cg", "cdf-lbfgs", "rgd", "rcg"], tols=[1e-5])
+    records = run(cfg)
+    assert len(records) == 5
+    for rec in records:
         assert rec.status == "GradTol"
         assert rec.iters <= 1
         assert rec.fval == 0.0
+        assert rec.size == "(8,4)"
 
 
 def test_repetitions_run_multiple_starts(tiny_config):

@@ -15,9 +15,12 @@ from orthopt.linalg import lyapunov_solve, skew, sym
 from orthopt.manifolds import (
     FeasibilityError,
     FeasiblePoint,
+    IndefiniteStiefel,
     RetractError,
     SignedPermutation,
     Stiefel,
+    SymplecticStiefel,
+    TensorStiefel,
     ThetaDegenerateError,
     _cayley_apply,
     _j_right,
@@ -27,7 +30,6 @@ from orthopt.manifolds import (
     retract,
     riemannian_gradient,
     riemannian_hessvec,
-    spec_from_record,
     symplectic_j,
     tangent_test,
     theta_lstsq,
@@ -695,50 +697,52 @@ def test_indefinite_with_full_positive_block_has_no_q_and_retracts():
     assert np.linalg.norm(constraint(spec, new.X)) <= 1e-12
 
 
-RECORDS = {
-    "stiefel": ({"n": "8", "p": "3"}, lambda: op.stiefel(8, 3)),
-    "generalized-stiefel": ({"n": "8", "p": "3", "seed": "2"},
-                            lambda: op.generalized_stiefel(8, 3, seed=2)),
-    "symplectic-stiefel": ({"n": "8", "p": "4"}, lambda: op.symplectic_stiefel(8, 4)),
-    "indefinite-stiefel": ({"n": "9", "p": "3", "k": "5", "p_k": "2"},
-                           lambda: op.indefinite_stiefel(9, 3, 5, 2)),
-    "hyperbolic": ({"n": "8", "p": "3", "neg": "3", "seed": "1"},
-                   lambda: op.hyperbolic(8, 3, neg=3, seed=1)),
-    "tensor-stiefel": ({"n": "4", "p": "2", "l": "3"}, lambda: op.tensor_stiefel(4, 2, 3)),
+# each factory's integer sizes (and seed); the same call with every size a
+# float or a NumPy integer builds the same spec
+FACTORY_SIZES = {
+    "stiefel": (op.stiefel, {"n": 8, "p": 3}),
+    "generalized-stiefel": (op.generalized_stiefel, {"n": 8, "p": 3, "seed": 2}),
+    "symplectic-stiefel": (op.symplectic_stiefel, {"n": 8, "p": 4}),
+    "indefinite-stiefel": (op.indefinite_stiefel, {"n": 9, "p": 3, "k": 5, "p_k": 2}),
+    "hyperbolic": (op.hyperbolic, {"n": 8, "p": 3, "neg": 3, "seed": 1}),
+    "tensor-stiefel": (op.tensor_stiefel, {"n": 4, "p": 2, "l": 3}),
 }
 
 
-@pytest.mark.parametrize("name", list(RECORDS))
-def test_spec_from_record_matches_the_factory(name):
-    rec, make = RECORDS[name]
-    clone, spec = spec_from_record({"name": name, **rec}), make()
-    assert clone.name == spec.name == name
+@pytest.mark.parametrize("name", list(FACTORY_SIZES))
+def test_factories_take_integral_numbers_as_sizes(name):
+    make, sizes = FACTORY_SIZES[name]
+    spec = make(**sizes)
     X = spec.random_ambient(np.random.default_rng(3))
-    np.testing.assert_array_equal(clone.phi(X), spec.phi(X))
-    np.testing.assert_array_equal(clone.random_feasible(5).X, spec.random_feasible(5).X)
+    for kind in (float, np.int64):
+        clone = make(**{k: v if k == "seed" else kind(v) for k, v in sizes.items()})
+        assert clone.name == spec.name == name
+        for key in ("n", "p", "k", "p_k", "l"):
+            if hasattr(spec, key):
+                assert type(getattr(clone, key)) is int
+                assert getattr(clone, key) == getattr(spec, key)
+        np.testing.assert_array_equal(clone.phi(X), spec.phi(X))
+        np.testing.assert_array_equal(clone.random_feasible(5).X, spec.random_feasible(5).X)
 
 
-def test_spec_record_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        spec_from_record({"name": "moebius", "n": 3, "p": 1})
-
-
-@pytest.mark.parametrize("rec,match", [
-    ({"name": "stiefel", "n": 8.7, "p": 3}, "n must be an integer"),
-    ({"name": "stiefel", "n": "8.7", "p": 3}, "8.7"),
-    ({"name": "stiefel", "n": 8, "p": 3, "gama": 1}, "gama"),
-    ({"name": "tensor-stiefel", "n": 4, "p": 2, "l": 3, "seed": 0}, "seed"),
-], ids=["fraction", "fraction-string", "unused-key", "seed-unread"])
-def test_spec_record_rejects_fractions_and_unused_keys(rec, match):
-    with pytest.raises(ValueError, match=match):
-        spec_from_record(rec)
-
-
-def test_spec_record_takes_integral_numbers_and_strings():
-    for n in (8, 8.0, "8", np.int64(8)):
-        spec = spec_from_record({"name": "hyperbolic", "n": n, "p": "3", "seed": "1"})
-        assert (spec.n, spec.p) == (8, 3) and type(spec.n) is int
-    np.testing.assert_array_equal(spec.A, op.hyperbolic(8, 3, seed=1).A)
+@pytest.mark.parametrize("make, key", [
+    (lambda: op.stiefel(8.7, 3), "n"),
+    (lambda: Stiefel(8, 2.5), "p"),
+    (lambda: op.generalized_stiefel(8.7, 3), "n"),
+    (lambda: op.symplectic_stiefel(8, 4.5), "p"),
+    (lambda: SymplecticStiefel(8.5, 4), "n"),
+    (lambda: op.indefinite_stiefel(9, 3, k=5.5, p_k=2), "k"),
+    (lambda: IndefiniteStiefel(9, 3, 5, np.nan), "p_k"),
+    (lambda: op.hyperbolic(8, 3, neg=2.5), "neg"),
+    (lambda: op.hyperbolic(8.7, 3), "n"),
+    (lambda: op.tensor_stiefel(4, 2, 3.5), "l"),
+    (lambda: TensorStiefel(4, 2.5, 3), "p"),
+], ids=["stiefel-n", "Stiefel-p", "generalized-n", "symplectic-p", "Symplectic-n",
+        "indefinite-k", "Indefinite-p_k", "hyperbolic-neg", "hyperbolic-n", "tensor-l",
+        "Tensor-p"])
+def test_a_fractional_size_is_rejected_with_its_key(make, key):
+    with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+        make()
 
 
 # ------------------------------------------------------- tensor conversions

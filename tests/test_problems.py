@@ -7,7 +7,6 @@ from orthopt.problems import (
     build_extrinsic_mean,
     build_lsm,
     build_tensor_jfd,
-    build_zero,
     toy_problem,
 )
 from orthopt.tensor import qr_posdiag
@@ -31,7 +30,8 @@ def test_problem_selftest_flag(monkeypatch):
     checked = []
     monkeypatch.setattr(Problem, "_check_gradient", lambda self: checked.append(self.name))
     toy_problem(op.stiefel(5, 2), seed=0)
-    build_zero(n=5, p=2)
+    Problem(op.stiefel(5, 2), lambda X, store=None: 0.0,
+            lambda X, store=None: np.zeros_like(np.asarray(X)), name="zero")
     assert checked == ["toy", "zero"]
 
 
