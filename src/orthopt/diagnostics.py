@@ -41,7 +41,9 @@ def _unit(rng, spec):
 
 
 def check_assumptions(spec):
-    """Self-adjointness of phi and the two psi compatibility identities."""
+    """Self-adjointness of phi, the two psi compatibility identities and
+    psi(psi(T)) = T, by which the penalty Hessian-vector product takes its
+    phi(dX) M as phi(dX psi(M))."""
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(50):
@@ -51,7 +53,8 @@ def check_assumptions(spec):
         sa = abs(np.vdot(spec.phi(X), Y) - np.vdot(X, spec.phi(Y)))
         compat = np.linalg.norm(spec.phi(X @ T) - spec.phi(X) @ spec.psi(T))
         closure = np.linalg.norm(spec.psi(spec.phi(X).mT @ X) - X.mT @ spec.phi(X))
-        worst = max(worst, sa, compat, closure)
+        involution = np.linalg.norm(spec.psi(spec.psi(T)) - T)
+        worst = max(worst, sa, compat, closure, involution)
     return worst <= 1e-12, worst
 
 

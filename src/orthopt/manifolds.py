@@ -68,6 +68,14 @@ def _eye(p):
     return eye
 
 
+@lru_cache(maxsize=16)
+def _eye15(p):
+    # 1.5 I, read-only, the constant part of every base point's lead
+    eye = 1.5 * np.eye(p)
+    eye.flags.writeable = False
+    return eye
+
+
 METER_KEYS = ("matmul", "phi", "grad_f", "f")
 
 
@@ -76,7 +84,9 @@ class EvalCache:
     class of both routes: X, phi(X), the Gram matrix G = X^T phi(X), the
     residual C = G - I, lead = 1.5 I - 0.5 G, A(X) = X lead^T, grad f(A(X))
     and ``syms``, the pair (gen_sym(grad f(A(X))^T X), gen_sym(C)) that the
-    penalty gradient forms and its Hessian-vector product reads.  ``feas``
+    penalty gradient forms and its Hessian-vector product reads, and
+    ``hv_ops``, the stacked operands that product builds at its first call
+    at the base (see ``penalty.penalty_hessvec``).  ``feas``
     reads ||C||, ``normal`` is the factorization ``normal_factor`` keeps, and
     ``origin_C``, on a cache made by ``dissolved()``, is the residual of the
     point it was dissolved from.  ``store`` belongs to X itself (see
@@ -93,7 +103,7 @@ class EvalCache:
     """
 
     __slots__ = ("spec", "X", "counts", "phiX", "gram", "C", "_lead", "_AX", "store",
-                 "gradfA", "syms", "origin_C", "normal", "_dissolved")
+                 "gradfA", "syms", "hv_ops", "origin_C", "normal", "_dissolved")
 
     def __init__(self, spec, X, counts=None):
         X.flags.writeable = False
@@ -102,7 +112,8 @@ class EvalCache:
         self.counts = counts if counts is not None else dict.fromkeys(METER_KEYS, 0)
         self.phiX = self.gram = self.C = self._lead = self._AX = None
         self.store = {}
-        self.gradfA = self.syms = self.origin_C = self.normal = self._dissolved = None
+        self.gradfA = self.syms = self.hv_ops = None
+        self.origin_C = self.normal = self._dissolved = None
 
     def _mm(self, A, B):
         self.counts["matmul"] += 1
@@ -125,7 +136,7 @@ class EvalCache:
     def lead(self):
         """1.5 I - 0.5 G, formed at the first read; no product."""
         if self._lead is None:
-            self._lead = 1.5 * _eye(self.spec.p) - 0.5 * self.base().gram
+            self._lead = _eye15(self.spec.p) - 0.5 * self.base().gram
         return self._lead
 
     @property

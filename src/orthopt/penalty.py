@@ -28,8 +28,10 @@ so each is a product by phi(X) on the left of a p x p matrix.  Nor does
 dA: with phi self-adjoint too, X^T phi(Z) = psi(phi(X)^T Z), so its two
 cross-Grams come from one product, and it costs 3 products and no phi.
 A gradient at a new base costs 6 products and 1 phi, a Hessian-vector
-product after it 9 products and 1 phi, the phi(dX) its curvature term
-multiplies.  ``postprocess`` costs one phi per round.
+product after it 6 products and 1 phi: it multiplies dX by two operands
+stacked once per base, and its one phi is of dX psi(M), which is phi(dX)
+times the p x p coefficient M of its curvature term.  ``postprocess``
+costs one phi per round.
 """
 
 import math
@@ -148,13 +150,18 @@ def penalty_gradient(pf, X, cache=None):
 
 
 def penalty_hessvec(pf, X, dX, cache=None):
-    """Action of the penalty Hessian; 9 metered products and 1 phi
-    application at a base that has its ``syms``, 10 when it forms them.
+    """Action of the penalty Hessian; 6 metered products and 1 phi
+    application at a base that has its ``syms``, 7 when it forms them.
 
-    Needs the problem's Hessian oracle.  Each p x p cross-Gram is formed
-    once (a transpose or psi reuses it), and the n x p terms are grouped by
-    their left factor X, phi(X) or phi(dX), so each of those is multiplied
-    once; gen_sym is linear, so the phi(X) coefficient takes one.
+    Needs the problem's Hessian oracle.  The first product at a base (for
+    a penalty weight) stacks its operands once into ``cache.hv_ops``:
+    B = [phi(X) | -0.5 grad f(A(X))] (n x 2p) and K = [lead^T | psi(M)]
+    (p x 2p), M = beta gen_sym(C) - 0.5 gen_sym(grad f(A(X))^T X).  Then B^T dX gives the cross-Gram Q and
+    grad f^T dX in one product, and dX K gives dX lead^T, from which
+    dA(X)[dX] = dX lead^T - X (P + Q)/2 (P = psi(Q)^T), and dX psi(M), whose
+    phi is the curvature term phi(dX) M (psi is an involution).  With
+    X^T Hf and Hf lead for the objective's Hessian action Hf, the terms on
+    phi(X) and on grad f(A(X)) come from one product by B.
     """
     if pf.problem.hessvec is None:
         raise UnsupportedOperation(f"problem {getattr(pf.problem, 'name', '?')} has no Hessian oracle")
@@ -162,18 +169,21 @@ def penalty_hessvec(pf, X, dX, cache=None):
     cache = _cache_at(pf.spec, X, cache)
     dX = _shaped(spec, dX)
     cache.ensure_grad(pf.problem)
-    X, phiX, Gf = cache.X, cache.phiX, cache.gradfA
-    SV, SC = cache.syms
-    mm = cache._mm
-    DAdX, P, Q = _dA(cache, dX)
-    phiD = cache._phi(dX)
-    Hf = pf.problem.hessvec(cache.AX, DAdX, cache.dissolved().store)
-    R = mm(X.mT, Hf)
-    lead = mm(Hf, cache.lead)
-    on_phiX = spec.gen_sym(-0.5 * (R.mT + mm(Gf.mT, dX)) + pf.beta * (Q.mT + P.mT))
-    on_phiD = pf.beta * SC - 0.5 * SV
-    return (lead - 0.5 * mm(Gf, spec.gen_sym(P))
-            + mm(phiX, on_phiX) + mm(phiD, on_phiD))
+    if cache.hv_ops is None or cache.hv_ops[0] != pf.beta:    # K holds beta
+        SV, SC = cache.syms
+        cache.hv_ops = (pf.beta, np.concatenate([cache.phiX, -0.5 * cache.gradfA], axis=-1),
+                        np.concatenate([cache.lead.mT, spec.psi(pf.beta * SC - 0.5 * SV)], axis=-1))
+    _, B, K = cache.hv_ops
+    X, mm, p = cache.X, cache._mm, spec.p
+    BdX, dXK = mm(B.mT, dX), mm(dX, K)
+    Q, W = BdX[..., :p, :], BdX[..., p:, :]
+    P = spec.psi(Q).mT
+    PQ = P + Q
+    Hf = pf.problem.hessvec(cache.AX, dXK[..., :p] - mm(X, 0.5 * PQ), cache.dissolved().store)
+    on_phiX = spec.gen_sym(W - 0.5 * mm(X.mT, Hf).mT + pf.beta * PQ.mT)
+    on_gradf = spec.gen_sym(P)
+    return (mm(Hf, cache.lead) + mm(B, np.concatenate([on_phiX, on_gradf], axis=-2))
+            + cache._phi(dXK[..., p:]))
 
 
 def postprocess(spec, X, eps_f=1e-12):

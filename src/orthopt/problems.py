@@ -93,6 +93,7 @@ def build_lsm(n, p, seed=0, a=None, b=None):
     twice a dense one.
     """
     spec = SymplecticStiefel(n, p)
+    n, p = spec.n, spec.p       # the checked sizes, as ints
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n))
     a = 1.0 + rng.uniform(0.0, 1.0) if a is None else float(a)
@@ -140,6 +141,7 @@ def build_extrinsic_mean(n, p, k, p_k, n_samples=1000, seed=0):
     general leaves the feasible set.
     """
     spec = IndefiniteStiefel(n, p, k, p_k)
+    n, p, k, p_k = spec.n, spec.p, spec.k, spec.p_k     # the checked sizes, as ints
     p_m = p - p_k
     ss = np.random.SeedSequence(seed)
     seed_y0, seed_w = ss.spawn(2)
@@ -186,6 +188,7 @@ def build_tensor_jfd(n, p, l, n_samples=10, gamma=0.5, seed=0):
     if gamma < 0:
         raise ValueError("noise level must be nonnegative")
     spec = TensorStiefel(n, p, l)
+    n, p, l = spec.n, spec.p, spec.l        # the checked sizes, as ints
     ss = np.random.SeedSequence(seed)
     seed_u, seed_d = ss.spawn(2)
     U = spec.random_feasible(seed_u)

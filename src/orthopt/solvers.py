@@ -622,11 +622,13 @@ class TrustRegion:
     1996).  At grad_tol = 0 the rule is the plain forcing rule.  kappa stays
     below 0.084: a larger one stops CG after two of three steps on a 3 x 3
     diagonal quadratic whose minimizer fits in the radius, and the exact
-    single step is lost.  The inner solve also returns H p, so the predicted
-    reduction costs no extra Hessian-vector product.  The ratio rho adds
-    delta = 1e3 eps max(1, |h|) to both reductions (Absil, Baker & Gallivan
-    2007), so trials near the solution, where h - h_trial is mostly
-    rounding, do not shrink the radius at random.
+    single step is lost.  The inner solve also returns the model value
+    m(p) = g.p + p.H p/2, kept as a scalar along the CG recurrence, so the
+    predicted reduction -m(p) costs no Hessian-vector product and no vector
+    work, and no H p is carried.  The ratio rho adds delta = 1e3 eps
+    max(1, |h|) to both reductions (Absil, Baker & Gallivan 2007), so trials
+    near the solution, where h - h_trial is mostly rounding, do not shrink
+    the radius at random.
 
     The CG directions at one base do not depend on the radius until CG
     stops, and a rejected trial only shrinks the radius, so the re-solve
@@ -658,8 +660,8 @@ class TrustRegion:
 
         products = []
         while self.radius >= 1e-16:
-            p, Hp, hit_boundary = _steihaug(hv, g, gn, self.radius, products, grad_tol)
-            pred = -(_dot(g, p) + 0.5 * _dot(p, Hp))
+            p, model, hit_boundary = _steihaug(hv, g, gn, self.radius, products, grad_tol)
+            pred = -model
             xn = oracle.trial(x, p, clock)
             rho = -1.0                      # a trial the oracle cannot take is a rejection
             if xn is not None:
@@ -684,50 +686,55 @@ class TrustRegion:
         pass
 
 
-def _to_boundary(z, d, radius):
-    # positive root tau of ||z + tau d|| = radius
-    dd, zd, zz = _dot(d, d), _dot(z, d), _dot(z, z)
+def _to_boundary(zz, zd, dd, radius):
+    # positive root tau of ||z + tau d|| = radius, from z.z, z.d and d.d
     return (-zd + np.sqrt(max(zd * zd + dd * (radius * radius - zz), 0.0))) / dd
 
 
 def _steihaug(hv, g, gn, radius, products, floor):
-    # Returns (p, H p, hit_boundary).  The forcing rule gives outer order
-    # 1 + TCG_THETA; TCG_KAPPA < 0.084 keeps exact steps on the small
-    # quadratics whose minimizer fits in the radius.  ``floor``, the
-    # solve's grad_tol, caps how far below it the residual is driven: r is
-    # the model gradient at z, so a smaller one cannot change which test
-    # ends the solve.  H p is carried along the CG recurrence, so the
-    # caller needs no product of its own.
+    # Returns (p, m(p), hit_boundary) for the model m(z) = g.z + z.Hz/2.
+    # The forcing rule gives outer order 1 + TCG_THETA; TCG_KAPPA < 0.084
+    # keeps exact steps on the small quadratics whose minimizer fits in the
+    # radius.  ``floor``, the solve's grad_tol, caps how far below it the
+    # residual is driven: r is the model gradient at z, so a smaller one
+    # cannot change which test ends the solve.
+    # m(z), z.z, z.d and d.d follow scalar recurrences (Conn, Gould & Toint
+    # 2000, sec. 7.5): r.d = -r.r and r is orthogonal to every earlier
+    # direction, so no H z is carried and no ||z|| formed.  z and r are
+    # updated in place; each direction is a new array, since hv may keep it.
     # ``products`` holds the H d of earlier runs at the same base: the
     # directions do not depend on the radius until CG stops, so those are
     # read in order and only later ones are formed and appended.
-    z = np.zeros_like(g)
-    Hz = np.zeros_like(g)
+    z = np.zeros_like(g, dtype=float)
     r = np.array(g, dtype=float)
     d = -r
     rr = _dot(r, r)
+    m, zz, zd, dd = 0.0, 0.0, 0.0, rr
     tol = max(gn * min(TCG_KAPPA, gn ** TCG_THETA), floor)
     for k in range(TCG_MAX_INNER):
         if k == len(products):
             products.append(hv(d))
         Hd = products[k]
         dHd = _dot(d, Hd)
-        if dHd <= 0.0:
-            tau = _to_boundary(z, d, radius)
-            return z + tau * d, Hz + tau * Hd, True
-        alpha = rr / dHd
-        zn = z + alpha * d
-        if _norm(zn) >= radius:
-            tau = _to_boundary(z, d, radius)
-            return z + tau * d, Hz + tau * Hd, True
-        Hz = Hz + alpha * Hd
-        r = r + alpha * Hd
+        if dHd > 0.0:
+            alpha = rr / dHd
+            zz_next = zz + alpha * (2.0 * zd + alpha * dd)
+        if not (dHd > 0.0 and zz_next < radius * radius):     # NaN is a boundary step too
+            tau = _to_boundary(zz, zd, dd, radius)
+            z += tau * d
+            return z, m - tau * rr + 0.5 * tau * tau * dHd, True
+        z += alpha * d
+        r += alpha * Hd
+        m -= 0.5 * alpha * rr
         rrn = _dot(r, r)
-        if np.sqrt(rrn) < tol:
-            return zn, Hz, False
-        d = -r + (rrn / rr) * d
-        z, rr = zn, rrn
-    return z, Hz, False
+        if math.sqrt(rrn) < tol:
+            return z, m, False
+        beta = rrn / rr
+        zd, dd = beta * (zd + alpha * dd), rrn + beta * beta * dd
+        d = beta * d
+        d -= r
+        zz, rr = zz_next, rrn
+    return z, m, False
 
 
 # --- the registry: each solver is a route and a step rule ------------------

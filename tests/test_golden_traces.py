@@ -22,7 +22,7 @@ GOLDEN = [
     ("lsm_desk", "cdf-gd", "GradTol", 130, 0.0173172582699707),
     ("lsm_desk", "cdf-cg", "GradTol", 66, 0.017316947880665606),
     ("lsm_desk", "cdf-lbfgs", "GradTol", 72, 0.017316975883707973),
-    ("lsm_desk", "cdf-tr", "GradTol", 6, 0.017316919182333093),
+    ("lsm_desk", "cdf-tr", "GradTol", 6, 0.017316919181066502),
     ("lsm_desk", "rgd", "GradTol", 106, 0.017317306264310807),
     ("lsm_desk", "rcg", "GradTol", 375, 0.017317059356223588),
     ("extrinsic_desk", "cdf-gd", "GradTol", 143, 0.18708522758767684),
@@ -34,7 +34,7 @@ GOLDEN = [
     ("tensor_jfd_desk", "cdf-gd", "GradTol", 334, 8.652488222479939e-09),
     ("tensor_jfd_desk", "cdf-cg", "GradTol", 128, 1.6917607506528399e-09),
     ("tensor_jfd_desk", "cdf-lbfgs", "GradTol", 163, 3.945267121476327e-09),
-    ("tensor_jfd_desk", "cdf-tr", "GradTol", 19, 4.454101889663569e-09),
+    ("tensor_jfd_desk", "cdf-tr", "GradTol", 19, 2.418190008740984e-09),
     ("tensor_jfd_desk", "rgd", "GradTol", 338, 4.7630335231214075e-08),
     ("tensor_jfd_desk", "rcg", "GradTol", 320, 2.6035841143981272e-08),
 ]
@@ -61,8 +61,10 @@ def test_golden_desk_solve(config, solver_id, status, iters, fval):
 # formed afresh per re-solve these were 414, 571 and 593.  With each trial at
 # the dissolved point A(x + p) they were 85, 616 and 272 (248, 511 and 451 at
 # the raw point x + p); with the inner CG stopped at the solve's grad_tol,
-# not below it, they are 78, 594 and 240, in the same iterations.
-CDF_TR_HESSVEC = [("lsm_desk", 78), ("extrinsic_desk", 594), ("tensor_jfd_desk", 240)]
+# not below it, they were 78, 594 and 240, in the same iterations.  With
+# the model value carried as a scalar along the inner CG and the 6-product
+# Hessian-vector product, rounding moves tensor_jfd_desk to 235.
+CDF_TR_HESSVEC = [("lsm_desk", 78), ("extrinsic_desk", 594), ("tensor_jfd_desk", 235)]
 
 
 @pytest.mark.parametrize("config,hessvec", CDF_TR_HESSVEC, ids=[c for c, _ in CDF_TR_HESSVEC])

@@ -218,7 +218,7 @@ def test_gen_sym_signature_matrix_doubles():
 
 def test_assumption_identities(spec):
     # phi self-adjoint, phi(X T) = phi(X) psi(T), psi(phi(X)^T X) = X^T phi(X),
-    # and X^T phi(Z) = psi(phi(X)^T Z) on and off the manifold
+    # psi(psi(T)) = T, and X^T phi(Z) = psi(phi(X)^T Z) on and off the manifold
     ok, worst = check_assumptions(spec)
     assert ok, worst
     ok, worst = check_constraint_in_s1(spec)

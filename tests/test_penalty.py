@@ -316,16 +316,21 @@ def test_penalty_hessvec_zero_objective_reduction(spec):
 def test_penalty_hessvec_work_accounting(spec):
     # with phi(X), the Gram matrix, grad f(A(X)) and the gradient's p x p
     # pair cached at X, one product costs the objective's Hessian oracle,
-    # 1 phi application and 9 products
+    # 1 phi application and 6 products; the first one stacks the operands
+    # it multiplies by, so a second one at the base costs the same and
+    # gives the same bits for the same direction
     prob = toy_problem(spec, 32)
     pf = PenaltyFunction(spec, prob, 0.7)
-    X = _near_point(spec, 32)
+    X, V = _near_point(spec, 32), _unit(spec, 33)
     cache = EvalCache(spec, X)
     penalty_gradient(pf, X, cache)
-    before = dict(cache.counts)
-    penalty_hessvec(pf, X, _unit(spec, 33), cache)
-    assert {k: n - before[k] for k, n in cache.counts.items()} == \
-        {"matmul": 9, "phi": 1, "grad_f": 0, "f": 0}
+    results = []
+    for _ in range(2):
+        before = dict(cache.counts)
+        results.append(penalty_hessvec(pf, X, V, cache))
+        assert {k: n - before[k] for k, n in cache.counts.items()} == \
+            {"matmul": 6, "phi": 1, "grad_f": 0, "f": 0}
+    assert np.array_equal(results[0], results[1])
 
 
 def test_penalty_hessvec_same_bits_with_or_without_a_prior_gradient(spec):
@@ -337,6 +342,17 @@ def test_penalty_hessvec_same_bits_with_or_without_a_prior_gradient(spec):
     cache = EvalCache(spec, X)
     penalty_gradient(pf, X, cache)
     assert np.array_equal(penalty_hessvec(pf, X, V, cache), penalty_hessvec(pf, X, V))
+
+
+def test_penalty_hessvec_at_one_cache_follows_the_penalty_weight(spec):
+    # the stacked operands a base keeps hold beta, so a product for another
+    # weight at the same base stacks them afresh
+    prob = toy_problem(spec, 36)
+    X, V = _near_point(spec, 36), _unit(spec, 37)
+    cache = EvalCache(spec, X)
+    for beta in (0.7, 2.9):
+        pf = PenaltyFunction(spec, prob, beta)
+        assert np.array_equal(penalty_hessvec(pf, X, V, cache), penalty_hessvec(pf, X, V))
 
 
 def test_penalty_hessvec_requires_hessian_oracle(spec):

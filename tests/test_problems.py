@@ -65,6 +65,31 @@ def test_oracles_form_their_products_once_per_point(build, fills):
         np.testing.assert_array_equal(got, ref)
 
 
+BUILDER_SIZES = [
+    (build_lsm, {"n": 10, "p": 4}),
+    (build_tensor_jfd, {"n": 6, "p": 2, "l": 3, "n_samples": 3}),
+    (build_extrinsic_mean, {"n": 15, "p": 3, "k": 9, "p_k": 2, "n_samples": 10}),
+]
+SIZE_KEYS = ("n", "p", "k", "p_k", "l")
+
+
+@pytest.mark.parametrize("build,sizes", BUILDER_SIZES, ids=[b.__name__ for b, _ in BUILDER_SIZES])
+def test_builders_take_integral_floats_as_sizes(build, sizes):
+    # the sizes are read back from the checked spec, so an integral float
+    # builds the same problem as the int and is recorded as an int
+    prob = build(**sizes)
+    clone = build(**{k: float(v) if k in SIZE_KEYS else v for k, v in sizes.items()})
+    for key in SIZE_KEYS:
+        if key in sizes:
+            assert type(clone.metadata[key]) is int and clone.metadata[key] == sizes[key]
+    assert clone.metadata == prob.metadata
+    X = prob.spec.random_feasible(2).X
+    V = prob.spec.random_ambient(np.random.default_rng(3))
+    assert clone.f(X) == prob.f(X)
+    np.testing.assert_array_equal(clone.grad(X), prob.grad(X))
+    np.testing.assert_array_equal(clone.hessvec(X, V), prob.hessvec(X, V))
+
+
 def test_problems_sharing_a_point_keep_their_own_entries():
     # a FeasiblePoint is a point of the manifold, not of one objective
     one, two = build_lsm(10, 4, seed=1), build_lsm(10, 4, seed=2)
@@ -165,6 +190,8 @@ def test_lsm_rank_rule_drops_only_terms_below_eps_b():
 def test_lsm_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_lsm(11, 4, seed=0)
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        build_lsm(10.5, 4, seed=0)
     with pytest.raises(ValueError):
         build_lsm(10, 4, seed=0, a=0.5)
 
