@@ -212,11 +212,11 @@ def _point(spec, point):
 
 def _postprocess(cache, eps_f):
     """Drive the residual of ``cache`` under eps_f by repeated dissolving and
-    return (last base, rounds); the base passes the same check as a
-    ``FeasiblePoint`` at eps_f.  Each round is the previous base's
-    ``dissolved`` cache, so the residual and the next A(X) share one phi(X)
-    and one Gram matrix.  Each round must lower ||C||, so a fixed point of A
-    off the manifold costs one round, not POSTPROCESS_MAX_ROUNDS."""
+    return (last base, rounds), a base whose residual is under eps_f.  Each
+    round is the previous base's ``dissolved`` cache, so the residual and
+    the next A(X) share one phi(X) and one Gram matrix.  Each round must
+    lower ||C||, so a fixed point of A off the manifold costs one round,
+    not POSTPROCESS_MAX_ROUNDS."""
     if not 0 < eps_f < math.inf:
         raise ValueError(f"eps_f must be positive and finite, got {eps_f}")
     base, c = cache, cache.feas
@@ -236,14 +236,7 @@ def _postprocess(cache, eps_f):
         c = base.feas
         rounds += 1
         trace.append(c)
-    return _checked(base, eps_f), rounds
-
-
-def _orthonormalize_rows(vecs, drop_tol=1e-10):
-    # SVD-based row-space basis; rows with tiny singular value are dropped
-    U, s, Vt = np.linalg.svd(vecs, full_matrices=False)
-    keep = s > drop_tol * s[0]
-    return Vt[keep]
+    return base, rounds
 
 
 class SignedPermutation:
@@ -349,19 +342,16 @@ class ManifoldSpec:
         """Random element of G = span{X1^T X2}."""
         return rng.standard_normal(self.batch + (self.p, self.p))
 
-    # --- span of cross-Grams G and the range S1 of gen_sym ---------------
-    def g_basis(self):
-        """Canonical orthonormal basis of G, one unit entry per element."""
-        shape = self.batch + (self.p, self.p)
-        k = int(np.prod(shape))
-        return np.eye(k).reshape((k,) + shape)
-
+    # --- the range S1 of gen_sym on the span of cross-Grams G ------------
     def s1_basis(self):
-        """Orthonormal basis of S1, the gen_sym image of G."""
+        """Orthonormal basis of S1, the gen_sym image of G: by SVD, the row
+        space of the images of G's unit entries, to 1e-10 relative."""
         if self._s1 is None:
-            images = np.stack([self.gen_sym(T) for T in self.g_basis()])
-            flat = _orthonormalize_rows(images.reshape(images.shape[0], -1))
-            self._s1 = flat.reshape((-1,) + self.batch + (self.p, self.p))
+            shape = self.batch + (self.p, self.p)
+            k = math.prod(shape)
+            images = self.gen_sym(np.eye(k).reshape((k,) + shape))
+            _, s, Vt = np.linalg.svd(images.reshape(k, -1), full_matrices=False)
+            self._s1 = Vt[s > 1e-10 * s[0]].reshape((-1,) + shape)
         return self._s1
 
     # --- retraction, written once against phi -----------------------------
@@ -465,9 +455,9 @@ def project_tangent(spec, point, D):
     return _shaped(spec, D) - point.phiX @ theta_lstsq(spec, point, D)
 
 
-def riemannian_gradient(spec, point, egrad):
-    """Project the Euclidean gradient onto the tangent space."""
-    return project_tangent(spec, point, egrad)
+# the Riemannian gradient and the vector transport are both the projection
+riemannian_gradient = project_tangent
+vector_transport = project_tangent
 
 
 def riemannian_hessvec(spec, point, Z, egrad, ehessvec):
@@ -480,11 +470,6 @@ def riemannian_hessvec(spec, point, Z, egrad, ehessvec):
 def retract(spec, point, Z):
     """Step from a feasible point (or an array) along Z, returning a feasible point."""
     return spec.retract(_point(spec, point), Z)
-
-
-def vector_transport(spec, point_new, Z):
-    """Carry Z into the tangent space at point_new (orthogonal projection)."""
-    return project_tangent(spec, point_new, Z)
 
 
 def random_tangent(spec, point, seed=0):
@@ -681,7 +666,7 @@ class TensorStiefel(Stiefel):
 
 
 # -------------------------------------------------------------------------
-# factories
+# factories (a factory that would only forward its arguments is the class)
 # -------------------------------------------------------------------------
 
 def _n_by_n(M, n, name):
@@ -692,8 +677,10 @@ def _n_by_n(M, n, name):
     return M
 
 
-def stiefel(n, p):
-    return Stiefel(n, p)
+stiefel = Stiefel
+symplectic_stiefel = SymplecticStiefel
+indefinite_stiefel = IndefiniteStiefel
+tensor_stiefel = TensorStiefel
 
 
 def generalized_stiefel(n, p, B=None, seed=0):
@@ -707,14 +694,6 @@ def generalized_stiefel(n, p, B=None, seed=0):
     spec = IndefiniteStiefel(n, p, n, p, A=_n_by_n(B, n, "B"))
     spec.name = "generalized-stiefel"
     return spec
-
-
-def symplectic_stiefel(n, p):
-    return SymplecticStiefel(n, p)
-
-
-def indefinite_stiefel(n, p, k, p_k, A=None):
-    return IndefiniteStiefel(n, p, k, p_k, A=A)
 
 
 def hyperbolic(n, p, neg=None, H=None, seed=0):
@@ -734,7 +713,3 @@ def hyperbolic(n, p, neg=None, H=None, seed=0):
         raise ValueError("H must have eigenvalues +/- 1")
     spec.name = "hyperbolic"
     return spec
-
-
-def tensor_stiefel(n, p, l):
-    return TensorStiefel(n, p, l)

@@ -62,7 +62,7 @@ def dC_adjoint(spec, X, T):
 
 def dA(spec, X, Z):
     """Differential of the dissolving operator."""
-    return _dA(_cache_at(spec, X).base(), _shaped(spec, Z))[0]
+    return _dA(_cache_at(spec, X).base(), _shaped(spec, Z))
 
 
 def dA_adjoint(spec, X, T):
@@ -106,13 +106,13 @@ def _cache_at(spec, X, cache=None):
 
 def _dA(cache, Z):
     """dA(X)[Z] = 1.5 Z - 0.5 (Z G^T + X (P + Q)), with the cross-Grams
-    Q = phi(X)^T Z and P = phi(Z)^T X it forms; 3 products, no phi.  P is
+    Q = phi(X)^T Z and P = phi(Z)^T X; 3 products, no phi.  P is
     psi(Q)^T: phi is self-adjoint and phi(X T) = phi(X) psi(T), so
     X^T phi(Z) = psi(phi(X)^T Z) and phi(Z) is never formed."""
     mm, X = cache._mm, cache.X
     Q = mm(cache.phiX.mT, Z)
     P = cache.spec.psi(Q).mT
-    return 1.5 * Z - 0.5 * (mm(Z, cache.gram.mT) + mm(X, P + Q)), P, Q
+    return 1.5 * Z - 0.5 * (mm(Z, cache.gram.mT) + mm(X, P + Q))
 
 
 def _dC_adjoint(cache, T):
@@ -193,7 +193,7 @@ def postprocess(spec, X, eps_f=1e-12):
     iterate, share one phi(X) and one Gram matrix.  The first base is a
     cache at a copy of X and each next one is the previous one's
     ``dissolved`` cache.  Returns (point, rounds), the point being the last
-    base, checked like a ``FeasiblePoint`` at eps_f.  Raises
+    base, whose residual is under eps_f.  Raises
     PostprocessDivergence (with the residual trace attached) when the
     residual is not finite, when a round does not lower it (outside the
     contraction basin, or at a fixed point of A off the manifold such as

@@ -35,6 +35,7 @@ from .manifolds import (
     EvalCache,
     RetractError,
     _checked,
+    _copy_X,
     _point,
     normal_factor,
     riemannian_gradient,
@@ -145,17 +146,10 @@ class _Phase:
 
 # --- oracles: the objective together with its geometry ---------------------
 
-class _FlatOracle:
-    """Euclidean geometry: x + step moves, identity transport, xn - x displacement."""
+class _Oracle:
+    """The defaults: no meter, the move as the trial, no charge, no tangent."""
 
     meter = None    # dict of work counts the oracle keeps, if any
-
-    def iterate(self, x0):
-        """The start as an iterate: a float copy of x0."""
-        return np.array(x0, dtype=float)
-
-    def move(self, x, step, clock):
-        return x + step
 
     def trial(self, x, step, clock):
         """The trial point for ``step`` from x: the move itself."""
@@ -168,6 +162,17 @@ class _FlatOracle:
     def tangent(self, x, d):
         """A direction to retry a trial rejected on its charge: none."""
         return None
+
+
+class _FlatOracle(_Oracle):
+    """Euclidean geometry: x + step moves, identity transport, xn - x displacement."""
+
+    def iterate(self, x0):
+        """The start as an iterate: a float copy of x0."""
+        return np.array(x0, dtype=float)
+
+    def move(self, x, step, clock):
+        return x + step
 
     def transport(self, xn, v, clock):
         return v
@@ -231,7 +236,7 @@ class PenaltyOracle(_FlatOracle):
 
     def iterate(self, x0):
         """The start, an array or a point, as a cache around a copy of its X."""
-        return EvalCache(self.pf.spec, super().iterate(_point(self.pf.spec, x0).X), self.meter)
+        return EvalCache(self.pf.spec, _copy_X(self.pf.spec, x0), self.meter)
 
     def move(self, x, step, clock):
         return EvalCache(self.pf.spec, x.X + step, self.meter)
@@ -254,7 +259,7 @@ class PenaltyOracle(_FlatOracle):
         """dA_x[d], the dissolving differential at x applied to d: at a
         feasible x, C(x + alpha dA_x[d]) is O(alpha^2), so the charge is
         O(alpha^4).  3 products and no phi at the base of x."""
-        return _dA(x.base(), d)[0]
+        return _dA(x.base(), d)
 
     def displacement(self, x, xn, alpha, d, clock):
         return xn.X - x.X
@@ -277,16 +282,15 @@ class PenaltyOracle(_FlatOracle):
         return x.feas
 
 
-class ManifoldOracle:
+class ManifoldOracle(_Oracle):
     """Objective restricted to a manifold: retraction moves, projection transport.
 
-    Iterates are points of the spec.  A step the retraction cannot take
+    Iterates are points of the spec, and a trial is the retraction, which
+    is feasible and pays no charge.  A step the retraction cannot take
     (RetractError) is a rejected trial, reported as ``move`` returning None.
     The objective oracles at a point share the point's store.  ``unwrap``
     hands back a writable copy of X with the point.
     """
-
-    meter = None
 
     def __init__(self, problem, spec):
         self.problem, self.spec = problem, spec
@@ -314,16 +318,6 @@ class ManifoldOracle:
                 return new
         except RetractError:
             return None
-
-    trial = move    # a trial is the retraction
-
-    def charge(self, trial):
-        """A retracted trial is feasible: nothing to add."""
-        return 0.0
-
-    def tangent(self, point, d):
-        """No trial is rejected on a charge, so no direction to retry."""
-        return None
 
     def transport(self, point, v, clock):
         with clock.phase("transport"):
