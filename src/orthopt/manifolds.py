@@ -172,7 +172,7 @@ class EvalCache:
 def _checked(point, tol):
     """``point`` once its residual is finite and at most ``tol``."""
     feas = point.feas
-    if not np.isfinite(feas) or feas > tol:
+    if not (np.isfinite(feas) and feas <= tol):     # written so that NaN fails it
         raise FeasibilityError(
             f"constraint residual {feas:.3e} exceeds tolerance {tol:.1e} on {point.spec.name}")
     return point
@@ -197,7 +197,10 @@ def _copy_X(spec, X):
 def FeasiblePoint(spec, X, tol=1e-8):
     """A point of ``spec`` at a read-only float copy of X (an array or a
     point), checked to ``tol``: an ``EvalCache`` whose residual ||C|| is at
-    most ``tol``, or FeasibilityError."""
+    most ``tol``, or FeasibilityError.  A NaN or negative ``tol`` is a
+    ValueError."""
+    if not tol >= 0:    # written so that NaN fails it
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     return _checked(EvalCache(spec, _copy_X(spec, X)), tol)
 
 
@@ -563,6 +566,8 @@ class IndefiniteStiefel(ManifoldSpec):
     O(n p) and equal bit for bit to the dense product, since each entry of
     A X J has one nonzero term.  A custom non-diagonal A is kept dense and
     phi is (A X) * diag(J)^T.  ``spec.A`` builds the dense matrix on demand.
+    A custom A must be symmetric to within 1e-12 ||A||; it is not replaced
+    by its symmetric part.
     k is the number of positive eigenvalues of A: it sizes the blocks of
     the default A, and a custom A with another count is rejected.
     """
@@ -670,10 +675,14 @@ class TensorStiefel(Stiefel):
 # -------------------------------------------------------------------------
 
 def _n_by_n(M, n, name):
-    """M as a float n x n array, or ValueError."""
+    """M as a float n x n array, symmetric to 1e-12 ||M|| as ``lyapunov_factor``
+    asks, or ValueError naming it; the sym(M) the callers take then removes
+    only rounding.  A NaN entry passes here and fails as a singular M."""
     M = np.asarray(M, dtype=float)
     if M.shape != (n, n):
         raise ValueError(f"{name} must have shape ({n}, {n}), not {M.shape}")
+    if np.linalg.norm(M - M.T) > 1e-12 * np.linalg.norm(M):
+        raise ValueError(f"{name} must be symmetric")
     return M
 
 

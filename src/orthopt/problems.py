@@ -8,9 +8,11 @@ streams) and checks its own gradient against central differences on
 construction.
 """
 
+import math
+
 import numpy as np
 
-from .manifolds import FeasiblePoint, IndefiniteStiefel, SymplecticStiefel, TensorStiefel
+from .manifolds import FeasiblePoint, IndefiniteStiefel, SymplecticStiefel, TensorStiefel, _size
 from .tensor import qr_posdiag
 
 GRAD_CHECK_POINTS = 5      # random points of the central-difference gradient check
@@ -40,7 +42,8 @@ class Problem:
         self._check_gradient()
 
     def _check_gradient(self):
-        """grad against central differences of f at GRAD_CHECK_POINTS random points."""
+        """grad against central differences of f at GRAD_CHECK_POINTS random
+        points; a NaN value or gradient fails it."""
         rng = np.random.default_rng(1234)
         step = GRAD_CHECK_STEP
         for _ in range(GRAD_CHECK_POINTS):
@@ -50,12 +53,20 @@ class Problem:
             V /= np.linalg.norm(V)
             fd = (self.f(X + step * V) - self.f(X - step * V)) / (2.0 * step)
             an = float(np.vdot(self.grad(X), V))
-            if abs(fd - an) > GRAD_CHECK_TOL * max(1.0, abs(fd)):
+            if not abs(fd - an) <= GRAD_CHECK_TOL * max(1.0, abs(fd)):
                 raise ValueError(
                     f"{self.name}: gradient check failed ({an:.9e} vs fd {fd:.9e})")
 
     def __repr__(self):
         return f"Problem({self.name}, spec={self.spec!r})"
+
+
+def _sample_count(n_samples):
+    """n_samples as an int >= 1, or ValueError naming it."""
+    n_samples = _size("n_samples", n_samples)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    return n_samples
 
 
 def _memo(make):
@@ -78,6 +89,7 @@ def build_lsm(n, p, seed=0, a=None, b=None):
     default a > 1 and b in (0, 2) are drawn from the seed; both can be fixed
     explicitly, e.g. to put the instance in a strong-decay regime where the
     small default penalty weight is safely above its exactness threshold.
+    A given a must be in (1, inf) and b in (0, inf), or ValueError.
 
     No n x n matrix is kept.  A = b I + sum_i a^(1-i) u_i u_i^T is held by
     its factors and applied as A X = b X + U_r (d * (U_r^T X)) in O(npr),
@@ -98,8 +110,11 @@ def build_lsm(n, p, seed=0, a=None, b=None):
     G = rng.standard_normal((n, n))
     a = 1.0 + rng.uniform(0.0, 1.0) if a is None else float(a)
     b = rng.uniform(0.0, 2.0) if b is None else float(b)
-    if a <= 1.0 or b <= 0.0:
-        raise ValueError("need decay base a > 1 and spectrum shift b > 0")
+    # written so that NaN fails them
+    if not 1.0 < a < math.inf:
+        raise ValueError(f"a must be > 1 and finite, got {a}")
+    if not 0.0 < b < math.inf:
+        raise ValueError(f"b must be > 0 and finite, got {b}")
     d = a ** (1.0 - np.arange(1.0, n + 1.0))
     d = d[d > np.finfo(float).eps * b]
     U, _ = qr_posdiag(G[:, :d.size])
@@ -138,8 +153,9 @@ def build_extrinsic_mean(n, p, k, p_k, n_samples=1000, seed=0):
 
     The samples X_i orbit a feasible anchor under block-orthogonal right
     actions, so each stays feasible; A is their plain average, which in
-    general leaves the feasible set.
+    general leaves the feasible set.  n_samples is an integral number >= 1.
     """
+    n_samples = _sample_count(n_samples)
     spec = IndefiniteStiefel(n, p, k, p_k)
     n, p, k, p_k = spec.n, spec.p, spec.k, spec.p_k     # the checked sizes, as ints
     p_m = p - p_k
@@ -183,10 +199,12 @@ def build_tensor_jfd(n, p, l, n_samples=10, gamma=0.5, seed=0):
     orthogonal tensor, plus unit-norm noise scaled by gamma.  Everything is
     evaluated face by face in the transform domain: ``sample_mats`` has shape
     (samples, l, n, n), a point is an (l, n, p) stack, and the objective is
-    the squared off-diagonal mass of the faces of X^T D_i X.
+    the squared off-diagonal mass of the faces of X^T D_i X.  n_samples is
+    an integral number >= 1 and gamma in [0, inf).
     """
-    if gamma < 0:
-        raise ValueError("noise level must be nonnegative")
+    n_samples = _sample_count(n_samples)
+    if not 0.0 <= gamma < math.inf:     # written so that NaN fails it
+        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
     spec = TensorStiefel(n, p, l)
     n, p, l = spec.n, spec.p, spec.l        # the checked sizes, as ints
     ss = np.random.SeedSequence(seed)

@@ -531,6 +531,18 @@ def test_cli_problem_and_solver_faults_are_config_errors(tmp_path, capsys, comma
     assert "config error" in captured.err and named in captured.err
 
 
+@pytest.mark.parametrize("line", ["b = nan", "a = inf"])
+def test_cli_run_rejects_a_nan_or_inf_problem_parameter(tmp_path, capsys, line):
+    # b = nan used to exit 0 with LineSearchFail rows holding NaN f and grad
+    path = tmp_path / "exp.cfg"
+    path.write_text(LSM_CFG.replace("seed = 0", "seed = 0\n" + line))
+    code = cli_main(["run", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "config error" in captured.err
+    assert f"[problem]: {line[0]} must be" in captured.err
+
+
 def test_cli_unknown_run_keys_are_config_errors(tmp_path, capsys):
     # a misspelt budget and a key of the [problem] block, neither applied before
     path = tmp_path / "exp.cfg"

@@ -135,6 +135,17 @@ def test_feasible_point_rejects_bad_matrix(spec):
         FeasiblePoint(spec, X, tol=1e-8)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1e-8])
+def test_feasible_point_rejects_a_nan_or_negative_tol(tol):
+    # a NaN tol used to pass the check, so an all-ones 6 x 2 frame (residual
+    # 11) came back as a point; a tol no residual can meet is a ValueError
+    spec = op.stiefel(6, 2)
+    for X in (np.ones((6, 2)), spec.random_feasible(0).X):
+        with pytest.raises(ValueError, match="tol must be nonnegative") as info:
+            FeasiblePoint(spec, X, tol=tol)
+        assert not isinstance(info.value, FeasibilityError)
+
+
 def test_an_array_of_another_shape_is_not_a_point():
     # an orthonormal 8 x 2 frame is no point of stiefel(6, 2), nor a stack
     # of 4 faces one of tensor_stiefel(5, 2, 3)
@@ -676,6 +687,26 @@ def test_generalized_and_hyperbolic_are_indefinite_frames_with_identity_J():
 def test_a_matrix_or_size_a_family_cannot_take_is_rejected_with_the_reason(make, match):
     with pytest.raises(ValueError, match=match):
         make()
+
+
+def test_a_non_symmetric_A_B_or_H_is_rejected_not_symmetrized():
+    # the factories used to replace such a matrix by its symmetric part, so
+    # a generalized Stiefel spec met X^T sym(B) X = I and missed X^T B X = I
+    B = np.diag(np.arange(1.0, 7.0))
+    B[0, 1] = 0.5
+    A = np.diag([1.0, 2.0, 3.0, -1.0, -2.0, -3.0])
+    A[4, 1] = 0.25
+    H = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    H[2, 3] = 0.1
+    for make, name in [(lambda: op.generalized_stiefel(6, 2, B=B), "B"),
+                       (lambda: op.indefinite_stiefel(6, 2, 3, 1, A=A), "A"),
+                       (lambda: op.hyperbolic(6, 2, H=H), "H")]:
+        with pytest.raises(ValueError, match=f"^{name} must be symmetric"):
+            make()
+    # asymmetry at the rounding level is still taken, as the symmetric part
+    R = _rotated(np.arange(1.0, 7.0), 53)
+    assert 0 < np.linalg.norm(R - R.T) <= 1e-12 * np.linalg.norm(R)
+    np.testing.assert_array_equal(op.generalized_stiefel(6, 2, B=R).A, sym(R))
 
 
 def test_custom_A_must_have_k_positive_eigenvalues():

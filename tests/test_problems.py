@@ -25,6 +25,14 @@ def test_problem_gradient_selftest_catches_bad_gradient():
                 lambda X, store=None: 3.0 * np.asarray(X), name="broken")
 
 
+def test_problem_gradient_selftest_fails_on_nan_oracles():
+    # a NaN value and gradient used to pass the central-difference check
+    spec = op.stiefel(6, 2)
+    with pytest.raises(ValueError, match="gradient check failed"):
+        Problem(spec, lambda X, store=None: float("nan"),
+                lambda X, store=None: np.full(np.shape(X), np.nan), name="nan")
+
+
 def test_problem_selftest_flag(monkeypatch):
     # every problem checks its gradient on construction, the zero objective too
     checked = []
@@ -194,6 +202,30 @@ def test_lsm_rejects_bad_inputs():
         build_lsm(10.5, 4, seed=0)
     with pytest.raises(ValueError):
         build_lsm(10, 4, seed=0, a=0.5)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build,key", [
+    (lambda: build_lsm(10, 4, a=NAN), "a"),
+    (lambda: build_lsm(10, 4, a=INF), "a"),
+    (lambda: build_lsm(10, 4, b=NAN), "b"),
+    (lambda: build_lsm(10, 4, b=INF), "b"),
+    (lambda: build_tensor_jfd(5, 2, 2, n_samples=2, gamma=NAN), "gamma"),
+    (lambda: build_tensor_jfd(5, 2, 2, n_samples=2, gamma=INF), "gamma"),
+    (lambda: build_tensor_jfd(5, 2, 2, n_samples=0), "n_samples"),
+    (lambda: build_tensor_jfd(5, 2, 2, n_samples=1.5), "n_samples"),
+    (lambda: build_extrinsic_mean(8, 2, k=5, p_k=1, n_samples=0), "n_samples"),
+    (lambda: build_extrinsic_mean(8, 2, k=5, p_k=1, n_samples=NAN), "n_samples"),
+], ids=["lsm-a-nan", "lsm-a-inf", "lsm-b-nan", "lsm-b-inf", "tjfd-gamma-nan", "tjfd-gamma-inf",
+        "tjfd-no-samples", "tjfd-fractional-samples", "extrinsic-no-samples",
+        "extrinsic-nan-samples"])
+def test_builders_reject_nan_inf_or_zero_parameters_naming_the_key(build, key):
+    # each used to build a problem: with another spectrum (a), a NaN or
+    # constant objective (b, n_samples = 0), or the noise dropped (gamma)
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        build()
 
 
 def test_lsm_deterministic_per_seed():
