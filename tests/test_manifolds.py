@@ -578,10 +578,11 @@ def test_retract_is_repeated_dissolving_from_x_plus_z(spec):
         assert new.feas <= 1e-12 and not np.array_equal(new.X, pt.X + t * Z)
 
 
-NON_FINITE_SPECS = [(op.symplectic_stiefel, (8, 4)), (op.indefinite_stiefel, (9, 3, 5, 2))]
+NON_FINITE_SPECS = {"symplectic_stiefel": (op.symplectic_stiefel, (8, 4)),
+                    "indefinite_stiefel": (op.indefinite_stiefel, (9, 3, 5, 2))}
 
 
-@pytest.mark.parametrize("make,args", NON_FINITE_SPECS, ids=[m.__name__ for m, _ in NON_FINITE_SPECS])
+@pytest.mark.parametrize("make,args", NON_FINITE_SPECS.values(), ids=NON_FINITE_SPECS.keys())
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_retract_non_finite_step_raises(make, args, bad):
     spec = make(*args)
