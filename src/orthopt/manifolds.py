@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import NoUniqueSolutionError, lyapunov_apply, lyapunov_factor, skew, sym
+from .linalg import NoUniqueSolutionError, lyapunov_apply, lyapunov_factor, sym
 from .linalg import lyapunov_solve  # noqa: F401  (a module attribute bench/tracing.py wraps)
 from .tensor import dct_matrix, mode3_product, qr_posdiag
 
@@ -481,9 +481,14 @@ def random_tangent(spec, point, seed=0):
 
 
 def _cayley_apply(W, X):
-    # dense (I - W/2)^{-1} (I + W/2) X for random_feasible, whose ||W||_F <= 1
-    # keeps I - W/2 invertible
-    return np.linalg.solve(np.eye(W.shape[0]) - 0.5 * W, X + 0.5 * (W @ X))
+    """(I - W/2)^{-1} (I + W/2) X by one n x n LU, for random_feasible, whose
+    ||W||_F <= 1 keeps I - W/2 invertible.  Takes W over: W becomes
+    I - W/2 in place, so W and the work copy np.linalg.solve makes are the
+    only n x n arrays.  The same bits as solve(eye(n) - 0.5 W, X + 0.5 W X)."""
+    rhs = X + 0.5 * (W @ X)
+    W *= -0.5
+    W.flat[::W.shape[0] + 1] += 1.0
+    return np.linalg.solve(W, rhs)
 
 
 # -------------------------------------------------------------------------
@@ -547,10 +552,14 @@ class SymplecticStiefel(ManifoldSpec):
         rng = np.random.default_rng(seed)
         n, p = self.n // 2, self.p // 2
         X0 = np.zeros((self.n, self.p))
-        X0[:n, :p] = np.eye(n)[:, :p]
-        X0[n:, p:] = np.eye(n)[:, :p]
-        S = sym(rng.standard_normal((self.n, self.n)))
-        W = _j_right(S)
+        X0[:n, :p] = np.eye(n, p)
+        X0[n:, p:] = np.eye(n, p)
+        # W = sym(G) J, rebound step by step so that at most two n x n
+        # arrays are live
+        W = rng.standard_normal((self.n, self.n))
+        W = W + W.T
+        W *= 0.5
+        W = _j_right(W)
         W *= 1.0 / max(1.0, np.linalg.norm(W))
         return FeasiblePoint(self, _cayley_apply(W, X0), tol=1e-10)
 
@@ -625,16 +634,23 @@ class IndefiniteStiefel(ManifoldSpec):
         if p_m:
             Yt[npos:, self.p_k:] = qr_posdiag(rng.standard_normal((self.n - npos, p_m)))[0]
         root = np.sqrt(np.abs(self._eigw))
-        S = skew(rng.standard_normal((self.n, self.n)))
         if self._A is None:
-            # (V / root) Yt and S A for a permutation V and a diagonal A: row
-            # and column scalings, equal bit for bit to the dense products
+            # (V / root) Yt for a permutation V: a row scaling, equal bit for
+            # bit to the dense product
             X = np.empty_like(Yt)
             X[self._order] = (1.0 / root)[:, None] * Yt
-            W = S * self.a
         else:
             X = (self._eigv / root) @ Yt
-            W = S @ self._A
+        # W = skew(G) A, rebound step by step so that at most two n x n
+        # arrays are live; for a diagonal A the product is a column scaling,
+        # equal bit for bit to the dense one
+        W = rng.standard_normal((self.n, self.n))
+        W = W - W.T
+        W *= 0.5
+        if self._A is None:
+            W *= self.a
+        else:
+            W = W @ self._A
         W *= 1.0 / max(1.0, np.linalg.norm(W))
         return FeasiblePoint(self, _cayley_apply(W, X), tol=1e-10)
 
@@ -706,10 +722,21 @@ def generalized_stiefel(n, p, B=None, seed=0):
 
 
 def hyperbolic(n, p, neg=None, H=None, seed=0):
-    """X^T H X = I for eig H = +/-1: indefinite frames with A = H, J = I."""
+    """X^T H X = I for eig H = +/-1: indefinite frames with A = H, J = I.
+
+    ``neg``, the number of eigenvalues -1 of the default H (n // 3 when
+    None), is an integer in [0, n - p]; it only shapes the default H, so it
+    cannot be passed with H."""
     n = _size("n", n)
+    if H is not None and neg is not None:
+        raise ValueError("neg sizes the default H and cannot be passed with H")
     if H is None:
-        neg = n // 3 if neg is None else _size("neg", neg)
+        if neg is None:
+            neg = n // 3
+        else:
+            neg, top = _size("neg", neg), n - _size("p", p)
+            if not 0 <= neg <= top:
+                raise ValueError(f"neg must be in [0, n - p] = [0, {top}], got {neg}")
         Q, _ = qr_posdiag(np.random.default_rng(seed).standard_normal((n, n)))
         H = (Q * np.concatenate([np.ones(n - neg), -np.ones(neg)])) @ Q.T
     # eig H = +/-1 has trace H = k - (n - k), which gives k without an eigh

@@ -151,9 +151,12 @@ def build_lsm(n, p, seed=0, a=None, b=None):
 def build_extrinsic_mean(n, p, k, p_k, n_samples=1000, seed=0):
     """Matrix approximation ||X - A||^2 on indefinite frames.
 
-    The samples X_i orbit a feasible anchor under block-orthogonal right
-    actions, so each stays feasible; A is their plain average, which in
-    general leaves the feasible set.  n_samples is an integral number >= 1.
+    The samples X_i = Y0 W_i orbit a feasible anchor Y0 under block-orthogonal
+    right actions W_i = diag(Q_k, Q_m), so each stays feasible; A is their
+    plain average, which in general leaves the feasible set.  n_samples is an
+    integral number >= 1.  Each sample draws its p_k x p_k block, then its
+    p_m x p_m block; each block stack is orthonormalized by one stacked QR,
+    and all samples come from one stacked product Y0 W.
     """
     n_samples = _sample_count(n_samples)
     spec = IndefiniteStiefel(n, p, k, p_k)
@@ -161,17 +164,22 @@ def build_extrinsic_mean(n, p, k, p_k, n_samples=1000, seed=0):
     p_m = p - p_k
     ss = np.random.SeedSequence(seed)
     seed_y0, seed_w = ss.spawn(2)
-    Y0 = spec.random_feasible(seed_y0)
+    Y0 = spec.random_feasible(seed_y0).X
     rng = np.random.default_rng(seed_w)
+    # samples is allocated before the stack work: allocated after it, it
+    # cannot take the block a previous build freed, and the peak RSS of
+    # repeated builds grows by about one samples array
     samples = np.empty((n_samples, n, p))
-    W = np.zeros((p, p))    # block diagonal: its off-diagonal blocks stay zero
-    for i in range(n_samples):
-        if p_k:
-            W[:p_k, :p_k] = qr_posdiag(rng.standard_normal((p_k, p_k)))[0]
-        if p_m:
-            W[p_k:, p_k:] = qr_posdiag(rng.standard_normal((p_m, p_m)))[0]
-        samples[i] = Y0.X @ W
-        FeasiblePoint(spec, samples[i], tol=1e-10)     # FeasibilityError when it is not
+    # row i is sample i's p_k x p_k block, then its p_m x p_m block, as drawn
+    G = rng.standard_normal((n_samples, p_k * p_k + p_m * p_m))
+    W = np.zeros((n_samples, p, p))     # block diagonal: its off-diagonal blocks stay zero
+    W[:, :p_k, :p_k] = qr_posdiag(G[:, :p_k * p_k].reshape(n_samples, p_k, p_k))[0]
+    W[:, p_k:, p_k:] = qr_posdiag(G[:, p_k * p_k:].reshape(n_samples, p_m, p_m))[0]
+    del G
+    np.matmul(Y0, W, out=samples)
+    del W
+    for X in samples:
+        FeasiblePoint(spec, X, tol=1e-10)     # FeasibilityError when it is not
     A = samples.mean(axis=0)
 
     def f(X, store=None):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 # Pin BLAS to one thread before NumPy loads, as bench/run.py does: the golden
 # objective values depend on the summation order of threaded BLAS kernels.
@@ -25,3 +26,24 @@ def _theta_basis_lstsq(spec, phiX, D):
 @pytest.fixture
 def theta_oracle():
     return _theta_basis_lstsq
+
+
+def _traced_peak(fn):
+    """Bytes of the highest tracemalloc peak while ``fn()`` runs, above what
+    was allocated when it started."""
+    outer = tracemalloc.is_tracing()
+    if not outer:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not outer:
+            tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

@@ -117,6 +117,58 @@ def test_indefinite_random_feasible_matches_dense_eigh(args):
                                       _dense_eigh_random_feasible(spec, seed))
 
 
+def _reference_start(spec, seed):
+    # random_feasible by dense formulas, the reference for the in-place
+    # build: sym/skew of the draw, a dense product with J_2n or A, the Cayley
+    # transform as solve(I - W/2, X + W X / 2), and eigh of the dense A
+    rng = np.random.default_rng(seed)
+    n = spec.n
+    if isinstance(spec, SymplecticStiefel):
+        m, k = n // 2, spec.p // 2
+        X = np.zeros((n, spec.p))
+        X[:m, :k] = np.eye(m)[:, :k]
+        X[m:, k:] = np.eye(m)[:, :k]
+        W = sym(rng.standard_normal((n, n))) @ symplectic_j(m)
+    else:
+        w, V = np.linalg.eigh(spec.A)
+        order = np.argsort(-w)
+        w, V = w[order], V[:, order]
+        npos, p_m = int((w > 0).sum()), spec.p - spec.p_k
+        Yt = np.zeros((n, spec.p))
+        Yt[:npos, :spec.p_k] = qr_posdiag(rng.standard_normal((npos, spec.p_k)))[0]
+        if p_m:
+            Yt[npos:, spec.p_k:] = qr_posdiag(rng.standard_normal((n - npos, p_m)))[0]
+        X = (V / np.sqrt(np.abs(w))) @ Yt
+        W = skew(rng.standard_normal((n, n))) @ spec.A
+    W *= 1.0 / max(1.0, np.linalg.norm(W))
+    return np.linalg.solve(np.eye(n) - 0.5 * W, X + 0.5 * (W @ X))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: op.symplectic_stiefel(40, 6),
+    lambda: op.indefinite_stiefel(30, 5, 12, 3),
+    lambda: op.indefinite_stiefel(30, 5, 12, 5),
+    lambda: op.generalized_stiefel(30, 4),
+    lambda: op.hyperbolic(30, 4),
+], ids=["symplectic", "indefinite", "indefinite-pk-eq-p", "generalized", "hyperbolic"])
+@pytest.mark.parametrize("seed", [0, 2, 11])
+def test_random_feasible_equals_the_dense_cayley_reference_bit_for_bit(make, seed):
+    spec = make()
+    assert np.array_equal(spec.random_feasible(seed).X, _reference_start(spec, seed))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: op.symplectic_stiefel(400, 8),
+    lambda: op.indefinite_stiefel(400, 8, 200, 4),
+    lambda: op.hyperbolic(400, 8),
+], ids=["symplectic", "indefinite", "hyperbolic"])
+def test_random_feasible_keeps_at_most_two_n_by_n_arrays_live(make, traced_peak):
+    # W, turned into I - W/2 in place, and the copy np.linalg.solve makes of it
+    spec = make()
+    spec.random_feasible(0)     # loads what a first call loads
+    assert traced_peak(lambda: spec.random_feasible(0)) <= 2.25 * 8 * spec.n ** 2
+
+
 def test_indefinite_rotated_A_phi_equals_dense_product():
     spec = SPECS["indefinite-stiefel-dense"]
     assert spec.a is None and not np.allclose(spec.A, np.diag(np.diagonal(spec.A)))
@@ -684,7 +736,12 @@ def test_generalized_and_hyperbolic_are_indefinite_frames_with_identity_J():
     (lambda: op.indefinite_stiefel(3, 2, k=1, p_k=1, A=np.diag([1.0, 0.0, -1.0])), "nonsingular"),
     (lambda: op.tensor_stiefel(4, 2, 0), r"l >= 1"),
     (lambda: op.hyperbolic(2, 1, H=np.diag([2.0, -2.0])), r"eigenvalues \+/- 1"),
-], ids=["A-size", "B-size", "H-size", "A-zero", "A-nan", "A-singular", "l-zero", "H-eig-2"])
+    (lambda: op.hyperbolic(8, 3, neg=-2), r"neg must be in \[0, n - p\] = \[0, 5\], got -2"),
+    (lambda: op.hyperbolic(8, 3, neg=9), r"neg must be in \[0, n - p\] = \[0, 5\], got 9"),
+    (lambda: op.hyperbolic(8, 3, neg=6), r"neg must be in \[0, n - p\] = \[0, 5\], got 6"),
+    (lambda: op.hyperbolic(8, 3, neg=7.5, H=np.eye(8)), "neg .* cannot be passed with H"),
+], ids=["A-size", "B-size", "H-size", "A-zero", "A-nan", "A-singular", "l-zero", "H-eig-2",
+        "neg-negative", "neg-above-n", "neg-above-n-minus-p", "neg-with-H"])
 def test_a_matrix_or_size_a_family_cannot_take_is_rejected_with_the_reason(make, match):
     with pytest.raises(ValueError, match=match):
         make()

@@ -292,6 +292,47 @@ def test_extrinsic_mean_deterministic():
     np.testing.assert_array_equal(p1.samples, p2.samples)
 
 
+def _reference_samples(n, p, k, p_k, n_samples, seed):
+    # the samples by a per-sample loop, the reference for the stacked
+    # build: one QR per block per sample, one product per sample
+    spec = op.indefinite_stiefel(n, p, k, p_k)
+    seed_y0, seed_w = np.random.SeedSequence(seed).spawn(2)
+    Y0 = spec.random_feasible(seed_y0).X
+    rng = np.random.default_rng(seed_w)
+    samples = np.empty((n_samples, n, p))
+    W = np.zeros((p, p))
+    for i in range(n_samples):
+        if p_k:
+            W[:p_k, :p_k] = qr_posdiag(rng.standard_normal((p_k, p_k)))[0]
+        if p - p_k:
+            W[p_k:, p_k:] = qr_posdiag(rng.standard_normal((p - p_k, p - p_k)))[0]
+        samples[i] = Y0 @ W
+    return samples
+
+
+@pytest.mark.parametrize("args", [
+    (30, 5, 12, 0, 7, 3),
+    (30, 5, 12, 5, 7, 4),
+    (30, 5, 12, 3, 1, 5),
+    (120, 24, 60, 12, 100, 0),
+], ids=["pk-zero", "pm-zero", "one-sample", "indef-size"])
+def test_extrinsic_mean_samples_equal_the_per_sample_qr_loop_bit_for_bit(args):
+    n, p, k, p_k, n_samples, seed = args
+    prob = build_extrinsic_mean(n, p, k=k, p_k=p_k, n_samples=n_samples, seed=seed)
+    assert np.array_equal(prob.samples, _reference_samples(*args))
+
+
+def test_extrinsic_mean_writes_its_samples_in_place(traced_peak):
+    # next to the samples live at most the W stack (p/n = 0.2 of them here),
+    # the draws (0.1) and one stacked QR's work; a temporary product or a
+    # copy of the samples would add a whole samples array
+    def build():
+        return build_extrinsic_mean(120, 24, k=60, p_k=12, n_samples=100)
+
+    samples_bytes = build().samples.nbytes      # also loads what a first call loads
+    assert traced_peak(build) <= 1.6 * samples_bytes
+
+
 # ----------------------------------------------------------------- tensor jfd
 
 def test_tensor_jfd_noiseless_exact_diagonalizer():
