@@ -12,12 +12,14 @@ import math
 
 import numpy as np
 
-from .manifolds import FeasiblePoint, IndefiniteStiefel, SymplecticStiefel, TensorStiefel, _size
+from .manifolds import FeasibilityError, IndefiniteStiefel, SymplecticStiefel, TensorStiefel, _size
 from .tensor import qr_posdiag
 
 GRAD_CHECK_POINTS = 5      # random points of the central-difference gradient check
 GRAD_CHECK_STEP = 1e-5     # its difference step along a unit direction
 GRAD_CHECK_TOL = 1e-6      # its relative gap allowed between grad and the difference
+SAMPLE_TOL = 1e-10         # largest constraint residual of an extrinsic-mean sample
+CHECK_BLOCK_BYTES = 1 << 18     # at most the size of phi of one block of samples checked at once
 
 
 class Problem:
@@ -156,7 +158,9 @@ def build_extrinsic_mean(n, p, k, p_k, n_samples=1000, seed=0):
     plain average, which in general leaves the feasible set.  n_samples is an
     integral number >= 1.  Each sample draws its p_k x p_k block, then its
     p_m x p_m block; each block stack is orthonormalized by one stacked QR,
-    and all samples come from one stacked product Y0 W.
+    and all samples come from one stacked product Y0 W.  Each sample's
+    residual ||X^T phi(X) - I|| must be at most 1e-10, or FeasibilityError
+    names the first sample that exceeds it.
     """
     n_samples = _sample_count(n_samples)
     spec = IndefiniteStiefel(n, p, k, p_k)
@@ -178,8 +182,20 @@ def build_extrinsic_mean(n, p, k, p_k, n_samples=1000, seed=0):
     del G
     np.matmul(Y0, W, out=samples)
     del W
-    for X in samples:
-        FeasiblePoint(spec, X, tol=1e-10)     # FeasibilityError when it is not
+    # each sample's residual ||X^T phi(X) - I||, by stacked products over
+    # blocks of samples: phi of a block stays in cache, and no temporary the
+    # size of the samples adds to the peak
+    block = max(1, CHECK_BLOCK_BYTES // (8 * n * p))
+    for lo in range(0, n_samples, block):
+        Y = samples[lo:lo + block]
+        C = Y.mT @ spec.phi(Y)
+        C -= np.eye(p)
+        res = np.linalg.norm(C, axis=(1, 2))
+        ok = res <= SAMPLE_TOL      # NaN fails it
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise FeasibilityError(f"sample {lo + i}: constraint residual {res[i]:.3e} exceeds "
+                                   f"tolerance {SAMPLE_TOL:.1e} on {spec.name}")
     A = samples.mean(axis=0)
 
     def f(X, store=None):
@@ -205,48 +221,69 @@ def build_tensor_jfd(n, p, l, n_samples=10, gamma=0.5, seed=0):
 
     Sample tensors are congruences of diagonal-slice cores by a shared
     orthogonal tensor, plus unit-norm noise scaled by gamma.  Everything is
-    evaluated face by face in the transform domain: ``sample_mats`` has shape
-    (samples, l, n, n), a point is an (l, n, p) stack, and the objective is
-    the squared off-diagonal mass of the faces of X^T D_i X.  n_samples is
-    an integral number >= 1 and gamma in [0, inf).
+    evaluated face by face in the transform domain: a point is an (l, n, p)
+    stack, and the objective is the squared off-diagonal mass of the faces
+    of O_i = X^T D_i X.  n_samples is an integral number >= 1 and gamma in
+    [0, inf).
+
+    The s sample matrices and their transposes are held in one stacked
+    operator W of shape (l, 2 s n, n), rows interleaved over the 2 s
+    matrices, so that (W @ Y).reshape(l, n, 2 s p) is the face stack of
+    [D_1 Y | ... | D_s Y | D_1^T Y | ... | D_s^T Y] without a copy.  At a
+    point X the oracles share DX and the masked row stack
+    R = [O_1^T; ...; O_s^T; O_1; ...; O_s] = (DX^T X) * offdiag, and each
+    sum over the samples is the inner dimension of one product per face:
+    f = ||O||^2, grad = 2 DX R and hessvec = 2 (DV R + DX dR).
+    ``sample_mats`` is a read-only (samples, l, n, n) view of the D_i in W.
     """
     n_samples = _sample_count(n_samples)
     if not 0.0 <= gamma < math.inf:     # written so that NaN fails it
         raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
     spec = TensorStiefel(n, p, l)
     n, p, l = spec.n, spec.p, spec.l        # the checked sizes, as ints
+    s = n_samples
     ss = np.random.SeedSequence(seed)
     seed_u, seed_d = ss.spawn(2)
     U = spec.random_feasible(seed_u)
     rng = np.random.default_rng(seed_d)
-    mats = np.empty((n_samples, l, n, n))
-    for i in range(n_samples):
+    # rows[f, r, j] is row r of face f of D_{j+1} for j < s, of D_{j-s+1}^T after
+    rows = np.empty((l, n, 2 * s, n))
+    mats = rows[:, :, :s].transpose(2, 0, 1, 3)
+    for i in range(s):
         core = rng.standard_normal((l, 1, p))
         mats[i] = (U.X * core) @ U.X.mT
         noise = rng.standard_normal((l, n, n))
         if gamma > 0:
             mats[i] += gamma * noise / np.linalg.norm(noise)
-    offdiag = 1.0 - np.eye(p)
+    rows[:, :, s:] = mats.mT.transpose(1, 2, 0, 3)
+    # read-only, so that the D_i and D_i^T halves cannot come to disagree
+    rows.flags.writeable = mats.flags.writeable = False
+    W = rows.reshape(l, 2 * s * n, n)
+    mask = np.tile(1.0 - np.eye(p), (2 * s, 1))
+
+    def stacked(Y):
+        """[D_1 Y | ... | D_s Y | D_1^T Y | ... | D_s^T Y], face by face."""
+        return (W @ Y).reshape(l, n, 2 * s * p)
 
     # the products by the sample faces at X, shared by every oracle there
     @_memo
     def faces(X):
-        DX = mats @ X
-        return DX, (X.mT @ DX) * offdiag, mats.mT @ X
+        DX = stacked(X)
+        return DX, (DX.mT @ X) * mask
 
     def f(X, store=None):
-        O = faces(X, store)[1]
+        O = faces(X, store)[1][:, s * p:]
         return float(np.vdot(O, O))
 
     def grad(X, store=None):
-        DX, O, MX = faces(X, store)
-        return 2.0 * (MX @ O + DX @ O.mT).sum(axis=0)
+        DX, R = faces(X, store)
+        return 2.0 * (DX @ R)
 
     def hessvec(X, V, store=None):
         V = np.asarray(V, dtype=float)
-        (DX, O, MX), DV = faces(X, store), mats @ V
-        Od = (V.mT @ DX + X.mT @ DV) * offdiag
-        return 2.0 * (mats.mT @ V @ O + MX @ Od + DV @ O.mT + DX @ Od.mT).sum(axis=0)
+        (DX, R), DV = faces(X, store), stacked(V)
+        Rd = (DV.mT @ X + DX.mT @ V) * mask
+        return 2.0 * (DV @ R + DX @ Rd)
 
     meta = {"problem": "tensor-jfd", "n": n, "p": p, "l": l, "samples": n_samples,
             "gamma": gamma, "seed": seed, "beta_default": 0.8, "rng": "pcg64",

@@ -57,7 +57,7 @@ class CountingStore(dict):
 
 @pytest.mark.parametrize("build,fills", [
     (lambda: build_lsm(10, 4, seed=1), 1),                              # A X N
-    (lambda: build_tensor_jfd(6, 2, 3, n_samples=3, seed=1), 1),        # D X, its Gram, D^T X
+    (lambda: build_tensor_jfd(6, 2, 3, n_samples=3, seed=1), 1),        # DX and its row stack R
     (lambda: build_extrinsic_mean(8, 2, k=5, p_k=1, n_samples=10, seed=0), 0),
 ])
 def test_oracles_form_their_products_once_per_point(build, fills):
@@ -333,6 +333,26 @@ def test_extrinsic_mean_writes_its_samples_in_place(traced_peak):
     assert traced_peak(build) <= 1.6 * samples_bytes
 
 
+@pytest.mark.parametrize("scale", [1.0 + 1e-6, np.nan], ids=["off-manifold", "nan"])
+def test_extrinsic_mean_rejects_a_sample_off_the_manifold(monkeypatch, scale):
+    # sample 37's p_m x p_m block leaves the orthogonal group, so its sample
+    # leaves the manifold; the check, 11 samples to a block at this size,
+    # names it
+    calls = []
+
+    def qr_spoiling_sample_37(M):
+        Q, R = qr_posdiag(M)
+        calls.append(1)
+        if len(calls) == 2:
+            Q[37] *= scale
+        return Q, R
+
+    monkeypatch.setattr(op.problems, "qr_posdiag", qr_spoiling_sample_37)
+    with pytest.raises(op.FeasibilityError, match="^sample 37: constraint residual"):
+        build_extrinsic_mean(120, 24, k=60, p_k=12, n_samples=60, seed=0)
+    assert len(calls) == 2
+
+
 # ----------------------------------------------------------------- tensor jfd
 
 def test_tensor_jfd_noiseless_exact_diagonalizer():
@@ -393,3 +413,65 @@ def test_tensor_jfd_deterministic():
     p1 = build_tensor_jfd(5, 2, 2, n_samples=3, gamma=0.5, seed=11)
     p2 = build_tensor_jfd(5, 2, 2, n_samples=3, gamma=0.5, seed=11)
     np.testing.assert_array_equal(p1.sample_mats, p2.sample_mats)
+
+
+def _reference_tensor_jfd(n, p, l, n_samples, gamma, seed):
+    """The per-sample draw and oracles of the tensor-JFD objective: one
+    product per sample and face, then a sum over the samples.  The reference
+    for the stacked operator of ``build_tensor_jfd``."""
+    spec = op.tensor_stiefel(n, p, l)
+    seed_u, seed_d = np.random.SeedSequence(seed).spawn(2)
+    U = spec.random_feasible(seed_u).X
+    rng = np.random.default_rng(seed_d)
+    mats = np.empty((n_samples, l, n, n))
+    for i in range(n_samples):
+        core = rng.standard_normal((l, 1, p))
+        mats[i] = (U * core) @ U.mT
+        noise = rng.standard_normal((l, n, n))
+        if gamma > 0:
+            mats[i] += gamma * noise / np.linalg.norm(noise)
+    offdiag = 1.0 - np.eye(p)
+
+    def f(X):
+        O = (X.mT @ mats @ X) * offdiag
+        return float(np.vdot(O, O))
+
+    def grad(X):
+        DX = mats @ X
+        O = (X.mT @ DX) * offdiag
+        return 2.0 * (mats.mT @ X @ O + DX @ O.mT).sum(axis=0)
+
+    def hessvec(X, V):
+        DX, DV = mats @ X, mats @ V
+        O = (X.mT @ DX) * offdiag
+        Od = (V.mT @ DX + X.mT @ DV) * offdiag
+        return 2.0 * (mats.mT @ V @ O + mats.mT @ X @ Od + DV @ O.mT + DX @ Od.mT).sum(axis=0)
+
+    return mats, f, grad, hessvec
+
+
+def _assert_rel(got, ref, rtol=1e-13):
+    assert np.linalg.norm(got - ref) <= rtol * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n,p,l,n_samples", [(20, 3, 8, 5), (5, 1, 2, 1), (6, 2, 1, 3)],
+                         ids=["tjfd-size", "p-one", "one-face"])
+def test_tensor_jfd_stacked_oracles_match_the_per_sample_reference(n, p, l, n_samples):
+    prob = build_tensor_jfd(n, p, l, n_samples=n_samples, gamma=0.5, seed=3)
+    mats, f, grad, hessvec = _reference_tensor_jfd(n, p, l, n_samples, 0.5, 3)
+    # the same draw, bit for bit, as a read-only view
+    assert prob.sample_mats.shape == (n_samples, l, n, n)
+    assert np.array_equal(prob.sample_mats, mats)
+    assert not prob.sample_mats.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        prob.sample_mats[0, 0, 0, 0] = 1.0
+    rng = np.random.default_rng(4)
+    X = prob.spec.random_feasible(5).X + 0.1 * rng.standard_normal((l, n, p))
+    V, W = rng.standard_normal((2, l, n, p))
+    store = {}
+    for st in (None, store, store):     # afresh, filling the store, from it
+        assert abs(prob.f(X, st) - f(X)) <= 1e-13 * f(X)
+        _assert_rel(prob.grad(X, st), grad(X))
+        _assert_rel(prob.hessvec(X, V, st), hessvec(X, V))
+        _assert_rel(prob.hessvec(X, W, st), hessvec(X, W))
+    assert len(store) == 1
