@@ -75,6 +75,22 @@ def check_cross_gram(spec):
     return worst <= 1e-12, worst
 
 
+def check_dissolve_carry(spec):
+    """The parts a trial point A(Y) carries from Y against fresh ones,
+    relative to their size, at Y 1e-2 off the manifold: its Gram matrix
+    L G(Y) psi(L^T) against A(Y)^T phi(A(Y)), and phi(Y) psi(L^T) against
+    phi(A(Y)), by phi(Y T) = phi(Y) psi(T)."""
+    rng = np.random.default_rng(7)
+    Y = spec.random_feasible(7).X + 1e-2 * _unit(rng, spec)
+    carried = mf.EvalCache.dissolving(spec, Y)
+    AY = carried.X
+    phiA = spec.phi(AY)
+    gram = AY.mT @ phiA
+    worst = max(np.linalg.norm(carried.gram - gram) / np.linalg.norm(gram),
+                np.linalg.norm(carried.phiX - phiA) / np.linalg.norm(phiA))
+    return worst <= 1e-12, worst
+
+
 def check_constraint_in_s1(spec):
     """The constraint residual always lies in S1 = {q^T W}.
 
@@ -167,6 +183,7 @@ def check_penalty_gradient_fd(spec):
 CHECKS = [
     ("assumption identities", check_assumptions),
     ("cross-Gram identity", check_cross_gram),
+    ("dissolving-step carry", check_dissolve_carry),
     ("constraint in S1 span", check_constraint_in_s1),
     ("dissolving fixed point", check_dissolving),
     ("differential idempotence", check_idempotence),

@@ -88,18 +88,20 @@ class EvalCache:
     ``hv_ops``, the stacked operands that product builds at its first call
     at the base (see ``penalty.penalty_hessvec``).  ``feas``
     reads ||C||, ``normal`` is the factorization ``normal_factor`` keeps, and
-    ``origin_C``, on a cache made by ``dissolved()``, is the residual of the
-    point it was dissolved from.  ``store`` belongs to X itself (see
-    ``Problem``); the penalty evaluates f at A(X) through the store of
-    ``dissolved()``, the point A(X), which is made once.
+    ``origin_C``, on a cache made by ``dissolved()`` or ``dissolving``, is
+    the residual of the point it was dissolved from.  ``store`` belongs to X
+    itself (see ``Problem``); the penalty evaluates f at A(X) through the
+    store of ``dissolved()``, the point A(X), which is made once.
 
     A cache takes X without a copy, makes it read-only and never moves; the
     rest is formed the first time it is asked for, so a point read only for
     its residual or its geometry never pays for A(X).  ``FeasiblePoint`` is
-    the checked constructor.  Caches built with the same ``counts`` dict
-    share one meter of the work done through them (``METER_KEYS``): dense
-    products of n x p / p x p shape, phi applications and objective/gradient
-    calls.
+    the checked constructor.  A cache made by ``dissolving`` starts with
+    its base carried from the point Y it dissolves: phi(X), G and C.
+    Caches built with the same ``counts`` dict share one meter of the work
+    done through them (``METER_KEYS``): dense products of n x p / p x p
+    shape, phi applications and objective/gradient calls; the p x p
+    products that carry G are not metered.
     """
 
     __slots__ = ("spec", "X", "counts", "phiX", "gram", "C", "_lead", "_AX", "store",
@@ -114,6 +116,31 @@ class EvalCache:
         self.store = {}
         self.gradfA = self.syms = self.hv_ops = None
         self.origin_C = self.normal = self._dissolved = None
+
+    @classmethod
+    def dissolving(cls, spec, Y, counts=None):
+        """The point A(Y), one dissolving step from Y, with its base and no
+        cache at Y; 1 phi and 3 products.
+
+        phi(Y), G(Y) and L = 1.5 I - 0.5 G(Y) give A(Y) = Y L^T with the bits
+        of a cache at Y.  With phi(Y T) = phi(Y) psi(T), the point A(Y)
+        carries phi(A(Y)) = phi(Y) psi(L^T), and G(A(Y)) = L G(Y) psi(L^T)
+        and its C at p x p cost; its ``origin_C`` is C(Y).  G(Y) is fresh,
+        so no rounding carries over from the point Y was stepped from.
+        """
+        eye = _eye(spec.p)
+        phiY = spec.phi(Y)
+        gram = Y.mT @ phiY
+        lead = _eye15(spec.p) - 0.5 * gram
+        out = cls(spec, Y @ lead.mT, counts)
+        psi_lt = spec.psi(lead.mT)
+        out.phiX = phiY @ psi_lt
+        out.counts["phi"] += 1
+        out.counts["matmul"] += 3
+        out.gram = lead @ gram @ psi_lt
+        out.C = out.gram - eye
+        out.origin_C = gram - eye
+        return out
 
     def _mm(self, A, B):
         self.counts["matmul"] += 1
@@ -149,7 +176,7 @@ class EvalCache:
     @property
     def feas(self):
         """||C||, the norm of the constraint residual at X, as a Python float."""
-        return float(np.linalg.norm(self.base().C))
+        return _norm(self.base().C)
 
     def ensure_grad(self, problem):
         """The base with grad f(A(X)) and its pair ``syms``; 1 product when new."""
@@ -162,11 +189,19 @@ class EvalCache:
 
     def dissolved(self):
         """The cache at A(X), one dissolving step from X, on the same meter,
-        carrying this cache's residual C as its ``origin_C``; made once."""
+        carrying this cache's residual C as its ``origin_C``; made once.  It
+        forms its own base when it is read."""
         if self._dissolved is None:
             self._dissolved = EvalCache(self.spec, self.AX, self.counts)
             self._dissolved.origin_C = self.C
         return self._dissolved
+
+
+def _norm(a):
+    # np.linalg.norm's own sum for the Frobenius norm of a real array, as a
+    # Python float, without its dispatch
+    a = a.ravel(order="K")
+    return math.sqrt(a.dot(a))
 
 
 def _checked(point, tol):

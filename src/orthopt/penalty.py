@@ -14,24 +14,33 @@ With C = X^T phi(X) - I its gradient is
 A point of either route is a ``manifolds.EvalCache`` (X, phi(X), the Gram
 matrix, C and A(X)) around a read-only X; its ``dissolved`` cache is the
 point A(X) on the same meter, whose store f and its derivatives at A(X)
-use.  dA, dA* and dC* are each written once as a kernel over a cache,
-which the solvers and the public derivatives share, and dC once, unmetered,
-as ``manifolds._dC``, which ``tangent_test`` shares; a public function
-takes its cache at a copy of X and checks the shape of each direction.
-The residual C and its norm are read off the cache (``EvalCache.base``
-and ``EvalCache.feas``), never formed again.
+use.  A trial point of the penalty solvers is made by
+``EvalCache.dissolving``: it carries phi(X), its Gram matrix and C from
+the raw step it dissolves.  dA, dA* and dC* are each written once as a
+kernel over a cache, which the public derivatives use (the solvers'
+tangent retry uses dA), and dC once, unmetered, as ``manifolds._dC``,
+which ``tangent_test`` shares; a public function takes its cache at a
+copy of X and checks the shape of each direction.  The residual C and its
+norm are read off the cache (``EvalCache.base`` and ``EvalCache.feas``),
+never formed again.
 The adjoints never apply phi: with phi(X T) = phi(X) psi(T),
 
     dC(X)*[T] = phi(X) T^T + phi(X T) = phi(X) gen_sym(T),
 
-so each is a product by phi(X) on the left of a p x p matrix.  Nor does
-dA: with phi self-adjoint too, X^T phi(Z) = psi(phi(X)^T Z), so its two
-cross-Grams come from one product, and it costs 3 products and no phi.
-A gradient at a new base costs 6 products and 1 phi, a Hessian-vector
-product after it 6 products and 1 phi: it multiplies dX by two operands
-stacked once per base, and its one phi is of dX psi(M), which is phi(dX)
-times the p x p coefficient M of its curvature term.  ``postprocess``
-costs one phi per round.
+so each is a product by phi(X) on the left of a p x p matrix, and the
+gradient takes both in one product,
+
+    grad h(X) = grad f(A(X)) lead + phi(X) (beta gen_sym(C) - 0.5 gen_sym(grad f(A(X))^T X)).
+
+Nor does dA apply phi: with phi self-adjoint too, X^T phi(Z) =
+psi(phi(X)^T Z), so its two cross-Grams come from one product, and it
+costs 3 products and no phi.
+A gradient costs 5 products and 1 phi at a new base and 3 products at a
+point whose value was taken; a Hessian-vector product after it costs 6
+products and 1 phi: it multiplies dX by two operands stacked once per
+base, and its one phi is of dX psi(M), which is phi(dX) times the p x p
+coefficient M of its curvature term.  ``postprocess`` costs one phi per
+round.
 """
 
 import math
@@ -120,11 +129,10 @@ def _dC_adjoint(cache, T):
     return cache._mm(cache.phiX, cache.spec.gen_sym(T))
 
 
-def _dA_adjoint(cache, V, SV=None):
+def _dA_adjoint(cache, V):
     """dA(X)*[V] = V lead - 0.5 dC(X)*[V^T X] = V lead + phi(X) (-0.5 SV),
-    SV = gen_sym(V^T X); 3 products, or 2 when SV is given."""
-    if SV is None:
-        SV = cache.spec.gen_sym(cache._mm(V.mT, cache.X))
+    SV = gen_sym(V^T X); 3 products."""
+    SV = cache.spec.gen_sym(cache._mm(V.mT, cache.X))
     return cache._mm(V, cache.lead) + cache._mm(cache.phiX, -0.5 * SV)
 
 
@@ -138,15 +146,15 @@ def penalty_value(pf, X, cache=None):
 
 
 def penalty_gradient(pf, X, cache=None):
-    """dA(X)*[grad f(A(X))] + beta dC(X)*[C]; 6 metered products and 1 phi
-    application at a new base, 3 products at a base that has its ``syms``.
-
-    The two adjoints stay separate sums, so the result is bit for bit the
-    public ``dA_adjoint`` plus ``beta dC_adjoint``."""
+    """dA(X)*[grad f(A(X))] + beta dC(X)*[C], taken with one product by
+    phi(X) as grad f(A(X)) lead + phi(X) (beta SC - 0.5 SV), where
+    (SV, SC) = ``syms``; 5 metered products and 1 phi application at a new
+    base, 3 products at a point whose value was taken, 2 at a base that
+    has its ``syms``."""
     cache = _cache_at(pf.spec, X, cache)
     cache.ensure_grad(pf.problem)
     SV, SC = cache.syms
-    return _dA_adjoint(cache, cache.gradfA, SV) + pf.beta * cache._mm(cache.phiX, SC)
+    return cache._mm(cache.gradfA, cache.lead) + cache._mm(cache.phiX, pf.beta * SC - 0.5 * SV)
 
 
 def penalty_hessvec(pf, X, dX, cache=None):

@@ -36,6 +36,7 @@ from .manifolds import (
     RetractError,
     _checked,
     _copy_X,
+    _norm,
     _point,
     normal_factor,
     riemannian_gradient,
@@ -94,7 +95,9 @@ class SolveReport:
     evaluations the iteration took and the number of Hessian-vector products
     it formed (both 0 for the start).  ``phase_counts["hessvec"]`` counts the
     Hessian-vector products formed; a trust-region re-solve that replays the
-    products of its base does not count them again.
+    products of its base does not count them again.  ``feas_norm`` is the
+    oracle's ``certified_feas`` of the last iterate, which on the penalty is
+    formed afresh, not read off the trace's last row.
     """
 
     solver: str
@@ -115,19 +118,24 @@ class SolveReport:
 
 
 class PhaseClock:
+    """Seconds and calls booked to each phase, in ``ALL_PHASES`` order, and
+    the running total of the oracle phases."""
+
     def __init__(self):
-        self.seconds = {k: 0.0 for k in ALL_PHASES}
-        self.counts = {k: 0 for k in ALL_PHASES}
+        self.seconds = dict.fromkeys(ALL_PHASES, 0.0)
+        self.counts = dict.fromkeys(ALL_PHASES, 0)
+        self.oracle = 0.0
 
     def phase(self, name):
-        """A context manager that books the time spent in its block to ``name``."""
+        """A context manager that books the time spent in its block to the
+        oracle phase ``name``; the line search books its own time."""
         return _Phase(self, name)
 
     def oracle_seconds(self):
-        return sum(self.seconds[k] for k in ORACLE_PHASES)
+        return self.oracle
 
     def row(self):
-        return tuple(self.seconds[k] for k in ALL_PHASES)
+        return tuple(self.seconds.values())
 
 
 class _Phase:
@@ -140,14 +148,18 @@ class _Phase:
         self.t0 = time.perf_counter()
 
     def __exit__(self, *exc):
-        self.clock.seconds[self.name] += time.perf_counter() - self.t0
-        self.clock.counts[self.name] += 1
+        dt = time.perf_counter() - self.t0
+        clock = self.clock
+        clock.seconds[self.name] += dt
+        clock.counts[self.name] += 1
+        clock.oracle += dt
 
 
 # --- oracles: the objective together with its geometry ---------------------
 
 class _Oracle:
-    """The defaults: no meter, the move as the trial, no charge, no tangent."""
+    """The defaults: no meter, the move as the trial, no charge, no tangent,
+    the iterate's own feasibility as the reported one."""
 
     meter = None    # dict of work counts the oracle keeps, if any
 
@@ -162,6 +174,10 @@ class _Oracle:
     def tangent(self, x, d):
         """A direction to retry a trial rejected on its charge: none."""
         return None
+
+    def certified_feas(self, x):
+        """The feasibility a solve reports for its last iterate: ``feas``."""
+        return self.feas(x)
 
 
 class _FlatOracle(_Oracle):
@@ -219,7 +235,9 @@ class PenaltyOracle(_FlatOracle):
 
     The start, every move x + step and every trial A(x + step) are a new
     ``EvalCache`` built around a read-only X, all sharing the oracle's one
-    meter.  A line search accepts the trial A(x + alpha d) on its value plus
+    meter.  A trial dissolves y = x + step once: it forms phi(y) and G(y)
+    and carries phi, G and C at A(y) from them (``EvalCache.dissolving``).  A
+    line search accepts the trial A(x + alpha d) on its value plus
     ``charge``, the penalty term beta/2 ||C(x + alpha d)||^2 of the raw step,
     which the dissolving step would otherwise hide; the first trial of a
     search rejected on that charge alone is retried along ``tangent``,
@@ -227,7 +245,9 @@ class PenaltyOracle(_FlatOracle):
     products and feasibility at an iterate fill or read its own cache, so a
     rejected trial leaves the base it was taken from as it was, and the
     objective oracles at A(X) share the store of its ``dissolved()`` point.
-    ``unwrap`` hands back a writable copy of X.
+    The feasibility a solve reports comes from a fresh phi and Gram matrix
+    of its last iterate (``certified_feas``).  ``unwrap`` hands back a
+    writable copy of X.
     """
 
     def __init__(self, pf):
@@ -242,12 +262,13 @@ class PenaltyOracle(_FlatOracle):
         return EvalCache(self.pf.spec, x.X + step, self.meter)
 
     def trial(self, x, step, clock):
-        """A(x + step), one dissolving step from x + step, as a fresh cache.
+        """A(x + step), one dissolving step from x + step, as a fresh cache
+        that carries its base from x + step.
 
-        The base at x + step costs 1 phi and 2 products, booked to no phase
-        as a flat move is.
+        It costs 1 phi and 3 products, booked to no phase as a flat move is,
+        and the value there 1 product more, A of the trial point.
         """
-        return self.move(x, step, clock).dissolved()
+        return EvalCache.dissolving(self.pf.spec, x.X + step, self.meter)
 
     def charge(self, trial):
         """beta/2 ||C(x + step)||^2, the penalty term of the raw point that
@@ -258,7 +279,13 @@ class PenaltyOracle(_FlatOracle):
     def tangent(self, x, d):
         """dA_x[d], the dissolving differential at x applied to d: at a
         feasible x, C(x + alpha dA_x[d]) is O(alpha^2), so the charge is
-        O(alpha^4).  3 products and no phi at the base of x."""
+        O(alpha^4).  3 products and no phi at the base of x.  A trial point's
+        carried phi(X) and G agree with fresh ones only to rounding, so there
+        it is taken at a fresh base of X, 1 phi and 1 product more, and the
+        retry depends on X alone: it is the public ``dA(spec, X, d)`` bit for
+        bit."""
+        if x.origin_C is not None:
+            x = EvalCache(self.pf.spec, x.X, self.meter)
         return _dA(x.base(), d)
 
     def displacement(self, x, xn, alpha, d, clock):
@@ -280,6 +307,13 @@ class PenaltyOracle(_FlatOracle):
 
     def feas(self, x):
         return x.feas
+
+    def certified_feas(self, x):
+        """||C|| at x from a fresh phi(X) and Gram matrix, 1 phi and 1
+        product: the carried residual of a trial point agrees with it only
+        to rounding, by up to 1.3e-15 on the desk configs.  It is the bits of
+        ``np.linalg.norm(constraint(spec, X))``."""
+        return EvalCache(self.pf.spec, x.X, self.meter).feas
 
 
 class ManifoldOracle(_Oracle):
@@ -340,12 +374,6 @@ def _dot(a, b):
     return float(a.ravel().dot(b.ravel()))
 
 
-def _norm(a):
-    # np.linalg.norm's own sum for the Frobenius norm of a real array
-    a = a.ravel(order="K")
-    return math.sqrt(a.dot(a))
-
-
 class _Merit:
     """Weighted-average reference value for nonmonotone line searches."""
 
@@ -378,8 +406,9 @@ def _search(oracle, clock, x, g, d, gd, merit_c, alpha0):
     charge-only rejection halves alpha like any other.  On the penalty the
     tangent is dA_x[d], whose raw step leaves the manifold at O(alpha^2)
     and pays a charge of O(alpha^4) (Xiao, Liu & Toh 2024); it costs 3
-    products and no phi.  The other oracles have no charge and no tangent,
-    so their searches are unchanged.
+    products and no phi, and 1 phi and 4 products at a trial point.  The
+    other oracles have no charge and no tangent, so their searches are
+    unchanged.
     """
     t0 = time.perf_counter()
     before = clock.oracle_seconds()
@@ -460,9 +489,10 @@ def minimize(solver_id, oracle, x0, config=None):
         hessvecs, formed = clock.counts["hessvec"] - formed, clock.counts["hessvec"]
         trace.append((k, h, gn, oracle.feas(x)) + clock.row() + (trials, hessvecs))
     X, point = oracle.unwrap(x)
+    feas = oracle.certified_feas(x)
     work = None if work0 is None else {k: v - work0[k] for k, v in oracle.meter.items()}
     return SolveReport(
-        solver=solver_id, X=X, fval=h, grad_norm=gn, feas_norm=oracle.feas(x),
+        solver=solver_id, X=X, fval=h, grad_norm=gn, feas_norm=feas,
         iters=iters, status=status, total_time=time.perf_counter() - t0,
         phase_seconds=dict(clock.seconds), phase_counts=dict(clock.counts),
         trace=trace, point=point, work=work)

@@ -154,7 +154,7 @@ def test_criterion_08_gradient_work_accounting():
     cache = EvalCache(spec, X)
     penalty_gradient(pf, X, cache)
     counts = dict(cache.counts)
-    ok = counts == {"matmul": 6, "phi": 1, "grad_f": 1, "f": 0}
+    ok = counts == {"matmul": 5, "phi": 1, "grad_f": 1, "f": 0}
     _report(8, ok, f"one penalty gradient evaluation costs {counts}, "
                    f"below the paper's 8 products and 3 phi")
 

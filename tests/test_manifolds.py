@@ -10,6 +10,7 @@ from orthopt.diagnostics import (
     check_assumptions,
     check_constraint_in_s1,
     check_cross_gram,
+    check_dissolve_carry,
 )
 from orthopt.linalg import lyapunov_solve, skew, sym
 from orthopt.manifolds import (
@@ -314,6 +315,26 @@ def test_cross_gram_check_fails_where_phi_is_not_self_adjoint():
     np.testing.assert_allclose(spec.phi(X @ T), spec.phi(X) @ T, rtol=1e-12)
     ok, worst = check_cross_gram(spec)
     assert not ok and worst > 0.1
+
+
+def test_dissolving_step_carries_gram_and_phi(spec):
+    # at 1e-2 off the manifold, the Gram matrix and phi a trial point
+    # carries from its raw step agree with fresh ones to 1e-12 relative
+    ok, worst = check_dissolve_carry(spec)
+    assert ok, worst
+
+
+class _UnswappedSymplectic(SymplecticStiefel):
+    """Symplectic frames with psi taken as the identity, which is not the
+    companion of their phi: phi(X T) = phi(X) J^T T J, not phi(X) T."""
+
+    def psi(self, T):
+        return np.asarray(T, dtype=float)
+
+
+def test_dissolve_carry_check_fails_with_a_wrong_psi():
+    ok, worst = check_dissolve_carry(_UnswappedSymplectic(8, 4))
+    assert not ok and worst > 1e-6
 
 
 def test_gen_sym_lands_in_s1_span(spec):

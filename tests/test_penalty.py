@@ -236,24 +236,42 @@ def test_penalty_gradient_work_counters(spec):
     X = _near_point(spec, 23)
     cache = EvalCache(spec, X)
     penalty_gradient(pf, X, cache)
-    assert cache.counts == {"matmul": 6, "phi": 1, "grad_f": 1, "f": 0}
+    assert cache.counts == {"matmul": 5, "phi": 1, "grad_f": 1, "f": 0}
     # value at the same point reuses everything but the objective call
     penalty_value(pf, X, cache)
-    assert cache.counts == {"matmul": 6, "phi": 1, "grad_f": 1, "f": 1}
+    assert cache.counts == {"matmul": 5, "phi": 1, "grad_f": 1, "f": 1}
     # a repeat reuses the cached base, oracle calls and p x p pair; only
-    # the three products of the assembly rerun
+    # the two products of the assembly rerun
     penalty_gradient(pf, X, cache)
-    assert cache.counts["matmul"] == 9 and cache.counts["grad_f"] == 1
+    assert cache.counts["matmul"] == 7 and cache.counts["grad_f"] == 1
 
 
 def test_penalty_gradient_is_the_adjoint_sum(spec):
-    # grad h = dA(X)*[grad f(A(X))] + beta dC(X)*[C], through the public adjoints
+    # grad h = dA(X)*[grad f(A(X))] + beta dC(X)*[C], through the public
+    # adjoints; the gradient takes its two phi(X) terms in one product, so
+    # the sums agree to rounding
     prob = toy_problem(spec, 25)
     pf = PenaltyFunction(spec, prob, 0.7)
     X = _near_point(spec, 25)
     C = X.mT @ spec.phi(X) - np.eye(spec.p)
     expected = dA_adjoint(spec, X, prob.grad(dissolve(spec, X))) + pf.beta * dC_adjoint(spec, X, C)
-    assert np.array_equal(penalty_gradient(pf, X), expected)
+    g = penalty_gradient(pf, X)
+    assert np.linalg.norm(g - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def test_penalty_gradient_takes_phi_X_once(spec):
+    # grad f(A(X)) lead + phi(X) (beta gen_sym(C) - 0.5 gen_sym(grad f(A(X))^T X)),
+    # bit for bit, from the public dissolve and the spec's own maps
+    prob = toy_problem(spec, 25)
+    pf = PenaltyFunction(spec, prob, 0.7)
+    X = _near_point(spec, 25)
+    phiX = spec.phi(X)
+    G = X.mT @ phiX
+    C = G - np.eye(spec.p)
+    lead = 1.5 * np.eye(spec.p) - 0.5 * G
+    gradfA = prob.grad(dissolve(spec, X))
+    M = pf.beta * spec.gen_sym(C) - 0.5 * spec.gen_sym(gradfA.mT @ X)
+    assert np.array_equal(penalty_gradient(pf, X), gradfA @ lead + phiX @ M)
 
 
 def test_penalty_gradient_vanishes_iff_projected_gradient_does(spec):

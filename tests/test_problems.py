@@ -177,6 +177,18 @@ def test_lsm_oracles_agree_with_the_A_X_forms_at_scale():
         assert np.linalg.norm(prob.hessvec(X, V) - ref_hv) <= 1e-13 * np.linalg.norm(ref_hv)
 
 
+def test_lsm_AN_is_the_broadcast_formula_bit_for_bit():
+    # A X N = U ((U^T X) * d mu^T) + X * (b mu), b mu broadcast over the rows
+    prob = build_lsm(1000, 20, seed=5, a=200.0, b=0.05)
+    U, d, mu, b = prob.U, prob.d, prob.N_diag, prob.metadata["b"]
+    rng = np.random.default_rng(4)
+    X, V = prob.spec.random_ambient(rng), prob.spec.random_ambient(rng)
+    AN = U @ ((U.T @ X) * np.outer(d, mu)) + X * (b * mu)
+    np.testing.assert_array_equal(prob.grad(X), 2.0 * AN)
+    AV = U @ ((U.T @ V) * np.outer(d, mu)) + V * (b * mu)
+    np.testing.assert_array_equal(prob.hessvec(X, V), 2.0 * AV)
+
+
 def test_lsm_explicit_spectrum_override():
     prob = build_lsm(10, 4, seed=0, a=50.0, b=0.1)
     assert prob.metadata["a"] == 50.0 and prob.metadata["b"] == 0.1

@@ -8,6 +8,7 @@ import orthopt.penalty as penalty_mod
 import orthopt.solvers as solvers_mod
 from orthopt.diagnostics import battery_specs
 from orthopt.harness import TRACE_HEADER, load_config, prepare
+from orthopt.problems import toy_problem
 from orthopt.solvers import (
     STATUS_GRAD_TOL,
     STATUS_LS_FAIL,
@@ -260,7 +261,9 @@ def test_cdf_tr_accepts_the_dissolved_trial_bit_for_bit():
 def test_line_search_accepts_the_charged_dissolved_trial_bit_for_bit(monkeypatch, solver_id):
     # every accepted line-search iterate on the extrinsic desk config is
     # A(x + alpha d), the public dissolve of the raw step along the direction
-    # d the search returns, and passes the sufficient-decrease test with
+    # d the search returns, whose value is the penalty at the point that
+    # carries its parts from the raw step (and, to rounding, the penalty at
+    # fresh ones), and passes the sufficient-decrease test with
     # beta/2 ||C(x + alpha d)||^2 added to its value
     cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                                    "extrinsic_desk.cfg"))
@@ -279,8 +282,11 @@ def test_line_search_accepts_the_charged_dissolved_trial_bit_for_bit(monkeypatch
     charges = []
     for oracle, x, merit_c, (alpha, xn, hn, d, gd) in hits:
         raw = x.X + alpha * d
+        carried = op.EvalCache.dissolving(prob.spec, raw)
         assert np.array_equal(xn.X, op.dissolve(prob.spec, raw))
-        assert hn == op.penalty_value(pf, xn.X)                    # the merit takes h uncharged
+        assert np.array_equal(carried.X, xn.X)
+        assert hn == op.penalty_value(pf, carried.X, carried)      # the merit takes h uncharged
+        np.testing.assert_allclose(hn, op.penalty_value(pf, xn.X), rtol=1e-14)   # fresh parts
         charge = oracle.charge(xn)
         np.testing.assert_allclose(
             charge, 0.5 * pf.beta * np.linalg.norm(op.constraint(prob.spec, raw)) ** 2,
@@ -481,32 +487,78 @@ def test_cdf_tr_rejected_trials_keep_the_base():
     # so every product the oracle forms is counted once in phase_counts:
     # 208 with trials at A(x + p) and the inner CG stopped at grad_tol (221
     # with it stopped below; 415 at x + p, where forming each re-solve's
-    # products afresh took 465).
+    # products afresh took 465); with phi and the Gram matrix at A(x + p)
+    # carried from x + p, rounding adds an iteration and 227.
     pf, prob = lsm_desk()
     oracle = PenaltyOracle(pf)
     hessvec, products = oracle.hessvec, []
     oracle.hessvec = lambda x, v: products.append(v) or hessvec(x, v)
     r = minimize("cdf-tr", oracle, prob.spec.random_feasible(3).X,
                  SolverConfig(grad_tol=1e-5, max_iter=50000))
-    assert (r.status, r.iters) == (STATUS_GRAD_TOL, 14)
+    assert (r.status, r.iters) == (STATUS_GRAD_TOL, 15)
     assert r.phase_counts["objective"] > r.iters                  # some trials were rejected
-    assert oracle.meter["grad_f"] == r.phase_counts["gradient"] == 15
-    assert len(products) == r.phase_counts["hessvec"] == 208
+    assert oracle.meter["grad_f"] == r.phase_counts["gradient"] == 16
+    assert len(products) == r.phase_counts["hessvec"] == 227
 
 
 def test_cdf_tr_finite_difference_hessvec_pins_its_iterates_and_work():
     # without a Hessian oracle the penalty Hessian-vector product is a central
     # difference of two gradients, each at a point moved from x, not
-    # dissolved: the 221 products take 442 of the 457 gradients, and each
-    # of the 19 trials forms two bases, x + p and A(x + p)
+    # dissolved: the 222 products take 444 of the 459 gradients, each 1 phi
+    # and 5 products; the other 15 cost 5 products at the start and 3 at
+    # each of the 14 accepted trials, each of the 19 trials dissolves x + p
+    # once, 1 phi and 4 products with its value, and the reported residual
+    # is 1 phi and 1 product: 2220 + 47 + 76 + 1 = 2344 products and
+    # 444 + 1 + 19 + 1 = 465 phi
     _, prob = lsm_desk()
     prob = op.Problem(prob.spec, prob.f, prob.grad, None, name=prob.name,
                       metadata=prob.metadata)
     pf = op.PenaltyFunction(prob.spec, prob, 0.5)
     r = run_solver("cdf-tr", pf, prob.spec.random_feasible(3), SolverConfig(grad_tol=1e-5))
-    assert (r.status, r.iters, repr(r.fval)) == (STATUS_GRAD_TOL, 14, "0.15138624754559563")
-    assert r.phase_counts["hessvec"] == 221
-    assert r.work == {"matmul": 2790, "phi": 481, "grad_f": 457, "f": 20}
+    assert (r.status, r.iters, repr(r.fval)) == (STATUS_GRAD_TOL, 14, "0.1513862493815461")
+    assert r.phase_counts["hessvec"] == 222
+    assert r.work == {"matmul": 2344, "phi": 465, "grad_f": 459, "f": 20}
+
+
+BATTERY = battery_specs()
+
+
+@pytest.mark.parametrize("label", list(BATTERY))
+def test_a_trial_is_the_public_dissolve_of_the_raw_step_bit_for_bit(label):
+    # a trial dissolves x + step once, 1 phi and 3 products, into the bits
+    # of the public dissolve, and keeps the raw step's residual for the
+    # charge; it carries its base, so its value costs 1 product, A of the
+    # trial point, and its gradient 3 products and no phi.  From the start
+    # and then from a carried trial point.
+    spec = BATTERY[label]
+    oracle = PenaltyOracle(op.PenaltyFunction(spec, toy_problem(spec, 0), 0.7))
+    rng = np.random.default_rng(3)
+    x = oracle.iterate(spec.random_feasible(3))
+    for _ in range(2):
+        step = 1e-2 * spec.random_ambient(rng)
+        before = dict(oracle.meter)
+        xn = oracle.trial(x, step, None)
+        assert {k: oracle.meter[k] - before[k] for k in before} == \
+            {"matmul": 3, "phi": 1, "grad_f": 0, "f": 0}
+        assert np.array_equal(xn.X, op.dissolve(spec, x.X + step))
+        assert np.array_equal(xn.origin_C, op.constraint(spec, x.X + step))
+        assert xn.counts is oracle.meter
+        oracle.value(xn)
+        oracle.grad(xn)
+        assert {k: oracle.meter[k] - before[k] for k in before} == \
+            {"matmul": 7, "phi": 1, "grad_f": 1, "f": 1}
+        x = xn
+
+
+def test_phase_clock_keeps_the_oracle_seconds_as_a_running_total():
+    clock = PhaseClock()
+    for name in solvers_mod.ORACLE_PHASES * 2:
+        with clock.phase(name):
+            pass
+    clock.seconds["linesearch"] += 1.0
+    total = sum(clock.seconds[k] for k in solvers_mod.ORACLE_PHASES)
+    assert abs(clock.oracle_seconds() - total) <= 1e-12
+    assert clock.row() == tuple(clock.seconds[k] for k in solvers_mod.ALL_PHASES)
 
 
 def test_penalty_oracle_feas_reads_the_base_at_any_point():
@@ -555,7 +607,7 @@ def test_cdf_solve_compares_no_contents_and_reports_a_writable_X(monkeypatch):
     x0 = prob.spec.random_feasible(cfg.x0_seed)
     compared = _count_array_equal(monkeypatch)
     r = run_solver("cdf-gd", pf, x0, SolverConfig(grad_tol=1e-5))
-    assert (r.status, r.iters) == (STATUS_GRAD_TOL, 143)
+    assert (r.status, r.iters) == (STATUS_GRAD_TOL, 153)
     assert compared == []
     assert r.X.flags.writeable
     r.X[0, 0] += 1.0                                       # the report owns its copy
@@ -840,7 +892,11 @@ def test_stationarity_report_matches_solver_trace_tail():
     x0 = prob.spec.random_feasible(14)
     r = run_solver("cdf-lbfgs", pf, x0, SolverConfig(grad_tol=1e-6, max_iter=20000))
     rep = op.stationarity_report(pf, r.X)
-    np.testing.assert_allclose(rep["grad_h"], r.trace[-1][2], rtol=1e-12)
+    # the solver's last gradient reads the Gram matrix its point carries
+    # from the raw step, the report's a fresh one, so they agree to the
+    # rounding of the gradient's terms (norm 0.17, times eps 3.7e-17), not
+    # to 1e-12 of its 7.6e-7 norm: they differ by 1.0e-18 here
+    np.testing.assert_allclose(rep["grad_h"], r.trace[-1][2], rtol=1e-12, atol=1e-16)
     np.testing.assert_allclose(rep["feas"], r.trace[-1][3], rtol=1e-9, atol=1e-15)
     assert rep["grad_f_post"] <= 10 * r.grad_norm + 1e-8
 
