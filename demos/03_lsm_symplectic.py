@@ -20,9 +20,8 @@ print(emit_table(records, "text"))
 print("=== penalty solvers at the tight tolerance ===")
 print("(each Riemannian iteration pays for a dissolving retraction and two")
 print(" projections; driving rgd and rcg to 1e-9 here took 43,234 and 22,316")
-print(" iterations, 9.4 s and 4.9 s, 3.5-13x as long as cdf-cg (9,275")
-print(" iterations, 1.4 s) or cdf-lbfgs (5,454, 0.74 s), in single runs on a")
-print(" 2-core x86-64 machine with one OpenBLAS thread; the penalty solvers")
+print(" iterations, 10-15 s and 4.6 s in single runs on a 2-core x86-64 machine")
+print(" with one OpenBLAS thread, against the penalty solvers' rows below, which")
 print(" only pay a handful of matrix products per step)")
 config = ExperimentConfig(
     problem=problem,

@@ -6,7 +6,7 @@ import io
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -158,8 +158,7 @@ def _write_trace(path, report):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        for row in report.trace:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(report.trace)
 
 
 def prepare(config):
@@ -222,12 +221,9 @@ def emit_table(records, fmt="text", path=None):
         text = json.dumps([asdict(rec) for rec in records]) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
-        names = [f.name for f in fields(ExperimentRecord)]
         writer = csv.writer(buf)
-        writer.writerow(names)
-        for rec in records:
-            writer.writerow([repr(getattr(rec, n)) if isinstance(getattr(rec, n), float)
-                             else getattr(rec, n) for n in names])
+        writer.writerow([f.name for f in fields(ExperimentRecord)])
+        writer.writerows(astuple(rec) for rec in records)
         text = buf.getvalue()
     elif fmt == "text":
         text = _text_table(records)

@@ -50,6 +50,7 @@ class ThetaDegenerateError(np.linalg.LinAlgError):
 
 
 POSTPROCESS_MAX_ROUNDS = 50   # dissolving rounds postprocess takes before it gives up
+FEAS_TARGET = 1e-12           # residual the retraction and postprocess drive ||C|| under
 
 
 class PostprocessDivergence(RuntimeError):
@@ -86,26 +87,28 @@ class EvalCache:
     and ``syms``, the pair (gen_sym(grad f(A(X))^T X), gen_sym(C)) that the
     penalty gradient forms and its Hessian-vector product reads, and
     ``hv_ops``, the stacked operands that product builds at its first call
-    at the base (see ``penalty.penalty_hessvec``).  ``feas``
-    reads ||C||, ``normal`` is the factorization ``normal_factor`` keeps, and
-    ``origin_C``, on a cache made by ``dissolved()`` or ``dissolving``, is
-    the residual of the point it was dissolved from.  ``store`` belongs to X
-    itself (see ``Problem``); the penalty evaluates f at A(X) through the
-    store of ``dissolved()``, the point A(X), which is made once.
+    at the base (see ``penalty.penalty_hessvec``), these three for the one
+    penalty ``penalty``, (problem, beta).  ``feas`` reads ||C||, ``normal``
+    is the factorization ``normal_factor`` keeps, and ``origin_C``, on a
+    cache made by ``dissolving``, is the residual of the raw point.  ``store``
+    belongs to X itself (see ``Problem``); the penalty evaluates f at A(X)
+    through the store of ``dissolved()``, the point A(X), made once.
 
     A cache takes X without a copy, makes it read-only and never moves; the
     rest is formed the first time it is asked for, so a point read only for
     its residual or its geometry never pays for A(X).  ``FeasiblePoint`` is
     the checked constructor.  A cache made by ``dissolving`` starts with
-    its base carried from the point Y it dissolves: phi(X), G and C.
-    Caches built with the same ``counts`` dict share one meter of the work
-    done through them (``METER_KEYS``): dense products of n x p / p x p
-    shape, phi applications and objective/gradient calls; the p x p
-    products that carry G are not metered.
+    its base carried from the point Y it dissolves: phi(X), G and C.  The
+    base broadcasts over leading axes: a cache around a stack of points has
+    one p x p face of G and C per point.  Caches built with the same
+    ``counts`` dict share one meter of the work done through them
+    (``METER_KEYS``): dense products of n x p / p x p shape, phi
+    applications and objective/gradient calls; the p x p products that
+    carry G are not metered.
     """
 
     __slots__ = ("spec", "X", "counts", "phiX", "gram", "C", "_lead", "_AX", "store",
-                 "gradfA", "syms", "hv_ops", "origin_C", "normal", "_dissolved")
+                 "penalty", "gradfA", "syms", "hv_ops", "origin_C", "normal", "_dissolved")
 
     def __init__(self, spec, X, counts=None):
         X.flags.writeable = False
@@ -114,7 +117,7 @@ class EvalCache:
         self.counts = counts if counts is not None else dict.fromkeys(METER_KEYS, 0)
         self.phiX = self.gram = self.C = self._lead = self._AX = None
         self.store = {}
-        self.gradfA = self.syms = self.hv_ops = None
+        self.penalty = self.gradfA = self.syms = self.hv_ops = None
         self.origin_C = self.normal = self._dissolved = None
 
     @classmethod
@@ -178,22 +181,24 @@ class EvalCache:
         """||C||, the norm of the constraint residual at X, as a Python float."""
         return _norm(self.base().C)
 
-    def ensure_grad(self, problem):
-        """The base with grad f(A(X)) and its pair ``syms``; 1 product when new."""
-        if self.gradfA is None:
+    def ensure_grad(self, pf):
+        """The base with grad f(A(X)) and its pair ``syms`` for the penalty
+        ``pf``; 1 product when new, or when formed for another penalty."""
+        key = (pf.problem, pf.beta)
+        if self.penalty != key:
             self.base()
             self.counts["grad_f"] += 1
-            self.gradfA = problem.grad(self.AX, self.dissolved().store)
+            self.gradfA = pf.problem.grad(self.AX, self.dissolved().store)
             self.syms = (self.spec.gen_sym(self._mm(self.gradfA.mT, self.X)),
                          self.spec.gen_sym(self.C))
+            self.hv_ops = None
+            self.penalty = key
 
     def dissolved(self):
-        """The cache at A(X), one dissolving step from X, on the same meter,
-        carrying this cache's residual C as its ``origin_C``; made once.  It
-        forms its own base when it is read."""
+        """The cache at A(X), one dissolving step from X, on the same meter;
+        made once.  It forms its own base when it is read."""
         if self._dissolved is None:
             self._dissolved = EvalCache(self.spec, self.AX, self.counts)
-            self._dissolved.origin_C = self.C
         return self._dissolved
 
 
@@ -397,8 +402,8 @@ class ManifoldSpec:
         """Step from a feasible point along a tangent Z to a feasible point.
 
         The dissolving retraction lim A^k(X + Z): one dissolving step from
-        X + Z, then ``postprocess``'s own rounds until ||C|| < 1e-12.  A
-        fixes the manifold and its differential there is the identity on
+        X + Z, then ``postprocess``'s own rounds until ||C|| < FEAS_TARGET.
+        A fixes the manifold and its differential there is the identity on
         the tangent space, so this is a retraction for every family.  Each
         point on the way costs one phi and two products.  The first step is
         taken even when X + Z already meets 1e-12: handing back X + Z there
@@ -413,7 +418,7 @@ class ManifoldSpec:
             return point
         try:
             with np.errstate(over="ignore", invalid="ignore"):   # non-finite steps fail below
-                return _postprocess(EvalCache(self, point.X + Z).dissolved(), 1e-12)[0]
+                return _postprocess(EvalCache(self, point.X + Z).dissolved(), FEAS_TARGET)[0]
         except PostprocessDivergence as exc:
             raise RetractError(str(exc)) from exc
 

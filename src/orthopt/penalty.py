@@ -47,7 +47,8 @@ import math
 
 import numpy as np
 
-from .manifolds import EvalCache, _copy_X, _dC, _postprocess, _shaped, riemannian_gradient
+from .manifolds import FEAS_TARGET, EvalCache, _copy_X, _dC, _postprocess, _shaped
+from .manifolds import riemannian_gradient
 
 
 class UnsupportedOperation(RuntimeError):
@@ -89,9 +90,11 @@ def dCA(spec, X, Z):
 
 
 class PenaltyFunction:
-    """Bundle of manifold, objective, and penalty weight."""
+    """Bundle of manifold, objective, and penalty weight; spec is the problem's own."""
 
     def __init__(self, spec, problem, beta):
+        if spec is not problem.spec:
+            raise ValueError(f"spec {spec!r} is not the spec {problem.spec!r} of the problem")
         if not (beta > 0 and math.isfinite(beta)):
             raise ValueError(f"penalty weight must be positive and finite, got {beta}")
         self.spec = spec
@@ -152,7 +155,7 @@ def penalty_gradient(pf, X, cache=None):
     base, 3 products at a point whose value was taken, 2 at a base that
     has its ``syms``."""
     cache = _cache_at(pf.spec, X, cache)
-    cache.ensure_grad(pf.problem)
+    cache.ensure_grad(pf)
     SV, SC = cache.syms
     return cache._mm(cache.gradfA, cache.lead) + cache._mm(cache.phiX, pf.beta * SC - 0.5 * SV)
 
@@ -162,7 +165,7 @@ def penalty_hessvec(pf, X, dX, cache=None):
     application at a base that has its ``syms``, 7 when it forms them.
 
     Needs the problem's Hessian oracle.  The first product at a base (for
-    a penalty weight) stacks its operands once into ``cache.hv_ops``:
+    a penalty) stacks its operands once into ``cache.hv_ops``:
     B = [phi(X) | -0.5 grad f(A(X))] (n x 2p) and K = [lead^T | psi(M)]
     (p x 2p), M = beta gen_sym(C) - 0.5 gen_sym(grad f(A(X))^T X).  Then B^T dX gives the cross-Gram Q and
     grad f^T dX in one product, and dX K gives dX lead^T, from which
@@ -176,12 +179,12 @@ def penalty_hessvec(pf, X, dX, cache=None):
     spec = pf.spec
     cache = _cache_at(pf.spec, X, cache)
     dX = _shaped(spec, dX)
-    cache.ensure_grad(pf.problem)
-    if cache.hv_ops is None or cache.hv_ops[0] != pf.beta:    # K holds beta
+    cache.ensure_grad(pf)
+    if cache.hv_ops is None:
         SV, SC = cache.syms
-        cache.hv_ops = (pf.beta, np.concatenate([cache.phiX, -0.5 * cache.gradfA], axis=-1),
+        cache.hv_ops = (np.concatenate([cache.phiX, -0.5 * cache.gradfA], axis=-1),
                         np.concatenate([cache.lead.mT, spec.psi(pf.beta * SC - 0.5 * SV)], axis=-1))
-    _, B, K = cache.hv_ops
+    B, K = cache.hv_ops
     X, mm, p = cache.X, cache._mm, spec.p
     BdX, dXK = mm(B.mT, dX), mm(dX, K)
     Q, W = BdX[..., :p, :], BdX[..., p:, :]
@@ -194,7 +197,7 @@ def penalty_hessvec(pf, X, dX, cache=None):
             + cache._phi(dXK[..., p:]))
 
 
-def postprocess(spec, X, eps_f=1e-12):
+def postprocess(spec, X, eps_f=FEAS_TARGET):
     """Drive the constraint residual under eps_f by repeated dissolving.
 
     Each round is one base point: its residual C and its A(X), the next
@@ -210,15 +213,16 @@ def postprocess(spec, X, eps_f=1e-12):
     return _postprocess(_cache_at(spec, X), eps_f)
 
 
-def stationarity_report(pf, X, eps_f=1e-12):
+def stationarity_report(pf, X):
     """Norms used in result tables: penalty gradient, feasibility, and the
-    projected objective gradient at the post-processed point.  The
+    projected objective gradient at the point post-processed to
+    ``FEAS_TARGET``.  The
     post-processing starts from the gradient's cache, so X is copied and
     phi(X), the Gram matrix and A(X) are formed once."""
     cache = _cache_at(pf.spec, X)
     gh = penalty_gradient(pf, cache.X, cache)
     feas = cache.feas
-    point, rounds = _postprocess(cache, eps_f)
+    point, rounds = _postprocess(cache, FEAS_TARGET)
     rg = riemannian_gradient(pf.spec, point, pf.problem.grad(point.X, point.store))
     return {
         "grad_h": float(np.linalg.norm(gh)),

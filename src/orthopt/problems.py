@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from .manifolds import FeasibilityError, IndefiniteStiefel, SymplecticStiefel, TensorStiefel, _size
+from .manifolds import (EvalCache, FeasibilityError, IndefiniteStiefel, SymplecticStiefel,
+                        TensorStiefel, _size)
 from .tensor import qr_posdiag
 
 GRAD_CHECK_POINTS = 5      # random points of the central-difference gradient check
@@ -184,15 +185,12 @@ def build_extrinsic_mean(n, p, k, p_k, n_samples=1000, seed=0):
     del G
     np.matmul(Y0, W, out=samples)
     del W
-    # each sample's residual ||X^T phi(X) - I||, by stacked products over
-    # blocks of samples: phi of a block stays in cache, and no temporary the
-    # size of the samples adds to the peak
+    # each sample's residual, a face of C at the base of a block of samples:
+    # phi of a block stays in cache, and no temporary the size of the
+    # samples adds to the peak
     block = max(1, CHECK_BLOCK_BYTES // (8 * n * p))
     for lo in range(0, n_samples, block):
-        Y = samples[lo:lo + block]
-        C = Y.mT @ spec.phi(Y)
-        C -= np.eye(p)
-        res = np.linalg.norm(C, axis=(1, 2))
+        res = np.linalg.norm(EvalCache(spec, samples[lo:lo + block]).base().C, axis=(1, 2))
         ok = res <= SAMPLE_TOL      # NaN fails it
         if not ok.all():
             i = int(np.argmin(ok))

@@ -4,23 +4,23 @@
 The route names the oracle ``run_solver`` builds: ``cdf`` the penalty,
 ``riemannian`` the manifold.  ``minimize(solver_id, oracle, x0)`` runs a
 fresh instance of the row's rule over any oracle.  The oracle carries the
-geometry: ``FunctionOracle`` and ``PenaltyOracle`` are flat (a move is
-x + step, transport is the identity, the displacement is xn - x), while
-``ManifoldOracle`` moves by retraction, transports by projection and reads
-feasibility off the point.  Both routes make each iterate an ``EvalCache``
-of its own.  Line searches, secant probes and the trust region ask the
-oracle for its trial point, which is the move except on the penalty, where
-``PenaltyOracle`` takes it one dissolving step further, at A(x + step);
-only the finite-difference Hessian uses plain moves.  A line search adds
-the oracle's ``charge`` to the value at a trial: on the penalty
-beta/2 ||C(x + step)||^2, the residual term of the raw step, elsewhere
-nothing.  The first trial of a search rejected on the charge alone is
-retried once along the oracle's ``tangent``, on the penalty dA_x[d] (3
-products, no phi), whose raw step pays a charge of O(alpha^4); the rule
-then carries on from the direction the step took.  The rule proposes the
-next point; ``minimize`` owns the stop tests, the nonmonotone merit, the trace, the
-value and gradient at the start, the gradient at each accepted point and
-the SolveReport, whose wall-clock breakdown is split by phase {objective,
+geometry: ``FunctionOracle`` and ``PenaltyOracle`` are flat (transport is
+the identity, the displacement is xn - x), while ``ManifoldOracle``
+transports by projection and reads feasibility off the point.  Both routes
+make each iterate an ``EvalCache`` of its own.  An oracle has one way to
+step, ``trial``: line searches, secant probes and the trust region ask it
+for its trial point, which is x + step on ``FunctionOracle``, the
+retraction on the manifold and, on the penalty, the dissolved point
+A(x + step).  A line search adds the oracle's ``charge`` to the value at a
+trial: on the penalty beta/2 ||C(x + step)||^2, the residual term of the
+raw step, elsewhere nothing.  The first trial of a search rejected on the
+charge alone is retried once along the oracle's ``tangent``, on the
+penalty dA_x[d] at a fresh base of x (1 phi and 4 products), whose raw
+step pays a charge of O(alpha^4); the rule then carries on from the
+direction the step took.  The rule proposes the next point; ``minimize``
+owns the stop tests, the nonmonotone merit, the trace, the value and
+gradient at the start, the gradient at each accepted point and the
+SolveReport, whose wall-clock breakdown is split by phase {objective,
 gradient, hessvec, retraction, transport, linesearch}.
 """
 
@@ -131,9 +131,6 @@ class PhaseClock:
         oracle phase ``name``; the line search books its own time."""
         return _Phase(self, name)
 
-    def oracle_seconds(self):
-        return self.oracle
-
     def row(self):
         return tuple(self.seconds.values())
 
@@ -158,14 +155,9 @@ class _Phase:
 # --- oracles: the objective together with its geometry ---------------------
 
 class _Oracle:
-    """The defaults: no meter, the move as the trial, no charge, no tangent,
-    the iterate's own feasibility as the reported one."""
+    """The defaults: no meter, no charge, no tangent, ``feas`` as reported."""
 
     meter = None    # dict of work counts the oracle keeps, if any
-
-    def trial(self, x, step, clock):
-        """The trial point for ``step`` from x: the move itself."""
-        return self.move(x, step, clock)
 
     def charge(self, trial):
         """What a line search adds to the value at ``trial``: nothing."""
@@ -181,13 +173,13 @@ class _Oracle:
 
 
 class _FlatOracle(_Oracle):
-    """Euclidean geometry: x + step moves, identity transport, xn - x displacement."""
+    """Euclidean geometry: x + step trials, identity transport, xn - x displacement."""
 
     def iterate(self, x0):
         """The start as an iterate: a float copy of x0."""
         return np.array(x0, dtype=float)
 
-    def move(self, x, step, clock):
+    def trial(self, x, step, clock):
         return x + step
 
     def transport(self, xn, v, clock):
@@ -202,7 +194,8 @@ class _FlatOracle(_Oracle):
         if nv == 0.0:
             return np.zeros_like(v)
         t = 1e-5 / nv
-        up, down = self.move(x, t * v, None), self.move(x, -t * v, None)
+        X = self.unwrap(x)[0]
+        up, down = self.iterate(X + t * v), self.iterate(X - t * v)
         return (self.grad(up) - self.grad(down)) / (2.0 * t)
 
     def feas(self, x):
@@ -233,15 +226,16 @@ class FunctionOracle(_FlatOracle):
 class PenaltyOracle(_FlatOracle):
     """Penalty function whose iterates are evaluation caches.
 
-    The start, every move x + step and every trial A(x + step) are a new
-    ``EvalCache`` built around a read-only X, all sharing the oracle's one
-    meter.  A trial dissolves y = x + step once: it forms phi(y) and G(y)
-    and carries phi, G and C at A(y) from them (``EvalCache.dissolving``).  A
-    line search accepts the trial A(x + alpha d) on its value plus
-    ``charge``, the penalty term beta/2 ||C(x + alpha d)||^2 of the raw step,
-    which the dissolving step would otherwise hide; the first trial of a
-    search rejected on that charge alone is retried along ``tangent``,
-    dA_x[d].  The trust region takes the value there uncharged.  Value, gradient, Hessian-vector
+    The start, every trial A(x + step) and each point of a finite-difference
+    Hessian are a new ``EvalCache`` built around a read-only X, all sharing
+    the oracle's one meter.  A trial dissolves y = x + step once: it forms
+    phi(y) and G(y) and carries phi, G and C at A(y) from them
+    (``EvalCache.dissolving``).  A line search accepts the trial
+    A(x + alpha d) on its value plus ``charge``, the penalty term
+    beta/2 ||C(x + alpha d)||^2 of the raw step, which the dissolving step
+    would otherwise hide; the first trial of a search rejected on that
+    charge alone is retried along ``tangent``, dA_x[d].  The trust region
+    takes the value there uncharged.  Value, gradient, Hessian-vector
     products and feasibility at an iterate fill or read its own cache, so a
     rejected trial leaves the base it was taken from as it was, and the
     objective oracles at A(X) share the store of its ``dissolved()`` point.
@@ -258,15 +252,12 @@ class PenaltyOracle(_FlatOracle):
         """The start, an array or a point, as a cache around a copy of its X."""
         return EvalCache(self.pf.spec, _copy_X(self.pf.spec, x0), self.meter)
 
-    def move(self, x, step, clock):
-        return EvalCache(self.pf.spec, x.X + step, self.meter)
-
     def trial(self, x, step, clock):
         """A(x + step), one dissolving step from x + step, as a fresh cache
         that carries its base from x + step.
 
-        It costs 1 phi and 3 products, booked to no phase as a flat move is,
-        and the value there 1 product more, A of the trial point.
+        It costs 1 phi and 3 products, booked to no phase as a flat trial
+        is, and the value there 1 product more, A of the trial point.
         """
         return EvalCache.dissolving(self.pf.spec, x.X + step, self.meter)
 
@@ -279,14 +270,11 @@ class PenaltyOracle(_FlatOracle):
     def tangent(self, x, d):
         """dA_x[d], the dissolving differential at x applied to d: at a
         feasible x, C(x + alpha dA_x[d]) is O(alpha^2), so the charge is
-        O(alpha^4).  3 products and no phi at the base of x.  A trial point's
-        carried phi(X) and G agree with fresh ones only to rounding, so there
-        it is taken at a fresh base of X, 1 phi and 1 product more, and the
-        retry depends on X alone: it is the public ``dA(spec, X, d)`` bit for
-        bit."""
-        if x.origin_C is not None:
-            x = EvalCache(self.pf.spec, x.X, self.meter)
-        return _dA(x.base(), d)
+        O(alpha^4).  Taken at a fresh base of X, 1 phi and 4 products, it
+        depends on X alone and is the public ``dA(spec, X, d)`` bit for bit:
+        a trial point's carried phi(X) and G agree with fresh ones only to
+        rounding."""
+        return _dA(EvalCache(self.pf.spec, x.X, self.meter).base(), d)
 
     def displacement(self, x, xn, alpha, d, clock):
         return xn.X - x.X
@@ -317,11 +305,11 @@ class PenaltyOracle(_FlatOracle):
 
 
 class ManifoldOracle(_Oracle):
-    """Objective restricted to a manifold: retraction moves, projection transport.
+    """Objective restricted to a manifold: retraction trials, projection transport.
 
     Iterates are points of the spec, and a trial is the retraction, which
     is feasible and pays no charge.  A step the retraction cannot take
-    (RetractError) is a rejected trial, reported as ``move`` returning None.
+    (RetractError) is a rejected trial, reported as ``trial`` returning None.
     The objective oracles at a point share the point's store.  ``unwrap``
     hands back a writable copy of X with the point.
     """
@@ -341,7 +329,7 @@ class ManifoldOracle(_Oracle):
     def grad(self, point):
         return riemannian_gradient(self.spec, point, self.problem.grad(point.X, point.store))
 
-    def move(self, point, step, clock):
+    def trial(self, point, step, clock):
         # the new point comes with the normal-space factorization that every
         # projection at it reads, so its decomposition is booked to the
         # geometry step that made the point
@@ -405,13 +393,12 @@ def _search(oracle, clock, x, g, d, gd, merit_c, alpha0):
     along ``oracle.tangent(x, d)`` when that is downhill; a later
     charge-only rejection halves alpha like any other.  On the penalty the
     tangent is dA_x[d], whose raw step leaves the manifold at O(alpha^2)
-    and pays a charge of O(alpha^4) (Xiao, Liu & Toh 2024); it costs 3
-    products and no phi, and 1 phi and 4 products at a trial point.  The
-    other oracles have no charge and no tangent, so their searches are
-    unchanged.
+    and pays a charge of O(alpha^4) (Xiao, Liu & Toh 2024); it costs 1 phi
+    and 4 products.  The other oracles have no charge and no tangent, so
+    their searches are unchanged.
     """
     t0 = time.perf_counter()
-    before = clock.oracle_seconds()
+    before = clock.oracle
     alpha = alpha0
     out = None
     retried = False
@@ -433,7 +420,7 @@ def _search(oracle, clock, x, g, d, gd, merit_c, alpha0):
                         d, gd = t, gt
                         continue                # the retry keeps alpha
             alpha *= LS_SHRINK
-    clock.seconds["linesearch"] += (time.perf_counter() - t0) - (clock.oracle_seconds() - before)
+    clock.seconds["linesearch"] += (time.perf_counter() - t0) - (clock.oracle - before)
     clock.counts["linesearch"] += 1
     return out
 

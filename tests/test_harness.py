@@ -204,6 +204,16 @@ def test_every_cell_of_the_written_csvs_is_a_number_or_a_word(tiny_config, tmp_p
                         float(cell)
 
 
+def test_records_csv_writes_a_numpy_tolerance_as_a_plain_float(tiny_config, tmp_path):
+    # csv writes str(v), which for np.float64 is the float itself, not its repr
+    cfg = load_config(tiny_config)
+    cfg.solvers, cfg.tols, cfg.out = ["cdf-lbfgs"], list(np.array([1e-3])), str(tmp_path / "out")
+    run(cfg)
+    with open(os.path.join(cfg.out, "records.csv"), newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["tol"] == "0.001"
+
+
 def test_run_is_deterministic(tiny_config):
     # byte-identical output apart from wall-clock columns
     cfg = load_config(tiny_config)

@@ -195,6 +195,13 @@ def test_penalty_decreases_under_dissolving_near_manifold(spec):
     assert penalty_value(pf, dissolve(spec, Y)) <= penalty_value(pf, Y) + 1e-12
 
 
+def test_penalty_rejects_a_spec_other_than_the_problems():
+    # a bundle on another manifold than its problem's would solve on the wrong one
+    spec = op.stiefel(8, 4)
+    with pytest.raises(ValueError, match=r"Stiefel\(n=8, p=4\) is not the spec SymplecticStiefel"):
+        PenaltyFunction(spec, op.build_lsm(8, 4), 0.5)
+
+
 def test_penalty_rejects_nonpositive_weight(spec):
     with pytest.raises(ValueError):
         PenaltyFunction(spec, toy_problem(spec, 0), 0.0)
@@ -370,6 +377,18 @@ def test_penalty_hessvec_at_one_cache_follows_the_penalty_weight(spec):
     cache = EvalCache(spec, X)
     for beta in (0.7, 2.9):
         pf = PenaltyFunction(spec, prob, beta)
+        assert np.array_equal(penalty_hessvec(pf, X, V, cache), penalty_hessvec(pf, X, V))
+
+
+def test_penalty_state_at_one_cache_follows_the_problem(spec):
+    # grad f(A(X)), its syms and the stacked operands belong to one penalty,
+    # so a gradient or product for another problem at the same base forms
+    # them afresh, with the bits of a fresh cache
+    X, V = _near_point(spec, 36), _unit(spec, 37)
+    cache = EvalCache(spec, X)
+    for seed in (36, 38):
+        pf = PenaltyFunction(spec, toy_problem(spec, seed), 0.7)
+        assert np.array_equal(penalty_gradient(pf, X, cache), penalty_gradient(pf, X))
         assert np.array_equal(penalty_hessvec(pf, X, V, cache), penalty_hessvec(pf, X, V))
 
 

@@ -557,7 +557,7 @@ def test_phase_clock_keeps_the_oracle_seconds_as_a_running_total():
             pass
     clock.seconds["linesearch"] += 1.0
     total = sum(clock.seconds[k] for k in solvers_mod.ORACLE_PHASES)
-    assert abs(clock.oracle_seconds() - total) <= 1e-12
+    assert abs(clock.oracle - total) <= 1e-12
     assert clock.row() == tuple(clock.seconds[k] for k in solvers_mod.ALL_PHASES)
 
 
@@ -579,13 +579,13 @@ def test_penalty_oracle_feas_reads_the_base_at_any_point():
     phi = oracle.meter["phi"]
     assert oracle.feas(x) == residual(x.X)
     assert oracle.meter["phi"] == phi                             # read off the gradient's base
-    y = oracle.move(x, step, None)
+    y = oracle.iterate(x.X + step)                                # a finite-difference point
     assert y.counts is oracle.meter and np.array_equal(y.X, x.X + step)
     oracle.value(y)
     assert oracle.feas(x) == residual(x.X)                        # a trial value leaves it
     assert oracle.feas(y) == residual(y.X)                        # the trial point's own base
     assert oracle.meter["phi"] == phi + 1
-    z = oracle.move(x, step, None)
+    z = oracle.iterate(x.X + step)
     assert oracle.feas(z) == residual(z.X)                        # an iterate never valued
     assert oracle.meter["phi"] == phi + 2
     np.testing.assert_array_equal(oracle.displacement(x, y, 1.0, None, None), y.X - x.X)
@@ -772,7 +772,7 @@ def test_manifold_oracle_moves_to_a_point_with_its_normal_factorization(monkeypa
     x = spec.random_feasible(1)
     step = op.random_tangent(spec, x, 2)
     clock = PhaseClock()
-    xn = oracle.move(x, (0.1 / np.linalg.norm(step)) * step, clock)
+    xn = oracle.trial(x, (0.1 / np.linalg.norm(step)) * step, clock)
     assert clock.counts["retraction"] == 1 and xn.normal is not None
     eigh, calls = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M) or eigh(M))
