@@ -256,8 +256,8 @@ class PenaltyOracle(_FlatOracle):
         """A(x + step), one dissolving step from x + step, as a fresh cache
         that carries its base from x + step.
 
-        It costs 1 phi and 3 products, booked to no phase as a flat trial
-        is, and the value there 1 product more, A of the trial point.
+        It costs 1 phi and 3 products, booked to no phase, and the value
+        there 1 product more, A of the trial point.
         """
         return EvalCache.dissolving(self.pf.spec, x.X + step, self.meter)
 
